@@ -20,7 +20,7 @@ use vchain_pairing::{
 };
 
 use crate::poly::Poly;
-use crate::{batch_coefficients_ctx, AccElem, AccError, Accumulator, MultiSet};
+use crate::{batch_coefficients_ctx, AccElem, AccError, Accumulator, BatchItem, MultiSet};
 
 /// Comb tables are precomputed for at most this many public-key powers per
 /// source group (lazily, as commitments actually need them); commitments
@@ -173,6 +173,8 @@ impl Acc1 {
 impl Accumulator for Acc1 {
     type Value = Acc1Value;
     type Proof = Acc1Proof;
+    /// Construction 1's equation pairs the whole (single-`G1`) value.
+    type Operand = Acc1Value;
 
     fn name(&self) -> &'static str {
         "acc1"
@@ -249,10 +251,23 @@ impl Accumulator for Acc1 {
             .collect()
     }
 
-    fn verify_disjoint(&self, a1: &Acc1Value, a2: &Acc1Value, proof: &Acc1Proof) -> bool {
+    fn verify_operand(&self, a1: &Acc1Value, a2: &Acc1Value, proof: &Acc1Proof) -> bool {
         // e(acc(X1), F1) · e(acc(X2), F2) == e(g1, g2)
         let lhs = multi_pairing(&[(*a1, proof.f1), (*a2, proof.f2)]);
         lhs == self.pk.gt_gen
+    }
+
+    fn operand(v: &Acc1Value) -> Acc1Value {
+        *v
+    }
+
+    fn operand_bytes(op: &Acc1Value) -> Vec<u8> {
+        op.to_bytes()
+    }
+
+    fn operand_from_bytes(&self, bytes: &[u8]) -> Result<Acc1Value, crate::DecodeError> {
+        crate::check_len(self.value_size(), bytes.len())?;
+        crate::decode_slot::<G1Spec>(bytes, 0)
     }
 
     /// Random-linear-combination batch verification: every valid triple
@@ -267,18 +282,10 @@ impl Accumulator for Acc1 {
     /// Miller loop and one final exponentiation instead of `n`. The
     /// coefficients `ρᵢ` come from the shared [`batch_coefficients_ctx`]
     /// transcript derivation.
-    fn batch_verify_disjoint(&self, items: &[(Acc1Value, Acc1Value, Acc1Proof)]) -> bool {
-        self.batch_verify_disjoint_ctx(&[], items)
-    }
-
-    fn batch_verify_disjoint_ctx(
-        &self,
-        context: &[u8],
-        items: &[(Acc1Value, Acc1Value, Acc1Proof)],
-    ) -> bool {
+    fn batch_verify_disjoint_ctx(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
         match items {
             [] => true,
-            [(a1, a2, proof)] => self.verify_disjoint(a1, a2, proof),
+            [(a1, a2, proof)] => self.verify_operand(a1, a2, proof),
             _ => {
                 let rho = batch_coefficients_ctx::<Self>(context, items);
                 let mut pairs = Vec::with_capacity(2 * items.len() + 1);
@@ -316,23 +323,8 @@ impl Accumulator for Acc1 {
         2 * G2Spec::COMPRESSED_BYTES // two compressed G2 points
     }
 
-    fn value_from_bytes(&self, bytes: &[u8]) -> Result<Acc1Value, crate::DecodeError> {
-        if bytes.len() != self.value_size() {
-            return Err(crate::DecodeError::Length {
-                expected: self.value_size(),
-                got: bytes.len(),
-            });
-        }
-        crate::decode_slot::<G1Spec>(bytes, 0)
-    }
-
     fn proof_from_bytes(&self, bytes: &[u8]) -> Result<Acc1Proof, crate::DecodeError> {
-        if bytes.len() != self.proof_size() {
-            return Err(crate::DecodeError::Length {
-                expected: self.proof_size(),
-                got: bytes.len(),
-            });
-        }
+        crate::check_len(self.proof_size(), bytes.len())?;
         let n = G2Spec::COMPRESSED_BYTES;
         Ok(Acc1Proof {
             f1: crate::decode_slot::<G2Spec>(&bytes[..n], 0)?,
@@ -559,13 +551,13 @@ mod tests {
         let proof = a.prove_disjoint(&x1, &x2).unwrap();
 
         let vb = Acc1::value_bytes(&v);
-        assert_eq!(a.value_from_bytes(&vb).unwrap(), v);
+        assert_eq!(a.operand_from_bytes(&vb).unwrap(), v);
         let pb = Acc1::proof_bytes(&proof);
         assert_eq!(a.proof_from_bytes(&pb).unwrap(), proof);
 
         // truncation / extension
         assert!(matches!(
-            a.value_from_bytes(&vb[..vb.len() - 1]),
+            a.operand_from_bytes(&vb[..vb.len() - 1]),
             Err(crate::DecodeError::Length { .. })
         ));
         let mut long = pb.clone();

@@ -34,7 +34,7 @@ use vchain_pairing::{
     G2Affine, G2Projective, G2Spec,
 };
 
-use crate::{batch_coefficients_ctx, AccElem, AccError, Accumulator, MultiSet};
+use crate::{batch_coefficients_ctx, AccElem, AccError, Accumulator, BatchItem, MultiSet};
 
 /// The accumulative value `(d_A, d_B)` (a block's AttDigest under acc2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -276,6 +276,7 @@ impl Acc2 {
 impl Accumulator for Acc2 {
     type Value = Acc2Value;
     type Proof = Acc2Proof;
+    type Operand = G1Affine;
 
     fn name(&self) -> &'static str {
         "acc2"
@@ -367,51 +368,52 @@ impl Accumulator for Acc2 {
         self.finalize_proof(&w, clause).ok()
     }
 
-    fn verify_disjoint(&self, a1: &Acc2Value, a2: &Acc2Value, proof: &Acc2Proof) -> bool {
+    fn verify_operand(&self, da: &G1Affine, a2: &Acc2Value, proof: &Acc2Proof) -> bool {
         // e(d_A(X1), d_B(X2)) == e(π, g2)  ⇔  e(d_A, d_B) · e(−π, g2) == 1
         let g2 = G2Projective::generator().to_affine();
-        multi_pairing(&[(a1.da, a2.db), (proof.pi.neg(), g2)]).is_one()
+        multi_pairing(&[(*da, a2.db), (proof.pi.neg(), g2)]).is_one()
+    }
+
+    fn operand(v: &Acc2Value) -> G1Affine {
+        v.da
+    }
+
+    fn operand_bytes(da: &G1Affine) -> Vec<u8> {
+        da.to_bytes()
+    }
+
+    fn operand_from_bytes(&self, bytes: &[u8]) -> Result<G1Affine, crate::DecodeError> {
+        crate::check_len(self.value_size(), bytes.len())?;
+        crate::decode_slot::<G1Spec>(&bytes[..G1Spec::COMPRESSED_BYTES], 0)
+    }
+
+    fn sum_operands(&self, ops: &[G1Affine]) -> Result<G1Affine, AccError> {
+        Ok(sum_affine(ops).to_affine())
     }
 
     /// Random-linear-combination batch verification. Construction 2's
-    /// per-triple check is `e(d_A(X₁)ᵢ, d_B(X₂)ᵢ) = e(πᵢ, g₂)`, and all the
-    /// proofs pair against the *same* fixed `g₂` — so beyond the shared
-    /// Miller loop the proof side collapses into a single multi-exponent:
+    /// per-triple check is `e(d_A(X₁)ᵢ, d_B(X₂)ᵢ) = e(πᵢ, g₂)`. All the
+    /// proofs pair against the *same* fixed `g₂`, and the items of one
+    /// query pair against the `d_B` of a handful of clauses, so by
+    /// bilinearity both sides collapse into multi-exponents:
     ///
     /// ```text
-    /// Π e(ρᵢ·d_Aᵢ, d_Bᵢ) · e(−Σρᵢπᵢ, g₂) = 1
+    /// Π_c e(Σ_{i∈c} ρᵢ·d_Aᵢ, d_B^c) · e(−Σρᵢπᵢ, g₂) = 1
     /// ```
     ///
-    /// An `n`-batch costs one `n+1`-pair multi-pairing (one final
-    /// exponentiation) plus one `n`-term Pippenger multiexp of 128-bit
-    /// scalars, versus `n` full pairing checks for the naive loop. The
+    /// with `c` ranging over the *distinct* clause digests of the batch.
+    /// An `n`-batch over `k` clauses costs one `k+1`-pair multi-pairing
+    /// (one final exponentiation) plus `k+1` multiexps of 128-bit scalars
+    /// over `2n` points in all — versus `n` Miller pairs for the ungrouped
+    /// sum, and `n` full pairing checks for the naive loop. The grouping is
+    /// an identity, so the accepted set is the ungrouped check's. The
     /// coefficients `ρᵢ` come from the shared [`batch_coefficients_ctx`]
     /// transcript derivation.
-    fn batch_verify_disjoint(&self, items: &[(Acc2Value, Acc2Value, Acc2Proof)]) -> bool {
-        self.batch_verify_disjoint_ctx(&[], items)
-    }
-
-    fn batch_verify_disjoint_ctx(
-        &self,
-        context: &[u8],
-        items: &[(Acc2Value, Acc2Value, Acc2Proof)],
-    ) -> bool {
+    fn batch_verify_disjoint_ctx(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
         match items {
             [] => true,
-            [(a1, a2, proof)] => self.verify_disjoint(a1, a2, proof),
-            _ => {
-                let rho = batch_coefficients_ctx::<Self>(context, items);
-                let scalars: Vec<U256> = rho.iter().map(Fr::to_uint).collect();
-                let mut pairs = Vec::with_capacity(items.len() + 1);
-                for ((a1, a2, _), k) in items.iter().zip(&scalars) {
-                    pairs.push((a1.da.to_projective().mul_u256(k).to_affine(), a2.db));
-                }
-                let pis: Vec<G1Projective> =
-                    items.iter().map(|(_, _, p)| p.pi.to_projective()).collect();
-                let agg_pi = multiexp(&pis, &scalars);
-                pairs.push((agg_pi.neg().to_affine(), G2Projective::generator().to_affine()));
-                multi_pairing(&pairs).is_one()
-            }
+            [(da, a2, proof)] => self.verify_operand(da, a2, proof),
+            _ => multi_pairing(&rlc_pairs(context, items)).is_one(),
         }
     }
 
@@ -433,27 +435,8 @@ impl Accumulator for Acc2 {
         G1Spec::COMPRESSED_BYTES // one compressed G1 point
     }
 
-    fn value_from_bytes(&self, bytes: &[u8]) -> Result<Acc2Value, crate::DecodeError> {
-        if bytes.len() != self.value_size() {
-            return Err(crate::DecodeError::Length {
-                expected: self.value_size(),
-                got: bytes.len(),
-            });
-        }
-        let n = G1Spec::COMPRESSED_BYTES;
-        Ok(Acc2Value {
-            da: crate::decode_slot::<G1Spec>(&bytes[..n], 0)?,
-            db: crate::decode_slot::<G2Spec>(&bytes[n..], 1)?,
-        })
-    }
-
     fn proof_from_bytes(&self, bytes: &[u8]) -> Result<Acc2Proof, crate::DecodeError> {
-        if bytes.len() != self.proof_size() {
-            return Err(crate::DecodeError::Length {
-                expected: self.proof_size(),
-                got: bytes.len(),
-            });
-        }
+        crate::check_len(self.proof_size(), bytes.len())?;
         Ok(Acc2Proof { pi: crate::decode_slot::<G1Spec>(bytes, 0)? })
     }
 
@@ -480,11 +463,36 @@ impl Accumulator for Acc2 {
     }
 }
 
+/// The pairs of the aggregated check of
+/// [`Acc2::batch_verify_disjoint_ctx`]: one per distinct clause digest of
+/// the batch, in first-occurrence order, then the `g₂` pair.
+fn rlc_pairs(context: &[u8], items: &[BatchItem<Acc2>]) -> Vec<(G1Affine, G2Affine)> {
+    let rho = batch_coefficients_ctx::<Acc2>(context, items);
+    let scalars: Vec<U256> = rho.iter().map(Fr::to_uint).collect();
+    // A query has a handful of clauses, so a linear scan finds the group.
+    let mut clauses: Vec<G2Affine> = Vec::new();
+    let mut groups: Vec<(Vec<G1Projective>, Vec<U256>)> = Vec::new();
+    for ((da, a2, _), k) in items.iter().zip(&scalars) {
+        let c = clauses.iter().position(|db| *db == a2.db).unwrap_or_else(|| {
+            clauses.push(a2.db);
+            groups.push((Vec::new(), Vec::new()));
+            clauses.len() - 1
+        });
+        groups[c].0.push(da.to_projective());
+        groups[c].1.push(*k);
+    }
+    let mut sums: Vec<G1Projective> = groups.iter().map(|(b, k)| multiexp(b, k)).collect();
+    let pis: Vec<G1Projective> = items.iter().map(|(_, _, p)| p.pi.to_projective()).collect();
+    sums.push(multiexp(&pis, &scalars).neg());
+    clauses.push(G2Projective::generator().to_affine());
+    vchain_pairing::batch_to_affine(&sums).into_iter().zip(clauses).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn acc() -> Acc2 {
         Acc2::keygen(64, &mut StdRng::seed_from_u64(21))
@@ -652,6 +660,10 @@ mod tests {
         let agg_value = a.sum(&[a.setup(&x1), a.setup(&x2)]).unwrap();
         let agg_proof = a.proof_sum(&[p1, p2]).unwrap();
         assert!(a.verify_disjoint(&agg_value, &a.setup(&y), &agg_proof));
+        // the verifier's operand-only Sum is the d_A half of the full one
+        let agg_operand = a.sum_operands(&[a.setup(&x1).da, a.setup(&x2).da]).unwrap();
+        assert_eq!(agg_operand, agg_value.da);
+        assert!(a.verify_operand(&agg_operand, &a.setup(&y), &agg_proof));
         // sanity: aggregate proof equals a direct proof on the summed multiset
         let direct = a.prove_disjoint(&x1.sum(&x2), &y).unwrap();
         assert_eq!(agg_proof, direct);
@@ -693,14 +705,85 @@ mod tests {
         assert_eq!(Acc2::proof_bytes(&proof).len(), a.proof_size());
     }
 
-    fn batch(a: &Acc2, specs: &[(&[u64], &[u64])]) -> Vec<(Acc2Value, Acc2Value, Acc2Proof)> {
+    fn batch(a: &Acc2, specs: &[(&[u64], &[u64])]) -> Vec<BatchItem<Acc2>> {
         specs
             .iter()
             .map(|(x, y)| {
                 let (x, y) = (ms(x), ms(y));
-                (a.setup(&x), a.setup(&y), a.prove_disjoint(&x, &y).unwrap())
+                (a.setup(&x).da, a.setup(&y), a.prove_disjoint(&x, &y).unwrap())
             })
             .collect()
+    }
+
+    /// The pre-grouping aggregated check, one Miller pair per item:
+    /// `Π e(ρᵢ·d_Aᵢ, d_Bᵢ) · e(−Σρᵢπᵢ, g₂) = 1`. Test oracle for
+    /// [`rlc_pairs`].
+    fn ungrouped(context: &[u8], items: &[BatchItem<Acc2>]) -> bool {
+        let rho = batch_coefficients_ctx::<Acc2>(context, items);
+        let mut pairs = Vec::new();
+        let mut agg_pi = G1Projective::identity();
+        for ((da, a2, proof), r) in items.iter().zip(&rho) {
+            pairs.push((da.to_projective().mul_fr(r).to_affine(), a2.db));
+            agg_pi = agg_pi.add(&proof.pi.to_projective().mul_fr(r));
+        }
+        pairs.push((agg_pi.neg().to_affine(), G2Projective::generator().to_affine()));
+        multi_pairing(&pairs).is_one()
+    }
+
+    /// Grouped and ungrouped aggregation accept and reject the same
+    /// batches: random batches of 1…40 items over 1…4 distinct clauses,
+    /// then one corrupted item at every position — a bad `π`, a bad `d_A`,
+    /// and a right proof paired with the wrong clause — with the attributed
+    /// fallback naming the position, and one Miller pair per distinct
+    /// clause plus the `g₂` pair.
+    #[test]
+    fn grouped_batch_agrees_with_ungrouped_on_accept_and_reject() {
+        let a = acc();
+        let mut rng = StdRng::seed_from_u64(0x6209);
+        let clauses: Vec<MultiSet<u64>> = (0..4).map(|c| ms(&[40 + 2 * c, 41 + 2 * c])).collect();
+        let clause_vals: Vec<Acc2Value> = clauses.iter().map(|c| a.setup(c)).collect();
+        let bogus = G1Projective::generator().mul_u64(13).to_affine();
+        for n in [1usize, 2, 3, 5, 17, 40] {
+            let k = rng.gen_range(1..=4usize.min(n));
+            // item i refutes clause (i mod k): every one of the k clauses occurs
+            let items: Vec<BatchItem<Acc2>> = (0..n)
+                .map(|i| {
+                    let x = ms(&[rng.gen_range(1..20u64), rng.gen_range(20..40u64)]);
+                    let proof = a.prove_disjoint(&x, &clauses[i % k]).unwrap();
+                    (a.setup(&x).da, clause_vals[i % k], proof)
+                })
+                .collect();
+            let ctx = (n as u64).to_le_bytes();
+            assert!(ungrouped(&ctx, &items));
+            assert!(a.batch_verify_disjoint_ctx(&ctx, &items));
+            assert_eq!(a.batch_verify_disjoint_attributed_ctx(&ctx, &items), Ok(()));
+            if n > 1 {
+                assert_eq!(rlc_pairs(&ctx, &items).len(), k + 1, "n={n} k={k}");
+            }
+
+            for pos in 0..n {
+                let wrong_clause = clause_vals[(pos % k + 1) % 4];
+                let corruptions: [BatchItem<Acc2>; 3] = [
+                    (items[pos].0, items[pos].1, Acc2Proof { pi: bogus }),
+                    (bogus, items[pos].1, items[pos].2),
+                    (items[pos].0, wrong_clause, items[pos].2),
+                ];
+                for (which, bad) in corruptions.into_iter().enumerate() {
+                    let mut mutated = items.clone();
+                    mutated[pos] = bad;
+                    assert!(!ungrouped(&ctx, &mutated), "n={n} pos={pos} corruption={which}");
+                    assert!(
+                        !a.batch_verify_disjoint_ctx(&ctx, &mutated),
+                        "n={n} pos={pos} corruption={which}"
+                    );
+                    assert_eq!(
+                        a.batch_verify_disjoint_attributed_ctx(&ctx, &mutated),
+                        Err(pos),
+                        "n={n} corruption={which}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -776,20 +859,29 @@ mod tests {
         let proof = a.prove_disjoint(&x1, &x2).unwrap();
 
         let vb = Acc2::value_bytes(&v);
-        assert_eq!(a.value_from_bytes(&vb).unwrap(), v);
+        assert_eq!(a.operand_from_bytes(&vb).unwrap(), Acc2::operand(&v));
         let pb = Acc2::proof_bytes(&proof);
         assert_eq!(a.proof_from_bytes(&pb).unwrap(), proof);
 
-        assert!(matches!(a.value_from_bytes(&[]), Err(crate::DecodeError::Length { .. })));
+        assert!(matches!(a.operand_from_bytes(&[]), Err(crate::DecodeError::Length { .. })));
+        assert!(matches!(
+            a.operand_from_bytes(&vb[..G1Spec::COMPRESSED_BYTES]),
+            Err(crate::DecodeError::Length { .. })
+        ));
         assert!(matches!(a.proof_from_bytes(&pb[1..]), Err(crate::DecodeError::Length { .. })));
 
-        // corrupting the db half attributes to slot 1 (da is slot 0)
+        // corrupting the consumed d_A half is a slot-0 point error …
         let mut bad = vb.clone();
-        bad[G1Spec::COMPRESSED_BYTES] ^= 0b100; // db's flag byte → invalid flags
-        match a.value_from_bytes(&bad) {
-            Err(crate::DecodeError::Point { slot: 1, .. }) => {}
-            other => panic!("expected slot-1 point error, got {other:?}"),
+        bad[0] ^= 0b100; // d_A's flag byte → invalid flags
+        match a.operand_from_bytes(&bad) {
+            Err(crate::DecodeError::Point { slot: 0, .. }) => {}
+            other => panic!("expected slot-0 point error, got {other:?}"),
         }
+        // … while the d_B half is never parsed: the operand has no G2 part,
+        // and a hash commitment over the whole byte string is what pins it
+        let mut bad = vb.clone();
+        bad[G1Spec::COMPRESSED_BYTES] ^= 0b100; // d_B's flag byte
+        assert_eq!(a.operand_from_bytes(&bad).unwrap(), v.da);
     }
 
     #[test]

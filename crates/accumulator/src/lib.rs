@@ -96,10 +96,9 @@ impl fmt::Display for AccError {
 impl std::error::Error for AccError {}
 
 /// Why untrusted wire bytes failed to decode into an accumulator value or
-/// proof. Produced by [`Accumulator::value_from_bytes`] /
-/// [`Accumulator::proof_from_bytes`], the inverse of the `*_bytes`
-/// serializers and the *only* path by which SP-supplied bytes become group
-/// elements.
+/// proof. Produced by [`Accumulator::operand_from_bytes`] /
+/// [`Accumulator::proof_from_bytes`], the *only* paths by which SP-supplied
+/// bytes become group elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The byte string is not exactly `value_size()` / `proof_size()` long.
@@ -132,6 +131,15 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// The exact-length rung of every slot decode.
+pub(crate) fn check_len(expected: usize, got: usize) -> Result<(), DecodeError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(DecodeError::Length { expected, got })
+    }
+}
+
 /// Decode one fixed-size compressed point out of a concatenated wire object,
 /// attributing failures to its `slot` index. The caller has already checked
 /// the total length, so the slice here is exactly one point wide.
@@ -158,13 +166,20 @@ pub(crate) fn rlc_coefficients(transcript: &[u8], n: usize) -> Vec<Fr> {
         .collect()
 }
 
+/// One deferred disjointness check as the verifier batches it: the
+/// consumed component of the block-side AttDigest, the clause's (locally
+/// computed) accumulative value, and the proof.
+pub type BatchItem<A> =
+    (<A as Accumulator>::Operand, <A as Accumulator>::Value, <A as Accumulator>::Proof);
+
 /// The canonical Fiat–Shamir coefficients for a batch of disjointness
-/// triples: one transcript (every value and proof, in order), one
-/// derivation. Both constructions' [`Accumulator::batch_verify_disjoint`]
-/// overrides *and* the per-item error-attribution fallback call this single
-/// function, so an aggregated check and any retry over the same items are
-/// guaranteed to see identical coefficients.
-pub fn batch_coefficients<A: Accumulator>(items: &[(A::Value, A::Value, A::Proof)]) -> Vec<Fr> {
+/// triples: one transcript (every operand, clause value and proof, in
+/// order), one derivation. Both constructions'
+/// [`Accumulator::batch_verify_disjoint`] overrides *and* the per-item
+/// error-attribution fallback call this single function, so an aggregated
+/// check and any retry over the same items are guaranteed to see identical
+/// coefficients.
+pub fn batch_coefficients<A: Accumulator>(items: &[BatchItem<A>]) -> Vec<Fr> {
     batch_coefficients_ctx::<A>(&[], items)
 }
 
@@ -177,15 +192,12 @@ pub fn batch_coefficients<A: Accumulator>(items: &[(A::Value, A::Value, A::Proof
 /// batches over different coverage sees fresh coefficients even when the
 /// item bytes coincide. An empty context reproduces [`batch_coefficients`]
 /// exactly.
-pub fn batch_coefficients_ctx<A: Accumulator>(
-    context: &[u8],
-    items: &[(A::Value, A::Value, A::Proof)],
-) -> Vec<Fr> {
+pub fn batch_coefficients_ctx<A: Accumulator>(context: &[u8], items: &[BatchItem<A>]) -> Vec<Fr> {
     let mut transcript = Vec::with_capacity(8 + context.len());
     transcript.extend_from_slice(&(context.len() as u64).to_le_bytes());
     transcript.extend_from_slice(context);
     for (a1, a2, proof) in items {
-        transcript.extend_from_slice(&A::value_bytes(a1));
+        transcript.extend_from_slice(&A::operand_bytes(a1));
         transcript.extend_from_slice(&A::value_bytes(a2));
         transcript.extend_from_slice(&A::proof_bytes(proof));
     }
@@ -215,6 +227,14 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     type Value: Clone + PartialEq + Eq + fmt::Debug + Send + Sync;
     /// A set-disjointness proof `π`.
     type Proof: Clone + fmt::Debug + Send + Sync;
+    /// The verifier-side view of a block-side accumulative value: exactly
+    /// the component [`Accumulator::verify_operand`]'s pairing equation
+    /// consumes from its first argument, and nothing else. Construction 1
+    /// consumes the whole value; Construction 2's `VerifyDisjoint` reads
+    /// `d_A` of the node and `d_B` of the clause (§5.2.2), so its operand
+    /// is `d_A` alone — it has no `G2` half for a verifier to decode, add
+    /// or pair by accident.
+    type Operand: Clone + fmt::Debug + Send + Sync;
 
     /// Short scheme name for experiment output ("acc1" / "acc2").
     fn name(&self) -> &'static str;
@@ -298,7 +318,37 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     }
 
     /// `VerifyDisjoint(acc(X₁), acc(X₂), π, pk) → {0, 1}`.
-    fn verify_disjoint(&self, a1: &Self::Value, a2: &Self::Value, proof: &Self::Proof) -> bool;
+    fn verify_disjoint(&self, a1: &Self::Value, a2: &Self::Value, proof: &Self::Proof) -> bool {
+        self.verify_operand(&Self::operand(a1), a2, proof)
+    }
+
+    /// `VerifyDisjoint` on the verifier-side view of `acc(X₁)` — the form
+    /// the light client runs, where `a1` came from
+    /// [`Accumulator::operand_from_bytes`] and `a2` is the client's own
+    /// `Setup` of a query clause.
+    fn verify_operand(&self, a1: &Self::Operand, a2: &Self::Value, proof: &Self::Proof) -> bool;
+
+    /// The operand of a value this side computed itself.
+    fn operand(v: &Self::Value) -> Self::Operand;
+
+    /// Canonical bytes of an operand, for batch transcripts.
+    fn operand_bytes(op: &Self::Operand) -> Vec<u8>;
+
+    /// Decode the operand out of the untrusted wire bytes of a *value*
+    /// ([`Accumulator::value_bytes`] form): the exact length is checked, the
+    /// consumed component passes the full curve ladder (flags, canonical
+    /// coordinates, on-curve, subgroup membership), and the bytes of any
+    /// unconsumed component are not parsed at all. Sound only for byte
+    /// strings a hash commitment already pins (a VO's AttDigests, which the
+    /// block header's roots fix) — see `docs/SECURITY.md`.
+    fn operand_from_bytes(&self, bytes: &[u8]) -> Result<Self::Operand, DecodeError>;
+
+    /// `Sum` on operands: the operand of `acc(ΣXᵢ)` from the operands of
+    /// the `acc(Xᵢ)` — what the verifier's §6.3 group check needs of
+    /// [`Accumulator::sum`].
+    fn sum_operands(&self, _ops: &[Self::Operand]) -> Result<Self::Operand, AccError> {
+        Err(AccError::AggregationUnsupported)
+    }
 
     /// Verify many `(acc(X₁), acc(X₂), π)` triples at once.
     ///
@@ -323,12 +373,13 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     ///     .map(|&(x, y)| {
     ///         let (a, b): (MultiSet<u64>, MultiSet<u64>) =
     ///             ([x].into_iter().collect(), [y].into_iter().collect());
-    ///         (acc.setup(&a), acc.setup(&b), acc.prove_disjoint(&a, &b).unwrap())
+    ///         let operand = Acc2::operand(&acc.setup(&a));
+    ///         (operand, acc.setup(&b), acc.prove_disjoint(&a, &b).unwrap())
     ///     })
     ///     .collect();
     /// assert!(acc.batch_verify_disjoint(&items)); // one multi-pairing, not two
     /// ```
-    fn batch_verify_disjoint(&self, items: &[(Self::Value, Self::Value, Self::Proof)]) -> bool {
+    fn batch_verify_disjoint(&self, items: &[BatchItem<Self>]) -> bool {
         self.batch_verify_disjoint_ctx(&[], items)
     }
 
@@ -340,13 +391,9 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// triple is checked solo, no coefficients are derived, so the context
     /// is irrelevant and ignored; the RLC overrides in [`Acc1`] / [`Acc2`]
     /// thread it into the shared transcript.
-    fn batch_verify_disjoint_ctx(
-        &self,
-        context: &[u8],
-        items: &[(Self::Value, Self::Value, Self::Proof)],
-    ) -> bool {
+    fn batch_verify_disjoint_ctx(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
         let _ = context;
-        items.iter().all(|(a1, a2, proof)| self.verify_disjoint(a1, a2, proof))
+        items.iter().all(|(a1, a2, proof)| self.verify_operand(a1, a2, proof))
     }
 
     /// [`Accumulator::batch_verify_disjoint`] with error attribution: on
@@ -357,10 +404,7 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// per slice by [`batch_coefficients`] — an earlier revision re-derived
     /// them inside each construction's retry path, which made the fallback's
     /// transcript observably different from the batch it was explaining.
-    fn batch_verify_disjoint_attributed(
-        &self,
-        items: &[(Self::Value, Self::Value, Self::Proof)],
-    ) -> Result<(), usize> {
+    fn batch_verify_disjoint_attributed(&self, items: &[BatchItem<Self>]) -> Result<(), usize> {
         self.batch_verify_disjoint_attributed_ctx(&[], items)
     }
 
@@ -371,13 +415,13 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     fn batch_verify_disjoint_attributed_ctx(
         &self,
         context: &[u8],
-        items: &[(Self::Value, Self::Value, Self::Proof)],
+        items: &[BatchItem<Self>],
     ) -> Result<(), usize> {
         if items.is_empty() || self.batch_verify_disjoint_ctx(context, items) {
             return Ok(());
         }
         for (i, (a1, a2, proof)) in items.iter().enumerate() {
-            if !self.verify_disjoint(a1, a2, proof) {
+            if !self.verify_operand(a1, a2, proof) {
                 return Err(i);
             }
         }
@@ -401,17 +445,12 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// `Self::proof_bytes(p).len()` for every proof.
     fn proof_size(&self) -> usize;
 
-    /// Decode a value from untrusted wire bytes — the checked inverse of
-    /// [`Accumulator::value_bytes`]. Every component point passes the full
-    /// curve decode ladder (length, canonical coordinates, on-curve,
-    /// subgroup membership), so an `Ok` value is safe to feed to
-    /// [`Accumulator::verify_disjoint`] and the GLS scalar-multiplication
-    /// paths. Accepted bytes re-encode identically.
-    fn value_from_bytes(&self, bytes: &[u8]) -> Result<Self::Value, DecodeError>;
-
     /// Decode a proof from untrusted wire bytes — the checked inverse of
-    /// [`Accumulator::proof_bytes`]; same guarantees as
-    /// [`Accumulator::value_from_bytes`].
+    /// [`Accumulator::proof_bytes`]. Every component point passes the full
+    /// curve decode ladder (length, canonical coordinates, on-curve,
+    /// subgroup membership), so an `Ok` proof is safe to feed to
+    /// [`Accumulator::verify_operand`] and the GLS scalar-multiplication
+    /// paths. Accepted bytes re-encode identically.
     fn proof_from_bytes(&self, bytes: &[u8]) -> Result<Self::Proof, DecodeError>;
 
     /// Serialize the reusable `X₁`-side proving state for persistence, when

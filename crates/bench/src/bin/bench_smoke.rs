@@ -24,8 +24,9 @@ use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::subscribe::{SubscriptionEngine, SubscriptionMode, WalkStrategy};
 use vchain_datagen::{Dataset, SkewProfile, SubscriptionSpec, WorkloadSpec};
 use vchain_pairing::{
-    final_exponentiation, g1_subgroup_check, g2_subgroup_check, multi_miller_loop, multi_pairing,
-    pairing, Field, Fp, Fp12, Fr, G1Affine, G1Projective, G2Affine, G2Projective,
+    final_exponentiation, full_order_check, g1_subgroup_check, g2_subgroup_check,
+    multi_miller_loop, multi_pairing, pairing, Field, Fp, Fp12, Fr, G1Affine, G1Projective,
+    G2Affine, G2Projective,
 };
 
 struct Timing {
@@ -117,6 +118,8 @@ fn main() {
     let p_aff = g1.mul_fr(&k).to_affine();
     let q_aff = g2.mul_fr(&k).to_affine();
     timings.push(time("g1_subgroup_check", 100, || g1_subgroup_check(&p_aff)));
+    // Same-run twin: the generic [r]·P = O ladder the σ-check replaced.
+    timings.push(time("g1_subgroup_check_full_order", 100, || full_order_check(&p_aff)));
     timings.push(time("g2_subgroup_check", 100, || g2_subgroup_check(&q_aff)));
     let p_bytes = p_aff.to_bytes();
     let q_bytes = q_aff.to_bytes();
@@ -264,10 +267,12 @@ fn main() {
     timings.push(time("acc_keygen_powers_g2_256_naive", 5, || {
         vchain_acc::fixed_base_batch(&G2Projective::generator(), &power_scalars)
     }));
+    // 32 checks against the 4 clauses of one query — the shape a light
+    // client's batch has (many pruned nodes, few clauses).
     let batch: Vec<_> = (0..32u64)
         .map(|i| {
-            let (xa, xb) = (ms(&[2 * i + 1]), ms(&[1000 + i]));
-            (acc2.setup(&xa), acc2.setup(&xb), acc2.prove_disjoint(&xa, &xb).unwrap())
+            let (xa, xb) = (ms(&[2 * i + 1]), ms(&[1000 + i % 4]));
+            (acc2.setup(&xa).da, acc2.setup(&xb), acc2.prove_disjoint(&xa, &xb).unwrap())
         })
         .collect();
     let t = time("batch_verify_disjoint_acc2_32", 5, || acc2.batch_verify_disjoint(&batch));

@@ -22,9 +22,15 @@ use vchain_core::subscribe::{
 use vchain_core::vo::VoSize;
 use vchain_datagen::{Dataset, MhtBaseline, Workload, WorkloadSpec};
 
+/// Is `arg` an experiment this binary can run: `table1`, `fig9` … `fig22`,
+/// or `all`?
+fn known_experiment(arg: &str) -> bool {
+    arg == "all" || arg == "table1" || (9..=22).any(|n| arg == format!("fig{n}"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    if args.is_empty() || !args.iter().all(|a| known_experiment(a)) {
         eprintln!(
             "usage: experiments <table1|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|fig21|fig22|all>"
         );

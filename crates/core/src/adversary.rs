@@ -20,14 +20,35 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vchain_acc::Accumulator;
 use vchain_chain::Object;
+use vchain_pairing::{Affine, CurveSpec, PointDecodeError};
 
 use crate::subscribe::SubscriptionUpdate;
-use crate::vo::{BlockCoverage, BlockVo, MismatchProof, VoNode};
+use crate::vo::{Att, BlockCoverage, BlockVo, MismatchProof, VoNode};
 
 /// Labels for the byte-level mutation classes (index-aligned with
 /// [`Adversary::mutate_bytes`]'s internal choice).
 pub const BYTE_MUTATIONS: &[&str] =
     &["bit-flip", "truncate", "random-splice", "chunk-swap", "extend"];
+
+/// Labels for the point-level mutation classes (index-aligned with
+/// [`Adversary::mutate_point`]'s `class`).
+pub const POINT_MUTATIONS: &[&str] =
+    &["bit-flip", "off-curve", "non-canonical", "wrong-subgroup", "point-swap"];
+
+/// What the verifier does with an AttDigest slot — the data-dependent
+/// paths a corrupted AttDigest can take through `crate::verify`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AttRole {
+    /// An explored `Internal` / `LeafMatch` node: hashed into the rebuilt
+    /// commitment, never group-decoded.
+    HashOnly,
+    /// A pruned `InternalMismatch` / `LeafMismatch` node: hashed, and its
+    /// pairing operand decoded while the tree is walked.
+    NodeOperand,
+    /// A skip entry: hashed into the skip-list root, which is compared
+    /// before its pairing operand is decoded.
+    SkipOperand,
+}
 
 /// The mutation engine. One instance = one deterministic adversary.
 pub struct Adversary {
@@ -120,6 +141,55 @@ impl Adversary {
         };
         encoded[pos..pos + needle.len()].copy_from_slice(replacement);
         true
+    }
+
+    /// Derive a corruption of one compressed point encoding of group `S`,
+    /// by class ([`POINT_MUTATIONS`]): flip one coordinate bit; move `x`
+    /// off the curve; make the coordinate non-canonical (≥ the modulus);
+    /// replace the point with an on-curve point outside the order-`r`
+    /// subgroup; or replace it with `donor`, another valid point (a point
+    /// swap between slots). Classes 1–3 are checked against the decoder
+    /// they are meant to trip, so a mutant is what its label says.
+    pub fn mutate_point<S: CurveSpec>(
+        &mut self,
+        point: &[u8],
+        class: usize,
+        donor: &[u8],
+    ) -> Vec<u8> {
+        let mut out = point.to_vec();
+        match class {
+            0 => {
+                let bit = self.rng.gen_range(8..out.len() * 8);
+                out[bit / 8] ^= 1 << (bit % 8);
+            }
+            1 => {
+                out[0] &= 0b10; // a finite point, whatever the input was
+                while Affine::<S>::try_from_bytes_on_curve(&out)
+                    != Err(PointDecodeError::NotOnCurve)
+                {
+                    out[1] = out[1].wrapping_add(1);
+                }
+            }
+            2 => {
+                out[0] &= 0b10;
+                out[1..].fill(0xff);
+            }
+            3 => loop {
+                // A uniform reduced coordinate (top byte of every base-field
+                // limb string cleared) lands on the curve half the time and
+                // in the order-r subgroup essentially never.
+                out[0] = 0;
+                self.rng.fill(&mut out[1..]);
+                for limbs in out[1..].chunks_mut(48) {
+                    limbs[47] = 0;
+                }
+                if Affine::<S>::try_from_bytes_on_curve(&out).is_ok_and(|p| !p.is_torsion_free()) {
+                    break;
+                }
+            },
+            _ => out = donor.to_vec(),
+        }
+        out
     }
 
     // -- v2 / stream mutations --------------------------------------------
@@ -259,8 +329,8 @@ impl Adversary {
     /// Swap two AttDigest slots anywhere in the coverage (point swap
     /// between slots). Returns `false` when fewer than two slots exist.
     pub fn swap_values<A: Accumulator>(&mut self, coverage: &mut [BlockCoverage<A>]) -> bool {
-        let mut values: Vec<A::Value> = Vec::new();
-        for_each_value(coverage, &mut |v| values.push(v.clone()));
+        let mut values: Vec<Att> = Vec::new();
+        for_each_att(coverage, &mut |_, v| values.push(v.clone()));
         if values.len() < 2 {
             return false;
         }
@@ -274,7 +344,7 @@ impl Adversary {
         };
         values.swap(i, j);
         let mut k = 0usize;
-        for_each_value(coverage, &mut |v| {
+        for_each_att(coverage, &mut |_, v| {
             *v = values[k].clone();
             k += 1;
         });
@@ -431,30 +501,32 @@ impl Adversary {
 // Slot walkers (deterministic pre-order traversal)
 // ---------------------------------------------------------------------------
 
-fn walk_node_values<A: Accumulator>(node: &mut VoNode<A>, f: &mut dyn FnMut(&mut A::Value)) {
+fn walk_node_atts<A: Accumulator>(node: &mut VoNode<A>, f: &mut dyn FnMut(AttRole, &mut Att)) {
     match node {
         VoNode::Internal { att, left, right } => {
             if let Some(a) = att.as_mut() {
-                f(a);
+                f(AttRole::HashOnly, a);
             }
-            walk_node_values(left, f);
-            walk_node_values(right, f);
+            walk_node_atts(left, f);
+            walk_node_atts(right, f);
         }
-        VoNode::InternalMismatch { att, .. } => f(att),
-        VoNode::LeafMatch { att, .. } => f(att),
-        VoNode::LeafMismatch { att, .. } => f(att),
+        VoNode::LeafMatch { att, .. } => f(AttRole::HashOnly, att),
+        VoNode::InternalMismatch { att, .. } | VoNode::LeafMismatch { att, .. } => {
+            f(AttRole::NodeOperand, att)
+        }
     }
 }
 
-/// Visit every AttDigest slot of the coverage in deterministic order.
-pub fn for_each_value<A: Accumulator>(
+/// Visit every AttDigest slot of the coverage in deterministic order, with
+/// the role the verifier gives it.
+pub fn for_each_att<A: Accumulator>(
     coverage: &mut [BlockCoverage<A>],
-    f: &mut dyn FnMut(&mut A::Value),
+    f: &mut dyn FnMut(AttRole, &mut Att),
 ) {
     for cov in coverage {
         match cov {
-            BlockCoverage::Block { vo, .. } => walk_node_values(&mut vo.root, f),
-            BlockCoverage::Skip { att, .. } => f(att),
+            BlockCoverage::Block { vo, .. } => walk_node_atts(&mut vo.root, f),
+            BlockCoverage::Skip { att, .. } => f(AttRole::SkipOperand, att),
         }
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! ```text
 //!   transport chunks ──▶ StreamDecoder ──(bounded channel)──▶ WindowScan
-//!        caller thread   frame reassembly                     verify entries
-//!                        + v2 slot decode      worker thread  + one batch flush
+//!        caller thread   frame reassembly                     hash + operand decode
+//!                        + proof decode        worker thread  + one batch flush
 //! ```
 //!
 //! The second pillar is *cross-block batching across windows*: every
@@ -197,7 +197,8 @@ impl<A: Accumulator> WindowScan<A> {
     /// Deferred pairing checks accumulated so far across all closed and
     /// open windows — everything [`WindowScan::finish`] will flush at once.
     pub fn pending_checks(&self) -> usize {
-        self.batch.len() + self.current.as_ref().map(WindowVerifier::pending_checks).unwrap_or(0)
+        // an open window holds the scan's one batch
+        self.current.as_ref().map_or(self.batch.len(), WindowVerifier::pending_checks)
     }
 
     fn open_current(&mut self) -> Result<&mut WindowVerifier<'static, A>, VerifyError> {
@@ -209,11 +210,12 @@ impl<A: Accumulator> WindowScan<A> {
                     what: "stream window index beyond the scan's queries",
                 }))?
                 .clone();
-            self.current = Some(WindowVerifier::for_window(
+            let v = WindowVerifier::for_window(
                 Cow::Owned(q),
                 Cow::Owned(self.light.clone()),
                 self.cfg,
-            )?);
+            )?;
+            self.current = Some(v.with_batch(std::mem::take(&mut self.batch)));
         }
         // The line above guarantees presence; spelled without unwrap to
         // honour this module's no-panic wall.
@@ -221,11 +223,13 @@ impl<A: Accumulator> WindowScan<A> {
     }
 
     /// Close the currently open window: run its completeness checks and
-    /// fold its pairing checks into the shared batch.
+    /// take the shared batch back with the window's pairing checks in it.
     fn close_current(&mut self) -> Result<(), VerifyError> {
         self.open_current()?; // empty window still enforces completeness
         if let Some(v) = self.current.take() {
-            self.results.push(v.finish_into(&mut self.batch)?);
+            let (results, batch) = v.finish_deferred()?;
+            self.results.push(results);
+            self.batch = batch;
         }
         self.current_idx += 1;
         Ok(())

@@ -16,6 +16,7 @@ use vchain_acc::{Accumulator, MultiSet};
 use vchain_hash::{hash_concat, Digest};
 
 use crate::element::ElementId;
+use crate::vo::Att;
 
 /// One skip level.
 #[derive(Clone, Debug)]
@@ -33,13 +34,13 @@ pub struct SkipEntry<A: Accumulator> {
 impl<A: Accumulator> SkipEntry<A> {
     /// `hash_Lk = hash(PreSkippedHash | AttDigest)`.
     pub fn level_hash(&self) -> Digest {
-        level_hash_from_parts::<A>(&self.pre_skipped_hash, &self.att)
+        level_hash_from_parts(&self.pre_skipped_hash, &Att::of::<A>(&self.att))
     }
 }
 
 /// `hash_Lk` from its parts (also used by the verifier).
-pub fn level_hash_from_parts<A: Accumulator>(pre_skipped: &Digest, att: &A::Value) -> Digest {
-    hash_concat(&[b"vchain/skip", &pre_skipped.0, &A::value_bytes(att)])
+pub fn level_hash_from_parts(pre_skipped: &Digest, att: &Att) -> Digest {
+    hash_concat(&[b"vchain/skip", &pre_skipped.0, att.as_bytes()])
 }
 
 /// `PreSkippedHash` over an ordered run of block hashes.

@@ -13,7 +13,7 @@ use vchain_hash::{hash_concat, hash_pair, Digest};
 use crate::cache::ProofCache;
 use crate::element::ElementId;
 use crate::query::{object_multiset, CompiledQuery};
-use crate::vo::{BlockVo, GroupProof, MismatchProof, VoNode};
+use crate::vo::{Att, BlockVo, GroupProof, MismatchProof, VoNode};
 
 /// Node payload: a leaf holds one object, an internal node two children.
 #[derive(Clone, Debug)]
@@ -55,15 +55,16 @@ pub struct IntraTree<A: Accumulator> {
     pub root: usize,
 }
 
-/// Leaf commitment: `hash("leaf" | hash(o) | AttDigest)`.
-pub fn leaf_hash<A: Accumulator>(obj_digest: &Digest, att: &A::Value) -> Digest {
-    hash_concat(&[b"vchain/leaf", &obj_digest.0, &A::value_bytes(att)])
+/// Leaf commitment: `hash("leaf" | hash(o) | AttDigest)`, over the
+/// AttDigest's canonical bytes ([`Att`]).
+pub fn leaf_hash(obj_digest: &Digest, att: &Att) -> Digest {
+    hash_concat(&[b"vchain/leaf", &obj_digest.0, att.as_bytes()])
 }
 
 /// Authenticated internal commitment:
 /// `hash("internal" | hash(h_l | h_r) | AttDigest)` (paper Def. 6.1).
-pub fn internal_hash<A: Accumulator>(child_pair: &Digest, att: &A::Value) -> Digest {
-    hash_concat(&[b"vchain/internal", &child_pair.0, &A::value_bytes(att)])
+pub fn internal_hash(child_pair: &Digest, att: &Att) -> Digest {
+    hash_concat(&[b"vchain/internal", &child_pair.0, att.as_bytes()])
 }
 
 impl<A: Accumulator> IntraTree<A> {
@@ -76,7 +77,7 @@ impl<A: Accumulator> IntraTree<A> {
                 let ms = object_multiset(o, domain_bits);
                 let att = acc.setup(&ms);
                 IntraNode {
-                    hash: leaf_hash::<A>(&o.digest(), &att),
+                    hash: leaf_hash(&o.digest(), &Att::of::<A>(&att)),
                     ms,
                     att: Some(att),
                     kind: IntraNodeKind::Leaf { obj_idx: i },
@@ -114,7 +115,7 @@ impl<A: Accumulator> IntraTree<A> {
                 let ms = arena[nl].ms.union(&arena[nr].ms);
                 let att = acc.setup(&ms);
                 let pair = hash_pair(&arena[nl].hash, &arena[nr].hash);
-                let hash = internal_hash::<A>(&pair, &att);
+                let hash = internal_hash(&pair, &Att::of::<A>(&att));
                 arena.push(IntraNode {
                     hash,
                     ms,
@@ -289,6 +290,7 @@ impl<A: Accumulator> IntraTree<A> {
     ) -> VoNode<A> {
         let node = &self.nodes[idx];
         let can_prune = node.att.is_some();
+        let att = node.att.as_ref().map(Att::of::<A>);
         let mismatch_clause = if can_prune || matches!(node.kind, IntraNodeKind::Leaf { .. }) {
             q.cnf.find_disjoint_clause(&node.ms)
         } else {
@@ -298,18 +300,18 @@ impl<A: Accumulator> IntraTree<A> {
         match (&node.kind, mismatch_clause) {
             (IntraNodeKind::Leaf { obj_idx }, None) => {
                 // match: return the object
-                let att = node.att.clone().expect("leaves always carry AttDigest");
+                let att = att.expect("leaves always carry AttDigest");
                 let result_idx = results.len() as u32;
                 results.push(objects[*obj_idx].clone());
                 VoNode::LeafMatch { att, result_idx }
             }
             (IntraNodeKind::Leaf { obj_idx }, Some(clause)) => {
-                let att = node.att.clone().expect("leaves always carry AttDigest");
+                let att = att.expect("leaves always carry AttDigest");
                 let proof = self.make_proof(idx, clause, q, acc, batch, mismatches, cache);
                 VoNode::LeafMismatch { obj_hash: objects[*obj_idx].digest(), att, proof }
             }
             (IntraNodeKind::Internal { left, right }, Some(clause)) if can_prune => {
-                let att = node.att.clone().expect("checked");
+                let att = att.expect("checked");
                 let child_hash = hash_pair(&self.nodes[*left].hash, &self.nodes[*right].hash);
                 let proof = self.make_proof(idx, clause, q, acc, batch, mismatches, cache);
                 VoNode::InternalMismatch { child_hash, att, proof }
@@ -317,7 +319,7 @@ impl<A: Accumulator> IntraTree<A> {
             (IntraNodeKind::Internal { left, right }, _) => {
                 let l = self.walk(*left, objects, q, results, mismatches, acc, batch, cache);
                 let r = self.walk(*right, objects, q, results, mismatches, acc, batch, cache);
-                VoNode::Internal { att: node.att.clone(), left: Box::new(l), right: Box::new(r) }
+                VoNode::Internal { att, left: Box::new(l), right: Box::new(r) }
             }
         }
     }

@@ -24,7 +24,7 @@ use crate::cache::{CacheKey, CacheStats, ProofCache};
 use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::CompiledQuery;
 use crate::store::{LogStore, RecordKey, RecoveryReport, StoreError, StoreRecord};
-use crate::vo::{BlockCoverage, ClauseRef, QueryResponse};
+use crate::vo::{Att, BlockCoverage, ClauseRef, QueryResponse};
 
 /// A full node serving verifiable queries.
 pub struct ServiceProvider<A: Accumulator> {
@@ -221,7 +221,7 @@ impl<A: Accumulator> ServiceProvider<A> {
                     BlockCoverage::Skip {
                         height: cur,
                         distance: entry.distance,
-                        att: entry.att.clone(),
+                        att: Att::of::<A>(&entry.att),
                         proof,
                         clause: ClauseRef::Index(clause_idx as u16),
                         siblings,

@@ -46,7 +46,7 @@ use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::{CompiledQuery, Query};
 use crate::subindex::SubscriptionIndex;
 use crate::verify::{verify_with_expected, VerifyError};
-use crate::vo::{BlockCoverage, BlockVo, ClauseRef, MismatchProof, QueryResponse, VoNode};
+use crate::vo::{Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, QueryResponse, VoNode};
 
 /// Publication policy (paper §7.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,11 +134,11 @@ pub enum WalkStrategy {
 
 /// How the intra-tree root is reproduced when materializing shared
 /// root-level mismatches without re-touching the tree.
-enum RootShape<A: Accumulator> {
+enum RootShape {
     /// An internal root: its AttDigest and child-pair hash.
-    Internal { att: A::Value, child_hash: Digest },
+    Internal { att: Att, child_hash: Digest },
     /// A single-object block: the root is a leaf.
-    Leaf { att: A::Value, obj_hash: Digest },
+    Leaf { att: Att, obj_hash: Digest },
     /// No shared mismatches were produced (naive strategy, or nil scheme).
     Opaque,
 }
@@ -160,7 +160,7 @@ enum MatchOutcome<A: Accumulator> {
 /// indices into a shared proof table instead of per-query copies.
 pub struct BlockMatch<A: Accumulator> {
     height: u64,
-    root: RootShape<A>,
+    root: RootShape,
     proofs: Vec<A::Proof>,
     /// Ascending by query id — the publish order.
     outcomes: Vec<(QueryId, MatchOutcome<A>)>,
@@ -699,6 +699,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         outcomes.extend(walked_iter);
 
         let root_node = &tree.nodes[tree.root];
+        let root_att = Att::of::<A>(&root_att);
         let root = match &root_node.kind {
             IntraNodeKind::Leaf { obj_idx } => {
                 RootShape::Leaf { att: root_att, obj_hash: block.objects[*obj_idx].digest() }
@@ -847,7 +848,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             let skip_cov = BlockCoverage::Skip {
                 height,
                 distance: d,
-                att: entry.att.clone(),
+                att: Att::of::<A>(&entry.att),
                 proof: agg,
                 clause: ClauseRef::Index(clause_idx as u16),
                 siblings,
@@ -1023,24 +1024,25 @@ impl<A: Accumulator> SubscriptionEngine<A> {
 
         match &node.kind {
             IntraNodeKind::Leaf { obj_idx } => {
+                let att = Att::of::<A>(node.att.as_ref().expect("leaves carry AttDigest"));
                 for qid in descend {
                     let (results, _) = out.get_mut(&qid).expect("present");
-                    let att = node.att.clone().expect("leaves carry AttDigest");
                     let result_idx = results.len() as u32;
                     results.push(objects[*obj_idx].clone());
-                    results_map.insert(qid, VoNode::LeafMatch { att, result_idx });
+                    results_map.insert(qid, VoNode::LeafMatch { att: att.clone(), result_idx });
                 }
             }
             IntraNodeKind::Internal { left, right } => {
                 let mut l = self.shared_walk(tree, *left, objects, &descend, out);
                 let mut r = self.shared_walk(tree, *right, objects, &descend, out);
+                let att = node.att.as_ref().map(Att::of::<A>);
                 for qid in descend {
                     let ln = l.remove(&qid).expect("child VO");
                     let rn = r.remove(&qid).expect("child VO");
                     results_map.insert(
                         qid,
                         VoNode::Internal {
-                            att: node.att.clone(),
+                            att: att.clone(),
                             left: Box::new(ln),
                             right: Box::new(rn),
                         },
@@ -1059,7 +1061,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         proof: MismatchProof<A>,
     ) -> VoNode<A> {
         let node = &tree.nodes[node_idx];
-        let att = node.att.clone().expect("pruning requires AttDigest");
+        let att = Att::of::<A>(node.att.as_ref().expect("pruning requires AttDigest"));
         match &node.kind {
             IntraNodeKind::Leaf { obj_idx } => {
                 VoNode::LeafMismatch { obj_hash: objects[*obj_idx].digest(), att, proof }

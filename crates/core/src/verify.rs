@@ -19,7 +19,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use vchain_acc::{Accumulator, MultiSet};
+use vchain_acc::{Accumulator, BatchItem, MultiSet};
 use vchain_chain::{LightClient, Object};
 use vchain_hash::{hash_pair, Digest};
 
@@ -28,7 +28,7 @@ use crate::inter::{level_hash_from_parts, pre_skipped_hash, skiplist_root_from_h
 use crate::intra::{internal_hash, leaf_hash};
 use crate::miner::{IndexScheme, MinerConfig};
 use crate::query::CompiledQuery;
-use crate::vo::{BlockCoverage, BlockVo, ClauseRef, MismatchProof, QueryResponse, VoNode};
+use crate::vo::{Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, QueryResponse, VoNode};
 
 /// Why verification rejected a response.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -162,12 +162,18 @@ pub fn verify_response<A: Accumulator>(
     verify_with_expected(q, response, light, cfg, acc, expected)
 }
 
-/// Deferred disjointness checks, collected across whole responses — and,
-/// via [`DisjointBatch::append`], across *windows* — then flushed as one
-/// random-linear-combination batch: every skip-entry, inline-mismatch and
-/// §6.3 batch-group check lands here, so an entire query response (or an
-/// 8-window scan, see `core::client::WindowScan`) costs O(1) final
+/// Deferred disjointness checks, collected across a whole response — or,
+/// handed from window to window by `core::client::WindowScan`, a whole
+/// scan — then flushed as one random-linear-combination batch: every
+/// skip-entry, inline-mismatch and §6.3 batch-group check lands here, so
+/// an entire query response (or an 8-window scan) costs O(1) final
 /// exponentiations instead of O(clauses).
+///
+/// This is also where an AttDigest stops being bytes: a VO carries
+/// AttDigests as [`Att`]s, and the ones a check consumes become group
+/// elements through [`DisjointBatch::operand`] — only the component the
+/// pairing equation reads ([`Accumulator::Operand`]), each distinct byte
+/// string once per batch.
 ///
 /// The Fiat–Shamir transcript for the batch coefficients is bound to the
 /// covered block heights in push order
@@ -175,8 +181,9 @@ pub fn verify_response<A: Accumulator>(
 /// the *cross-block transcript*. Coefficients are verifier-local, so this
 /// binding changes nothing on the wire.
 pub struct DisjointBatch<A: Accumulator> {
-    items: Vec<(A::Value, A::Value, A::Proof)>,
+    items: Vec<BatchItem<A>>,
     heights: Vec<u64>,
+    operands: HashMap<Att, A::Operand>,
 }
 
 impl<A: Accumulator> Default for DisjointBatch<A> {
@@ -188,21 +195,29 @@ impl<A: Accumulator> Default for DisjointBatch<A> {
 impl<A: Accumulator> DisjointBatch<A> {
     /// An empty batch.
     pub fn new() -> Self {
-        Self { items: Vec::new(), heights: Vec::new() }
+        Self { items: Vec::new(), heights: Vec::new(), operands: HashMap::new() }
     }
 
-    /// Defer one disjointness check `e(a1, a2) ≟ e(proof-side)` attributed
-    /// to `height` for error reporting and transcript binding.
-    pub fn push(&mut self, a1: A::Value, a2: A::Value, proof: A::Proof, height: u64) {
+    /// The pairing operand of an AttDigest, through the checked decode
+    /// ([`Accumulator::operand_from_bytes`]) the first time these bytes are
+    /// seen and from the batch's cache afterwards. A failed decode is the
+    /// SP's malformed bytes, reported as such.
+    pub fn operand(&mut self, acc: &A, att: &Att) -> Result<A::Operand, VerifyError> {
+        if let Some(op) = self.operands.get(att) {
+            return Ok(op.clone());
+        }
+        let op = acc
+            .operand_from_bytes(att.as_bytes())
+            .map_err(|e| VerifyError::Malformed(crate::wire::WireError::Accumulator(e)))?;
+        self.operands.insert(att.clone(), op.clone());
+        Ok(op)
+    }
+
+    /// Defer one disjointness check of `a1` against the clause value `a2`,
+    /// attributed to `height` for error reporting and transcript binding.
+    pub fn push(&mut self, a1: A::Operand, a2: A::Value, proof: A::Proof, height: u64) {
         self.items.push((a1, a2, proof));
         self.heights.push(height);
-    }
-
-    /// Merge another batch into this one (used by the window scan to fold
-    /// per-window batches into one cross-window flush).
-    pub fn append(&mut self, mut other: DisjointBatch<A>) {
-        self.items.append(&mut other.items);
-        self.heights.append(&mut other.heights);
     }
 
     /// Deferred checks currently held.
@@ -304,6 +319,14 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
         Ok(Self::new(q, light, cfg, expected))
     }
 
+    /// Continue `batch` instead of starting an empty one: a scan hands its
+    /// one batch — deferred checks and decoded operands — from each window
+    /// to the next ([`WindowVerifier::finish_deferred`] gives it back).
+    pub fn with_batch(mut self, batch: DisjointBatch<A>) -> Self {
+        self.batch = batch;
+        self
+    }
+
     /// The expected coverage set this verifier enforces.
     pub fn expected(&self) -> &BTreeSet<u64> {
         &self.expected
@@ -395,7 +418,7 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
                 let psh = pre_skipped_hash(&hashes);
                 // 3. rebuild SkipListRoot with the provided sibling levels
                 let mut level_hashes: Vec<(u64, Digest)> = siblings.clone();
-                level_hashes.push((*distance, level_hash_from_parts::<A>(&psh, att)));
+                level_hashes.push((*distance, level_hash_from_parts(&psh, att)));
                 level_hashes.sort_by_key(|(d, _)| *d);
                 let root = skiplist_root_from_hashes(
                     &level_hashes.iter().map(|(_, h)| *h).collect::<Vec<_>>(),
@@ -406,7 +429,8 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
                 // 4. the disjointness proof against a valid clause
                 let clause_val = resolve_clause(acc, &self.q, clause, &mut self.clause_cache)
                     .ok_or(VerifyError::BadClause { height: *height })?;
-                self.batch.push(att.clone(), clause_val, proof.clone(), *height);
+                let operand = self.batch.operand(acc, att)?;
+                self.batch.push(operand, clause_val, proof.clone(), *height);
                 Ok(())
             }
         }
@@ -434,18 +458,17 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
         Ok(self.verified_results)
     }
 
-    /// Like [`WindowVerifier::finish`], but instead of flushing, fold this
-    /// window's deferred pairing checks into `batch` — the cross-window
-    /// aggregation a multi-window scan uses to pay for one pairing flush
-    /// instead of one per window (`core::client::WindowScan`).
+    /// Like [`WindowVerifier::finish`], but instead of flushing, hand the
+    /// batch back with this window's deferred pairing checks in it — the
+    /// cross-window aggregation a multi-window scan uses to pay for one
+    /// pairing flush instead of one per window (`core::client::WindowScan`).
     ///
-    /// The returned results are *provisional* until the shared batch is
-    /// flushed: the structural and hash-chain checks have all passed, but
-    /// the disjointness proofs have not been pairing-checked yet.
-    pub fn finish_into(self, batch: &mut DisjointBatch<A>) -> Result<Vec<Object>, VerifyError> {
+    /// The returned results are *provisional* until the batch is flushed:
+    /// the structural and hash-chain checks have all passed, but the
+    /// disjointness proofs have not been pairing-checked yet.
+    pub fn finish_deferred(self) -> Result<(Vec<Object>, DisjointBatch<A>), VerifyError> {
         self.check_complete()?;
-        batch.append(self.batch);
-        Ok(self.verified_results)
+        Ok((self.verified_results, self.batch))
     }
 }
 
@@ -576,8 +599,8 @@ fn verify_block_vo_into<A: Accumulator>(
     batch: &mut DisjointBatch<A>,
 ) -> Result<Digest, VerifyError> {
     let mut consumed = vec![false; block_results.len()];
-    // group id -> summed member AttDigests (verified after the walk)
-    let mut group_members: BTreeMap<u16, Vec<A::Value>> = BTreeMap::new();
+    // group id -> member operands (summed and verified after the walk)
+    let mut group_members: BTreeMap<u16, Vec<A::Operand>> = BTreeMap::new();
     let root = walk(
         &vo.root,
         block_results,
@@ -600,7 +623,7 @@ fn verify_block_vo_into<A: Accumulator>(
         if !acc.supports_aggregation() {
             return Err(VerifyError::AggregationUnsupported);
         }
-        let summed = acc.sum(&members).map_err(|_| VerifyError::AggregationUnsupported)?;
+        let summed = acc.sum_operands(&members).map_err(|_| VerifyError::AggregationUnsupported)?;
         let clause_val = resolve_clause(acc, q, &g.clause, clause_cache)
             .ok_or(VerifyError::BadClause { height })?;
         batch.push(summed, clause_val, g.proof.clone(), height);
@@ -618,7 +641,7 @@ fn walk<A: Accumulator>(
     height: u64,
     cfg: &MinerConfig,
     clause_cache: &mut ClauseCache<A>,
-    group_members: &mut BTreeMap<u16, Vec<A::Value>>,
+    group_members: &mut BTreeMap<u16, Vec<A::Operand>>,
     batch: &mut DisjointBatch<A>,
 ) -> Result<Digest, VerifyError> {
     match node {
@@ -651,9 +674,7 @@ fn walk<A: Accumulator>(
             match (att, cfg.scheme) {
                 // `nil` internal nodes are plain Merkle pairs
                 (None, IndexScheme::Nil) => Ok(pair),
-                (Some(a), IndexScheme::Intra | IndexScheme::Both) => {
-                    Ok(internal_hash::<A>(&pair, a))
-                }
+                (Some(a), IndexScheme::Intra | IndexScheme::Both) => Ok(internal_hash(&pair, a)),
                 // scheme/structure mismatch — an SP cannot downgrade the
                 // index to dodge pruning commitments
                 _ => Err(VerifyError::SchemeViolation),
@@ -664,7 +685,7 @@ fn walk<A: Accumulator>(
                 return Err(VerifyError::SchemeViolation);
             }
             check_mismatch_proof(att, proof, q, acc, height, clause_cache, group_members, batch)?;
-            Ok(internal_hash::<A>(child_hash, att))
+            Ok(internal_hash(child_hash, att))
         }
         VoNode::LeafMatch { att, result_idx } => {
             let idx = *result_idx as usize;
@@ -673,35 +694,36 @@ fn walk<A: Accumulator>(
                 return Err(VerifyError::ResultIndexing { height });
             }
             consumed[idx] = true;
-            Ok(leaf_hash::<A>(&obj.digest(), att))
+            Ok(leaf_hash(&obj.digest(), att))
         }
         VoNode::LeafMismatch { obj_hash, att, proof } => {
             check_mismatch_proof(att, proof, q, acc, height, clause_cache, group_members, batch)?;
-            Ok(leaf_hash::<A>(obj_hash, att))
+            Ok(leaf_hash(obj_hash, att))
         }
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn check_mismatch_proof<A: Accumulator>(
-    att: &A::Value,
+    att: &Att,
     proof: &MismatchProof<A>,
     q: &CompiledQuery,
     acc: &A,
     height: u64,
     clause_cache: &mut ClauseCache<A>,
-    group_members: &mut BTreeMap<u16, Vec<A::Value>>,
+    group_members: &mut BTreeMap<u16, Vec<A::Operand>>,
     batch: &mut DisjointBatch<A>,
 ) -> Result<(), VerifyError> {
     match proof {
         MismatchProof::Inline { proof, clause } => {
             let clause_val = resolve_clause(acc, q, clause, clause_cache)
                 .ok_or(VerifyError::BadClause { height })?;
-            batch.push(att.clone(), clause_val, proof.clone(), height);
+            let operand = batch.operand(acc, att)?;
+            batch.push(operand, clause_val, proof.clone(), height);
             Ok(())
         }
         MismatchProof::Group(gid) => {
-            group_members.entry(*gid).or_default().push(att.clone());
+            group_members.entry(*gid).or_default().push(batch.operand(acc, att)?);
             Ok(())
         }
     }

@@ -22,6 +22,43 @@ use crate::element::ElementId;
 use crate::query::CompiledQuery;
 use crate::trans::prefix_interval;
 
+/// An AttDigest as a VO carries it: the canonical bytes of an accumulative
+/// value ([`Accumulator::value_bytes`]), not the group elements.
+///
+/// A VO mentions AttDigests for two reasons. Every one of them is *hashed*
+/// into the Merkle commitment the verifier rebuilds, and for that the bytes
+/// are all that is needed — the block header's root already pins them, the
+/// way any Merkle verifier hashes node contents as opaque bytes. Only the
+/// AttDigests of mismatch nodes and skip entries are also *paired*, and
+/// only in the component the pairing equation consumes; the verifier
+/// decodes exactly that, at the point of use
+/// ([`Accumulator::operand_from_bytes`]). So this one representation
+/// serves both sides: the SP fills it once at VO construction (the codec
+/// then copies bytes instead of re-serializing points), and the wire
+/// decoder fills it with length-checked bytes and no group arithmetic.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct Att(Vec<u8>);
+
+impl Att {
+    /// The AttDigest of a value this side computed itself (SP side).
+    pub fn of<A: Accumulator>(value: &A::Value) -> Self {
+        Att(A::value_bytes(value))
+    }
+
+    /// Wrap bytes as they arrived. Nothing is checked here: a byte string
+    /// of the wrong length or content cannot reproduce the committed root,
+    /// and [`Accumulator::operand_from_bytes`] length-checks before it
+    /// decodes.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        Att(bytes.to_vec())
+    }
+
+    /// The canonical bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// Which set a disjointness proof was made against.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClauseRef {
@@ -142,7 +179,7 @@ pub enum VoNode<A: Accumulator> {
     Internal {
         /// `AttDigest_n`; `None` under the `nil` scheme where internal nodes
         /// are plain Merkle nodes.
-        att: Option<A::Value>,
+        att: Option<Att>,
         /// The left child's VO.
         left: Box<VoNode<A>>,
         /// The right child's VO.
@@ -153,14 +190,14 @@ pub enum VoNode<A: Accumulator> {
         /// `hash(hash_l | hash_r)` — opaque, binds the hidden subtree.
         child_hash: Digest,
         /// The node's AttDigest.
-        att: A::Value,
+        att: Att,
         /// Why the whole subtree mismatches.
         proof: MismatchProof<A>,
     },
     /// A matching leaf; the object is in the result set.
     LeafMatch {
         /// The leaf's AttDigest.
-        att: A::Value,
+        att: Att,
         /// Index into this block's result list.
         result_idx: u32,
     },
@@ -169,7 +206,7 @@ pub enum VoNode<A: Accumulator> {
         /// `hash(object)` — opaque, binds the hidden object.
         obj_hash: Digest,
         /// The leaf's AttDigest.
-        att: A::Value,
+        att: Att,
         /// Why the object mismatches.
         proof: MismatchProof<A>,
     },
@@ -212,7 +249,7 @@ pub enum BlockCoverage<A: Accumulator> {
         /// Number of preceding blocks covered.
         distance: u64,
         /// The skip entry's AttDigest.
-        att: A::Value,
+        att: Att,
         /// Disjointness of the entry's multiset from `clause`.
         proof: A::Proof,
         /// The refuted clause.

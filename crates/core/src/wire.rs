@@ -14,10 +14,14 @@
 //!   buffers are never pre-reserved from a claimed length.
 //! * **Bounded recursion** — a [`VoNode`] tree deeper than
 //!   [`MAX_VO_DEPTH`] is rejected, so a crafted VO cannot blow the stack.
-//! * **Checked points** — accumulator values and proofs decode through
-//!   [`Accumulator::value_from_bytes`] / [`Accumulator::proof_from_bytes`],
-//!   which run the full curve ladder (canonical coordinate, on-curve,
-//!   subgroup membership) on every compressed point.
+//! * **Checked points, only where points are needed** — proofs decode
+//!   through [`Accumulator::proof_from_bytes`], which runs the full curve
+//!   ladder (canonical coordinate, on-curve, subgroup membership) on every
+//!   compressed point. AttDigests stay length-checked canonical bytes
+//!   ([`Att`]): the verifier hashes them into the commitment the block
+//!   header pins, and group-decodes only the pairing operand of the ones a
+//!   disjointness check consumes, at the point of use
+//!   ([`Accumulator::operand_from_bytes`] in [`crate::verify`]).
 //! * **Canonical form** — trailing bytes are rejected, and every accepted
 //!   input re-encodes byte-identically (there is exactly one encoding per
 //!   value), so byte strings can be hashed or compared in place of values.
@@ -41,7 +45,7 @@ use vchain_hash::Digest;
 
 use crate::subscribe::SubscriptionUpdate;
 use crate::vo::{
-    BlockCoverage, BlockVo, ClauseRef, GroupProof, MismatchProof, QueryResponse, VoNode,
+    Att, BlockCoverage, BlockVo, ClauseRef, GroupProof, MismatchProof, QueryResponse, VoNode,
 };
 
 /// Wire-format version byte; the first byte of every encoded response.
@@ -105,7 +109,8 @@ pub enum WireError {
     },
     /// A keyword string is not valid UTF-8.
     BadUtf8,
-    /// An accumulator value or proof failed the checked point decode.
+    /// An AttDigest has the wrong length, or a proof (here) or a pairing
+    /// operand (in [`crate::verify`]) failed the checked point decode.
     Accumulator(vchain_acc::DecodeError),
     /// Bytes remained after the top-level value was fully decoded.
     TrailingBytes {
@@ -336,44 +341,30 @@ fn le_bytes(s: &[u8]) -> u64 {
 // Leaf codecs
 // ---------------------------------------------------------------------------
 
-fn put_value<A: Accumulator>(w: &mut Writer, v: &A::Value) {
-    w.bytes(&A::value_bytes(v));
-}
-
-fn get_value<A: Accumulator>(r: &mut Reader<'_>, acc: &A) -> Result<A::Value, WireError> {
-    let bytes = r.take(acc.value_size())?;
-    acc.value_from_bytes(bytes).map_err(WireError::Accumulator)
-}
-
-fn put_proof<A: Accumulator>(w: &mut Writer, p: &A::Proof) {
-    w.bytes(&A::proof_bytes(p));
-}
-
-fn get_proof<A: Accumulator>(r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError> {
-    let bytes = r.take(acc.proof_size())?;
+fn proof_from_slot<A: Accumulator>(acc: &A, bytes: &[u8]) -> Result<A::Proof, WireError> {
     acc.proof_from_bytes(bytes).map_err(WireError::Accumulator)
 }
 
 // ---------------------------------------------------------------------------
-// Slot codecs: how accumulator values / proofs embed into the body
+// Slot codecs: how AttDigests / proofs embed into the body
 // ---------------------------------------------------------------------------
 //
 // Every structural codec below (nodes, mismatches, coverage) is generic
-// over a *slot codec* — the one place an accumulator value or proof slot
-// becomes bytes. v1 writes every slot raw in place; v2 tags each slot and
+// over a *slot codec* — the one place an AttDigest or proof slot becomes
+// bytes. v1 writes every slot raw in place; v2 tags each slot and
 // back-references repeated byte strings into a per-response intern table.
 // One set of body functions therefore serves both versions, and v1 output
 // stays byte-for-byte what it was before v2 existed.
 
 /// Encode-side slot strategy.
 trait SlotWrite<A: Accumulator> {
-    fn value(&mut self, w: &mut Writer, v: &A::Value);
+    fn value(&mut self, w: &mut Writer, v: &Att);
     fn proof(&mut self, w: &mut Writer, p: &A::Proof);
 }
 
 /// Decode-side slot strategy.
 trait SlotRead<A: Accumulator> {
-    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Value, WireError>;
+    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<Att, WireError>;
     fn proof(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError>;
 }
 
@@ -381,20 +372,21 @@ trait SlotRead<A: Accumulator> {
 struct RawSlots;
 
 impl<A: Accumulator> SlotWrite<A> for RawSlots {
-    fn value(&mut self, w: &mut Writer, v: &A::Value) {
-        put_value::<A>(w, v);
+    fn value(&mut self, w: &mut Writer, v: &Att) {
+        w.bytes(v.as_bytes());
     }
     fn proof(&mut self, w: &mut Writer, p: &A::Proof) {
-        put_proof::<A>(w, p);
+        w.bytes(&A::proof_bytes(p));
     }
 }
 
 impl<A: Accumulator> SlotRead<A> for RawSlots {
-    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Value, WireError> {
-        get_value(r, acc)
+    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<Att, WireError> {
+        // the whole decode of a value slot: exactly `value_size()` bytes
+        Ok(Att::from_bytes(r.take(acc.value_size())?))
     }
     fn proof(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError> {
-        get_proof(r, acc)
+        proof_from_slot(acc, r.take(acc.proof_size())?)
     }
 }
 
@@ -413,11 +405,13 @@ struct CountSlots {
 }
 
 impl CountSlots {
-    fn record(&mut self, bytes: Vec<u8>) {
-        let n = self.counts.entry(bytes.clone()).or_insert(0);
-        *n += 1;
-        if *n == 1 {
-            self.order.push(bytes);
+    fn record(&mut self, bytes: &[u8]) {
+        match self.counts.get_mut(bytes) {
+            Some(n) => *n += 1,
+            None => {
+                self.counts.insert(bytes.to_vec(), 1);
+                self.order.push(bytes.to_vec());
+            }
         }
     }
 
@@ -431,11 +425,11 @@ impl CountSlots {
 }
 
 impl<A: Accumulator> SlotWrite<A> for CountSlots {
-    fn value(&mut self, _w: &mut Writer, v: &A::Value) {
-        self.record(A::value_bytes(v));
+    fn value(&mut self, _w: &mut Writer, v: &Att) {
+        self.record(v.as_bytes());
     }
     fn proof(&mut self, _w: &mut Writer, p: &A::Proof) {
-        self.record(A::proof_bytes(p));
+        self.record(&A::proof_bytes(p));
     }
 }
 
@@ -456,26 +450,26 @@ impl InternSlots {
         }
     }
 
-    fn emit(&mut self, w: &mut Writer, bytes: Vec<u8>) {
-        match self.index.get(&bytes) {
+    fn emit(&mut self, w: &mut Writer, bytes: &[u8]) {
+        match self.index.get(bytes) {
             Some(&i) => {
                 w.u8(SLOT_BACKREF);
                 w.u32(i);
             }
             None => {
                 w.u8(SLOT_INLINE);
-                w.bytes(&bytes);
+                w.bytes(bytes);
             }
         }
     }
 }
 
 impl<A: Accumulator> SlotWrite<A> for InternSlots {
-    fn value(&mut self, w: &mut Writer, v: &A::Value) {
-        self.emit(w, A::value_bytes(v));
+    fn value(&mut self, w: &mut Writer, v: &Att) {
+        self.emit(w, v.as_bytes());
     }
     fn proof(&mut self, w: &mut Writer, p: &A::Proof) {
-        self.emit(w, A::proof_bytes(p));
+        self.emit(w, &A::proof_bytes(p));
     }
 }
 
@@ -491,18 +485,25 @@ impl<A: Accumulator> SlotWrite<A> for InternSlots {
 ///   at least twice (interning a once-used string would *grow* the
 ///   encoding, so the encoder never does).
 ///
-/// Each table entry passes the checked point decode exactly once per role
-/// and is served from a cache afterwards — deduplication saves decode
-/// work, not just bytes.
+/// A table entry referenced as a proof passes the checked point decode
+/// exactly once and is served from a cache afterwards — deduplication
+/// saves decode work, not just bytes. (An entry referenced as an AttDigest
+/// is only ever copied; the verifier's operand cache plays the same role
+/// for the ones it decodes.)
 struct TableSlots<A: Accumulator> {
     raw: Vec<Vec<u8>>,
-    values: Vec<Option<A::Value>>,
     proofs: Vec<Option<A::Proof>>,
     refs: Vec<u32>,
     first_unused: usize,
     table_bytes: usize,
     inline_seen: HashSet<Vec<u8>>,
     table_set: HashSet<Vec<u8>>,
+}
+
+/// Where a resolved v2 slot's bytes live.
+enum SlotBytes<'a> {
+    Inline(&'a [u8]),
+    Table(usize),
 }
 
 impl<A: Accumulator> TableSlots<A> {
@@ -523,7 +524,6 @@ impl<A: Accumulator> TableSlots<A> {
             raw.push(bytes);
         }
         Ok(Self {
-            values: vec![None; raw.len()],
             proofs: vec![None; raw.len()],
             refs: vec![0; raw.len()],
             first_unused: 0,
@@ -544,16 +544,9 @@ impl<A: Accumulator> TableSlots<A> {
         self.table_bytes
     }
 
-    /// Resolve one tagged slot. `decode` turns raw entry bytes into the
-    /// typed value; `cached` is the per-role decode cache.
-    fn slot<T: Clone>(
-        &mut self,
-        r: &mut Reader<'_>,
-        size: usize,
-        decode: impl Fn(&[u8]) -> Result<T, WireError>,
-        read_cache: impl Fn(&Self, usize) -> Option<T>,
-        write_cache: impl Fn(&mut Self, usize, T),
-    ) -> Result<T, WireError> {
+    /// Resolve one tagged slot of `size` inline bytes to where its bytes
+    /// live, enforcing the canonical-form rules on the way.
+    fn resolve<'a>(&mut self, r: &mut Reader<'a>, size: usize) -> Result<SlotBytes<'a>, WireError> {
         match r.u8()? {
             SLOT_INLINE => {
                 let bytes = r.take(size)?;
@@ -567,7 +560,7 @@ impl<A: Accumulator> TableSlots<A> {
                         what: "repeated slot bytes not interned",
                     });
                 }
-                decode(bytes)
+                Ok(SlotBytes::Inline(bytes))
             }
             SLOT_BACKREF => {
                 let index = r.u32()?;
@@ -586,16 +579,14 @@ impl<A: Accumulator> TableSlots<A> {
                 if let Some(c) = self.refs.get_mut(i) {
                     *c = c.saturating_add(1);
                 }
-                if let Some(hit) = read_cache(self, i) {
-                    return Ok(hit);
-                }
-                let bytes = self.raw.get(i).cloned().unwrap_or_default();
-                let v = decode(&bytes)?;
-                write_cache(self, i, v.clone());
-                Ok(v)
+                Ok(SlotBytes::Table(i))
             }
             tag => Err(WireError::BadTag { what: "v2 slot", tag }),
         }
+    }
+
+    fn entry(&self, i: usize) -> &[u8] {
+        self.raw.get(i).map(Vec::as_slice).unwrap_or_default()
     }
 
     /// End-of-response canonicality: every table entry was first-used in
@@ -612,32 +603,38 @@ impl<A: Accumulator> TableSlots<A> {
 }
 
 impl<A: Accumulator> SlotRead<A> for TableSlots<A> {
-    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Value, WireError> {
-        self.slot(
-            r,
-            acc.value_size(),
-            |b| acc.value_from_bytes(b).map_err(WireError::Accumulator),
-            |s, i| s.values.get(i).and_then(Clone::clone),
-            |s, i, v| {
-                if let Some(c) = s.values.get_mut(i) {
-                    *c = Some(v);
+    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<Att, WireError> {
+        match self.resolve(r, acc.value_size())? {
+            SlotBytes::Inline(bytes) => Ok(Att::from_bytes(bytes)),
+            SlotBytes::Table(i) => {
+                // a table entry carries its own length: hold it to the
+                // fixed value size like an inline slot
+                let bytes = self.entry(i);
+                if bytes.len() != acc.value_size() {
+                    return Err(WireError::Accumulator(vchain_acc::DecodeError::Length {
+                        expected: acc.value_size(),
+                        got: bytes.len(),
+                    }));
                 }
-            },
-        )
+                Ok(Att::from_bytes(bytes))
+            }
+        }
     }
 
     fn proof(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError> {
-        self.slot(
-            r,
-            acc.proof_size(),
-            |b| acc.proof_from_bytes(b).map_err(WireError::Accumulator),
-            |s, i| s.proofs.get(i).and_then(Clone::clone),
-            |s, i, v| {
-                if let Some(c) = s.proofs.get_mut(i) {
-                    *c = Some(v);
+        match self.resolve(r, acc.proof_size())? {
+            SlotBytes::Inline(bytes) => proof_from_slot(acc, bytes),
+            SlotBytes::Table(i) => {
+                if let Some(hit) = self.proofs.get(i).and_then(Clone::clone) {
+                    return Ok(hit);
                 }
-            },
-        )
+                let p = proof_from_slot(acc, self.entry(i))?;
+                if let Some(c) = self.proofs.get_mut(i) {
+                    *c = Some(p.clone());
+                }
+                Ok(p)
+            }
+        }
     }
 }
 

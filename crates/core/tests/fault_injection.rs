@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vchain_acc::{Acc1, Acc2, Accumulator};
 use vchain_chain::{Difficulty, LightClient, Object};
-use vchain_core::adversary::{for_each_value, Adversary};
+use vchain_core::adversary::{for_each_att, for_each_proof, Adversary, AttRole, POINT_MUTATIONS};
 use vchain_core::client::{PipelineMode, StreamVerifier};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::CompiledQuery;
@@ -45,7 +45,7 @@ use vchain_core::wire::{
     decode_bloom, decode_response, encode_bloom, encode_response, encode_response_v2,
     encode_scan_stream, encode_update,
 };
-use vchain_pairing::{g1_subgroup_check, Field, Fp, G1Affine};
+use vchain_pairing::{stats, G1Spec, G2Spec};
 
 const DOMAIN_BITS: u8 = 6;
 
@@ -135,24 +135,6 @@ fn classify(e: &VerifyError) -> &'static str {
     }
 }
 
-/// A compressed G1 encoding that is on-curve but *outside* the
-/// prime-order subgroup (the cofactor is ≈2¹²⁵, so a random curve point
-/// is essentially never in G1). Both constructions lead with a G1 slot in
-/// their value encoding, so this splices into either.
-fn wrong_subgroup_g1_bytes() -> Vec<u8> {
-    for ctr in 0u64.. {
-        let x = Fp::hash_to_field(&ctr.to_le_bytes());
-        let mut bytes = vec![0u8];
-        bytes.extend_from_slice(&x.to_canonical_bytes());
-        if let Ok(p) = G1Affine::try_from_bytes_on_curve(&bytes) {
-            if !g1_subgroup_check(&p) {
-                return bytes;
-            }
-        }
-    }
-    unreachable!("half of all x coordinates are on-curve");
-}
-
 struct Tally {
     rejected: BTreeMap<&'static str, usize>,
     noops: usize,
@@ -179,17 +161,17 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
     // component, located in the encoding by its honest bytes.
     let mut first_value = None;
     let mut cov = honest.coverage.clone();
-    for_each_value::<A>(&mut cov, &mut |v| {
+    for_each_att::<A>(&mut cov, &mut |_, v| {
         if first_value.is_none() {
             first_value = Some(v.clone());
         }
     });
-    let victim_bytes = A::value_bytes(&first_value.expect("response has at least one value"));
-    let bad_g1 = wrong_subgroup_g1_bytes();
-    let mut replacement = victim_bytes.clone();
-    replacement[..bad_g1.len()].copy_from_slice(&bad_g1);
-
+    let victim_bytes = first_value.expect("response has at least one value").as_bytes().to_vec();
+    // Both constructions lead their value encoding with a G1 point.
     let mut adv = Adversary::new(seed);
+    let bad_g1 = adv.mutate_point::<G1Spec>(&victim_bytes[..49], 3, &[]);
+    let replacement = splice(&victim_bytes, 0, &bad_g1);
+
     let mut tally = Tally { rejected: BTreeMap::new(), noops: 0, driven: 0 };
 
     for iter in 0..iters {
@@ -320,6 +302,269 @@ fn fault_injection_acc2() {
         Acc2::keygen(4096, &mut StdRng::seed_from_u64(22)),
         0xACC2_0000_0000_0002,
         fuzz_iters(),
+    );
+}
+
+/// Which group a component of a value or proof encoding lives in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Curve {
+    G1,
+    G2,
+}
+
+impl Curve {
+    fn len(self) -> usize {
+        match self {
+            Curve::G1 => 49,
+            Curve::G2 => 97,
+        }
+    }
+
+    fn mutate(self, adv: &mut Adversary, point: &[u8], class: usize, donor: &[u8]) -> Vec<u8> {
+        match self {
+            Curve::G1 => adv.mutate_point::<G1Spec>(point, class, donor),
+            Curve::G2 => adv.mutate_point::<G2Spec>(point, class, donor),
+        }
+    }
+}
+
+/// `bytes` with the component at `off` replaced.
+fn splice(bytes: &[u8], off: usize, component: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[off..off + component.len()].copy_from_slice(component);
+    out
+}
+
+/// The typed rejections of one mutant through both client entry points:
+/// the one-shot v1 decoder and the framed v2 stream. Neither may panic.
+fn reject_both_ways<A: Accumulator>(
+    q: &CompiledQuery,
+    light: &LightClient,
+    cfg: MinerConfig,
+    acc: &A,
+    v1: &[u8],
+    stream: &[u8],
+    what: &str,
+) -> [VerifyError; 2] {
+    let one_shot =
+        catch_unwind(AssertUnwindSafe(|| verify_encoded_response(q, v1, light, &cfg, acc)))
+            .unwrap_or_else(|_| panic!("PANIC in one-shot verification: {what}"))
+            .expect_err(what);
+    let streamed = catch_unwind(AssertUnwindSafe(|| {
+        drive_stream(std::slice::from_ref(q), light, cfg, acc, stream)
+    }))
+    .unwrap_or_else(|_| panic!("PANIC in streamed verification: {what}"))
+    .expect_err(what);
+    [one_shot, streamed]
+}
+
+/// Satellite of the operand-only decode: every point-mutation class
+/// (bit flip, off-curve, non-canonical, wrong-subgroup, point swap) driven
+/// separately through every slot *role* — hash-only AttDigest, pairing
+/// operand of a tree node, pairing operand of a skip entry, the component
+/// of an operand AttDigest no equation consumes, and proof — one input per
+/// path of the data-dependent code. Every mutant is rejected with the typed
+/// error its path predicts, through both decoders, with no panic.
+///
+/// `value` / `proof` list each encoding's components as `(offset, group)`;
+/// `consumed` is how many leading value components the pairing operand
+/// covers.
+fn run_slot_role_matrix<A: Accumulator>(
+    acc: A,
+    value: &[(usize, Curve)],
+    consumed: usize,
+    proof: &[(usize, Curve)],
+    seed: u64,
+) {
+    let (miner, light) = build_chain(IndexScheme::Both, acc);
+    let sp = miner.into_service_provider();
+    let (cfg, acc) = (sp.cfg, &sp.acc);
+
+    // A query derived from the data so that one response takes every path:
+    // the first range over the whole chain whose VO has explored nodes,
+    // pruned nodes and a skip. `slots` is every AttDigest with its role,
+    // in walk order.
+    let (q, honest, slots) = (0..57u64)
+        .find_map(|lo| {
+            let q = Query {
+                time_window: Some((10, 80)),
+                ranges: vec![RangeSpec { dim: 0, lo, hi: lo + 7 }],
+                keywords: vec![],
+            }
+            .compile(DOMAIN_BITS);
+            let honest = sp.time_window_query(&q);
+            let mut slots: Vec<(AttRole, Vec<u8>)> = Vec::new();
+            for_each_att::<A>(&mut honest.coverage.clone(), &mut |role, att| {
+                slots.push((role, att.as_bytes().to_vec()));
+            });
+            [AttRole::HashOnly, AttRole::NodeOperand, AttRole::SkipOperand]
+                .iter()
+                .all(|role| slots.iter().any(|(r, _)| r == role))
+                .then_some((q, honest, slots))
+        })
+        .expect("some range query exercises every slot role");
+    verify_response(&q, &honest, &light, &cfg, acc).expect("honest response verifies");
+    let mut adv = Adversary::new(seed);
+    let mut driven = 0usize;
+
+    for role in [AttRole::HashOnly, AttRole::NodeOperand, AttRole::SkipOperand] {
+        let target = slots.iter().position(|(r, _)| *r == role).expect("fixture covers every role");
+        let bytes = &slots[target].1;
+        // A point swap takes the same component of a slot holding
+        // different bytes.
+        let other = &slots.iter().find(|(_, b)| b != bytes).expect("two distinct AttDigests").1;
+        for (comp, &(off, curve)) in value.iter().enumerate() {
+            for (class, label) in POINT_MUTATIONS.iter().enumerate() {
+                let point = &bytes[off..off + curve.len()];
+                let donor = &other[off..off + curve.len()];
+                let mutated = curve.mutate(&mut adv, point, class, donor);
+                if mutated == point {
+                    continue; // the donor shares this component: no mutation
+                }
+                let mut m = honest.clone();
+                let mut k = 0usize;
+                for_each_att::<A>(&mut m.coverage, &mut |_, att| {
+                    if k == target {
+                        *att = vchain_core::vo::Att::from_bytes(&splice(bytes, off, &mutated));
+                    }
+                    k += 1;
+                });
+                let what = format!("{role:?} component {comp} {label}");
+                let [e, streamed] = reject_both_ways(
+                    &q,
+                    &light,
+                    cfg,
+                    acc,
+                    &encode_response(&m),
+                    &encode_scan_stream(std::slice::from_ref(&m)),
+                    &what,
+                );
+                assert_eq!(classify_stream(&e), classify_stream(&streamed), "{what}");
+                driven += 1;
+                let undecodable_operand =
+                    role == AttRole::NodeOperand && comp < consumed && *label != "point-swap";
+                match (role, &e) {
+                    // the operand is decoded while the tree is walked, ahead
+                    // of the root comparison
+                    (_, VerifyError::Malformed(vchain_core::wire::WireError::Accumulator(_)))
+                        if undecodable_operand => {}
+                    // everything else about an AttDigest is caught by the
+                    // commitment it is hashed into — no group decode needed
+                    (AttRole::SkipOperand, VerifyError::SkipRootMismatch { .. }) => {}
+                    (
+                        AttRole::HashOnly | AttRole::NodeOperand,
+                        VerifyError::RootMismatch { .. },
+                    ) if !undecodable_operand => {}
+                    _ => panic!("{what}: unexpected rejection {e:?}"),
+                }
+            }
+        }
+    }
+
+    // Proof slots: mutated in the encodings, since an undecodable proof has
+    // no typed form. The first proof of the response, each component.
+    let mut proofs: Vec<Vec<u8>> = Vec::new();
+    for_each_proof::<A>(&mut honest.coverage.clone(), &mut |p| proofs.push(A::proof_bytes(p)));
+    let victim = &proofs[0];
+    let other = proofs.iter().find(|p| *p != victim).expect("two distinct proofs");
+    let v1 = encode_response(&honest);
+    let stream = encode_scan_stream(std::slice::from_ref(&honest));
+    for (comp, &(off, curve)) in proof.iter().enumerate() {
+        for (class, label) in POINT_MUTATIONS.iter().enumerate() {
+            let point = &victim[off..off + curve.len()];
+            let mutated = curve.mutate(&mut adv, point, class, &other[off..off + curve.len()]);
+            if mutated == point {
+                continue;
+            }
+            let replacement = splice(victim, off, &mutated);
+            let (mut m1, mut ms) = (v1.clone(), stream.clone());
+            assert!(Adversary::substitute_slot(&mut m1, victim, &replacement));
+            assert!(Adversary::substitute_slot(&mut ms, victim, &replacement));
+            let what = format!("proof component {comp} {label}");
+            driven += 1;
+            for e in &reject_both_ways(&q, &light, cfg, acc, &m1, &ms, &what) {
+                match e {
+                    // a valid proof for a different (node, clause) pair
+                    VerifyError::BadProof { .. } if *label == "point-swap" => {}
+                    // a byte-level swap can also repeat bytes the v2 table
+                    // had to intern
+                    VerifyError::Malformed(vchain_core::wire::WireError::NonCanonical {
+                        ..
+                    }) if *label == "point-swap" => {}
+                    VerifyError::Malformed(vchain_core::wire::WireError::Accumulator(_))
+                        if *label != "point-swap" => {}
+                    _ => panic!("{what}: unexpected rejection {e:?}"),
+                }
+            }
+        }
+    }
+    assert!(
+        driven >= POINT_MUTATIONS.len() * (3 + proof.len()) - 2,
+        "only {driven} mutants driven"
+    );
+}
+
+#[test]
+fn slot_role_matrix_acc1() {
+    run_slot_role_matrix(
+        Acc1::keygen(4000, &mut StdRng::seed_from_u64(51)),
+        &[(0, Curve::G1)],
+        1,
+        &[(0, Curve::G2), (97, Curve::G2)],
+        0x0517_0000_0000_0008,
+    );
+}
+
+#[test]
+fn slot_role_matrix_acc2() {
+    run_slot_role_matrix(
+        Acc2::keygen(4096, &mut StdRng::seed_from_u64(52)),
+        &[(0, Curve::G1), (49, Curve::G2)],
+        1,
+        &[(0, Curve::G1)],
+        0x0517_0000_0000_0009,
+    );
+}
+
+/// The client group-decodes a VO slot only where a pairing equation
+/// consumes it: over a whole streamed scan, no `G2` point is decoded at
+/// all under Construction 2, and the `G1` decodes are exactly the distinct
+/// mismatch / skip AttDigests (their `d_A`) plus the distinct proofs.
+#[test]
+fn client_decodes_only_pairing_operands() {
+    let (miner, light) =
+        build_chain(IndexScheme::Both, Acc2::keygen(4096, &mut StdRng::seed_from_u64(53)));
+    let queries = scan_queries(4, 10);
+    let sp = miner.into_service_provider();
+    let responses: Vec<_> = queries.iter().map(|q| sp.time_window_query(q)).collect();
+    let stream = encode_scan_stream(&responses);
+
+    let mut operands = std::collections::BTreeSet::new();
+    let mut hashed_only = 0usize;
+    let mut proofs = std::collections::BTreeSet::new();
+    for resp in &responses {
+        let mut cov = resp.coverage.clone();
+        for_each_att::<Acc2>(&mut cov, &mut |role, att| match role {
+            AttRole::HashOnly => hashed_only += 1,
+            AttRole::NodeOperand | AttRole::SkipOperand => {
+                operands.insert(att.as_bytes().to_vec());
+            }
+        });
+        for_each_proof::<Acc2>(&mut cov, &mut |p| {
+            proofs.insert(Acc2::proof_bytes(p));
+        });
+    }
+    assert!(hashed_only > 0 && !operands.is_empty() && !proofs.is_empty());
+
+    // Clause digests are the client's own `Setup`, not decodes. Inline
+    // mode keeps all the work on this thread, where the counters are.
+    let (g1, g2) = (stats::g1_subgroup_checks(), stats::g2_subgroup_checks());
+    drive_stream(&queries, &light, sp.cfg, &sp.acc, &stream).expect("honest stream verifies");
+    assert_eq!(stats::g2_subgroup_checks() - g2, 0, "no G2 point is ever decoded");
+    assert_eq!(
+        (stats::g1_subgroup_checks() - g1) as usize,
+        operands.len() + proofs.len(),
+        "one G1 decode per distinct pairing operand and per distinct proof"
     );
 }
 

@@ -17,14 +17,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vchain_acc::Acc1;
 use vchain_chain::{Difficulty, LightClient, Object};
-use vchain_core::adversary::Adversary;
+use vchain_core::adversary::{for_each_att, Adversary, AttRole};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query, RangeSpec};
-use vchain_core::verify::verify_response;
+use vchain_core::verify::{verify_response, VerifyError};
 use vchain_core::vo::QueryResponse;
 use vchain_core::wire::{
     decode_response, decode_response_auto, decode_response_v2, decode_scan_v2, encode_response,
-    encode_response_v2, encode_scan_v2, StreamDecoder, WireVersion,
+    encode_response_v2, encode_scan_v2, StreamDecoder, WireError, WireVersion,
 };
 
 const DOMAIN_BITS: u8 = 6;
@@ -250,6 +250,46 @@ fn every_single_bit_corruption_fails_cleanly_or_is_rejected() {
     // Both rejection layers must actually participate in the sweep.
     assert!(decode_failures > 0, "no structural rejections in the sweep");
     assert!(verify_rejections > 0, "no cryptographic rejections in the sweep");
+}
+
+/// AttDigest slots are opaque to the decoder: every single-bit flip inside
+/// one still *decodes* (no group arithmetic runs on a value slot, so there
+/// is nothing to fail) and re-encodes to the flipped bytes, and it is
+/// verification that rejects it — through the rebuilt root for a hash-only
+/// slot, and through the root or the operand's checked decode for a slot a
+/// pairing equation consumes. Exhaustive over every bit of every slot.
+#[test]
+fn every_bit_of_every_att_slot_is_pinned_by_verification_not_by_decode() {
+    let fix = fixture();
+    let mut honest = decode_response(&fix.acc, &fix.encoded).expect("honest encoding decodes");
+    let mut slots: std::collections::BTreeMap<Vec<u8>, AttRole> = Default::default();
+    for_each_att::<Acc1>(&mut honest.coverage, &mut |role, att| {
+        slots.insert(att.as_bytes().to_vec(), role);
+    });
+    assert!(slots.values().any(|r| *r == AttRole::HashOnly));
+    assert!(slots.values().any(|r| *r == AttRole::NodeOperand));
+    for (bytes, role) in slots {
+        let at = fix
+            .encoded
+            .windows(bytes.len())
+            .position(|w| w == bytes)
+            .expect("slot bytes appear verbatim in the v1 encoding");
+        for bit in 0..bytes.len() * 8 {
+            let mutant = Adversary::flip_bit(&fix.encoded, at * 8 + bit);
+            let decoded = decode_response(&fix.acc, &mutant).unwrap_or_else(|e| {
+                panic!("{role:?} bit {bit}: a value slot cannot fail decode: {e}")
+            });
+            assert_eq!(encode_response(&decoded), mutant);
+            match verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc) {
+                Err(VerifyError::RootMismatch { .. }) => {}
+                Err(VerifyError::Malformed(WireError::Accumulator(_)))
+                    if role == AttRole::NodeOperand => {}
+                other => panic!(
+                    "{role:?} bit {bit}: expected a root or operand rejection, got {other:?}"
+                ),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

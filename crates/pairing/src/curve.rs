@@ -58,14 +58,12 @@ pub trait CurveSpec: Copy + Clone + Send + Sync + 'static {
     const NAME: &'static str;
     /// Is `p` (assumed on the curve) in the order-`r` subgroup? This is the
     /// last step of the untrusted decode ladder ([`Affine::try_from_bytes`]).
-    /// The default is the conservative full-order check `[r]·p = O` on the
-    /// reference wNAF ladder (*not* the GLS dispatch, whose eigenvalue
-    /// identity is exactly what an unchecked point could violate); `G2`
-    /// overrides it with the ~4× cheaper ψ-eigenvalue check
-    /// ([`crate::decode::g2_subgroup_check`]).
-    fn is_in_subgroup(p: &Affine<Self>) -> bool {
-        p.to_projective().mul_u256_wnaf(&params::fr_params().modulus).is_identity()
-    }
+    /// Both groups answer with an endomorphism-eigenvalue check — two
+    /// (`G1`, [`crate::decode::g1_subgroup_check`]) or one (`G2`,
+    /// [`crate::decode::g2_subgroup_check`]) 64-bit ladders on `|x|` in
+    /// place of the 255-bit `[r]·p = O` ladder, which survives only as the
+    /// test oracle ([`crate::decode::full_order_check`]).
+    fn is_in_subgroup(p: &Affine<Self>) -> bool;
 }
 
 /// The group `E(Fp) : y² = x³ + 4`.
@@ -81,6 +79,47 @@ static G2_GEN: OnceLock<Affine<G2Spec>> = OnceLock::new();
 static G1_TABLE: OnceLock<FixedBaseTable<G1Spec>> = OnceLock::new();
 static G2_TABLE: OnceLock<FixedBaseTable<G2Spec>> = OnceLock::new();
 static G2_ENDO: OnceLock<G2Endo> = OnceLock::new();
+static G1_ENDO: OnceLock<G1Endo> = OnceLock::new();
+
+/// The `G1` endomorphism `σ(x, y) = (β·x, y)` with `β` a primitive cube
+/// root of unity in `Fp` (`E: y² = x³ + 4` has `j = 0`, so scaling `x` by
+/// `β` preserves the curve equation). `σ² + σ + 1 = 0` on all of `E(Fp)`,
+/// and on `G1` it acts as multiplication by `λ = −x²`, a root of
+/// `λ² + λ + 1 = x⁴ − x² + 1 = r`. That pair of facts is the whole `G1`
+/// subgroup check ([`crate::decode::g1_subgroup_check`]).
+///
+/// Like [`G2Endo`], `β` is *derived, not transcribed*: solved from
+/// `σ(g₁) = [λ]·g₁` on the published generator, then asserted to be a
+/// primitive cube root of unity — which is what makes the map a curve
+/// endomorphism, so matching the eigenvalue on the generator pins it on
+/// the whole (cyclic) group.
+#[derive(Debug)]
+pub struct G1Endo {
+    beta: Fp,
+}
+
+impl G1Endo {
+    /// `σ(P)` on an affine point (the identity maps to itself).
+    pub fn sigma(&self, p: &Affine<G1Spec>) -> Affine<G1Spec> {
+        Affine { x: Field::mul(&p.x, &self.beta), y: p.y, infinity: p.infinity }
+    }
+}
+
+/// The derived-and-verified `G1` endomorphism (lazily initialized; see
+/// [`G1Endo`]).
+pub fn g1_endo() -> &'static G1Endo {
+    G1_ENDO.get_or_init(|| {
+        let g = G1Spec::generator();
+        // [λ]·g = −[|x|]([|x|]·g), on the reference ladder.
+        let x = U256::from_u64(params::BLS_X);
+        let lg = g.to_projective().mul_u256_wnaf(&x).mul_u256_wnaf(&x).neg().to_affine();
+        assert_eq!(lg.y, g.y, "σ fixes y: [λ]·g must share the generator's y");
+        let beta = Field::mul(&lg.x, &g.x.inverse().expect("generator x ≠ 0"));
+        assert_ne!(beta, Fp::one(), "β must be a primitive cube root of unity");
+        assert_eq!(Field::mul(&beta.square(), &beta), Fp::one(), "β³ = 1");
+        G1Endo { beta }
+    })
+}
 
 /// The twist (GLS) endomorphism `ψ` of `G2`, in the coordinate form
 /// `ψ(x, y) = (c_x·x̄, c_y·ȳ)` (bar = `Fp2` conjugation, the `p`-power
@@ -340,6 +379,10 @@ impl CurveSpec for G1Spec {
 
     const COMPRESSED_BYTES: usize = 49;
     const NAME: &'static str = "G1";
+
+    fn is_in_subgroup(p: &Affine<Self>) -> bool {
+        crate::decode::g1_subgroup_check(p)
+    }
 }
 
 impl CurveSpec for G2Spec {
@@ -724,6 +767,23 @@ impl<S: CurveSpec> Projective<S> {
         acc
     }
 
+    /// `[|x|]·P` for the BLS parameter by plain double-and-add: `|x|` has
+    /// Hamming weight 6, so the 64-bit ladder is 63 doublings and 5
+    /// additions with no table to build. Makes no assumption about the
+    /// order of `P` — it is the ladder the `G1` subgroup check runs on
+    /// points that have not been checked yet.
+    pub(crate) fn mul_bls_x(&self) -> Self {
+        let x = params::BLS_X;
+        let mut acc = *self;
+        for i in (0..63 - x.leading_zeros()).rev() {
+            acc = acc.double();
+            if (x >> i) & 1 == 1 {
+                acc = acc.add(self);
+            }
+        }
+        acc
+    }
+
     /// Fixed-base scalar multiplication of the group generator using the
     /// cached per-window table: ~`256/w` additions and *no* doublings.
     pub fn generator_mul(k: &U256) -> Self {
@@ -1036,6 +1096,21 @@ mod tests {
             }
         }
         acc
+    }
+
+    #[test]
+    fn g1_endo_is_a_cube_root_acting_as_lambda() {
+        let endo = g1_endo(); // runs the derivation asserts
+        assert_ne!(endo.beta, Fp::one());
+        assert_eq!(Field::mul(&endo.beta.square(), &endo.beta), Fp::one());
+        // σ(P) = [λ]P = −[x²]P on the generator and away from it
+        for k in [1u64, 987_654_321] {
+            let p = G1Projective::generator().mul_u64(k);
+            let lp = p.mul_bls_x().mul_bls_x().neg();
+            assert_eq!(endo.sigma(&p.to_affine()), lp.to_affine());
+            assert_eq!(p.mul_bls_x(), p.mul_u256_wnaf(&U256::from_u64(params::BLS_X)));
+        }
+        assert!(endo.sigma(&G1Affine::identity()).is_identity());
     }
 
     #[test]

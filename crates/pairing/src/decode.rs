@@ -18,10 +18,11 @@
 //!    has exactly one preimage and `encode ∘ decode` is the identity;
 //! 4. **on-curve** — `x³ + b` must be a quadratic residue
 //!    ([`WireField::sqrt`]);
-//! 5. **subgroup membership** — [`CurveSpec::is_in_subgroup`]: the full
-//!    order-`r` scalar multiplication for `G1`, and the
+//! 5. **subgroup membership** — [`CurveSpec::is_in_subgroup`]: the
+//!    [σ-eigenvalue check](g1_subgroup_check) for `G1` and the
 //!    [ψ-eigenvalue check](g2_subgroup_check) for `G2` (reusing the GLS
-//!    twist endomorphism), which is ~4× cheaper than the generic ladder.
+//!    twist endomorphism) — 64-bit ladders on `|x|`, each an exact
+//!    replacement for the generic 255-bit `[r]·P = O` ladder.
 //!
 //! A failure at any step is an attributable [`PointDecodeError`] — never a
 //! panic — which the accumulator and VO layers surface as their own decode
@@ -216,14 +217,42 @@ impl<S: CurveSpec> Affine<S> {
     }
 }
 
-/// `G1` subgroup membership: the conservative full-order check
-/// `[r]·P = O` on the wNAF reference ladder (the GLS dispatch is *not* used
-/// — its eigenvalue identity is exactly what an unchecked point could
-/// violate). `E(Fp)`'s cofactor is ~126 bits, so on-curve alone admits
-/// wrong-order points; this closes them out at roughly one `G1` scalar
-/// multiplication (~0.15 ms, ledger entry `g1_subgroup_check`).
-pub fn g1_subgroup_check(p: &G1Affine) -> bool {
+/// The generic membership check `[r]·P = O` on the wNAF reference ladder
+/// (the GLS dispatch is *not* used — its eigenvalue identity is exactly
+/// what an unchecked point could violate). Roughly one full scalar
+/// multiplication; kept as the oracle the two eigenvalue checks below are
+/// property-tested against, and as their same-run ledger twin
+/// (`g1_subgroup_check_full_order`). Not on any decode path.
+pub fn full_order_check<S: CurveSpec>(p: &Affine<S>) -> bool {
     p.to_projective().mul_u256_wnaf(&params::fr_params().modulus).is_identity()
+}
+
+/// `G1` subgroup membership via the `j = 0` endomorphism
+/// `σ(x, y) = (βx, y)` ([`crate::curve::G1Endo`]): a curve point `P` lies
+/// in the order-`r` subgroup iff `σ(P) = [λ]P` with `λ = −x²`, i.e.
+/// `σ(P) = −[|x|]([|x|]P)` — two 64-bit ladders on `|x|` (Hamming weight
+/// 6) instead of one 255-bit ladder on `r`. `E(Fp)`'s cofactor is ~126
+/// bits, so on-curve alone admits wrong-order points; this closes them
+/// out at under half a `G1` scalar multiplication (ledger entry
+/// `g1_subgroup_check`).
+///
+/// Soundness is exact, not probabilistic: `σ² + σ + 1 = 0` holds on all of
+/// `E(Fp)` (`β² + β + 1 = 0`, and `(x, y) + (βx, y) + (β²x, y) = O`
+/// because the three points are the intersection of the curve with a
+/// horizontal line), and `σ` commutes with scalar multiplication, so
+/// `σ(P) = [λ]P` gives `O = (σ² + σ + 1)P = [λ² + λ + 1]P`. With the
+/// *integer* `λ = −x²` that scalar is `x⁴ − x² + 1 = r` exactly. Complete
+/// because `G1` is cyclic and the eigenvalue is pinned on its generator at
+/// start-up. `sigma_check_agrees_with_full_order_check` pins it against
+/// [`full_order_check`] on members, random curve points and pure
+/// cofactor-subgroup points.
+pub fn g1_subgroup_check(p: &G1Affine) -> bool {
+    crate::stats::G1_SUBGROUP_CHECKS.with(|c| c.set(c.get() + 1));
+    if p.infinity {
+        return true;
+    }
+    let lp = p.to_projective().mul_bls_x().mul_bls_x().neg();
+    crate::curve::g1_endo().sigma(p).to_projective() == lp
 }
 
 /// `G2` subgroup membership via the twist endomorphism (Bowe, "Faster
@@ -242,6 +271,7 @@ pub fn g1_subgroup_check(p: &G1Affine) -> bool {
 /// `psi_check_agrees_with_full_order_check` property test pins this against
 /// the generic ladder on both members and non-members.
 pub fn g2_subgroup_check(p: &G2Affine) -> bool {
+    crate::stats::G2_SUBGROUP_CHECKS.with(|c| c.set(c.get() + 1));
     if p.infinity {
         return true;
     }
@@ -415,10 +445,57 @@ mod tests {
         // the full-order ladder rejects.
         for seed in 0..6u64 {
             let p = twist_point_outside_g2(seed * 1000);
-            let full_order =
-                p.to_projective().mul_u256_wnaf(&params::fr_params().modulus).is_identity();
-            assert!(!full_order, "hash-derived twist points are not in G2");
-            assert_eq!(g2_subgroup_check(&p), full_order);
+            assert!(!full_order_check(&p), "hash-derived twist points are not in G2");
+            assert_eq!(g2_subgroup_check(&p), full_order_check(&p));
+        }
+    }
+
+    /// The first point of `E(Fp)` with a hash-derived x-coordinate at or
+    /// after counter `from`: uniform on the curve, so outside `G1` with
+    /// probability `1 − 1/h₁ ≈ 1`.
+    fn curve_point_outside_g1(from: u64) -> G1Affine {
+        let mut ctr = from;
+        loop {
+            ctr += 1;
+            let x = Fp::hash_to_field(&ctr.to_le_bytes());
+            let rhs = Field::add(&Field::mul(&x.square(), &x), &crate::curve::G1Spec::b());
+            if let Some(y) = rhs.sqrt() {
+                let p = G1Affine { x, y, infinity: false };
+                assert!(p.is_on_curve());
+                return p;
+            }
+        }
+    }
+
+    #[test]
+    fn sigma_check_agrees_with_full_order_check() {
+        // Members: random generator multiples and the identity.
+        let mut r = rng();
+        for _ in 0..8 {
+            let p = G1Projective::generator().mul_fr(&Fr::random(&mut r)).to_affine();
+            assert!(full_order_check(&p));
+            assert!(g1_subgroup_check(&p));
+        }
+        assert!(g1_subgroup_check(&G1Affine::identity()));
+        assert!(full_order_check(&G1Affine::identity()));
+
+        let order = params::fr_params().modulus;
+        for seed in 0..8u64 {
+            // Non-members with a component in every part of E(Fp) …
+            let q = curve_point_outside_g1(seed * 1000);
+            assert!(!full_order_check(&q), "hash-derived E(Fp) points are not in G1");
+            assert_eq!(g1_subgroup_check(&q), full_order_check(&q));
+            // … and pure cofactor-subgroup points [r]·Q, whose G1 component
+            // is gone: the hardest case for a check that only looked at
+            // "some multiple of P".
+            let c = q.to_projective().mul_u256_wnaf(&order).to_affine();
+            assert!(c.is_on_curve() && !c.is_identity());
+            assert!(!full_order_check(&c), "[r]·Q has order dividing the cofactor");
+            assert_eq!(g1_subgroup_check(&c), full_order_check(&c));
+            // A member plus a cofactor point is no member either.
+            let mixed = G1Projective::generator().mul_u64(seed + 2).add_affine(&c).to_affine();
+            assert_eq!(g1_subgroup_check(&mixed), full_order_check(&mixed));
+            assert!(!g1_subgroup_check(&mixed));
         }
     }
 
@@ -438,21 +515,11 @@ mod tests {
         // Hash-derived x-coordinates on E(Fp) land outside G1 with
         // probability 1 − 1/h₁ ≈ 1: the first decodable x must be rejected
         // by the checked decoder and accepted by the on-curve one.
-        let mut ctr = 0u64;
-        loop {
-            ctr += 1;
-            let x = Fp::hash_to_field(&ctr.to_le_bytes());
-            let rhs = Field::add(&Field::mul(&x.square(), &x), &crate::curve::G1Spec::b());
-            if let Some(y) = rhs.sqrt() {
-                let p = G1Affine { x, y, infinity: false };
-                assert!(p.is_on_curve());
-                assert!(!g1_subgroup_check(&p), "hash-derived E(Fp) point is not in G1");
-                let bytes = p.to_bytes();
-                assert_eq!(G1Affine::try_from_bytes(&bytes), Err(PointDecodeError::WrongSubgroup));
-                assert_eq!(G1Affine::try_from_bytes_on_curve(&bytes), Ok(p));
-                return;
-            }
-        }
+        let p = curve_point_outside_g1(0);
+        assert!(!g1_subgroup_check(&p), "hash-derived E(Fp) point is not in G1");
+        let bytes = p.to_bytes();
+        assert_eq!(G1Affine::try_from_bytes(&bytes), Err(PointDecodeError::WrongSubgroup));
+        assert_eq!(G1Affine::try_from_bytes_on_curve(&bytes), Ok(p));
     }
 
     #[test]

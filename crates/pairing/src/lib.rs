@@ -45,10 +45,12 @@ pub mod stats;
 
 pub use comb::{comb_multiexp, generator_powers, FixedBaseComb, PowersCombCache};
 pub use curve::{
-    batch_to_affine, g2_endo, multiexp, sum_affine, sum_affine_groups, Affine, CurveSpec, G1Affine,
-    G1Projective, G1Spec, G2Affine, G2Endo, G2Projective, G2Spec, Projective,
+    batch_to_affine, g1_endo, g2_endo, multiexp, sum_affine, sum_affine_groups, Affine, CurveSpec,
+    G1Affine, G1Endo, G1Projective, G1Spec, G2Affine, G2Endo, G2Projective, G2Spec, Projective,
 };
-pub use decode::{g1_subgroup_check, g2_subgroup_check, PointDecodeError, WireField};
+pub use decode::{
+    full_order_check, g1_subgroup_check, g2_subgroup_check, PointDecodeError, WireField,
+};
 pub use field::{batch_invert, Field};
 pub use fp::{Fp, Fr};
 pub use fp12::{CompressedCyclo, Fp12};

@@ -14,6 +14,8 @@ thread_local! {
     pub(crate) static FINAL_EXPS: Cell<u64> = const { Cell::new(0) };
     pub(crate) static MILLER_LOOPS: Cell<u64> = const { Cell::new(0) };
     pub(crate) static FIELD_INVERSIONS: Cell<u64> = const { Cell::new(0) };
+    pub(crate) static G1_SUBGROUP_CHECKS: Cell<u64> = const { Cell::new(0) };
+    pub(crate) static G2_SUBGROUP_CHECKS: Cell<u64> = const { Cell::new(0) };
     pub(crate) static MONTGOMERY_REDUCTIONS: Cell<u64> = const { Cell::new(0) };
     pub(crate) static MONTGOMERY_REDUCTIONS_EAGER: Cell<u64> = const { Cell::new(0) };
 }
@@ -34,6 +36,19 @@ pub fn final_exps() -> u64 {
 /// `multi_miller_loop` over any number of pairs counts once).
 pub fn miller_loops() -> u64 {
     MILLER_LOOPS.with(Cell::get)
+}
+
+/// `G1` subgroup-membership checks run by the current thread — one per
+/// checked `G1` point decode that got as far as the last rung of the
+/// ladder ([`crate::Affine::try_from_bytes`]), so a delta counts the `G1`
+/// points a region decoded from untrusted bytes.
+pub fn g1_subgroup_checks() -> u64 {
+    G1_SUBGROUP_CHECKS.with(Cell::get)
+}
+
+/// [`g1_subgroup_checks`] for `G2`.
+pub fn g2_subgroup_checks() -> u64 {
+    G2_SUBGROUP_CHECKS.with(Cell::get)
 }
 
 /// Base-field (`Fp`/`Fr`) inversions performed by the current thread.
