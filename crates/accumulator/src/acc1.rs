@@ -20,7 +20,7 @@ use vchain_pairing::{
 };
 
 use crate::poly::Poly;
-use crate::{batch_coefficients_ctx, AccElem, AccError, Accumulator, BatchItem, MultiSet};
+use crate::{batch_coefficients, AccElem, AccError, Accumulator, BatchItem, MultiSet};
 
 /// Comb tables are precomputed for at most this many public-key powers per
 /// source group (lazily, as commitments actually need them); commitments
@@ -212,33 +212,14 @@ impl Accumulator for Acc1 {
         self.finalize_from_poly(&Self::char_poly(x1), x2)
     }
 
-    fn prove_disjoint_many<E: AccElem>(
-        &self,
-        x1: &MultiSet<E>,
-        clauses: &[MultiSet<E>],
-    ) -> Result<Vec<Acc1Proof>, AccError> {
-        // The X₁-side witness — its characteristic polynomial, the largest
-        // subproduct tree of proving — is computed once and shared by every
-        // clause; each clause then pays only its own xgcd and two commits.
-        let p1 = Self::char_poly(x1);
-        clauses
-            .iter()
-            .map(|x2| {
-                if x1.intersects(x2) {
-                    return Err(AccError::NotDisjoint);
-                }
-                self.finalize_from_poly(&p1, x2)
-            })
-            .collect()
-    }
-
     fn prove_disjoint_each<E: AccElem>(
         &self,
         x1: &MultiSet<E>,
         clauses: &[MultiSet<E>],
     ) -> Vec<Result<Acc1Proof, AccError>> {
-        // Same shared characteristic polynomial as `prove_disjoint_many`,
-        // but an intersecting clause fails alone instead of aborting all.
+        // The X₁-side witness — its characteristic polynomial, the largest
+        // subproduct tree of proving — is computed once and shared by every
+        // clause; each clause then pays only its own xgcd and two commits.
         let p1 = Self::char_poly(x1);
         clauses
             .iter()
@@ -280,14 +261,14 @@ impl Accumulator for Acc1 {
     ///
     /// folds the whole batch into one `2n+1`-pair multi-pairing: one shared
     /// Miller loop and one final exponentiation instead of `n`. The
-    /// coefficients `ρᵢ` come from the shared [`batch_coefficients_ctx`]
+    /// coefficients `ρᵢ` come from the shared [`batch_coefficients`]
     /// transcript derivation.
-    fn batch_verify_disjoint_ctx(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
+    fn batch_holds(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
         match items {
             [] => true,
             [(a1, a2, proof)] => self.verify_operand(a1, a2, proof),
             _ => {
-                let rho = batch_coefficients_ctx::<Self>(context, items);
+                let rho = batch_coefficients::<Self>(context, items);
                 let mut pairs = Vec::with_capacity(2 * items.len() + 1);
                 let mut rho_sum = Fr::zero();
                 for ((a1, a2, proof), r) in items.iter().zip(&rho) {
@@ -506,9 +487,9 @@ mod tests {
     fn batch_verify_accepts_valid_batches() {
         let a = acc();
         let items = batch(&a, &[(&[1, 2], &[3, 4]), (&[5], &[6, 7]), (&[8, 8], &[9])]);
-        assert!(a.batch_verify_disjoint(&items));
-        assert!(a.batch_verify_disjoint(&[])); // empty batch is vacuously true
-        assert!(a.batch_verify_disjoint(&items[..1])); // single-item fast path
+        assert_eq!(a.batch_verify_disjoint(&[], &items), Ok(()));
+        assert_eq!(a.batch_verify_disjoint(&[], &[]), Ok(())); // empty batch is vacuously true
+        assert_eq!(a.batch_verify_disjoint(&[], &items[..1]), Ok(())); // single-item fast path
     }
 
     #[test]
@@ -518,13 +499,13 @@ mod tests {
         // forge only the middle proof, keep the rest honest
         items[1].2 =
             Acc1Proof { f1: G2Projective::generator().mul_u64(77).to_affine(), f2: items[1].2.f2 };
-        assert!(!a.batch_verify_disjoint(&items));
+        assert_eq!(a.batch_verify_disjoint(&[], &items), Err(1));
         // a mismatched (value, proof) pairing is also caught
         let mut swapped = batch(&a, &[(&[1], &[2]), (&[3], &[4])]);
         let p0 = swapped[0].2.clone();
         swapped[0].2 = swapped[1].2.clone();
         swapped[1].2 = p0;
-        assert!(!a.batch_verify_disjoint(&swapped));
+        assert_eq!(a.batch_verify_disjoint(&[], &swapped), Err(0));
     }
 
     #[test]

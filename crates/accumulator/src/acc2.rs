@@ -34,7 +34,7 @@ use vchain_pairing::{
     G2Affine, G2Projective, G2Spec,
 };
 
-use crate::{batch_coefficients_ctx, AccElem, AccError, Accumulator, BatchItem, MultiSet};
+use crate::{batch_coefficients, AccElem, AccError, Accumulator, BatchItem, MultiSet};
 
 /// The accumulative value `(d_A, d_B)` (a block's AttDigest under acc2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -332,15 +332,6 @@ impl Accumulator for Acc2 {
         self.finalize_proof(&witness, x2)
     }
 
-    fn prove_disjoint_many<E: AccElem>(
-        &self,
-        x1: &MultiSet<E>,
-        clauses: &[MultiSet<E>],
-    ) -> Result<Vec<Acc2Proof>, AccError> {
-        let witness = self.prove_witness(x1)?;
-        clauses.iter().map(|c| self.finalize_proof(&witness, c)).collect()
-    }
-
     fn prove_disjoint_each<E: AccElem>(
         &self,
         x1: &MultiSet<E>,
@@ -407,9 +398,9 @@ impl Accumulator for Acc2 {
     /// over `2n` points in all — versus `n` Miller pairs for the ungrouped
     /// sum, and `n` full pairing checks for the naive loop. The grouping is
     /// an identity, so the accepted set is the ungrouped check's. The
-    /// coefficients `ρᵢ` come from the shared [`batch_coefficients_ctx`]
+    /// coefficients `ρᵢ` come from the shared [`batch_coefficients`]
     /// transcript derivation.
-    fn batch_verify_disjoint_ctx(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
+    fn batch_holds(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
         match items {
             [] => true,
             [(da, a2, proof)] => self.verify_operand(da, a2, proof),
@@ -464,10 +455,10 @@ impl Accumulator for Acc2 {
 }
 
 /// The pairs of the aggregated check of
-/// [`Acc2::batch_verify_disjoint_ctx`]: one per distinct clause digest of
+/// [`Acc2::batch_holds`]: one per distinct clause digest of
 /// the batch, in first-occurrence order, then the `g₂` pair.
 fn rlc_pairs(context: &[u8], items: &[BatchItem<Acc2>]) -> Vec<(G1Affine, G2Affine)> {
-    let rho = batch_coefficients_ctx::<Acc2>(context, items);
+    let rho = batch_coefficients::<Acc2>(context, items);
     let scalars: Vec<U256> = rho.iter().map(Fr::to_uint).collect();
     // A query has a handful of clauses, so a linear scan finds the group.
     let mut clauses: Vec<G2Affine> = Vec::new();
@@ -595,6 +586,10 @@ mod tests {
             a.prove_disjoint_many(&ms(&[64]), &[ms(&[1])]).unwrap_err(),
             AccError::CapacityExceeded { .. }
         ));
+        // the override point attributes per clause: the good proof survives
+        let each = a.prove_disjoint_each(&x1, &[ms(&[10]), ms(&[2])]);
+        assert_eq!(each[0], a.prove_disjoint(&x1, &ms(&[10])));
+        assert_eq!(each[1], Err(AccError::NotDisjoint));
     }
 
     #[test]
@@ -719,7 +714,7 @@ mod tests {
     /// `Π e(ρᵢ·d_Aᵢ, d_Bᵢ) · e(−Σρᵢπᵢ, g₂) = 1`. Test oracle for
     /// [`rlc_pairs`].
     fn ungrouped(context: &[u8], items: &[BatchItem<Acc2>]) -> bool {
-        let rho = batch_coefficients_ctx::<Acc2>(context, items);
+        let rho = batch_coefficients::<Acc2>(context, items);
         let mut pairs = Vec::new();
         let mut agg_pi = G1Projective::identity();
         for ((da, a2, proof), r) in items.iter().zip(&rho) {
@@ -755,8 +750,8 @@ mod tests {
                 .collect();
             let ctx = (n as u64).to_le_bytes();
             assert!(ungrouped(&ctx, &items));
-            assert!(a.batch_verify_disjoint_ctx(&ctx, &items));
-            assert_eq!(a.batch_verify_disjoint_attributed_ctx(&ctx, &items), Ok(()));
+            assert!(a.batch_holds(&ctx, &items));
+            assert_eq!(a.batch_verify_disjoint(&ctx, &items), Ok(()));
             if n > 1 {
                 assert_eq!(rlc_pairs(&ctx, &items).len(), k + 1, "n={n} k={k}");
             }
@@ -772,12 +767,9 @@ mod tests {
                     let mut mutated = items.clone();
                     mutated[pos] = bad;
                     assert!(!ungrouped(&ctx, &mutated), "n={n} pos={pos} corruption={which}");
-                    assert!(
-                        !a.batch_verify_disjoint_ctx(&ctx, &mutated),
-                        "n={n} pos={pos} corruption={which}"
-                    );
+                    assert!(!a.batch_holds(&ctx, &mutated), "n={n} pos={pos} corruption={which}");
                     assert_eq!(
-                        a.batch_verify_disjoint_attributed_ctx(&ctx, &mutated),
+                        a.batch_verify_disjoint(&ctx, &mutated),
                         Err(pos),
                         "n={n} corruption={which}"
                     );
@@ -790,9 +782,9 @@ mod tests {
     fn batch_verify_accepts_valid_batches() {
         let a = acc();
         let items = batch(&a, &[(&[1, 2], &[10, 20]), (&[3], &[30]), (&[4, 4], &[9])]);
-        assert!(a.batch_verify_disjoint(&items));
-        assert!(a.batch_verify_disjoint(&[]));
-        assert!(a.batch_verify_disjoint(&items[..1]));
+        assert_eq!(a.batch_verify_disjoint(&[], &items), Ok(()));
+        assert_eq!(a.batch_verify_disjoint(&[], &[]), Ok(()));
+        assert_eq!(a.batch_verify_disjoint(&[], &items[..1]), Ok(()));
     }
 
     #[test]
@@ -800,43 +792,48 @@ mod tests {
         let a = acc();
         let mut items = batch(&a, &[(&[1, 2], &[10, 20]), (&[3], &[30]), (&[4], &[9])]);
         items[2].2 = Acc2Proof { pi: G1Projective::generator().mul_u64(13).to_affine() };
-        assert!(!a.batch_verify_disjoint(&items));
+        assert_eq!(a.batch_verify_disjoint(&[], &items), Err(2));
         // swapping two otherwise-valid proofs must also fail
         let mut swapped = batch(&a, &[(&[1], &[10]), (&[2], &[20])]);
         let p0 = swapped[0].2;
         swapped[0].2 = swapped[1].2;
         swapped[1].2 = p0;
-        assert!(!a.batch_verify_disjoint(&swapped));
+        assert_eq!(a.batch_verify_disjoint(&[], &swapped), Err(0));
     }
 
     #[test]
     fn attributed_batch_names_the_forged_item() {
         let a = acc();
         let mut items = batch(&a, &[(&[1], &[10]), (&[2], &[20]), (&[3], &[30])]);
-        assert_eq!(a.batch_verify_disjoint_attributed(&items), Ok(()));
+        assert_eq!(a.batch_verify_disjoint(&[], &items), Ok(()));
         items[1].2 = Acc2Proof { pi: G1Projective::generator().mul_u64(99).to_affine() };
-        assert_eq!(a.batch_verify_disjoint_attributed(&items), Err(1));
+        assert_eq!(a.batch_verify_disjoint(&[], &items), Err(1));
     }
 
     #[test]
     fn batch_coefficients_are_deterministic_and_transcript_bound() {
-        // Regression for the hoisted Fiat–Shamir derivation: two calls over
-        // the same items must produce identical coefficients (the batch and
-        // its error-attribution retry see one transcript), and any reorder
-        // of the items must change them. The context-bound variant must
-        // reproduce the plain derivation on an empty context and diverge on
-        // any other — a batch aggregated for one block coverage cannot be
-        // replayed against another even when the item bytes coincide.
-        use crate::batch_coefficients;
+        // Two calls over the same items must produce identical coefficients
+        // (the batch and any retry see one transcript), any reorder of the
+        // items must change them, and so must any change of context — a
+        // batch aggregated for one block coverage cannot be replayed against
+        // another even when the item bytes coincide. The empty-context
+        // derivation is pinned to the values the former context-free
+        // `batch_coefficients` produced, so the transcript layout cannot
+        // drift unnoticed.
         let a = acc();
         let items = batch(&a, &[(&[1], &[10]), (&[2], &[20])]);
-        assert_eq!(batch_coefficients::<Acc2>(&items), batch_coefficients::<Acc2>(&items));
+        let plain = batch_coefficients::<Acc2>(&[], &items);
+        assert_eq!(plain, batch_coefficients::<Acc2>(&[], &items));
         let swapped = vec![items[1], items[0]];
-        assert_ne!(batch_coefficients::<Acc2>(&items), batch_coefficients::<Acc2>(&swapped));
-        assert_eq!(batch_coefficients_ctx::<Acc2>(&[], &items), batch_coefficients::<Acc2>(&items));
+        assert_ne!(plain, batch_coefficients::<Acc2>(&[], &swapped));
+        assert_eq!(
+            format!("{:?}", plain.iter().map(Fr::to_uint).collect::<Vec<_>>()),
+            "[0xb49a86477077c8711f2c6786dd03bb40, 0x20d81307d6513b5aac7262d994020612]"
+        );
+        assert_ne!(plain, batch_coefficients::<Acc2>(b"heights", &items));
         assert_ne!(
-            batch_coefficients_ctx::<Acc2>(b"heights", &items),
-            batch_coefficients_ctx::<Acc2>(b"heights2", &items)
+            batch_coefficients::<Acc2>(b"heights", &items),
+            batch_coefficients::<Acc2>(b"heights2", &items)
         );
     }
 

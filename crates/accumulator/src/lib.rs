@@ -173,26 +173,19 @@ pub type BatchItem<A> =
     (<A as Accumulator>::Operand, <A as Accumulator>::Value, <A as Accumulator>::Proof);
 
 /// The canonical Fiat–Shamir coefficients for a batch of disjointness
-/// triples: one transcript (every operand, clause value and proof, in
-/// order), one derivation. Both constructions'
-/// [`Accumulator::batch_verify_disjoint`] overrides *and* the per-item
-/// error-attribution fallback call this single function, so an aggregated
-/// check and any retry over the same items are guaranteed to see identical
-/// coefficients.
-pub fn batch_coefficients<A: Accumulator>(items: &[BatchItem<A>]) -> Vec<Fr> {
-    batch_coefficients_ctx::<A>(&[], items)
-}
-
-/// [`batch_coefficients`] with an explicit transcript *context* prepended
-/// (length-prefixed, so distinct contexts can never collide by
-/// concatenation). The light client's cross-block window batch feeds the
-/// covered block heights here: the derived coefficients are then bound not
-/// just to the values and proofs in the batch but to *which blocks of the
-/// chain* each triple claims to refute — a proof transplanted between
-/// batches over different coverage sees fresh coefficients even when the
-/// item bytes coincide. An empty context reproduces [`batch_coefficients`]
-/// exactly.
-pub fn batch_coefficients_ctx<A: Accumulator>(context: &[u8], items: &[BatchItem<A>]) -> Vec<Fr> {
+/// triples: one transcript (the length-prefixed `context`, then every
+/// operand, clause value and proof, in order), one derivation. Both
+/// constructions' [`Accumulator::batch_holds`] overrides call this single
+/// function, so there is exactly one transcript layout to audit.
+///
+/// The light client's cross-block window batch feeds the covered block
+/// heights as `context`: the derived coefficients are then bound not just
+/// to the values and proofs in the batch but to *which blocks of the chain*
+/// each triple claims to refute — a proof transplanted between batches over
+/// different coverage sees fresh coefficients even when the item bytes
+/// coincide. The length prefix keeps distinct contexts from colliding by
+/// concatenation.
+pub fn batch_coefficients<A: Accumulator>(context: &[u8], items: &[BatchItem<A>]) -> Vec<Fr> {
     let mut transcript = Vec::with_capacity(8 + context.len());
     transcript.extend_from_slice(&(context.len() as u64).to_le_bytes());
     transcript.extend_from_slice(context);
@@ -269,14 +262,28 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// Prove one multiset disjoint from *each* of several clause sets — the
     /// per-query shape of the SP proving pipeline, where one tree node or
     /// skip entry is refuted against several queries' clauses at once.
+    /// Every clause gets its own `Result`: a clause that intersects `x1` (or
+    /// overflows the key) fails alone, which is what callers whose clause
+    /// list comes from an *approximate* source (e.g. a Bloom-filtered
+    /// candidate classification) need — one stale clause costs one `Err`,
+    /// not the whole batch.
     ///
-    /// The default implementation loops; the constructions override it to
-    /// compute the `X₁`-side witness (Construction 1: the characteristic
-    /// polynomial; Construction 2: the exponent coefficient vector) **once**
-    /// and run only the cheap per-clause finalization in the loop.
-    ///
-    /// Errors follow [`Accumulator::prove_disjoint`]: the first clause that
-    /// intersects `x1` (or overflows the key) aborts the whole call.
+    /// This is the one multi-clause override point. The default
+    /// implementation loops; the constructions override it to compute the
+    /// `X₁`-side witness (Construction 1: the characteristic polynomial;
+    /// Construction 2: the exponent coefficient vector) **once** and run
+    /// only the cheap per-clause finalization in the loop.
+    fn prove_disjoint_each<E: AccElem>(
+        &self,
+        x1: &MultiSet<E>,
+        clauses: &[MultiSet<E>],
+    ) -> Vec<Result<Self::Proof, AccError>> {
+        clauses.iter().map(|c| self.prove_disjoint(x1, c)).collect()
+    }
+
+    /// [`Accumulator::prove_disjoint_each`] for callers that need all the
+    /// proofs or none: the first failing clause's error aborts the call, as
+    /// [`Accumulator::prove_disjoint`] would report it.
     ///
     /// ```
     /// use rand::rngs::StdRng;
@@ -298,23 +305,7 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
         x1: &MultiSet<E>,
         clauses: &[MultiSet<E>],
     ) -> Result<Vec<Self::Proof>, AccError> {
-        clauses.iter().map(|c| self.prove_disjoint(x1, c)).collect()
-    }
-
-    /// [`Accumulator::prove_disjoint_many`] with per-clause error
-    /// attribution: instead of the first intersecting clause aborting the
-    /// whole call, every clause gets its own `Result`, and the X₁-side
-    /// witness is still shared across the successful ones.
-    ///
-    /// This is the recovery path for callers whose clause list comes from an
-    /// *approximate* source (e.g. a Bloom-filtered candidate classification):
-    /// one stale clause should cost one `Err`, not the whole batch.
-    fn prove_disjoint_each<E: AccElem>(
-        &self,
-        x1: &MultiSet<E>,
-        clauses: &[MultiSet<E>],
-    ) -> Vec<Result<Self::Proof, AccError>> {
-        clauses.iter().map(|c| self.prove_disjoint(x1, c)).collect()
+        self.prove_disjoint_each(x1, clauses).into_iter().collect()
     }
 
     /// `VerifyDisjoint(acc(X₁), acc(X₂), π, pk) → {0, 1}`.
@@ -350,17 +341,12 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
         Err(AccError::AggregationUnsupported)
     }
 
-    /// Verify many `(acc(X₁), acc(X₂), π)` triples at once.
-    ///
-    /// The default implementation simply loops; the pairing-based
-    /// constructions override it with a random-linear-combination
-    /// aggregation — one aggregated check replaces many independent ones —
-    /// that folds every triple into a *single* multi-pairing (one shared
-    /// Miller loop, one final exponentiation). The combination
-    /// coefficients are 128-bit scalars derived Fiat–Shamir-style from the
-    /// whole transcript, so a cheating prover cannot anticipate them: a
-    /// batch containing any invalid triple passes with probability at most
-    /// `≈ 2⁻¹²⁸`.
+    /// Verify many `(acc(X₁), acc(X₂), π)` triples at once; on rejection,
+    /// `Err(i)` names the first invalid triple. This is the one batch
+    /// entry point: the aggregated check is [`Accumulator::batch_holds`]
+    /// over `context` and `items`, and only when it fails is each triple
+    /// re-verified solo to attribute the failure (so attribution is
+    /// context-independent).
     ///
     /// ```
     /// use rand::rngs::StdRng;
@@ -377,47 +363,14 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     ///         (operand, acc.setup(&b), acc.prove_disjoint(&a, &b).unwrap())
     ///     })
     ///     .collect();
-    /// assert!(acc.batch_verify_disjoint(&items)); // one multi-pairing, not two
+    /// assert_eq!(acc.batch_verify_disjoint(&[], &items), Ok(())); // one multi-pairing, not two
     /// ```
-    fn batch_verify_disjoint(&self, items: &[BatchItem<Self>]) -> bool {
-        self.batch_verify_disjoint_ctx(&[], items)
-    }
-
-    /// [`Accumulator::batch_verify_disjoint`] with a transcript context:
-    /// the Fiat–Shamir coefficients are derived by
-    /// [`batch_coefficients_ctx`], binding them to caller-supplied bytes
-    /// (the light client passes the covered block heights) in addition to
-    /// the batch itself. The default implementation loops per item — each
-    /// triple is checked solo, no coefficients are derived, so the context
-    /// is irrelevant and ignored; the RLC overrides in [`Acc1`] / [`Acc2`]
-    /// thread it into the shared transcript.
-    fn batch_verify_disjoint_ctx(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
-        let _ = context;
-        items.iter().all(|(a1, a2, proof)| self.verify_operand(a1, a2, proof))
-    }
-
-    /// [`Accumulator::batch_verify_disjoint`] with error attribution: on
-    /// rejection, returns `Err(i)` naming the first invalid triple.
-    ///
-    /// The aggregated check and the per-item fallback run over the *same*
-    /// item slice, and the Fiat–Shamir coefficients are derived exactly once
-    /// per slice by [`batch_coefficients`] — an earlier revision re-derived
-    /// them inside each construction's retry path, which made the fallback's
-    /// transcript observably different from the batch it was explaining.
-    fn batch_verify_disjoint_attributed(&self, items: &[BatchItem<Self>]) -> Result<(), usize> {
-        self.batch_verify_disjoint_attributed_ctx(&[], items)
-    }
-
-    /// [`Accumulator::batch_verify_disjoint_attributed`] over a context-
-    /// bound transcript (see [`Accumulator::batch_verify_disjoint_ctx`]).
-    /// The per-item fallback re-verifies each triple solo, so attribution
-    /// is context-independent; only the aggregated fast path consumes it.
-    fn batch_verify_disjoint_attributed_ctx(
+    fn batch_verify_disjoint(
         &self,
         context: &[u8],
         items: &[BatchItem<Self>],
     ) -> Result<(), usize> {
-        if items.is_empty() || self.batch_verify_disjoint_ctx(context, items) {
+        if self.batch_holds(context, items) {
             return Ok(());
         }
         for (i, (a1, a2, proof)) in items.iter().enumerate() {
@@ -428,6 +381,23 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
         // Unreachable in practice: an all-valid batch satisfies the RLC
         // identity with probability 1. Fail closed regardless.
         Err(0)
+    }
+
+    /// Whether every triple of the batch verifies — the one override point
+    /// behind [`Accumulator::batch_verify_disjoint`].
+    ///
+    /// The default implementation checks each triple solo (no coefficients
+    /// are derived, so `context` is unused); the pairing-based
+    /// constructions override it with a random-linear-combination
+    /// aggregation that folds every triple into a *single* multi-pairing
+    /// (one shared Miller loop, one final exponentiation). The combination
+    /// coefficients are 128-bit scalars derived Fiat–Shamir-style by
+    /// [`batch_coefficients`] from `context` and the whole batch, so a
+    /// cheating prover cannot anticipate them: a batch containing any
+    /// invalid triple passes with probability at most `≈ 2⁻¹²⁸`.
+    fn batch_holds(&self, context: &[u8], items: &[BatchItem<Self>]) -> bool {
+        let _ = context;
+        items.iter().all(|(a1, a2, proof)| self.verify_operand(a1, a2, proof))
     }
 
     /// Canonical bytes of a value, for embedding in block-header hashes.

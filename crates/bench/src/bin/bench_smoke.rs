@@ -275,7 +275,7 @@ fn main() {
             (acc2.setup(&xa).da, acc2.setup(&xb), acc2.prove_disjoint(&xa, &xb).unwrap())
         })
         .collect();
-    let t = time("batch_verify_disjoint_acc2_32", 5, || acc2.batch_verify_disjoint(&batch));
+    let t = time("batch_verify_disjoint_acc2_32", 5, || acc2.batch_verify_disjoint(&[], &batch));
     timings.push(Timing {
         name: "batch_verify_disjoint_acc2_per_item",
         iters: t.iters,
@@ -330,47 +330,39 @@ fn main() {
 
     // --- checked VO wire decode ------------------------------------------
     // A full window response through the untrusted byte boundary: structural
-    // parse plus a checked deserialization of every accumulator value and
-    // proof in the VO (the price a light client pays before verification
-    // proper begins).
+    // parse plus a checked deserialization of every proof in the VO (the
+    // price a light client pays before verification proper begins).
     let resp = sp.time_window_query(&windows[0]);
-    let encoded = vchain_core::wire::encode_response(&resp);
+    let encoded = vchain_core::wire::encode_response_v2(&resp);
     let sp_acc = sp.acc.clone();
     eprintln!("[bench-smoke] vo_decode_checked input: {} bytes", encoded.len());
     timings.push(time("vo_decode_checked", 5, || {
-        vchain_core::wire::decode_response(&sp_acc, &encoded).expect("honest VO decodes")
+        vchain_core::wire::decode_response_v2(&sp_acc, &encoded).expect("honest VO decodes")
     }));
 
     // --- light-client pipeline: dedup encoding, streaming, batching -------
     // The 8-window scan above, now on the client side. `vo_bytes` is the
-    // scan's wire size under the deduplicating v2 encoding (shared intern
-    // table across all windows) with the per-window v1 total as its twin;
-    // `client_verify_window_us` is the per-window mean of streamed
-    // verification with one cross-window pairing batch, with the per-block
-    // path (decode the window's v1 bytes, then one RLC flush per window) as
-    // its twin — both twins start from wire bytes, the position a real
-    // client is in; peak buffer is the streaming client's high-water
-    // memory. Byte-count entries ride the `us_per_iter` field, like
-    // `sp_serve_qps` rides it for a rate.
+    // scan's wire size as one frame stream (one intern table shared across
+    // all windows); `client_verify_window_us` is the per-window mean of
+    // streamed verification with one cross-window pairing batch, with the
+    // per-block path (decode each window's one-shot bytes, then one RLC
+    // flush per window) as its twin — both twins start from wire bytes,
+    // the position a real client is in; peak buffer is the streaming
+    // client's high-water memory. Byte-count entries ride the `us_per_iter`
+    // field, like `sp_serve_qps` rides it for a rate.
     let scan_responses = sp.time_window_queries(&windows);
-    let v1_total: usize =
-        scan_responses.iter().map(|r| vchain_core::wire::encode_response(r).len()).sum();
-    let v2_total = vchain_core::wire::encode_scan_v2(&scan_responses).len();
-    eprintln!(
-        "[bench-smoke] vo_bytes: v2 scan {} vs v1 total {} ({:.1}% saved)",
-        v2_total,
-        v1_total,
-        100.0 * (1.0 - v2_total as f64 / v1_total as f64)
-    );
-    assert!(
-        5 * v2_total < 4 * v1_total,
-        "scan-level v2 encoding must stay >=20% below the v1 total \
-         (v2={v2_total}, v1={v1_total})"
-    );
-    timings.push(Timing { name: "vo_bytes", iters: 1, us_per_iter: v2_total as f64 });
-    timings.push(Timing { name: "vo_bytes_v1", iters: 1, us_per_iter: v1_total as f64 });
-
+    let one_shot: Vec<Vec<u8>> =
+        scan_responses.iter().map(vchain_core::wire::encode_response_v2).collect();
     let scan_stream = vchain_core::wire::encode_scan_stream(&scan_responses);
+    let one_shot_total: usize = one_shot.iter().map(Vec::len).sum();
+    eprintln!(
+        "[bench-smoke] vo_bytes: stream {} vs {} as eight one-shot responses ({:.1}% saved)",
+        scan_stream.len(),
+        one_shot_total,
+        100.0 * (1.0 - scan_stream.len() as f64 / one_shot_total as f64)
+    );
+    timings.push(Timing { name: "vo_bytes", iters: 1, us_per_iter: scan_stream.len() as f64 });
+
     let n_windows = windows.len() as f64;
     let stream_scan = || {
         let mut sv = vchain_core::client::StreamVerifier::new(
@@ -386,13 +378,9 @@ fn main() {
         sv.finish().expect("honest stream verifies")
     };
     let t_batched = time("client_verify_window_scan", 3, stream_scan);
-    let v1_encoded: Vec<Vec<u8>> =
-        scan_responses.iter().map(vchain_core::wire::encode_response).collect();
     let t_per_block = time("client_verify_window_scan_per_block", 3, || {
-        for (q, bytes) in windows.iter().zip(&v1_encoded) {
-            let resp =
-                vchain_core::wire::decode_response(&sp_acc, bytes).expect("honest window decodes");
-            vchain_core::verify::verify_response(q, &resp, &scan_light, &scan_cfg, &sp_acc)
+        for (q, bytes) in windows.iter().zip(&one_shot) {
+            vchain_core::verify::verify_encoded_response(q, bytes, &scan_light, &scan_cfg, &sp_acc)
                 .expect("honest window verifies");
         }
     });

@@ -346,7 +346,7 @@ fn subscription_run<A: Accumulator>(
     let mut vo_bytes = 0usize;
     let mut verify_updates = |updates: Vec<SubscriptionUpdate<A>>, light: &LightClient| {
         for u in &updates {
-            vo_bytes += u.response().vo_size_bytes(&acc);
+            vo_bytes += u.coverage.iter().map(|c| c.vo_size_bytes(&acc)).sum::<usize>();
             let (_, d) = timed(|| {
                 verify_subscription_update(&cq, u, light, &cfg, &acc).expect("update verifies")
             });

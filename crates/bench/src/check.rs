@@ -50,9 +50,9 @@ pub struct Entry {
 /// Parse the `bench_smoke` JSON emitter's output (see its `main`): a
 /// `vchain-bench-smoke/v1` schema header and one `{"name": …,
 /// "us_per_iter": …}` object per timing. Hand-rolled on purpose — the
-/// workspace's offline `serde` shim has no JSON layer, and accepting only
-/// the emitter's shape means a malformed file fails loudly here rather
-/// than comparing garbage.
+/// offline workspace has no JSON crate, and accepting only the emitter's
+/// shape means a malformed file fails loudly here rather than comparing
+/// garbage.
 pub fn parse(json: &str) -> Result<Vec<Entry>, String> {
     if !json.contains("vchain-bench-smoke/v1") {
         return Err("missing vchain-bench-smoke/v1 schema marker".into());

@@ -1,6 +1,5 @@
 //! Blocks and block headers (paper Figs. 2 & 4).
 
-use serde::{Deserialize, Serialize};
 use vchain_hash::{hash_concat, Digest};
 
 use crate::object::Object;
@@ -12,7 +11,7 @@ use crate::pow::{verify_nonce, Difficulty};
 /// intra-block authenticated index, the paper's MerkleRoot over Fig. 6) and
 /// `skiplist_root` (committing the inter-block index, Fig. 7;
 /// `Digest::ZERO` when the deployment does not use one).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockHeader {
     pub height: u64,
     /// `PreBkHash`.
@@ -65,7 +64,7 @@ impl BlockHeader {
 }
 
 /// A full block: header plus the object payload (full nodes only).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
     pub header: BlockHeader,
     pub objects: Vec<Object>,

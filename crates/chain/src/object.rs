@@ -1,6 +1,5 @@
 //! Temporal data objects `oᵢ = ⟨tᵢ, Vᵢ, Wᵢ⟩` (paper §3).
 
-use serde::{Deserialize, Serialize};
 use vchain_hash::{hash_concat, Digest};
 
 /// A globally unique object identifier (assigned by the data source).
@@ -14,7 +13,7 @@ pub type ObjectId = u64;
 /// let o = Object::new(1, 1000, vec![4, 2], vec!["Sedan".into(), "Benz".into()]);
 /// assert_eq!(o.numeric.len(), 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Object {
     pub id: ObjectId,
     /// The timestamp `tᵢ`.

@@ -194,11 +194,11 @@ impl Adversary {
 
     // -- v2 / stream mutations --------------------------------------------
     //
-    // These operate on the byte layouts of `wire::encode_response_v2`,
-    // `wire::encode_scan_v2` and `wire::encode_scan_stream`: an intern
-    // table (`u32 N ‖ N × (u32 len ‖ bytes)`) either directly after the
-    // version byte (one-shot v2) or inside the stream's header frame, and
-    // a frame envelope of `u32 len ‖ u32 seq ‖ u8 tag ‖ body`.
+    // These operate on the byte layouts of `wire::encode_response_v2` and
+    // `wire::encode_scan_stream`: an intern table
+    // (`u32 N ‖ N × (u32 len ‖ bytes)`) either directly after the version
+    // byte (one-shot) or inside the stream's header frame, and a frame
+    // envelope of `u32 len ‖ u32 seq ‖ u8 tag ‖ body`.
 
     /// Byte ranges of the intern-table entries of a table starting at
     /// `offset` (the position of the entry-count `u32`). Returns the count

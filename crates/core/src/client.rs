@@ -21,8 +21,10 @@
 //! shared [`DisjointBatch`] ([`WindowScan`]), so an 8-window scan pays a
 //! single aggregated pairing flush instead of eight.
 //!
-//! The codec is version-negotiated end to end — a v2-speaking client keeps
-//! accepting v1 bytes:
+//! A response has one body encoding with two deliveries — one-shot
+//! ([`crate::wire::encode_response_v2`]) and framed
+//! ([`crate::wire::encode_scan_stream`]) — and both verify to the same
+//! results:
 //!
 //! ```
 //! # use rand::rngs::StdRng;
@@ -42,20 +44,17 @@
 //! # let sp = miner.into_service_provider();
 //! # let q = Query { time_window: Some((0, 40)), ranges: vec![], keywords: vec![vec!["Sedan".into()]] }
 //! #     .compile(cfg.domain_bits);
+//! use vchain_core::client::{PipelineMode, StreamVerifier};
 //! use vchain_core::verify::verify_encoded_response;
-//! use vchain_core::wire::{decode_response_auto, encode_response, encode_response_v2, WireVersion};
+//! use vchain_core::wire::{encode_response_v2, encode_scan_stream};
 //!
 //! let resp = sp.time_window_query(&q);
-//! let v1 = encode_response(&resp);
-//! let v2 = encode_response_v2(&resp);
-//! // the auto decoder dispatches on the version byte …
-//! assert_eq!(decode_response_auto(&acc, &v1).unwrap().1, WireVersion::V1);
-//! assert_eq!(decode_response_auto(&acc, &v2).unwrap().1, WireVersion::V2);
-//! // … so the one verification entry point accepts both encodings.
-//! let r1 = verify_encoded_response(&q, &v1, &light, &cfg, &acc).unwrap();
-//! let r2 = verify_encoded_response(&q, &v2, &light, &cfg, &acc).unwrap();
-//! assert_eq!(r1, r2);
-//! assert_eq!(r1.len(), 1);
+//! let one_shot = verify_encoded_response(&q, &encode_response_v2(&resp), &light, &cfg, &acc);
+//! let mut v = StreamVerifier::for_query(q, light.clone(), cfg, acc.clone(), PipelineMode::Inline);
+//! v.feed(&encode_scan_stream(&[resp])).unwrap();
+//! let (windows, _stats) = v.finish().unwrap();
+//! assert_eq!(windows[0], one_shot.unwrap());
+//! assert_eq!(windows[0].len(), 1);
 //! ```
 
 // Like `verify`, this module runs on attacker-shaped input (the decoded
@@ -73,7 +72,7 @@ use vchain_chain::{LightClient, Object};
 use crate::miner::MinerConfig;
 use crate::query::CompiledQuery;
 use crate::verify::{DisjointBatch, VerifyError, WindowVerifier};
-use crate::vo::{BlockCoverage, QueryResponse};
+use crate::vo::BlockCoverage;
 use crate::wire::{StreamDecoder, StreamEvent, WireError};
 
 /// How many decoded-but-unverified coverage entries the pipeline may hold
@@ -140,6 +139,7 @@ pub struct StreamStats {
 /// # for h in miner.headers() { light.sync_header(h).unwrap(); }
 /// # let sp = miner.into_service_provider();
 /// use vchain_core::client::WindowScan;
+/// use vchain_core::vo::BlockCoverage;
 ///
 /// // Two overlapping windows over the same chain.
 /// let queries: Vec<_> = [(0u64, 25u64), (15, 40)]
@@ -152,8 +152,17 @@ pub struct StreamStats {
 /// let responses: Vec<_> = queries.iter().map(|q| sp.time_window_query(q)).collect();
 ///
 /// let mut scan = WindowScan::new(queries, light.clone(), cfg);
-/// for resp in &responses {
-///     scan.verify_response(&acc, resp).unwrap();
+/// for (window, resp) in responses.iter().enumerate() {
+///     for cov in &resp.coverage {
+///         // a block entry travels with that block's result objects
+///         let objs = match cov {
+///             BlockCoverage::Block { height, .. } => {
+///                 resp.results.iter().find(|(h, _)| h == height).map_or(&[][..], |(_, o)| o)
+///             }
+///             BlockCoverage::Skip { .. } => &[],
+///         };
+///         scan.entry(&acc, window, cov, objs).unwrap();
+///     }
 /// }
 /// // Both windows' disjointness proofs are still pending in ONE batch …
 /// assert!(scan.pending_checks() > 0);
@@ -255,42 +264,6 @@ impl<A: Accumulator> WindowScan<A> {
         self.open_current()?.entry(acc, cov, block_results)
     }
 
-    /// Verify a whole response as the scan's next window (the non-streamed
-    /// flavour: same structural and hash checks as
-    /// [`crate::verify::verify_response`], but the pairing checks join the
-    /// shared cross-window batch instead of flushing per response).
-    pub fn verify_response(
-        &mut self,
-        acc: &A,
-        response: &QueryResponse<A>,
-    ) -> Result<(), VerifyError> {
-        let results_by_height: std::collections::BTreeMap<u64, &Vec<Object>> =
-            response.results.iter().map(|(h, v)| (*h, v)).collect();
-        if results_by_height.len() != response.results.len() {
-            return Err(VerifyError::ResultIndexing { height: 0 });
-        }
-        let window = self.current_idx;
-        static EMPTY: Vec<Object> = Vec::new();
-        for cov in &response.coverage {
-            let block_results = match cov {
-                BlockCoverage::Block { height, .. } => {
-                    results_by_height.get(height).copied().unwrap_or(&EMPTY)
-                }
-                BlockCoverage::Skip { .. } => &EMPTY,
-            };
-            self.entry(acc, window, cov, block_results)?;
-        }
-        // Close immediately so result-smuggling across heights is caught
-        // with the window's own expected set.
-        let expected = self.open_current()?.expected().clone();
-        for h in results_by_height.keys() {
-            if !expected.contains(h) {
-                return Err(VerifyError::ResultIndexing { height: *h });
-            }
-        }
-        self.close_current()
-    }
-
     /// Close any remaining windows, flush the one shared pairing batch,
     /// and return each window's verified results. Until this returns `Ok`,
     /// no result of any window is trustworthy.
@@ -342,11 +315,11 @@ enum Stage<A: Accumulator> {
 /// # let q = Query { time_window: Some((0, 40)), ranges: vec![], keywords: vec![vec!["Sedan".into()]] }
 /// #     .compile(cfg.domain_bits);
 /// use vchain_core::client::{PipelineMode, StreamVerifier};
-/// use vchain_core::wire::encode_response_stream;
+/// use vchain_core::wire::encode_scan_stream;
 ///
 /// // The SP frames the response; the client verifies it as it arrives,
 /// // with decode and verify overlapped on a worker thread.
-/// let stream = encode_response_stream(&sp.time_window_query(&q));
+/// let stream = encode_scan_stream(&[sp.time_window_query(&q)]);
 /// let mut v = StreamVerifier::for_query(q, light.clone(), cfg, acc.clone(), PipelineMode::Worker);
 /// for chunk in stream.chunks(64) {
 ///     v.feed(chunk).unwrap();
@@ -380,9 +353,9 @@ enum Stage<A: Accumulator> {
 /// # let q = Query { time_window: Some((0, 100)), ranges: vec![], keywords: vec![vec!["Sedan".into()]] }
 /// #     .compile(cfg.domain_bits);
 /// use vchain_core::client::{PipelineMode, StreamVerifier};
-/// use vchain_core::wire::encode_response_stream;
+/// use vchain_core::wire::encode_scan_stream;
 ///
-/// let stream = encode_response_stream(&sp.time_window_query(&q));
+/// let stream = encode_scan_stream(&[sp.time_window_query(&q)]);
 /// let mut v = StreamVerifier::for_query(q, light.clone(), cfg, acc.clone(), PipelineMode::Inline);
 /// for chunk in stream.chunks(128) {
 ///     v.feed(chunk).unwrap();

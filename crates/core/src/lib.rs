@@ -16,12 +16,12 @@
 //! * [`inter`] — the skip-list inter-block index (§6.2, Algorithm 4).
 //! * [`miner`] / [`sp`] / [`verify`] — the three roles of Fig. 3: the miner
 //!   embeds ADS commitments into block headers, the service provider answers
-//!   queries with verification objects, and the light-client user checks
+//!   queries with verification objects (online batch verification via
+//!   `Sum`/`ProofSum`, §6.3, included), and the light-client user checks
 //!   soundness and completeness against block headers alone.
-//! * [`batch`] — online batch verification via `Sum`/`ProofSum` (§6.3).
 //! * [`client`] / [`wire`] — the light client's streamed verification
 //!   pipeline: frame-by-frame VO delivery with bounded buffering, the
-//!   deduplicating v2 wire encoding, and cross-window pairing batching
+//!   deduplicating wire encoding, and cross-window pairing batching
 //!   (see `docs/LIGHT_CLIENT.md`).
 //! * [`subscribe`] / [`iptree`] — verifiable subscription queries with the
 //!   inverted prefix tree (§7.1, Algorithms 6/7) and lazy authentication
@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod batch;
 pub mod bloom;
 pub mod cache;
 pub mod client;
@@ -76,8 +75,7 @@ pub use verify::{
 };
 pub use vo::{BlockCoverage, ClauseRef, QueryResponse, VoNode, VoSize};
 pub use wire::{
-    decode_bloom, decode_response, decode_response_auto, decode_response_v2, decode_scan_v2,
-    decode_update, encode_bloom, encode_response, encode_response_stream, encode_response_v2,
-    encode_scan_stream, encode_scan_v2, encode_update, StreamDecoder, StreamEvent, WireError,
-    WireVersion, MAX_FRAME_BYTES, MAX_VO_DEPTH,
+    decode_bloom, decode_response_v2, decode_update, encode_bloom, encode_response_v2,
+    encode_scan_stream, encode_update, StreamDecoder, StreamEvent, WireError, MAX_FRAME_BYTES,
+    MAX_VO_DEPTH,
 };

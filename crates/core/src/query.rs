@@ -8,7 +8,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use vchain_acc::MultiSet;
 use vchain_chain::Object;
 
@@ -82,7 +81,7 @@ impl Cnf {
 }
 
 /// A per-dimension numeric range predicate `lo ≤ V[dim] ≤ hi` (inclusive).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RangeSpec {
     /// 0-based numeric dimension.
     pub dim: u8,
@@ -108,7 +107,7 @@ pub struct RangeSpec {
 /// let compiled = q.compile(8);
 /// assert_eq!(compiled.cnf.0.len(), 3); // 1 range clause + 2 boolean clauses
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Query {
     /// `[ts, te]` for time-window queries; `None` for subscriptions.
     pub time_window: Option<(u64, u64)>,

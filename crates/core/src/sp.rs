@@ -177,15 +177,6 @@ impl<A: Accumulator> ServiceProvider<A> {
         out.into_iter().map(|o| o.expect("every chunk slot is written")).collect()
     }
 
-    /// Answer a multi-window scan and frame it for streamed delivery: the
-    /// responses of [`ServiceProvider::time_window_queries`] serialized by
-    /// [`crate::wire::encode_scan_frames`] — one shared v2 intern table in
-    /// the header frame, then one frame per coverage entry, ready for a
-    /// [`crate::client::StreamVerifier`] on the other end.
-    pub fn time_window_scan_stream(&self, queries: &[CompiledQuery]) -> Vec<Vec<u8>> {
-        crate::wire::encode_scan_frames(&self.time_window_queries(queries))
-    }
-
     /// Try the largest skip at block `cur` covering `cur-distance ..= cur-1`
     /// entirely inside `[start, cur-1]` whose summary mismatches the query.
     fn try_skip(

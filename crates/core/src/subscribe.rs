@@ -23,7 +23,7 @@
 //! against the exact root multiset), every non-candidate gets the same
 //! root-level refutation the reference walk would emit (first disjoint
 //! clause, or shared grid cell), the distinct refutations are proven once
-//! through [`Accumulator::prove_disjoint_many`] + the shared
+//! through [`Accumulator::prove_disjoint_each`] + the shared
 //! [`ProofCache`], and only the candidates walk the tree. The original walk
 //! survives as [`WalkStrategy::Naive`] — the in-tree reference twin that the
 //! differential suite (`tests/subscribe_diff.rs`) pins the fast path against
@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use vchain_acc::{AccError, Accumulator, MultiSet};
+use vchain_acc::{Accumulator, MultiSet};
 use vchain_chain::{Block, LightClient, Object};
 use vchain_hash::Digest;
 
@@ -46,7 +46,7 @@ use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::{CompiledQuery, Query};
 use crate::subindex::SubscriptionIndex;
 use crate::verify::{verify_with_expected, VerifyError};
-use crate::vo::{Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, QueryResponse, VoNode};
+use crate::vo::{Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, VoNode};
 
 /// Publication policy (paper §7.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,13 +74,6 @@ pub struct SubscriptionUpdate<A: Accumulator> {
     pub coverage: Vec<BlockCoverage<A>>,
 }
 
-impl<A: Accumulator> SubscriptionUpdate<A> {
-    /// View the update as a standard query response (for verification).
-    pub fn response(&self) -> QueryResponse<A> {
-        QueryResponse { results: self.results.clone(), coverage: self.coverage.clone() }
-    }
-}
-
 /// Verify a subscription update against the light client's headers: the
 /// same soundness/completeness machinery as time-window queries, with the
 /// expected coverage being the update's height interval.
@@ -104,7 +97,7 @@ pub fn verify_subscription_update<A: Accumulator>(
         });
     }
     let expected = (update.from_height..=update.to_height).collect();
-    verify_with_expected(q, &update.response(), light, cfg, acc, expected)
+    verify_with_expected(q, &update.results, &update.coverage, light, cfg, acc, expected)
 }
 
 /// Verify a subscription update straight from untrusted wire bytes:
@@ -483,7 +476,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
     /// 3. replicate the IP-Tree walk's root-level cell priority for queries
     ///    whose enclosing cell has absent slabs;
     /// 4. resolve the distinct refutations through the cross-block cache +
-    ///    one [`Accumulator::prove_disjoint_many`]; a clause that fails to
+    ///    one [`Accumulator::prove_disjoint_each`]; a clause that fails to
     ///    prove (possible only when the filter lied — see `corrupt_bloom`
     ///    fault injection) demotes its queries to the walk, so corruption
     ///    costs work, never correctness;
@@ -575,14 +568,10 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             if !misses.is_empty() {
                 let clauses: Vec<MultiSet<ElementId>> =
                     misses.iter().map(|&i| pending[i].0.clone()).collect();
-                let results: Vec<Result<A::Proof, AccError>> =
-                    match self.acc.prove_disjoint_many(root_ms, &clauses) {
-                        Ok(proofs) => proofs.into_iter().map(Ok).collect(),
-                        // Some clause is not actually disjoint (a lying
-                        // Bloom filter skipped a present literal): attribute
-                        // per clause, keep the good proofs.
-                        Err(_) => self.acc.prove_disjoint_each(root_ms, &clauses),
-                    };
+                // A clause that is not actually disjoint (a lying Bloom
+                // filter skipped a present literal) fails alone; the good
+                // proofs are kept.
+                let results = self.acc.prove_disjoint_each(root_ms, &clauses);
                 for (&i, res) in misses.iter().zip(results) {
                     if let Ok(proof) = res {
                         self.cache

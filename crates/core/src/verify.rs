@@ -127,8 +127,8 @@ impl std::error::Error for VerifyError {}
 /// Verify a time-window query response straight from untrusted wire bytes:
 /// structural decode ([`crate::wire`]) then full verification. This is the
 /// light client's network-facing entry point — no input can panic it.
-/// Accepts both wire codec versions ([`crate::wire::decode_response_auto`]),
-/// so a v2-speaking client keeps interoperating with a v1-encoding SP.
+/// There is one response encoding ([`crate::wire::encode_response_v2`]);
+/// any other leading version byte is rejected before anything is parsed.
 pub fn verify_encoded_response<A: Accumulator>(
     q: &CompiledQuery,
     bytes: &[u8],
@@ -136,8 +136,7 @@ pub fn verify_encoded_response<A: Accumulator>(
     cfg: &MinerConfig,
     acc: &A,
 ) -> Result<Vec<Object>, VerifyError> {
-    let (response, _version) =
-        crate::wire::decode_response_auto(acc, bytes).map_err(VerifyError::Malformed)?;
+    let response = crate::wire::decode_response_v2(acc, bytes).map_err(VerifyError::Malformed)?;
     verify_response(q, &response, light, cfg, acc)
 }
 
@@ -159,7 +158,7 @@ pub fn verify_response<A: Accumulator>(
         .filter(|h| h.timestamp >= ts && h.timestamp <= te)
         .map(|h| h.height)
         .collect();
-    verify_with_expected(q, response, light, cfg, acc, expected)
+    verify_with_expected(q, &response.results, &response.coverage, light, cfg, acc, expected)
 }
 
 /// Deferred disjointness checks, collected across a whole response — or,
@@ -177,7 +176,7 @@ pub fn verify_response<A: Accumulator>(
 ///
 /// The Fiat–Shamir transcript for the batch coefficients is bound to the
 /// covered block heights in push order
-/// ([`vchain_acc::Accumulator::batch_verify_disjoint_attributed_ctx`]):
+/// ([`vchain_acc::Accumulator::batch_verify_disjoint`]'s `context`):
 /// the *cross-block transcript*. Coefficients are verifier-local, so this
 /// binding changes nothing on the wire.
 pub struct DisjointBatch<A: Accumulator> {
@@ -241,15 +240,14 @@ impl<A: Accumulator> DisjointBatch<A> {
         ctx
     }
 
-    /// Run the aggregated check; on rejection the accumulator's attributed
-    /// fallback re-verifies the *same* item slice (with the Fiat–Shamir
-    /// coefficients derived once — see
-    /// [`vchain_acc::Accumulator::batch_verify_disjoint_attributed_ctx`])
-    /// so the error still names the offending height.
+    /// Run the aggregated check
+    /// ([`vchain_acc::Accumulator::batch_verify_disjoint`]); on rejection
+    /// its per-item fallback re-verifies the *same* item slice, so the
+    /// error still names the offending height.
     pub fn flush(self, acc: &A) -> Result<(), VerifyError> {
         let ctx = self.context();
-        acc.batch_verify_disjoint_attributed_ctx(&ctx, &self.items).map_err(|i| {
-            VerifyError::BadProof { height: self.heights.get(i).copied().unwrap_or(0) }
+        acc.batch_verify_disjoint(&ctx, &self.items).map_err(|i| VerifyError::BadProof {
+            height: self.heights.get(i).copied().unwrap_or(0),
         })
     }
 }
@@ -475,24 +473,26 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
 /// Core verification against an explicit set of expected block heights —
 /// shared by time-window queries and subscription updates (§7), whose
 /// expected coverage is the interval since the last update. Drives a
-/// [`WindowVerifier`] over the response's coverage entries.
+/// [`WindowVerifier`] over the coverage entries, pairing each block entry
+/// with its claimed result objects.
 pub fn verify_with_expected<A: Accumulator>(
     q: &CompiledQuery,
-    response: &QueryResponse<A>,
+    results: &[(u64, Vec<Object>)],
+    coverage: &[BlockCoverage<A>],
     light: &LightClient,
     cfg: &MinerConfig,
     acc: &A,
     expected: BTreeSet<u64>,
 ) -> Result<Vec<Object>, VerifyError> {
     let results_by_height: BTreeMap<u64, &Vec<Object>> =
-        response.results.iter().map(|(h, v)| (*h, v)).collect();
-    if results_by_height.len() != response.results.len() {
+        results.iter().map(|(h, v)| (*h, v)).collect();
+    if results_by_height.len() != results.len() {
         return Err(VerifyError::ResultIndexing { height: 0 });
     }
 
     let mut verifier = WindowVerifier::new(Cow::Borrowed(q), Cow::Borrowed(light), *cfg, expected);
     static EMPTY: Vec<Object> = Vec::new();
-    for cov in &response.coverage {
+    for cov in coverage {
         let block_results = match cov {
             BlockCoverage::Block { height, .. } => {
                 results_by_height.get(height).copied().unwrap_or(&EMPTY)
@@ -567,26 +567,8 @@ pub fn resolve_clause<A: Accumulator>(
     Some(v)
 }
 
-/// Verify one block VO and return the reconstructed ADS root. Standalone
-/// entry point: runs its own (per-block) pairing batch. Response-level
-/// verification uses [`verify_with_expected`], which batches across blocks.
-pub fn verify_block_vo<A: Accumulator>(
-    vo: &BlockVo<A>,
-    block_results: &[Object],
-    q: &CompiledQuery,
-    acc: &A,
-    height: u64,
-    cfg: &MinerConfig,
-    clause_cache: &mut ClauseCache<A>,
-) -> Result<Digest, VerifyError> {
-    let mut batch = DisjointBatch::new();
-    let root =
-        verify_block_vo_into(vo, block_results, q, acc, height, cfg, clause_cache, &mut batch)?;
-    batch.flush(acc)?;
-    Ok(root)
-}
-
-/// [`verify_block_vo`] with the pairing checks deferred into `batch`.
+/// Verify one block VO and return the reconstructed ADS root, with the
+/// pairing checks deferred into `batch`.
 #[allow(clippy::too_many_arguments)]
 fn verify_block_vo_into<A: Accumulator>(
     vo: &BlockVo<A>,

@@ -6,8 +6,9 @@
 //! subtrees carry a disjointness proof, matched leaves point into the result
 //! set. Inter-block skips and §6.3 batch-verification groups ride alongside.
 //!
-//! On the wire a VO travels in the [`crate::wire`] codec — v1 raw slots or
-//! the deduplicating v2 intern-table encoding — and can be delivered as a
+//! On the wire a VO travels in the [`crate::wire`] codec — the
+//! deduplicating intern-table encoding for responses, raw slots for
+//! subscription updates — and can be delivered as a
 //! frame stream verified incrementally by [`crate::client`]; see
 //! `docs/LIGHT_CLIENT.md` for byte layouts and the pipeline architecture.
 

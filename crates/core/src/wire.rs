@@ -26,6 +26,15 @@
 //!   input re-encodes byte-identically (there is exactly one encoding per
 //!   value), so byte strings can be hashed or compared in place of values.
 //!
+//! One encoding per message, one decoder per encoding:
+//!
+//! | message | encoder | decoder |
+//! |---|---|---|
+//! | window response, one-shot | [`encode_response_v2`] | [`decode_response_v2`] |
+//! | window scan, framed | [`encode_scan_stream`] | [`StreamDecoder`] |
+//! | subscription update | [`encode_update`] | [`decode_update`] |
+//! | per-block Bloom filter | [`encode_bloom`] | [`decode_bloom`] |
+//!
 //! The encoders are infallible: they serialize honestly-constructed values
 //! (the SP side). The decoders are the adversarial surface.
 
@@ -48,16 +57,19 @@ use crate::vo::{
     Att, BlockCoverage, BlockVo, ClauseRef, GroupProof, MismatchProof, QueryResponse, VoNode,
 };
 
-/// Wire-format version byte; the first byte of every encoded response.
+/// Version byte of the raw-slot messages: the first byte of every encoded
+/// subscription update ([`encode_update`]) and Bloom filter
+/// ([`encode_bloom`]). Not a response version — see [`WIRE_VERSION_V2`].
 pub const WIRE_VERSION: u8 = 1;
 
-/// Version byte of the deduplicating v2 response encoding
-/// ([`encode_response_v2`]): shared accumulator values and repeated proof
-/// points are interned once into a per-response table and back-referenced
-/// by index everywhere else.
+/// Version byte of the one response body encoding ([`encode_response_v2`],
+/// and the body version a stream header announces): shared accumulator
+/// values and repeated proof points are interned once into a per-response
+/// table and back-referenced by index everywhere else. Any other leading
+/// byte is [`WireError::UnsupportedVersion`] before anything is parsed.
 pub const WIRE_VERSION_V2: u8 = 2;
 
-/// Version byte of the frame-stream envelope ([`encode_response_stream`]),
+/// Version byte of the frame-stream envelope ([`encode_scan_stream`]),
 /// carried in the header frame alongside the body codec version.
 pub const STREAM_VERSION: u8 = 1;
 
@@ -83,7 +95,9 @@ pub enum WireError {
         /// Bytes actually left.
         remaining: usize,
     },
-    /// The leading version byte is not [`WIRE_VERSION`].
+    /// The leading version byte is not the message's one version
+    /// ([`WIRE_VERSION_V2`] for responses, [`WIRE_VERSION`] for updates and
+    /// Bloom filters, [`STREAM_VERSION`] for the stream envelope).
     UnsupportedVersion(u8),
     /// An enum tag byte has no corresponding variant.
     BadTag {
@@ -351,10 +365,9 @@ fn proof_from_slot<A: Accumulator>(acc: &A, bytes: &[u8]) -> Result<A::Proof, Wi
 //
 // Every structural codec below (nodes, mismatches, coverage) is generic
 // over a *slot codec* — the one place an AttDigest or proof slot becomes
-// bytes. v1 writes every slot raw in place; v2 tags each slot and
-// back-references repeated byte strings into a per-response intern table.
-// One set of body functions therefore serves both versions, and v1 output
-// stays byte-for-byte what it was before v2 existed.
+// bytes. A subscription update writes every slot raw in place; a response
+// tags each slot and back-references repeated byte strings into an intern
+// table. One set of body functions serves both messages.
 
 /// Encode-side slot strategy.
 trait SlotWrite<A: Accumulator> {
@@ -368,7 +381,7 @@ trait SlotRead<A: Accumulator> {
     fn proof(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError>;
 }
 
-/// v1: every slot is its raw fixed-size bytes, in place.
+/// Subscription updates: every slot is its raw fixed-size bytes, in place.
 struct RawSlots;
 
 impl<A: Accumulator> SlotWrite<A> for RawSlots {
@@ -938,42 +951,6 @@ fn get_results(r: &mut Reader<'_>) -> Result<Vec<(u64, Vec<Object>)>, WireError>
 // Top-level entry points
 // ---------------------------------------------------------------------------
 
-/// Serialize a time-window query response (SP side, infallible).
-pub fn encode_response<A: Accumulator>(response: &QueryResponse<A>) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.u8(WIRE_VERSION);
-    put_results(&mut w, &response.results);
-    w.count(response.coverage.len());
-    let mut slots = RawSlots;
-    for cov in &response.coverage {
-        put_coverage(&mut w, cov, &mut slots);
-    }
-    w.buf
-}
-
-/// Decode a time-window query response from untrusted bytes. `Ok` means
-/// the structure is well-formed and every point passed the curve ladder —
-/// the *cryptographic* checks still run in [`crate::verify`].
-pub fn decode_response<A: Accumulator>(
-    acc: &A,
-    bytes: &[u8],
-) -> Result<QueryResponse<A>, WireError> {
-    let mut r = Reader::new(bytes);
-    match r.u8()? {
-        WIRE_VERSION => {}
-        v => return Err(WireError::UnsupportedVersion(v)),
-    }
-    let results = get_results(&mut r)?;
-    let n_cov = r.count("coverage entries", 9)?;
-    let mut coverage = Vec::new();
-    let mut slots = RawSlots;
-    for _ in 0..n_cov {
-        coverage.push(get_coverage(&mut r, acc, &mut slots)?);
-    }
-    r.finish()?;
-    Ok(QueryResponse { results, coverage })
-}
-
 /// Collect the v2 intern table over one or more responses' coverage: run
 /// the body encoder once with a counting slot sink (output discarded) and
 /// keep every slot byte-string that occurs at least twice, in
@@ -999,9 +976,9 @@ fn put_table(w: &mut Writer, table: &[Vec<u8>]) {
 
 /// Serialize a response in the deduplicating v2 format: shared accumulator
 /// values and repeated proof points are interned once into a per-response
-/// table and back-referenced by a 5-byte tag everywhere else. Exactly as
-/// canonical and total as v1 — [`decode_response_v2`] accepts precisely
-/// the byte strings this function produces, one per response.
+/// table and back-referenced by a 5-byte tag everywhere else.
+/// [`decode_response_v2`] accepts precisely the byte strings this function
+/// produces, one per response.
 ///
 /// Repetition is the norm, not the exception: objects sharing an attribute
 /// set produce identical leaf AttDigests, mismatch proofs against the same
@@ -1022,7 +999,7 @@ pub fn encode_response_v2<A: Accumulator>(response: &QueryResponse<A>) -> Vec<u8
 }
 
 /// Decode a v2 ([`encode_response_v2`]) response from untrusted bytes.
-/// Total like v1, and *strictly* canonical: beyond structural validity,
+/// Total, and *strictly* canonical: beyond structural validity,
 /// the intern table must be exactly the one the encoder would build
 /// (every entry used at least twice, first uses in table order, no inline
 /// repetition), so decode∘encode remains the identity on accepted inputs.
@@ -1047,118 +1024,38 @@ pub fn decode_response_v2<A: Accumulator>(
     Ok(QueryResponse { results, coverage })
 }
 
-/// Serialize a multi-window *scan* — several window responses answered
-/// together — as one v2 unit with a single intern table shared across all
-/// of them. This is where deduplication earns its keep: overlapping
-/// windows re-cover the same blocks, so the same accumulator values and
-/// proofs recur across responses even when each response alone has few
-/// internal repeats. On the 8-window benchmark fixture the shared table
-/// drops total VO bytes by well over 20% relative to eight v1 encodings.
-pub fn encode_scan_v2<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<u8> {
-    let covs: Vec<&[BlockCoverage<A>]> = responses.iter().map(|r| r.coverage.as_slice()).collect();
-    let table = intern_table::<A>(&covs);
-    let mut w = Writer::default();
-    w.u8(WIRE_VERSION_V2);
-    put_table(&mut w, &table);
-    w.count(responses.len());
-    let mut slots = InternSlots::new(&table);
-    for resp in responses {
-        put_results(&mut w, &resp.results);
-        w.count(resp.coverage.len());
-        for cov in &resp.coverage {
-            put_coverage(&mut w, cov, &mut slots);
-        }
-    }
-    w.buf
-}
-
-/// Decode an [`encode_scan_v2`] scan from untrusted bytes. Canonicality is
-/// enforced scan-wide: the intern table must be exactly the one the shared
-/// two-pass encoder would build over all the responses together.
-pub fn decode_scan_v2<A: Accumulator>(
-    acc: &A,
-    bytes: &[u8],
-) -> Result<Vec<QueryResponse<A>>, WireError> {
-    let mut r = Reader::new(bytes);
-    match r.u8()? {
-        WIRE_VERSION_V2 => {}
-        v => return Err(WireError::UnsupportedVersion(v)),
-    }
-    let mut slots = TableSlots::<A>::parse(&mut r)?;
-    let n_resp = r.count("scan responses", 8)?;
-    let mut responses = Vec::new();
-    for _ in 0..n_resp {
-        let results = get_results(&mut r)?;
-        let n_cov = r.count("coverage entries", 9)?;
-        let mut coverage = Vec::new();
-        for _ in 0..n_cov {
-            coverage.push(get_coverage(&mut r, acc, &mut slots)?);
-        }
-        responses.push(QueryResponse { results, coverage });
-    }
-    slots.finish()?;
-    r.finish()?;
-    Ok(responses)
-}
-
-/// Which codec version a [`decode_response_auto`] input carried.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireVersion {
-    /// The original raw-slot encoding ([`encode_response`]).
-    V1,
-    /// The deduplicating intern-table encoding ([`encode_response_v2`]).
-    V2,
-}
-
-/// Decode a response of either codec version, dispatching on the leading
-/// version byte — the client's compatibility entry point: a v2-speaking
-/// client keeps accepting responses from an SP that still encodes v1.
-/// Returns the version alongside the response so callers that re-encode
-/// (canonical-form checks, persistence) can stay version-faithful.
-pub fn decode_response_auto<A: Accumulator>(
-    acc: &A,
-    bytes: &[u8],
-) -> Result<(QueryResponse<A>, WireVersion), WireError> {
-    match bytes.first().copied() {
-        Some(WIRE_VERSION) => decode_response(acc, bytes).map(|r| (r, WireVersion::V1)),
-        Some(WIRE_VERSION_V2) => decode_response_v2(acc, bytes).map(|r| (r, WireVersion::V2)),
-        Some(v) => Err(WireError::UnsupportedVersion(v)),
-        None => Err(WireError::Truncated { needed: 1, remaining: 0 }),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Frame streaming
 // ---------------------------------------------------------------------------
 
-/// Wrap one frame payload with its length prefix.
-fn frame(seq: u32, tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Writer::default();
+/// Append one frame: the payload behind its length prefix.
+fn put_frame(out: &mut Writer, seq: u32, tag: u8, body: &[u8]) {
     out.count(body.len().saturating_add(5));
     out.u32(seq);
     out.u8(tag);
     out.bytes(body);
-    out.buf
 }
 
 /// Serialize a scan (one or more window responses) as a sequence of
-/// self-delimiting frames (SP side): a header frame carrying the shared v2
+/// self-delimiting frames (SP side): a header frame carrying the shared
 /// intern table and each window's entry count, then one frame per coverage
 /// entry with that block's result objects inlined. Each frame is
-/// `u32 len ‖ u32 seq ‖ u8 tag ‖ body`; the concatenation
-/// ([`encode_scan_stream`]) is what crosses the network, but the frames can
-/// also be shipped individually as transport packets arrive.
+/// `u32 len ‖ u32 seq ‖ u8 tag ‖ body`; the concatenation returned here is
+/// what crosses the network.
 ///
 /// The framing exists so a light client can verify block *i* while block
 /// *i + 1* is still in flight, holding only one frame plus the table in
-/// memory — see [`StreamDecoder`] and `core::client`.
-pub fn encode_scan_frames<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<Vec<u8>> {
+/// memory — see [`StreamDecoder`] and `core::client`. The table is shared
+/// across every window of the scan, which is where deduplication earns its
+/// keep: overlapping windows re-cover the same blocks, so the same
+/// accumulator values and proofs recur across responses even when each
+/// response alone has few internal repeats.
+pub fn encode_scan_stream<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<u8> {
     let covs: Vec<&[BlockCoverage<A>]> = responses.iter().map(|r| r.coverage.as_slice()).collect();
     let table = intern_table::<A>(&covs);
     let mut slots = InternSlots::new(&table);
 
-    let total: usize = responses.iter().map(|r| r.coverage.len()).sum();
-    let mut frames = Vec::with_capacity(total + 1);
+    let mut out = Writer::default();
     let mut header = Writer::default();
     header.u8(STREAM_VERSION);
     header.u8(WIRE_VERSION_V2);
@@ -1167,7 +1064,7 @@ pub fn encode_scan_frames<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec
         header.count(resp.coverage.len());
     }
     put_table(&mut header, &table);
-    frames.push(frame(0, 0, &header.buf));
+    put_frame(&mut out, 0, 0, &header.buf);
 
     let mut seq = 0u32;
     for resp in responses {
@@ -1188,26 +1085,10 @@ pub fn encode_scan_frames<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec
                 }
             }
             seq = seq.saturating_add(1);
-            frames.push(frame(seq, 1, &body.buf));
+            put_frame(&mut out, seq, 1, &body.buf);
         }
     }
-    frames
-}
-
-/// [`encode_scan_frames`] for a single window response.
-pub fn encode_response_frames<A: Accumulator>(response: &QueryResponse<A>) -> Vec<Vec<u8>> {
-    encode_scan_frames(std::slice::from_ref(response))
-}
-
-/// [`encode_scan_frames`] concatenated into one byte string — the whole
-/// stream as it crosses the wire.
-pub fn encode_scan_stream<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<u8> {
-    encode_scan_frames(responses).concat()
-}
-
-/// [`encode_scan_stream`] for a single window response.
-pub fn encode_response_stream<A: Accumulator>(response: &QueryResponse<A>) -> Vec<u8> {
-    encode_scan_stream(std::slice::from_ref(response))
+    out.buf
 }
 
 /// A decoded item surfaced by [`StreamDecoder::feed`].
@@ -1238,7 +1119,7 @@ pub enum StreamEvent<A: Accumulator> {
     },
 }
 
-/// Incremental decoder for [`encode_response_stream`] bytes: feed chunks
+/// Incremental decoder for [`encode_scan_stream`] bytes: feed chunks
 /// of any size as they arrive, get back fully-decoded coverage entries.
 ///
 /// Memory stays bounded by construction: only the bytes of the single

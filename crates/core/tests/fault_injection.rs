@@ -40,10 +40,10 @@ use vchain_core::subscribe::{
     WalkStrategy,
 };
 use vchain_core::verify::{verify_encoded_response, verify_response, VerifyError};
-use vchain_core::vo::ClauseRef;
+use vchain_core::vo::{ClauseRef, QueryResponse};
 use vchain_core::wire::{
-    decode_bloom, decode_response, encode_bloom, encode_response, encode_response_v2,
-    encode_scan_stream, encode_update,
+    decode_bloom, decode_response_v2, encode_bloom, encode_response_v2, encode_scan_stream,
+    encode_update,
 };
 use vchain_pairing::{stats, G1Spec, G2Spec};
 
@@ -112,8 +112,13 @@ fn sample_query() -> Query {
 }
 
 /// Every rejection must map onto a named taxonomy variant; this is the
-/// "classified error" half of the acceptance criterion.
+/// "classified error" half of the acceptance criterion. Wire-level
+/// rejections keep their [`vchain_core::wire::WireError`] variant name, so
+/// the tally shows which structural defenses (framing, back-references,
+/// truncation detection) the corpus actually exercised instead of one flat
+/// "Malformed".
 fn classify(e: &VerifyError) -> &'static str {
+    use vchain_core::wire::WireError;
     match e {
         VerifyError::RootMismatch { .. } => "RootMismatch",
         VerifyError::BadProof { .. } => "BadProof",
@@ -130,8 +135,22 @@ fn classify(e: &VerifyError) -> &'static str {
         VerifyError::AggregationUnsupported => "AggregationUnsupported",
         VerifyError::MissingWindow => "MissingWindow",
         VerifyError::InvalidUpdateInterval { .. } => "InvalidUpdateInterval",
-        VerifyError::Malformed(_) => "Malformed",
         VerifyError::PipelineLost => "PipelineLost",
+        VerifyError::Malformed(w) => match w {
+            WireError::Truncated { .. } => "Malformed/Truncated",
+            WireError::UnsupportedVersion(_) => "Malformed/UnsupportedVersion",
+            WireError::BadTag { .. } => "Malformed/BadTag",
+            WireError::Oversized { .. } => "Malformed/Oversized",
+            WireError::DepthExceeded { .. } => "Malformed/DepthExceeded",
+            WireError::BadUtf8 => "Malformed/BadUtf8",
+            WireError::Accumulator(_) => "Malformed/Accumulator",
+            WireError::TrailingBytes { .. } => "Malformed/TrailingBytes",
+            WireError::BackRefOutOfRange { .. } => "Malformed/BackRefOutOfRange",
+            WireError::NonCanonical { .. } => "Malformed/NonCanonical",
+            WireError::FrameOversized { .. } => "Malformed/FrameOversized",
+            WireError::FrameSequence { .. } => "Malformed/FrameSequence",
+            WireError::StreamTruncated { .. } => "Malformed/StreamTruncated",
+        },
     }
 }
 
@@ -139,6 +158,38 @@ struct Tally {
     rejected: BTreeMap<&'static str, usize>,
     noops: usize,
     driven: usize,
+}
+
+impl Tally {
+    /// The corpus-level invariants of a fault-injection run of `iters`
+    /// iterations.
+    fn check(&self, iters: usize) {
+        let rejected: usize = self.rejected.values().sum();
+        assert_eq!(rejected, self.driven, "every driven mutation must be rejected");
+        assert!(
+            self.driven >= iters * 9 / 10,
+            "no-op rate too high to be meaningful: {} driven of {iters} ({} no-ops)",
+            self.driven,
+            self.noops
+        );
+        // The corpus must actually exercise a spread of the taxonomy, not
+        // collapse into one rejection path. (Distinct-class spread needs a
+        // statistically meaningful corpus; a `VCHAIN_FUZZ_ITERS`-reduced dev
+        // run keeps the harder invariants above.)
+        if self.driven >= 200 {
+            assert!(
+                self.rejected.len() >= 4,
+                "expected ≥4 distinct rejection classes, got {:?}",
+                self.rejected
+            );
+        }
+        // Wire-level rejections occur alongside the cryptographic ones.
+        assert!(
+            self.rejected.keys().any(|k| k.starts_with("Malformed")),
+            "no wire-level rejections: {:?}",
+            self.rejected
+        );
+    }
 }
 
 fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, iters: usize) {
@@ -151,9 +202,9 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
 
     // Honest baseline: verifies, and the encoding round-trips byte-identically.
     verify_response(&q, &honest, &light, &cfg, acc).expect("honest response verifies");
-    let encoded = encode_response(&honest);
-    let decoded = decode_response(acc, &encoded).expect("honest encoding decodes");
-    assert_eq!(encode_response(&decoded), encoded, "decode∘encode must be the identity");
+    let encoded = encode_response_v2(&honest);
+    let decoded = decode_response_v2(acc, &encoded).expect("honest encoding decodes");
+    assert_eq!(encode_response_v2(&decoded), encoded, "decode∘encode must be the identity");
     verify_encoded_response(&q, &encoded, &light, &cfg, acc)
         .expect("honest encoding verifies end-to-end");
 
@@ -174,57 +225,40 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
 
     let mut tally = Tally { rejected: BTreeMap::new(), noops: 0, driven: 0 };
 
+    // Structure-level classes: mutate the typed response, then re-encode
+    // (the encoder is canonical by construction, so the mutant decodes).
+    type Semantic<A> = (fn(&mut Adversary, &mut QueryResponse<A>) -> bool, &'static str);
+    let semantic: [Semantic<A>; 6] = [
+        (|adv, m| adv.swap_values(&mut m.coverage), "swap-values"),
+        (|adv, m| adv.replay_proof(&mut m.coverage), "replay-proof"),
+        (|adv, m| adv.drop_result(&mut m.results), "drop-result"),
+        (|adv, m| adv.drop_coverage(&mut m.coverage), "drop-coverage"),
+        (|adv, m| adv.forge_result(&mut m.results), "forge-result"),
+        (|adv, m| adv.redirect_leaf(&mut m.coverage), "redirect-leaf"),
+    ];
+
     for iter in 0..iters {
-        let class = adv.rng().gen_range(0..12u32);
+        let class = adv.rng().gen_range(0..14u32);
         let (mutant, label): (Vec<u8>, &'static str) = match class {
             0..=4 => adv.mutate_bytes(&encoded),
-            5 => {
+            5..=10 => {
+                let (mutate, label) = semantic[class as usize - 5];
                 let mut m = honest.clone();
-                if !adv.swap_values(&mut m.coverage) {
+                if !mutate(&mut adv, &mut m) {
                     tally.noops += 1;
                     continue;
                 }
-                (encode_response(&m), "swap-values")
+                (encode_response_v2(&m), label)
             }
-            6 => {
-                let mut m = honest.clone();
-                if !adv.replay_proof(&mut m.coverage) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "replay-proof")
-            }
-            7 => {
-                let mut m = honest.clone();
-                if !adv.drop_result(&mut m.results) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "drop-result")
-            }
-            8 => {
-                let mut m = honest.clone();
-                if !adv.drop_coverage(&mut m.coverage) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "drop-coverage")
-            }
-            9 => {
-                let mut m = honest.clone();
-                if !adv.forge_result(&mut m.results) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "forge-result")
-            }
-            10 => {
-                let mut m = honest.clone();
-                if !adv.redirect_leaf(&mut m.coverage) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "redirect-leaf")
+            // A lone window's intern table can be empty (dedup is mostly a
+            // cross-window effect); the stream suite covers the shared one.
+            11 | 12 => {
+                let (table_mutant, label) = if class == 11 {
+                    (Adversary::v2_shrink_table(&encoded), "table-shrink")
+                } else {
+                    (adv.v2_splice_table(&encoded), "table-splice")
+                };
+                table_mutant.map_or_else(|| adv.mutate_bytes(&encoded), |m| (m, label))
             }
             _ => {
                 let mut m = encoded.clone();
@@ -262,27 +296,7 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
             }
         }
     }
-
-    let rejected: usize = tally.rejected.values().sum();
-    assert_eq!(rejected, tally.driven, "every driven mutation must be rejected");
-    assert!(
-        tally.driven >= iters * 9 / 10,
-        "no-op rate too high to be meaningful: {} driven of {iters}",
-        tally.driven
-    );
-    // The corpus must actually exercise a spread of the taxonomy, not
-    // collapse into one rejection path.
-    assert!(
-        tally.rejected.len() >= 4,
-        "expected ≥4 distinct rejection classes, got {:?}",
-        tally.rejected
-    );
-    // Malformed (wire-level) and at least one cryptographic rejection both occur.
-    assert!(
-        tally.rejected.contains_key("Malformed"),
-        "no wire-level rejections: {:?}",
-        tally.rejected
-    );
+    tally.check(iters);
 }
 
 #[test]
@@ -336,18 +350,18 @@ fn splice(bytes: &[u8], off: usize, component: &[u8]) -> Vec<u8> {
 }
 
 /// The typed rejections of one mutant through both client entry points:
-/// the one-shot v1 decoder and the framed v2 stream. Neither may panic.
+/// the one-shot decoder and the frame stream. Neither may panic.
 fn reject_both_ways<A: Accumulator>(
     q: &CompiledQuery,
     light: &LightClient,
     cfg: MinerConfig,
     acc: &A,
-    v1: &[u8],
+    one_shot: &[u8],
     stream: &[u8],
     what: &str,
 ) -> [VerifyError; 2] {
     let one_shot =
-        catch_unwind(AssertUnwindSafe(|| verify_encoded_response(q, v1, light, &cfg, acc)))
+        catch_unwind(AssertUnwindSafe(|| verify_encoded_response(q, one_shot, light, &cfg, acc)))
             .unwrap_or_else(|_| panic!("PANIC in one-shot verification: {what}"))
             .expect_err(what);
     let streamed = catch_unwind(AssertUnwindSafe(|| {
@@ -435,11 +449,11 @@ fn run_slot_role_matrix<A: Accumulator>(
                     &light,
                     cfg,
                     acc,
-                    &encode_response(&m),
+                    &encode_response_v2(&m),
                     &encode_scan_stream(std::slice::from_ref(&m)),
                     &what,
                 );
-                assert_eq!(classify_stream(&e), classify_stream(&streamed), "{what}");
+                assert_eq!(classify(&e), classify(&streamed), "{what}");
                 driven += 1;
                 let undecodable_operand =
                     role == AttRole::NodeOperand && comp < consumed && *label != "point-swap";
@@ -467,7 +481,7 @@ fn run_slot_role_matrix<A: Accumulator>(
     for_each_proof::<A>(&mut honest.coverage.clone(), &mut |p| proofs.push(A::proof_bytes(p)));
     let victim = &proofs[0];
     let other = proofs.iter().find(|p| *p != victim).expect("two distinct proofs");
-    let v1 = encode_response(&honest);
+    let one_shot = encode_response_v2(&honest);
     let stream = encode_scan_stream(std::slice::from_ref(&honest));
     for (comp, &(off, curve)) in proof.iter().enumerate() {
         for (class, label) in POINT_MUTATIONS.iter().enumerate() {
@@ -477,7 +491,7 @@ fn run_slot_role_matrix<A: Accumulator>(
                 continue;
             }
             let replacement = splice(victim, off, &mutated);
-            let (mut m1, mut ms) = (v1.clone(), stream.clone());
+            let (mut m1, mut ms) = (one_shot.clone(), stream.clone());
             assert!(Adversary::substitute_slot(&mut m1, victim, &replacement));
             assert!(Adversary::substitute_slot(&mut ms, victim, &replacement));
             let what = format!("proof component {comp} {label}");
@@ -486,8 +500,8 @@ fn run_slot_role_matrix<A: Accumulator>(
                 match e {
                     // a valid proof for a different (node, clause) pair
                     VerifyError::BadProof { .. } if *label == "point-swap" => {}
-                    // a byte-level swap can also repeat bytes the v2 table
-                    // had to intern
+                    // a byte-level swap can also repeat bytes the table had
+                    // to intern
                     VerifyError::Malformed(vchain_core::wire::WireError::NonCanonical {
                         ..
                     }) if *label == "point-swap" => {}
@@ -568,32 +582,6 @@ fn client_decodes_only_pairing_operands() {
     );
 }
 
-/// Streaming refinement of [`classify`]: wire-level rejections keep their
-/// [`vchain_core::wire::WireError`] variant name, so the tally shows which
-/// structural defenses (framing, back-references, truncation detection)
-/// the corpus actually exercised instead of one flat "Malformed".
-fn classify_stream(e: &VerifyError) -> &'static str {
-    use vchain_core::wire::WireError;
-    match e {
-        VerifyError::Malformed(w) => match w {
-            WireError::Truncated { .. } => "Malformed/Truncated",
-            WireError::UnsupportedVersion(_) => "Malformed/UnsupportedVersion",
-            WireError::BadTag { .. } => "Malformed/BadTag",
-            WireError::Oversized { .. } => "Malformed/Oversized",
-            WireError::DepthExceeded { .. } => "Malformed/DepthExceeded",
-            WireError::BadUtf8 => "Malformed/BadUtf8",
-            WireError::Accumulator(_) => "Malformed/Accumulator",
-            WireError::TrailingBytes { .. } => "Malformed/TrailingBytes",
-            WireError::BackRefOutOfRange { .. } => "Malformed/BackRefOutOfRange",
-            WireError::NonCanonical { .. } => "Malformed/NonCanonical",
-            WireError::FrameOversized { .. } => "Malformed/FrameOversized",
-            WireError::FrameSequence { .. } => "Malformed/FrameSequence",
-            WireError::StreamTruncated { .. } => "Malformed/StreamTruncated",
-        },
-        other => classify(other),
-    }
-}
-
 /// Feed a byte string through the streamed verification pipeline in inline
 /// mode (single-threaded, so `catch_unwind` sees any panic directly).
 fn drive_stream<A: Accumulator>(
@@ -628,11 +616,10 @@ fn scan_queries(n: u64, shift: u64) -> Vec<CompiledQuery> {
         .collect()
 }
 
-/// Streaming / v2 counterpart of [`run_fault_injection`]: corrupts a
-/// scan's frame stream (byte classes plus frame reorder, mid-stream
-/// truncation, intern-table shrink and table-entry splice) and a one-shot
-/// v2 encoding, and drives everything through [`StreamVerifier`] /
-/// [`verify_encoded_response`]. Same invariants: zero panics, 100%
+/// Streaming counterpart of [`run_fault_injection`]: corrupts a scan's
+/// frame stream (byte classes plus frame reorder, mid-stream truncation,
+/// intern-table shrink and table-entry splice) and drives every mutant
+/// through [`StreamVerifier`]. Same invariants: zero panics, 100%
 /// rejection, every rejection classified.
 fn run_stream_fault_injection<A: Accumulator>(
     scheme: IndexScheme,
@@ -647,10 +634,9 @@ fn run_stream_fault_injection<A: Accumulator>(
     let cfg = sp.cfg;
     let acc = &sp.acc;
     let stream = encode_scan_stream(&responses);
-    let v2_first = encode_response_v2(&responses[0]);
 
-    // Honest baselines: the stream verifies to the same per-window results
-    // as one-shot verification, and the v2 encoding verifies end-to-end.
+    // Honest baseline: the stream verifies to the same per-window results
+    // as one-shot verification.
     let reference: Vec<Vec<Object>> = queries
         .iter()
         .zip(&responses)
@@ -659,90 +645,28 @@ fn run_stream_fault_injection<A: Accumulator>(
     let streamed =
         drive_stream(&queries, &light, cfg, acc, &stream).expect("honest stream verifies");
     assert_eq!(streamed, reference, "streamed results must match one-shot verification");
-    verify_encoded_response(&queries[0], &v2_first, &light, &cfg, acc)
-        .expect("honest v2 encoding verifies end-to-end");
-
-    enum Target {
-        Stream(Vec<u8>),
-        V2(Vec<u8>),
-    }
 
     let mut adv = Adversary::new(seed);
     let mut tally = Tally { rejected: BTreeMap::new(), noops: 0, driven: 0 };
 
     for iter in 0..iters {
-        let class = adv.rng().gen_range(0..12u32);
-        let (target, label): (Target, &'static str) = match class {
+        let (mutant, label): (Option<Vec<u8>>, &'static str) = match adv.rng().gen_range(0..9u32) {
             0..=4 => {
                 let (m, label) = adv.mutate_bytes(&stream);
-                (Target::Stream(m), label)
+                (Some(m), label)
             }
-            5 => match adv.stream_reorder(&stream) {
-                Some(m) => (Target::Stream(m), "frame-reorder"),
-                None => {
-                    tally.noops += 1;
-                    continue;
-                }
-            },
-            6 => (Target::Stream(adv.stream_truncate(&stream)), "mid-stream-truncation"),
-            7 => match Adversary::stream_shrink_table(&stream) {
-                Some(m) => (Target::Stream(m), "table-shrink-backref"),
-                None => {
-                    tally.noops += 1;
-                    continue;
-                }
-            },
-            8 => match adv.stream_splice_table(&stream) {
-                Some(m) => (Target::Stream(m), "table-entry-splice"),
-                None => {
-                    tally.noops += 1;
-                    continue;
-                }
-            },
-            // A lone window's v2 table can be empty (dedup is a cross-window
-            // effect); fall back to the scan stream's shared table then.
-            9 => match Adversary::v2_shrink_table(&v2_first) {
-                Some(m) => (Target::V2(m), "v2-table-shrink"),
-                None => match Adversary::stream_shrink_table(&stream) {
-                    Some(m) => (Target::Stream(m), "table-shrink-backref"),
-                    None => {
-                        tally.noops += 1;
-                        continue;
-                    }
-                },
-            },
-            10 => match adv.v2_splice_table(&v2_first) {
-                Some(m) => (Target::V2(m), "v2-table-splice"),
-                None => match adv.stream_splice_table(&stream) {
-                    Some(m) => (Target::Stream(m), "table-entry-splice"),
-                    None => {
-                        tally.noops += 1;
-                        continue;
-                    }
-                },
-            },
-            _ => {
-                let (m, label) = adv.mutate_bytes(&v2_first);
-                (Target::V2(m), label)
-            }
+            5 => (adv.stream_reorder(&stream), "frame-reorder"),
+            6 => (Some(adv.stream_truncate(&stream)), "mid-stream-truncation"),
+            7 => (Adversary::stream_shrink_table(&stream), "table-shrink-backref"),
+            _ => (adv.stream_splice_table(&stream), "table-entry-splice"),
+        };
+        let Some(mutant) = mutant.filter(|m| *m != stream) else {
+            tally.noops += 1;
+            continue;
         };
 
-        match &target {
-            Target::Stream(m) if *m == stream => {
-                tally.noops += 1;
-                continue;
-            }
-            Target::V2(m) if *m == v2_first => {
-                tally.noops += 1;
-                continue;
-            }
-            _ => {}
-        }
-
-        let outcome = catch_unwind(AssertUnwindSafe(|| match &target {
-            Target::Stream(m) => drive_stream(&queries, &light, cfg, acc, m).map(|r| r.concat()),
-            Target::V2(m) => verify_encoded_response(&queries[0], m, &light, &cfg, acc),
-        }));
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| drive_stream(&queries, &light, cfg, acc, &mutant)));
         tally.driven += 1;
         match outcome {
             Err(_) => panic!(
@@ -752,35 +676,14 @@ fn run_stream_fault_injection<A: Accumulator>(
             Ok(Ok(accepted)) => panic!(
                 "ACCEPTED a mutated stream (class={label}, seed={seed:#x}, iter={iter}): \
                  {} results passed",
-                accepted.len()
+                accepted.concat().len()
             ),
             Ok(Err(e)) => {
-                *tally.rejected.entry(classify_stream(&e)).or_insert(0) += 1;
+                *tally.rejected.entry(classify(&e)).or_insert(0) += 1;
             }
         }
     }
-
-    let rejected: usize = tally.rejected.values().sum();
-    assert_eq!(rejected, tally.driven, "every driven mutation must be rejected");
-    assert!(
-        tally.driven >= iters * 9 / 10,
-        "no-op rate too high to be meaningful: {} driven of {iters}",
-        tally.driven
-    );
-    // Distinct-class spread needs a statistically meaningful corpus; a
-    // `VCHAIN_FUZZ_ITERS`-reduced dev run keeps the harder invariants above.
-    if tally.driven >= 200 {
-        assert!(
-            tally.rejected.len() >= 4,
-            "expected ≥4 distinct rejection classes, got {:?}",
-            tally.rejected
-        );
-    }
-    assert!(
-        tally.rejected.keys().any(|k| k.starts_with("Malformed")),
-        "no wire-level rejections: {:?}",
-        tally.rejected
-    );
+    tally.check(iters);
 }
 
 #[test]

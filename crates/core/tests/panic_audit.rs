@@ -23,7 +23,6 @@ const BOUNDARY_FILES: &[&str] = &[
     "src/wire.rs",
     "src/vo.rs",
     "src/verify.rs",
-    "src/batch.rs",
 ];
 
 /// `(file suffix, line substring)` pairs that are deliberately exempt.

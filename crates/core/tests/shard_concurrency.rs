@@ -19,7 +19,7 @@ use vchain_chain::{Difficulty, Object};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query};
 use vchain_core::store::LogStore;
-use vchain_core::wire::encode_response;
+use vchain_core::wire::encode_response_v2;
 use vchain_core::{ServiceProvider, ShardedConfig, ShardedServiceProvider, StoreRecord};
 use vchain_hash::Digest;
 
@@ -139,8 +139,8 @@ fn concurrent_clients_lose_and_duplicate_nothing() {
                 // Sanity under concurrency: served responses are the
                 // deterministic per-query answer, whatever thread ran them.
                 assert_eq!(
-                    encode_response(&resp),
-                    encode_response(&ssp.inner().time_window_query(&pool[qi]))
+                    encode_response_v2(&resp),
+                    encode_response_v2(&ssp.inner().time_window_query(&pool[qi]))
                 );
             });
         }
@@ -197,7 +197,7 @@ fn merged_stats_equal_single_shard_twin_totals() {
     let fanned = sharded.query_batch(&queries);
     let serial = twin.query_batch(&queries);
     for (a, b) in fanned.iter().zip(&serial) {
-        assert_eq!(encode_response(a), encode_response(b), "fan-out must not change answers");
+        assert_eq!(encode_response_v2(a), encode_response_v2(b), "fan-out must not change answers");
     }
 
     // Unique clauses ⇒ no cross-query key sharing, and each bucket serves

@@ -19,7 +19,7 @@ use vchain_chain::{Difficulty, Object};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query, RangeSpec};
 use vchain_core::store::{frame_record, LogStore, STORE_HEADER_LEN};
-use vchain_core::wire::encode_response;
+use vchain_core::wire::encode_response_v2;
 use vchain_core::{
     Adversary, RecordKey, ServiceProvider, ShardedConfig, ShardedServiceProvider, StoreRecord,
 };
@@ -140,7 +140,7 @@ fn serve_stream(
     pool: &[CompiledQuery],
     len: usize,
 ) -> Vec<Vec<u8>> {
-    stream_indices(len).into_iter().map(|i| encode_response(&ssp.query(&pool[i]))).collect()
+    stream_indices(len).into_iter().map(|i| encode_response_v2(&ssp.query(&pool[i]))).collect()
 }
 
 fn sharded_cfg() -> ShardedConfig {

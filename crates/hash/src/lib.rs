@@ -9,10 +9,9 @@ pub mod sha256;
 pub use sha256::{sha256, Sha256};
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A 32-byte SHA-256 digest.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

@@ -72,7 +72,7 @@
 //! use vchain::chain::{Difficulty, Object};
 //! use vchain::core::miner::{IndexScheme, Miner, MinerConfig};
 //! use vchain::core::query::Query;
-//! use vchain::core::wire::encode_response;
+//! use vchain::core::wire::encode_response_v2;
 //! use vchain::core::{ShardedConfig, ShardedServiceProvider};
 //!
 //! let cfg = MinerConfig {
@@ -100,13 +100,13 @@
 //!
 //! // Cold run: proofs are proved once and logged behind the serving path.
 //! let (cold, _) = ShardedServiceProvider::open(build_sp(), shard_cfg, &dir).unwrap();
-//! let cold_bytes = encode_response(&cold.query(&q));
+//! let cold_bytes = encode_response_v2(&cold.query(&q));
 //! cold.shutdown().unwrap();
 //!
 //! // "Deploy": a fresh process reopens the same logs and serves warm.
 //! let (warm, recovery) = ShardedServiceProvider::open(build_sp(), shard_cfg, &dir).unwrap();
 //! assert!(recovery.proofs_loaded > 0);
-//! assert_eq!(encode_response(&warm.query(&q)), cold_bytes);
+//! assert_eq!(encode_response_v2(&warm.query(&q)), cold_bytes);
 //! assert!(warm.merged_stats().hits > 0); // served from the rehydrated cache
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
