@@ -107,6 +107,14 @@ impl Acc1 {
     }
 
     /// Enable / disable the trapdoor fast path for `Setup`.
+    ///
+    /// Kept for Construction 1 only: honest `Setup` commits an expanded
+    /// degree-`n` polynomial against the key powers (5.8 ms at `n` = 256,
+    /// 67 ms at `n` = 1 024) where the trapdoor evaluates `Π (xᵢ + s)` and
+    /// pays one scalar multiplication (1.2 / 4.1 ms), which is what keeps
+    /// the Acc1 suites and `experiments` tractable. Construction 2's honest
+    /// `Setup` is a batched-affine sum of key points and beats its trapdoor
+    /// path below `n` ≈ 800, so [`Acc2`](crate::Acc2) has no such switch.
     pub fn with_fast_setup(mut self, enabled: bool) -> Self {
         assert!(!enabled || self.sk.is_some(), "fast setup requires the trapdoor");
         self.fast_setup = enabled;

@@ -94,8 +94,6 @@ pub struct Acc2Witness {
 #[derive(Clone)]
 pub struct Acc2 {
     pk: Arc<Acc2PublicKey>,
-    sk: Option<Fr>,
-    fast_setup: bool,
 }
 
 impl Acc2 {
@@ -118,18 +116,7 @@ impl Acc2 {
         let g2_powers = vchain_pairing::batch_to_affine(
             &vchain_pairing::generator_powers::<G2Spec>(&scalars[..q as usize]),
         );
-        Self {
-            pk: Arc::new(Acc2PublicKey { q, g1_powers, g2_powers }),
-            sk: Some(s),
-            fast_setup: false,
-        }
-    }
-
-    /// Enable / disable the trapdoor fast path for `Setup`.
-    pub fn with_fast_setup(mut self, enabled: bool) -> Self {
-        assert!(!enabled || self.sk.is_some(), "fast setup requires the trapdoor");
-        self.fast_setup = enabled;
-        self
+        Self { pk: Arc::new(Acc2PublicKey { q, g1_powers, g2_powers }) }
     }
 
     /// The published parameters.
@@ -285,22 +272,6 @@ impl Accumulator for Acc2 {
     fn try_setup<E: AccElem>(&self, x: &MultiSet<E>) -> Result<Acc2Value, AccError> {
         self.check_universe(x)?;
         let q = self.pk.q;
-        if self.fast_setup {
-            if let Some(s) = &self.sk {
-                let mut a = Fr::zero();
-                let mut b = Fr::zero();
-                for (e, c) in x.iter() {
-                    let idx = e.to_index();
-                    let cf = Fr::from_u64(c);
-                    a += Field::mul(&cf, &s.pow_limbs(&[idx]));
-                    b += Field::mul(&cf, &s.pow_limbs(&[q - idx]));
-                }
-                return Ok(Acc2Value {
-                    da: G1Projective::generator().mul_fr(&a).to_affine(),
-                    db: G2Projective::generator().mul_fr(&b).to_affine(),
-                });
-            }
-        }
         // d_A = Π (g1^{s^x})^{c_x} ; d_B = Π (g2^{s^{q-x}})^{c_x}.
         // Unit multiplicities (the common case) sum batched-affine.
         let mut da_units: Vec<G1Affine> = Vec::new();
@@ -625,14 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_setup_matches_honest_setup() {
-        let a = acc();
-        let fast = a.clone().with_fast_setup(true);
-        let x = ms(&[5, 5, 9, 31]);
-        assert_eq!(a.setup(&x), fast.setup(&x));
-    }
-
-    #[test]
     fn sum_equals_setup_of_multiset_sum() {
         let a = acc();
         let x1 = ms(&[1, 2]);
@@ -894,8 +857,8 @@ mod tests {
         use vchain_pairing::Field;
         let a = acc();
         let q = a.pk.q;
-        // reconstruct the scalar vector from the retained trapdoor
-        let s = a.sk.expect("test keygen keeps the trapdoor");
+        // reconstruct the scalar vector: the trapdoor is keygen's first draw
+        let s = Fr::random(&mut StdRng::seed_from_u64(21));
         let mut scalars = Vec::new();
         let mut cur = Fr::one();
         for i in 0..(2 * q - 1) {
@@ -922,11 +885,8 @@ mod tests {
         // on a naive-keyed accumulator with the same trapdoor
         let x1 = ms(&[1, 2, 3]);
         let x2 = ms(&[10, 20]);
-        let naive_acc = Acc2 {
-            pk: Arc::new(Acc2PublicKey { q, g1_powers: naive_g1, g2_powers: naive_g2 }),
-            sk: Some(s),
-            fast_setup: false,
-        };
+        let naive_acc =
+            Acc2 { pk: Arc::new(Acc2PublicKey { q, g1_powers: naive_g1, g2_powers: naive_g2 }) };
         let p_comb = a.prove_disjoint(&x1, &x2).unwrap();
         let p_naive = naive_acc.prove_disjoint(&x1, &x2).unwrap();
         assert_eq!(Acc2::proof_bytes(&p_comb), Acc2::proof_bytes(&p_naive));

@@ -110,7 +110,7 @@ impl<E: Ord + Copy> MultiSet<E> {
         out
     }
 
-    /// Jaccard similarity of the supports, the clustering criterion of the
+    /// Jaccard similarity of the supports, the clustering measure of the
     /// intra-block index build (Algorithm 2).
     pub fn jaccard(&self, other: &Self) -> f64 {
         if self.is_empty() && other.is_empty() {

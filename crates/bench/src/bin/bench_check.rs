@@ -7,12 +7,9 @@
 //! Defaults: baseline `BENCH_pairing.json` (the committed ledger), current
 //! `BENCH_current.json` (a fresh `bench_smoke` run). Exits non-zero and
 //! prints the per-entry table when any entry regresses beyond
-//! `VCHAIN_BENCH_TOL` × baseline + `VCHAIN_BENCH_TOL_ABS_US` µs, when a
-//! baseline entry is missing from the fresh run, or — with
-//! `VCHAIN_BENCH_TOL_IMPROVE` armed (off by default) — when an entry is
-//! *faster* than baseline ÷ that ratio minus the slack, i.e. an
-//! unexplained speed-up that means the ledger or the benchmark is stale
-//! (see [`vchain_bench::check`] for the tolerance model).
+//! `VCHAIN_BENCH_TOL` × baseline + `VCHAIN_BENCH_TOL_ABS_US` µs, or when a
+//! baseline entry is missing from the fresh run (see
+//! [`vchain_bench::check`] for the tolerance model).
 
 use std::process::ExitCode;
 
@@ -41,23 +38,16 @@ fn main() -> ExitCode {
     let current = parse(&current_path, &read(&current_path));
 
     let (tol, abs) = (check::tol_from_env(), check::abs_slack_from_env());
-    let improve = check::improve_tol_from_env();
-    let cmp = check::compare_with_improve(&baseline, &current, tol, abs, improve);
-    let improve_desc = match improve {
-        Some(it) => format!(", improvement gate 1/{it:.2}x"),
-        None => ", improvement gate off".to_string(),
-    };
+    let cmp = check::compare(&baseline, &current, tol, abs);
     println!(
-        "bench_check: {} vs {} (tolerance {tol:.2}x + {abs:.0} µs{improve_desc})\n",
-        current_path, baseline_path
+        "bench_check: {current_path} vs {baseline_path} (tolerance {tol:.2}x + {abs:.0} µs)\n"
     );
     print!("{}", cmp.render_table());
     if cmp.passed() {
         println!("\nbench_check: OK — no entry beyond tolerance");
         ExitCode::SUCCESS
     } else {
-        let n = cmp.findings.iter().filter(|f| f.regressed || f.improved).count()
-            + cmp.missing_entries.len();
+        let n = cmp.findings.iter().filter(|f| f.regressed).count() + cmp.missing_entries.len();
         println!(
             "\nbench_check: FAILED — {n} entr{} beyond tolerance",
             if n == 1 { "y" } else { "ies" }

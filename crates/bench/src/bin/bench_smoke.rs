@@ -1,6 +1,9 @@
-//! Machine-readable perf smoke: times the pairing-engine hot paths and the
-//! end-to-end block-query path, and writes the results as JSON so the perf
-//! trajectory is tracked across PRs (CI uploads the file as an artifact).
+//! Machine-readable perf smoke: times what `vbench` cannot see from outside
+//! — the field / curve / pairing / accumulator primitives and the same-run
+//! reference twins — and writes the results as JSON so the perf trajectory
+//! is tracked across PRs (CI uploads the file as an artifact). Every row is
+//! a time in µs; whole-system numbers (latency, throughput, bytes per
+//! query) are `vbench`'s.
 //!
 //! ```text
 //! bench_smoke [output.json]     # default output: BENCH_pairing.json
@@ -300,15 +303,11 @@ fn main() {
         tree.query_cached(&objects, &cq, &acc2_honest, false, Some(&cache))
     }));
 
-    // --- multi-window scan over a chain (cold vs warm cache) -------------
-    // 12 blocks, 8 overlapping windows answered in parallel through one
-    // ServiceProvider. "Cold" clears the SP's proof cache every iteration;
-    // "warm" reuses it, which is the steady state of an overlapping-window
-    // dashboard/scan workload.
+    // --- a 12-block chain and 8 heavily overlapping windows --------------
+    // The fixture of the decode and light-client rows below.
     let scan_spec = WorkloadSpec::paper_defaults(Dataset::FourSquare, 12);
     let scan_w = scan_spec.generate();
-    let (sp, scan_light, scan_cfg) =
-        build_chain(&scan_w, IndexScheme::Both, 4, shared_acc2().with_fast_setup(false));
+    let (sp, scan_light, scan_cfg) = build_chain(&scan_w, IndexScheme::Both, 4, shared_acc2());
     let mut qg2 = scan_spec.query_gen(11);
     let t0 = scan_w.blocks.first().expect("blocks").0;
     let t1 = scan_w.blocks.last().expect("blocks").0;
@@ -320,49 +319,28 @@ fn main() {
             qg2.time_window((lo, lo + span / 2)).compile(scan_spec.domain_bits)
         })
         .collect();
-    let scan_cold = time("multi_window_scan_cold", 3, || {
-        sp.proof_cache().clear();
-        sp.time_window_queries(&windows)
-    });
-    timings.push(scan_cold);
-    let scan_warm = time("multi_window_scan_warm", 3, || sp.time_window_queries(&windows));
-    timings.push(scan_warm);
 
     // --- checked VO wire decode ------------------------------------------
     // A full window response through the untrusted byte boundary: structural
     // parse plus a checked deserialization of every proof in the VO (the
     // price a light client pays before verification proper begins).
-    let resp = sp.time_window_query(&windows[0]);
-    let encoded = vchain_core::wire::encode_response_v2(&resp);
+    let scan_responses: Vec<_> = windows.iter().map(|q| sp.time_window_query(q)).collect();
+    let one_shot: Vec<Vec<u8>> =
+        scan_responses.iter().map(vchain_core::wire::encode_response_v2).collect();
+    let encoded = &one_shot[0];
     let sp_acc = sp.acc.clone();
     eprintln!("[bench-smoke] vo_decode_checked input: {} bytes", encoded.len());
     timings.push(time("vo_decode_checked", 5, || {
-        vchain_core::wire::decode_response_v2(&sp_acc, &encoded).expect("honest VO decodes")
+        vchain_core::wire::decode_response_v2(&sp_acc, encoded).expect("honest VO decodes")
     }));
 
-    // --- light-client pipeline: dedup encoding, streaming, batching -------
-    // The 8-window scan above, now on the client side. `vo_bytes` is the
-    // scan's wire size as one frame stream (one intern table shared across
-    // all windows); `client_verify_window_us` is the per-window mean of
-    // streamed verification with one cross-window pairing batch, with the
-    // per-block path (decode each window's one-shot bytes, then one RLC
-    // flush per window) as its twin — both twins start from wire bytes,
-    // the position a real client is in; peak buffer is the streaming
-    // client's high-water memory. Byte-count entries ride the `us_per_iter`
-    // field, like `sp_serve_qps` rides it for a rate.
-    let scan_responses = sp.time_window_queries(&windows);
-    let one_shot: Vec<Vec<u8>> =
-        scan_responses.iter().map(vchain_core::wire::encode_response_v2).collect();
+    // --- light-client pipeline: streaming and batching ---------------------
+    // The 8-window scan, now on the client side: `client_verify_window_us`
+    // is the per-window mean of streamed verification with one cross-window
+    // pairing batch, with the per-block path (decode each window's one-shot
+    // bytes, then one RLC flush per window) as its twin — both twins start
+    // from wire bytes, the position a real client is in.
     let scan_stream = vchain_core::wire::encode_scan_stream(&scan_responses);
-    let one_shot_total: usize = one_shot.iter().map(Vec::len).sum();
-    eprintln!(
-        "[bench-smoke] vo_bytes: stream {} vs {} as eight one-shot responses ({:.1}% saved)",
-        scan_stream.len(),
-        one_shot_total,
-        100.0 * (1.0 - scan_stream.len() as f64 / one_shot_total as f64)
-    );
-    timings.push(Timing { name: "vo_bytes", iters: 1, us_per_iter: scan_stream.len() as f64 });
-
     let n_windows = windows.len() as f64;
     let stream_scan = || {
         let mut sv = vchain_core::client::StreamVerifier::new(
@@ -400,23 +378,6 @@ fn main() {
         name: "client_verify_window_per_block_us",
         iters: t_per_block.iters,
         us_per_iter: t_per_block.us_per_iter / n_windows,
-    });
-    let (_, stream_stats) = stream_scan();
-    assert!(
-        stream_stats.peak_buffer_bytes < stream_stats.vo_bytes,
-        "streamed verification must buffer less than the full VO \
-         (peak={}, full={})",
-        stream_stats.peak_buffer_bytes,
-        stream_stats.vo_bytes
-    );
-    eprintln!(
-        "[bench-smoke] client_peak_buffer_bytes: {} of {} stream bytes",
-        stream_stats.peak_buffer_bytes, stream_stats.vo_bytes
-    );
-    timings.push(Timing {
-        name: "client_peak_buffer_bytes",
-        iters: 1,
-        us_per_iter: stream_stats.peak_buffer_bytes as f64,
     });
 
     // --- subscription engine at 10⁵ standing queries ----------------------

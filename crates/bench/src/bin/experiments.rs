@@ -99,7 +99,7 @@ fn table1(scale: Scale) {
         let w = WorkloadSpec::paper_defaults(ds, blocks).generate();
         for (acc_name, honest1, honest2) in [
             ("acc1", Some(shared_acc1().with_fast_setup(false)), None),
-            ("acc2", None, Some(shared_acc2().with_fast_setup(false))),
+            ("acc2", None, Some(shared_acc2())),
         ] {
             for (scheme, sname) in schemes() {
                 let (t, s, hdr_bits) = match (&honest1, &honest2) {
@@ -408,7 +408,7 @@ fn fig16(scale: Scale) {
             });
             (d, tree.ads_size_bytes(&acc1))
         };
-        let acc2 = shared_acc2().with_fast_setup(false);
+        let acc2 = shared_acc2();
         let (t2, s2) = {
             let (tree, d) = timed(|| {
                 vchain_core::intra::IntraTree::build_clustered(&objects, &acc2, spec.domain_bits)

@@ -21,20 +21,10 @@
 //! fail the gate too — silently dropping a ledger line is how a
 //! regression hides. New entries are reported but pass.
 //!
-//! Symmetrically, `VCHAIN_BENCH_TOL_IMPROVE` (default **off**) arms an
-//! inverse gate for *unexplained improvements*: an entry is flagged when
-//!
-//! ```text
-//! current < baseline / VCHAIN_BENCH_TOL_IMPROVE − VCHAIN_BENCH_TOL_ABS_US
-//! ```
-//!
-//! A large speed-up nobody claimed usually means the benchmark broke (a
-//! workload got optimized away, an entry silently measures a cached path)
-//! or the committed ledger is stale; arming this after a perf PR forces
-//! the baseline to be re-recorded rather than drifting. The per-entry
-//! table prints the bound *actually applied* to each entry (`bound µs` —
-//! ratio and slack folded in), so a verdict can be read off one line
-//! without re-deriving the tolerance arithmetic.
+//! The gate is one-sided: a faster entry passes. The per-entry table
+//! prints the bound *actually applied* to each entry (`bound µs` — ratio
+//! and slack folded in), so a verdict can be read off one line without
+//! re-deriving the tolerance arithmetic.
 
 use std::fmt::Write as _;
 
@@ -93,19 +83,12 @@ pub struct Finding {
     /// `current / baseline` (∞-safe: 0-baseline entries compare by slack
     /// only).
     pub ratio: f64,
-    /// The slow-side bound actually applied to this entry, in µs:
+    /// The bound actually applied to this entry, in µs:
     /// `baseline × tol + abs_slack`. The entry regresses iff
     /// `current > bound_us`.
     pub bound_us: f64,
-    /// The fast-side bound applied when the improvement gate is armed:
-    /// `baseline / improve_tol − abs_slack` (`None` when the gate is off).
-    /// The entry is flagged improved iff `current < improve_bound_us`.
-    pub improve_bound_us: Option<f64>,
-    /// Whether this entry trips the gate as a slowdown.
+    /// Whether this entry trips the gate.
     pub regressed: bool,
-    /// Whether this entry trips the gate as an unexplained speed-up
-    /// (always `false` while the improvement gate is off).
-    pub improved: bool,
 }
 
 /// The outcome of comparing a fresh run against the baseline.
@@ -122,15 +105,13 @@ pub struct Comparison {
 impl Comparison {
     /// Does the gate pass?
     pub fn passed(&self) -> bool {
-        self.missing_entries.is_empty() && self.findings.iter().all(|f| !f.regressed && !f.improved)
+        self.missing_entries.is_empty() && self.findings.iter().all(|f| !f.regressed)
     }
 
-    /// Render the per-entry table (flagged entries first, worst ratios
-    /// first among them, then baseline order). The `bound µs` column is
-    /// the tolerance *actually applied* to that entry — `baseline × tol +
-    /// slack` for the slow side, suffixed with `/fast-bound` when the
-    /// improvement gate is armed — so each verdict is auditable from its
-    /// own line.
+    /// Render the per-entry table (regressed entries first, worst ratios
+    /// first). The `bound µs` column is the tolerance *actually applied*
+    /// to that entry — `baseline × tol + slack` — so each verdict is
+    /// auditable from its own line.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -139,21 +120,11 @@ impl Comparison {
             "entry", "baseline µs", "current µs", "ratio", "bound µs"
         );
         for f in &self.findings {
-            let bound = match f.improve_bound_us {
-                Some(lo) => format!("{:.3}/{:.3}", f.bound_us, lo.max(0.0)),
-                None => format!("{:.3}", f.bound_us),
-            };
-            let verdict = if f.regressed {
-                "REGRESSED"
-            } else if f.improved {
-                "IMPROVED?"
-            } else {
-                "ok"
-            };
+            let verdict = if f.regressed { "REGRESSED" } else { "ok" };
             let _ = writeln!(
                 out,
-                "{:<38} {:>12.3} {:>12.3} {:>7.2}x {:>18}  {}",
-                f.name, f.baseline_us, f.current_us, f.ratio, bound, verdict
+                "{:<38} {:>12.3} {:>12.3} {:>7.2}x {:>18.3}  {}",
+                f.name, f.baseline_us, f.current_us, f.ratio, f.bound_us, verdict
             );
         }
         for name in &self.missing_entries {
@@ -168,36 +139,16 @@ impl Comparison {
 }
 
 /// Compare `current` against `baseline` with the given ratio tolerance and
-/// absolute slack (both in the units of the entries, µs). Equivalent to
-/// [`compare_with_improve`] with the improvement gate off.
+/// absolute slack (both in the units of the entries, µs).
 pub fn compare(baseline: &[Entry], current: &[Entry], tol: f64, abs_slack_us: f64) -> Comparison {
-    compare_with_improve(baseline, current, tol, abs_slack_us, None)
-}
-
-/// [`compare`] with an optional inverse-ratio improvement gate: when
-/// `improve_tol` is `Some(it)`, an entry is flagged (and fails the gate)
-/// if `current < baseline / it − abs_slack_us` — a speed-up large enough
-/// that it should have been claimed and baselined, not merged silently.
-/// The slack shields micro-entries symmetrically on both sides.
-pub fn compare_with_improve(
-    baseline: &[Entry],
-    current: &[Entry],
-    tol: f64,
-    abs_slack_us: f64,
-    improve_tol: Option<f64>,
-) -> Comparison {
     assert!(tol >= 1.0, "a tolerance below 1.0 would flag same-speed runs");
     assert!(abs_slack_us >= 0.0, "negative slack makes no sense");
-    if let Some(it) = improve_tol {
-        assert!(it > 1.0, "an improvement tolerance at or below 1.0 would flag same-speed runs");
-    }
     let mut cmp = Comparison::default();
     for base in baseline {
         match current.iter().find(|c| c.name == base.name) {
             None => cmp.missing_entries.push(base.name.clone()),
             Some(cur) => {
                 let bound = base.us_per_iter * tol + abs_slack_us;
-                let improve_bound = improve_tol.map(|it| base.us_per_iter / it - abs_slack_us);
                 let ratio = if base.us_per_iter > 0.0 {
                     cur.us_per_iter / base.us_per_iter
                 } else {
@@ -209,9 +160,7 @@ pub fn compare_with_improve(
                     current_us: cur.us_per_iter,
                     ratio,
                     bound_us: bound,
-                    improve_bound_us: improve_bound,
                     regressed: cur.us_per_iter > bound,
-                    improved: improve_bound.is_some_and(|lo| cur.us_per_iter < lo),
                 });
             }
         }
@@ -221,56 +170,11 @@ pub fn compare_with_improve(
             cmp.new_entries.push(cur.name.clone());
         }
     }
-    // worst offenders first so the CI log leads with the problem; among
-    // flagged entries, slowdowns sort by ratio and unexplained speed-ups
-    // by inverse ratio (the smaller the ratio, the more suspicious).
+    // worst offenders first so the CI log leads with the problem
     cmp.findings.sort_by(|a, b| {
-        let key = |f: &Finding| {
-            let severity =
-                if f.improved && !f.regressed { 1.0 / f.ratio.max(1e-12) } else { f.ratio };
-            (f.regressed || f.improved, severity)
-        };
-        key(b).partial_cmp(&key(a)).expect("finite ratios")
+        (b.regressed, b.ratio).partial_cmp(&(a.regressed, a.ratio)).expect("finite ratios")
     });
     cmp
-}
-
-/// Splice freshly measured timings into an existing bench-smoke JSON file
-/// by text surgery, preserving the emitter's exact line shape (so
-/// [`parse`] and the gate treat merged entries like native ones). Each
-/// `(name, iters, us_per_iter)` becomes one timing line before the closing
-/// `  ]` of the array; the previous last entry gains the comma JSON
-/// requires. Duplicate names are an error — a merge is additive, never a
-/// silent overwrite.
-pub fn merge_entries(json: &str, entries: &[(String, u32, f64)]) -> Result<String, String> {
-    if !json.contains("vchain-bench-smoke/v1") {
-        return Err("missing vchain-bench-smoke/v1 schema marker".into());
-    }
-    let existing = parse(json)?;
-    for (name, _, us) in entries {
-        if existing.iter().any(|e| &e.name == name) {
-            return Err(format!("entry {name:?} already present — merge is additive only"));
-        }
-        if !us.is_finite() || *us < 0.0 {
-            return Err(format!("non-physical us_per_iter {us} for {name:?}"));
-        }
-    }
-    let close = json.rfind("  ]").ok_or("no closing `  ]` of the timings array")?;
-    let (head, tail) = json.split_at(close);
-    let mut out = head.trim_end().to_string();
-    if out.ends_with('}') {
-        out.push(','); // the former last entry now has a successor
-    }
-    for (i, (name, iters, us)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        let _ = write!(
-            out,
-            "\n    {{\"name\": \"{name}\", \"iters\": {iters}, \"us_per_iter\": {us:.3}}}{comma}"
-        );
-    }
-    out.push('\n');
-    out.push_str(tail);
-    Ok(out)
 }
 
 /// The ratio tolerance from `VCHAIN_BENCH_TOL` (default 2.0).
@@ -281,19 +185,6 @@ pub fn tol_from_env() -> f64 {
 /// The absolute slack in µs from `VCHAIN_BENCH_TOL_ABS_US` (default 25).
 pub fn abs_slack_from_env() -> f64 {
     std::env::var("VCHAIN_BENCH_TOL_ABS_US").ok().and_then(|v| v.parse().ok()).unwrap_or(25.0)
-}
-
-/// The inverse-ratio improvement tolerance from `VCHAIN_BENCH_TOL_IMPROVE`.
-/// Unset, empty, `off`, or `0` disable the gate (the default); a numeric
-/// value > 1.0 arms it.
-pub fn improve_tol_from_env() -> Option<f64> {
-    let raw = std::env::var("VCHAIN_BENCH_TOL_IMPROVE").ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("off") {
-        return None;
-    }
-    let v: f64 = trimmed.parse().ok()?;
-    (v > 1.0).then_some(v)
 }
 
 #[cfg(test)]
@@ -376,6 +267,12 @@ mod tests {
         assert_eq!(cmp.new_entries, vec!["brand_new".to_string()]);
         let table = cmp.render_table();
         assert!(table.contains("MISSING") && table.contains("new"));
+        // a row the emitter stopped producing fails until the baseline drops
+        // it too: ledger and emitter can only be trimmed together
+        let stale = entries(&[("pairing", 1000.0), ("retired_row", 18420.0)]);
+        let cmp = compare(&stale, &entries(&[("pairing", 1000.0)]), 2.0, 25.0);
+        assert!(!cmp.passed());
+        assert_eq!(cmp.missing_entries, vec!["retired_row".to_string()]);
     }
 
     #[test]
@@ -385,79 +282,16 @@ mod tests {
         let cmp = compare(&base, &fresh, 2.0, 25.0);
         let names: Vec<_> = cmp.findings.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["b", "c", "a"]);
-    }
-
-    #[test]
-    fn improvement_gate_off_by_default() {
-        // a 100× speed-up passes when the gate is off (compare == gate off)
-        let base = entries(&[("pairing", 5000.0)]);
-        let fast = entries(&[("pairing", 50.0)]);
-        let cmp = compare(&base, &fast, 2.0, 25.0);
-        assert!(cmp.passed());
-        assert!(cmp.findings.iter().all(|f| !f.improved && f.improve_bound_us.is_none()));
-    }
-
-    #[test]
-    fn armed_improvement_gate_flags_unexplained_speedups() {
-        let base = entries(&[("pairing", 5000.0), ("final_exp", 900.0)]);
-        let fresh = entries(&[("pairing", 50.0), ("final_exp", 880.0)]);
-        let cmp = compare_with_improve(&base, &fresh, 2.0, 25.0, Some(1.5));
-        assert!(!cmp.passed());
-        let flagged: Vec<_> = cmp.findings.iter().filter(|f| f.improved).collect();
-        assert_eq!(flagged.len(), 1);
-        assert_eq!(flagged[0].name, "pairing");
-        // fast bound actually applied: 5000/1.5 − 25
-        let lo = flagged[0].improve_bound_us.unwrap();
-        assert!((lo - (5000.0 / 1.5 - 25.0)).abs() < 1e-9);
-        // the in-tolerance entry passes
-        assert!(!cmp.findings.iter().find(|f| f.name == "final_exp").unwrap().improved);
-        // flagged speed-ups sort ahead of unflagged entries
-        assert_eq!(cmp.findings[0].name, "pairing");
-        assert!(cmp.render_table().contains("IMPROVED?"));
-    }
-
-    #[test]
-    fn abs_slack_shields_micro_entries_on_the_fast_side_too() {
-        // 0.06 µs → 0.001 µs is a 60× "speed-up" but inside the slack
-        let base = entries(&[("fp_mul", 0.06)]);
-        let fast = entries(&[("fp_mul", 0.001)]);
-        assert!(compare_with_improve(&base, &fast, 2.0, 25.0, Some(1.5)).passed());
-    }
-
-    #[test]
-    fn merge_appends_parseable_entries() {
-        let merged = merge_entries(
-            SAMPLE,
-            &[("sp_serve_qps".to_string(), 64, 1234.5), ("sp_serve_p99_us".to_string(), 64, 99.25)],
-        )
-        .unwrap();
-        let parsed = parse(&merged).unwrap();
-        assert_eq!(parsed.len(), 5);
-        assert_eq!(parsed[3], Entry { name: "sp_serve_qps".into(), us_per_iter: 1234.5 });
-        assert_eq!(parsed[4], Entry { name: "sp_serve_p99_us".into(), us_per_iter: 99.25 });
-        // the original entries survive byte-for-byte meaning-wise
-        assert_eq!(parsed[..3], parse(SAMPLE).unwrap()[..]);
-        // merged output is itself mergeable (still well-shaped)
-        assert!(merge_entries(&merged, &[("one_more".to_string(), 1, 0.5)]).is_ok());
-    }
-
-    #[test]
-    fn merge_rejects_duplicates_and_foreign_files() {
-        assert!(merge_entries(SAMPLE, &[("pairing".to_string(), 1, 1.0)]).is_err());
-        assert!(merge_entries("{}", &[("x".to_string(), 1, 1.0)]).is_err());
-        assert!(merge_entries(SAMPLE, &[("x".to_string(), 1, f64::NAN)]).is_err());
+        // the gate is one-sided: the faster entry sorts last and passes
+        assert!(!cmp.findings[2].regressed);
     }
 
     #[test]
     fn table_prints_the_bound_actually_applied() {
         let base = entries(&[("pairing", 1000.0)]);
         let fresh = entries(&[("pairing", 1100.0)]);
-        // slow-side bound: 1000×2 + 25 = 2025.000
+        // bound: 1000×2 + 25 = 2025.000
         let cmp = compare(&base, &fresh, 2.0, 25.0);
         assert!(cmp.render_table().contains("2025.000"));
-        // with the improvement gate armed both bounds appear: 1000/2 − 25
-        let cmp = compare_with_improve(&base, &fresh, 2.0, 25.0, Some(2.0));
-        let table = cmp.render_table();
-        assert!(table.contains("2025.000/475.000"), "table was:\n{table}");
     }
 }

@@ -1,6 +1,11 @@
 //! Shared harness for the vChain experiments: chain construction per
 //! (dataset × scheme × accumulator), wall-clock metering, and plain-text
 //! table/series printing matching the paper's figures.
+//!
+//! Which harness answers which question (`docs/BENCHMARKS.md`): `vbench`
+//! measures the system end to end and layer by layer; `bench_smoke` +
+//! [`check`] pin the primitives and the same-run reference twins; the
+//! `experiments` binary regenerates the paper's tables.
 
 pub mod check;
 
@@ -40,7 +45,8 @@ pub fn shared_acc1() -> Acc1 {
         .with_fast_setup(true)
 }
 
-/// Process-wide Construction-2 key.
+/// Process-wide Construction-2 key (honest setup: Acc2 has no trapdoor
+/// path).
 pub fn shared_acc2() -> Acc2 {
     SHARED_ACC2
         .get_or_init(|| {
@@ -48,7 +54,6 @@ pub fn shared_acc2() -> Acc2 {
             Acc2::keygen(ACC2_UNIVERSE, &mut StdRng::seed_from_u64(0xACC2))
         })
         .clone()
-        .with_fast_setup(true)
 }
 
 /// Wall-clock measurement of a closure.

@@ -150,24 +150,6 @@ impl<const N: usize> Uint<N> {
         limb < N && (self.0[limb] >> (i % 64)) & 1 == 1
     }
 
-    /// Whether the value is even (bit 0 clear).
-    #[inline]
-    pub fn is_even(&self) -> bool {
-        self.0[0] & 1 == 0
-    }
-
-    /// Logical right shift by one bit.
-    #[inline]
-    pub fn shr1(&self) -> Self {
-        let mut out = [0u64; N];
-        let mut carry = 0u64;
-        for i in (0..N).rev() {
-            out[i] = (self.0[i] >> 1) | (carry << 63);
-            carry = self.0[i] & 1;
-        }
-        Self(out)
-    }
-
     /// Little-endian byte encoding (`8 * N` bytes).
     pub fn to_le_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 * N);

@@ -146,11 +146,6 @@ impl AttributeBloom {
         })
     }
 
-    /// Probe with an element (hashes it first; the index caches keys instead).
-    pub fn contains_element(&self, e: &Element) -> bool {
-        self.contains_key(&BloomKey::from_element(self.seed, e))
-    }
-
     /// The seed the filter was built (and must be probed) under.
     pub fn seed(&self) -> u64 {
         self.seed

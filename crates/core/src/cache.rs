@@ -185,11 +185,6 @@ impl<A: Accumulator> ProofCache<A> {
         self
     }
 
-    /// Whether write-behind capture is on.
-    pub fn persistence_enabled(&self) -> bool {
-        self.persist
-    }
-
     /// The cache key for proving `X₁` (committed as `att`) disjoint from
     /// `clause`: digests over the serialized accumulative value and the
     /// clause's canonical `(index, count)` encoding.

@@ -126,12 +126,6 @@ impl ElementId {
         interner().read().entries[self.0 as usize].0.clone()
     }
 
-    /// Number of distinct elements interned so far — the current universe
-    /// size, which must stay below Construction 2's `q`.
-    pub fn universe_size() -> usize {
-        interner().read().entries.len()
-    }
-
     /// The raw 0-based dictionary id.
     pub fn raw(self) -> u32 {
         self.0

@@ -2,14 +2,12 @@
 //! with `⟨R, VO⟩`, using the intra-block index (Algorithm 3) and the
 //! inter-block skip list (Algorithm 4).
 //!
-//! The proving pipeline is cache-backed and parallel:
-//!
-//! * every inline mismatch proof and every skip-entry proof goes through a
-//!   window-level [`ProofCache`] keyed by `(AttDigest, clause)`, so
-//!   overlapping windows — the common shape of dashboard/scan workloads —
-//!   re-prove nothing they have proven before;
-//! * [`ServiceProvider::time_window_queries`] answers a batch of windows on
-//!   all available cores, sharing that cache across the threads.
+//! The proving pipeline is cache-backed: every inline mismatch proof and
+//! every skip-entry proof goes through a window-level [`ProofCache`] keyed
+//! by `(AttDigest, clause)`, so overlapping windows — the common shape of
+//! dashboard/scan workloads — re-prove nothing they have proven before.
+//! Parallel batches are the sharded layer's job
+//! ([`ShardedServiceProvider::query_batch`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -70,12 +68,6 @@ impl<A: Accumulator> ServiceProvider<A> {
     /// Enable / disable §6.3 grouped proofs in the VOs this SP produces.
     pub fn with_batch_verify(mut self, enabled: bool) -> Self {
         self.batch_verify = enabled && self.acc.supports_aggregation();
-        self
-    }
-
-    /// Replace the proof cache with one of the given capacity (entries).
-    pub fn with_proof_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = ProofCache::new(capacity);
         self
     }
 
@@ -148,33 +140,6 @@ impl<A: Accumulator> ServiceProvider<A> {
             }
         }
         QueryResponse { results, coverage }
-    }
-
-    /// Answer many time-window queries in parallel — the multi-window scan
-    /// path. Queries are chunked over the available cores with
-    /// `std::thread::scope`; all threads share this SP's proof cache, so a
-    /// proof any window derives is immediately warm for every other window
-    /// that overlaps it. Responses come back in input order.
-    pub fn time_window_queries(&self, queries: &[CompiledQuery]) -> Vec<QueryResponse<A>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(queries.len().max(1));
-        if threads <= 1 || queries.len() <= 1 {
-            return queries.iter().map(|q| self.time_window_query(q)).collect();
-        }
-        let chunk = queries.len().div_ceil(threads);
-        let mut out: Vec<Option<QueryResponse<A>>> = (0..queries.len()).map(|_| None).collect();
-        std::thread::scope(|s| {
-            for (qs, os) in queries.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (q, o) in qs.iter().zip(os.iter_mut()) {
-                        *o = Some(self.time_window_query(q));
-                    }
-                });
-            }
-        });
-        out.into_iter().map(|o| o.expect("every chunk slot is written")).collect()
     }
 
     /// Try the largest skip at block `cur` covering `cur-distance ..= cur-1`

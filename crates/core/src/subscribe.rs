@@ -257,12 +257,6 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         self.strategy
     }
 
-    /// The attribute-keyed subscription index (posting-list stats, probe
-    /// counts).
-    pub fn subscription_index(&self) -> &SubscriptionIndex {
-        &self.index
-    }
-
     /// The cross-block proof cache (inspect its stats to observe reuse).
     pub fn proof_cache(&self) -> &ProofCache<A> {
         &self.cache
@@ -511,32 +505,14 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         let mut cell_assigned: BTreeMap<QueryId, (usize, ClauseRef)> = BTreeMap::new();
         if self.use_iptree {
             for (cell, qids) in self.index.cells() {
-                let absent: Vec<(u8, u64)> = cell
-                    .prefixes
-                    .iter()
-                    .zip(cell.elements())
-                    .filter(|(_, e)| !root_ms.contains(e))
-                    .map(|((dim, bits), _)| (*dim, *bits))
-                    .collect();
-                if absent.is_empty() {
+                let Some((clause_ms, clause)) = absent_slab_clause(cell, root_ms) else {
                     continue;
-                }
-                let clause_ms: MultiSet<ElementId> = absent
-                    .iter()
-                    .map(|(dim, bits)| {
-                        ElementId::intern(&crate::element::Element::Prefix {
-                            dim: *dim,
-                            len: cell.depth,
-                            bits: *bits,
-                        })
-                    })
-                    .collect();
+                };
                 let key: Vec<u32> = clause_ms.elements().map(|e| e.raw()).collect();
                 let idx = *by_cell_key.entry(key).or_insert_with(|| {
                     pending.push((clause_ms, None));
                     pending.len() - 1
                 });
-                let clause = ClauseRef::Cell { len: cell.depth, prefixes: absent };
                 for &qid in qids {
                     cell_assigned.insert(qid, (idx, clause.clone()));
                 }
@@ -556,31 +532,10 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         }
 
         // 4. Resolve: cross-block cache first, one shared-witness batch for
-        //    the misses. Failures demote to the walk (self-healing).
-        if !pending.is_empty() {
-            let mut misses: Vec<usize> = Vec::new();
-            for (i, (clause_ms, proof)) in pending.iter_mut().enumerate() {
-                match self.cache.get(&ProofCache::<A>::key(&root_att, clause_ms)) {
-                    Some(hit) => *proof = Some(hit),
-                    None => misses.push(i),
-                }
-            }
-            if !misses.is_empty() {
-                let clauses: Vec<MultiSet<ElementId>> =
-                    misses.iter().map(|&i| pending[i].0.clone()).collect();
-                // A clause that is not actually disjoint (a lying Bloom
-                // filter skipped a present literal) fails alone; the good
-                // proofs are kept.
-                let results = self.acc.prove_disjoint_each(root_ms, &clauses);
-                for (&i, res) in misses.iter().zip(results) {
-                    if let Ok(proof) = res {
-                        self.cache
-                            .insert(ProofCache::<A>::key(&root_att, &pending[i].0), proof.clone());
-                        pending[i].1 = Some(proof);
-                    }
-                }
-            }
-        }
+        //    the misses. A clause that is not actually disjoint (a lying
+        //    Bloom filter skipped a present literal) fails alone and demotes
+        //    its queries to the walk (self-healing); the good proofs are kept.
+        self.resolve_pending(&root_att, root_ms, &mut pending);
 
         // Compact the proof table; queries whose refutation failed to prove
         // join the candidates and take the exact walk instead.
@@ -715,7 +670,6 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         vo: BlockVo<A>,
         indexed: &IndexedBlock<A>,
     ) -> Option<SubscriptionUpdate<A>> {
-        let q = self.queries.get(&qid).expect("registered").clone();
         let state = self.lazy.get_mut(&qid).expect("registered");
         let root_clause = match &vo.root {
             // whole-block mismatch: a single root-level mismatch node
@@ -746,13 +700,11 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             None => {
                 // Root matched (or unshareable): flush everything buffered
                 // plus this block.
-                let state = self.lazy.get_mut(&qid).expect("registered");
                 state.pending.push(BlockCoverage::Block { height, vo });
                 let res = if results.is_empty() { Vec::new() } else { vec![(height, results)] };
                 let update = Self::drain_update(qid, state, height, res);
                 state.from_height = height + 1;
                 state.clause_idx = None;
-                let _ = q;
                 update
             }
         }
@@ -880,7 +832,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
     /// across all active queries (the BCIF effect) and per enclosing grid
     /// cell — is first looked up in the persistent cross-block cache, and
     /// the misses are proven together with one
-    /// [`Accumulator::prove_disjoint_many`] call, sharing the node-side
+    /// [`Accumulator::prove_disjoint_each`] call, sharing the node-side
     /// witness across clauses.
     fn shared_walk(
         &self,
@@ -920,32 +872,10 @@ impl<A: Accumulator> SubscriptionEngine<A> {
                 }
             }
             for (cell, qids) in by_cell {
-                // The shared proof covers only the dimensions whose slab
-                // prefix is *absent* from the node's multiset: disjointness
-                // on any one dimension already refutes every query whose
-                // box is contained in the cell.
-                let absent: Vec<(u8, u64)> = cell
-                    .prefixes
-                    .iter()
-                    .zip(cell.elements())
-                    .filter(|(_, e)| !node.ms.contains(e))
-                    .map(|((dim, bits), _)| (*dim, *bits))
-                    .collect();
-                if absent.is_empty() {
+                let Some((clause_ms, clause)) = absent_slab_clause(cell, &node.ms) else {
                     continue; // the node may contain cell objects: no sharing
-                }
-                let clause_ms: MultiSet<ElementId> = absent
-                    .iter()
-                    .map(|(dim, bits)| {
-                        ElementId::intern(&crate::element::Element::Prefix {
-                            dim: *dim,
-                            len: cell.depth,
-                            bits: *bits,
-                        })
-                    })
-                    .collect();
+                };
                 let idx = intern(&mut pending, clause_ms);
-                let clause = ClauseRef::Cell { len: cell.depth, prefixes: absent };
                 for qid in qids {
                     assigned.insert(qid, (idx, clause.clone()));
                 }
@@ -968,33 +898,15 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             }
         }
 
-        // 3. Resolve the pending refutations: warm ones come from the
-        //    cross-block cache, the misses share one witness computation.
+        // 3. Resolve the pending refutations (cache, then one shared witness).
         if !pending.is_empty() {
-            let att = node.att.as_ref();
-            let mut misses: Vec<usize> = Vec::new();
-            for (i, (clause_ms, proof)) in pending.iter_mut().enumerate() {
-                match att.and_then(|a| self.cache.get(&ProofCache::<A>::key(a, clause_ms))) {
-                    Some(hit) => *proof = Some(hit),
-                    None => misses.push(i),
-                }
-            }
-            if !misses.is_empty() {
-                let clauses: Vec<MultiSet<ElementId>> =
-                    misses.iter().map(|&i| pending[i].0.clone()).collect();
-                let proofs = self
-                    .acc
-                    .prove_disjoint_many(&node.ms, &clauses)
-                    .expect("every pending clause was found disjoint from the node");
-                for (&i, proof) in misses.iter().zip(proofs) {
-                    if let Some(a) = att {
-                        self.cache.insert(ProofCache::<A>::key(a, &pending[i].0), proof.clone());
-                    }
-                    pending[i].1 = Some(proof);
-                }
-            }
+            let att = node.att.as_ref().expect("pruning requires AttDigest");
+            self.resolve_pending(att, &node.ms, &mut pending);
             for (&qid, (idx, clause)) in &assigned {
-                let proof = pending[*idx].1.clone().expect("resolved above");
+                let proof = pending[*idx]
+                    .1
+                    .clone()
+                    .expect("every pending clause was found disjoint from the node");
                 results_map.insert(
                     qid,
                     self.mismatch_node(
@@ -1042,6 +954,36 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         results_map
     }
 
+    /// Resolve the pending refutations of one node (committed as `att`,
+    /// multiset `ms`): warm ones come from the cross-block cache, the misses
+    /// share one witness computation and are inserted. A clause that fails
+    /// to prove keeps `None`; what that means is the caller's decision.
+    fn resolve_pending(
+        &self,
+        att: &A::Value,
+        ms: &MultiSet<ElementId>,
+        pending: &mut [(MultiSet<ElementId>, Option<A::Proof>)],
+    ) {
+        let mut misses: Vec<usize> = Vec::new();
+        for (i, (clause_ms, proof)) in pending.iter_mut().enumerate() {
+            match self.cache.get(&ProofCache::<A>::key(att, clause_ms)) {
+                Some(hit) => *proof = Some(hit),
+                None => misses.push(i),
+            }
+        }
+        if misses.is_empty() {
+            return;
+        }
+        let clauses: Vec<MultiSet<ElementId>> =
+            misses.iter().map(|&i| pending[i].0.clone()).collect();
+        for (&i, res) in misses.iter().zip(self.acc.prove_disjoint_each(ms, &clauses)) {
+            if let Ok(proof) = res {
+                self.cache.insert(ProofCache::<A>::key(att, &pending[i].0), proof.clone());
+                pending[i].1 = Some(proof);
+            }
+        }
+    }
+
     fn mismatch_node(
         &self,
         tree: &IntraTree<A>,
@@ -1062,6 +1004,38 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             }
         }
     }
+}
+
+/// The refutation every query enclosed by `cell` shares against a node with
+/// multiset `ms`: the clause over the cell's slab prefixes that are *absent*
+/// from `ms` (disjointness on any one dimension already refutes every box
+/// contained in the cell), with its VO reference. `None` when every slab is
+/// present: the node may contain cell objects.
+fn absent_slab_clause(
+    cell: &Cell,
+    ms: &MultiSet<ElementId>,
+) -> Option<(MultiSet<ElementId>, ClauseRef)> {
+    let absent: Vec<(u8, u64)> = cell
+        .prefixes
+        .iter()
+        .zip(cell.elements())
+        .filter(|(_, e)| !ms.contains(e))
+        .map(|((dim, bits), _)| (*dim, *bits))
+        .collect();
+    if absent.is_empty() {
+        return None;
+    }
+    let clause_ms = absent
+        .iter()
+        .map(|(dim, bits)| {
+            ElementId::intern(&crate::element::Element::Prefix {
+                dim: *dim,
+                len: cell.depth,
+                bits: *bits,
+            })
+        })
+        .collect();
+    Some((clause_ms, ClauseRef::Cell { len: cell.depth, prefixes: absent }))
 }
 
 fn coverage_span<A: Accumulator>(cov: &BlockCoverage<A>) -> (u64, u64) {

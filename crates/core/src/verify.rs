@@ -19,11 +19,10 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use vchain_acc::{Accumulator, BatchItem, MultiSet};
+use vchain_acc::{Accumulator, BatchItem};
 use vchain_chain::{LightClient, Object};
 use vchain_hash::{hash_pair, Digest};
 
-use crate::element::ElementId;
 use crate::inter::{level_hash_from_parts, pre_skipped_hash, skiplist_root_from_hashes};
 use crate::intra::{internal_hash, leaf_hash};
 use crate::miner::{IndexScheme, MinerConfig};
@@ -709,10 +708,4 @@ fn check_mismatch_proof<A: Accumulator>(
             Ok(())
         }
     }
-}
-
-/// Verify a clause reference alone resolves to a valid multiset for `q`
-/// (exported for subscription verification).
-pub fn clause_multiset(q: &CompiledQuery, clause: &ClauseRef) -> Option<MultiSet<ElementId>> {
-    clause.resolve(q).ok()
 }

@@ -345,19 +345,5 @@ impl<A: Accumulator> QueryResponse<A> {
     }
 }
 
-/// Convenience: the accumulator value of a resolved clause (verifier side).
-/// The clause reference comes from the untrusted VO, so accumulation is
-/// fallible: a set the key cannot cover is [`ClauseError::Unaccumulatable`],
-/// never a panic.
-pub fn clause_acc_value<A: Accumulator>(
-    acc: &A,
-    q: &CompiledQuery,
-    clause: &ClauseRef,
-) -> Result<(MultiSet<ElementId>, A::Value), ClauseError> {
-    let ms = clause.resolve(q)?;
-    let v = acc.try_setup(&ms).map_err(|_| ClauseError::Unaccumulatable)?;
-    Ok((ms, v))
-}
-
 /// Re-exported for `sp`/`verify` signatures.
 pub type AccResult<T> = Result<T, AccError>;

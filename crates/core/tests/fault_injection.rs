@@ -112,7 +112,7 @@ fn sample_query() -> Query {
 }
 
 /// Every rejection must map onto a named taxonomy variant; this is the
-/// "classified error" half of the acceptance criterion. Wire-level
+/// "classified error" half of the acceptance bar. Wire-level
 /// rejections keep their [`vchain_core::wire::WireError`] variant name, so
 /// the tally shows which structural defenses (framing, back-references,
 /// truncation detection) the corpus actually exercised instead of one flat
@@ -725,7 +725,7 @@ fn stream_mutation_classes_hit_their_taxonomy_entries() {
     let stream = encode_scan_stream(&responses);
 
     // Honest control, both pipeline modes: results match and buffering is
-    // strictly sub-linear in the stream (the acceptance criterion's
+    // strictly sub-linear in the stream (the acceptance bar's
     // "peak buffer < full VO size").
     for mode in [PipelineMode::Inline, PipelineMode::Worker] {
         let mut sv = StreamVerifier::new(queries.clone(), light.clone(), cfg, acc.clone(), mode);

@@ -112,12 +112,6 @@ impl Fp6 {
         Self { c0: s0 + s3.mul_by_xi(), c1: s1 + s4.mul_by_xi(), c2: s1 + s2 + s3 - s0 - s4 }
     }
 
-    /// Coefficient-wise Galois conjugation (the `p`-power Frobenius on each
-    /// `Fp2` coefficient; callers multiply by the `γ` constants).
-    pub fn conjugate_coeffs(&self) -> Self {
-        Self { c0: self.c0.conjugate(), c1: self.c1.conjugate(), c2: self.c2.conjugate() }
-    }
-
     /// A uniformly random element.
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Self { c0: Fp2::random(rng), c1: Fp2::random(rng), c2: Fp2::random(rng) }

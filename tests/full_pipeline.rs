@@ -15,9 +15,7 @@ use vchain::datagen::{Dataset, WorkloadSpec};
 
 fn acc() -> Acc2 {
     static ACC: OnceLock<Acc2> = OnceLock::new();
-    ACC.get_or_init(|| Acc2::keygen(8192, &mut StdRng::seed_from_u64(0xBEEF)))
-        .clone()
-        .with_fast_setup(true)
+    ACC.get_or_init(|| Acc2::keygen(8192, &mut StdRng::seed_from_u64(0xBEEF))).clone()
 }
 
 fn run_dataset(ds: Dataset, seed: u64) {
