@@ -22,8 +22,6 @@
 pub mod apint;
 #[cfg(target_arch = "x86_64")]
 pub mod asm;
-#[cfg(target_arch = "aarch64")]
-pub mod asm_aarch64;
 pub mod dwide;
 pub mod mont;
 pub mod uint;

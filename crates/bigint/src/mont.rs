@@ -17,10 +17,12 @@ pub struct MontParams<const N: usize> {
     pub r1: Uint<N>,
     /// `R² mod m` — used to convert into Montgomery form.
     pub r2: Uint<N>,
-    /// Whether the hand-scheduled multiplication kernels ([`crate::asm`]
-    /// on x86_64, [`crate::asm_aarch64`] on aarch64) may be used for this
-    /// width (CPUID-probed once at construction; always `false` on other
-    /// architectures or for widths without a kernel).
+    /// Whether the hand-scheduled x86_64 multiplication kernels
+    /// ([`crate::asm`]) may be used for this width (CPUID-probed once at
+    /// construction; always `false` on other architectures or for widths
+    /// without a kernel).
+    // Every read sits behind `cfg(target_arch = "x86_64")`.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) use_asm: bool,
 }
 
@@ -59,10 +61,7 @@ impl<const N: usize> MontParams<N> {
         // products through the kernels.
         #[cfg(target_arch = "x86_64")]
         let use_asm = (N == 4 || N == 6) && modulus.0[N - 1] >> 63 == 0 && crate::asm::supported();
-        #[cfg(target_arch = "aarch64")]
-        let use_asm =
-            (N == 4 || N == 6) && modulus.0[N - 1] >> 63 == 0 && crate::asm_aarch64::supported();
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         let use_asm = false;
         Self { modulus, n0inv, r1, r2, use_asm }
     }
@@ -135,35 +134,6 @@ impl<const N: usize> MontParams<N> {
             if N == 4 {
                 let (limbs, hi) = unsafe {
                     crate::asm::mont_mul_4(
-                        a.0[..].try_into().expect("N == 4"),
-                        b.0[..].try_into().expect("N == 4"),
-                        self.modulus.0[..].try_into().expect("N == 4"),
-                        self.n0inv,
-                    )
-                };
-                let mut out = [0u64; N];
-                out.copy_from_slice(&limbs);
-                return self.reduce_once(Uint(out), hi);
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        if self.use_asm {
-            if N == 6 {
-                let (limbs, hi) = unsafe {
-                    crate::asm_aarch64::mont_mul_6(
-                        a.0[..].try_into().expect("N == 6"),
-                        b.0[..].try_into().expect("N == 6"),
-                        self.modulus.0[..].try_into().expect("N == 6"),
-                        self.n0inv,
-                    )
-                };
-                let mut out = [0u64; N];
-                out.copy_from_slice(&limbs);
-                return self.reduce_once(Uint(out), hi);
-            }
-            if N == 4 {
-                let (limbs, hi) = unsafe {
-                    crate::asm_aarch64::mont_mul_4(
                         a.0[..].try_into().expect("N == 4"),
                         b.0[..].try_into().expect("N == 4"),
                         self.modulus.0[..].try_into().expect("N == 4"),

@@ -27,11 +27,11 @@
 //! — write-behind, so the proving hot path never waits on a disk. Because
 //! dirty capture happens at *insert* and is independent of the LRU list,
 //! an entry later evicted from memory has still been persisted: eviction
-//! bounds RAM, the log bounds re-proving. On warm start,
-//! [`ProofCache::preload`] rehydrates entries without touching either the
-//! stats or the dirty queue, and [`ProofCache::restore_stats`] adopts the
-//! last persisted counter snapshot (activity since that snapshot is reset
-//! — the documented durability granularity is the flush batch).
+//! bounds RAM, the log bounds re-proving. A flush that fails hands its
+//! batch back (`requeue_dirty`), so the next flush writes it. On warm
+//! start, [`ProofCache::preload`] rehydrates entries without touching
+//! either the stats or the dirty queue. Proofs are all that is persisted:
+//! the counters of a reopened cache start at zero.
 
 use std::collections::HashMap;
 
@@ -75,8 +75,8 @@ impl CacheKey {
 }
 
 /// One queued write-behind entry: the key halves plus the proof's
-/// canonical bytes, ready to become a `StoreRecord::Proof` without any
-/// further access to accumulator types.
+/// canonical bytes, ready to become a [`crate::store::StoreRecord`] without
+/// any further access to accumulator types.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirtyEntry {
     /// The entry's cache key.
@@ -198,8 +198,8 @@ impl<A: Accumulator> ProofCache<A> {
         CacheKey { att: hash_bytes(&att_bytes), clause: hash_bytes(&clause_bytes) }
     }
 
-    /// The `att` half of [`ProofCache::key`] alone — the handle persisted
-    /// witnesses are filed under.
+    /// The `att` half of [`ProofCache::key`] alone — the handle the
+    /// in-memory [`crate::sp::WitnessTable`] files witnesses under.
     pub fn att_digest(att: &A::Value) -> Digest {
         hash_bytes(&A::value_bytes(att))
     }
@@ -283,12 +283,13 @@ impl<A: Accumulator> ProofCache<A> {
         self.inner.lock().dirty.len()
     }
 
-    /// Overwrite the counters with a persisted snapshot (warm start).
-    /// Counters are cumulative up to the snapshot's flush; activity
-    /// between that flush and the crash/shutdown is reset — hits and
-    /// misses after rehydration accrue on top of the restored values.
-    pub fn restore_stats(&self, stats: CacheStats) {
-        self.inner.lock().stats = stats;
+    /// Hand a drained batch back after a failed flush: `entries` return to
+    /// the *front* of the queue, ahead of whatever was inserted since the
+    /// drain, so the next flush writes them in their original order.
+    pub(crate) fn requeue_dirty(&self, mut entries: Vec<DirtyEntry>) {
+        let mut g = self.inner.lock();
+        entries.append(&mut g.dirty);
+        g.dirty = entries;
     }
 
     /// The SP fast path: return the cached proof for `(att, clause)` or
@@ -304,7 +305,7 @@ impl<A: Accumulator> ProofCache<A> {
         self.get_or_prove_with_witness(acc, att, x1, clause, None)
     }
 
-    /// [`ProofCache::get_or_prove`] with an optional *persisted witness*
+    /// [`ProofCache::get_or_prove`] with an optional *serialized witness*
     /// fast path: on a miss, if `witness` carries serialized `X₁`-side
     /// proving state (see [`Accumulator::witness_bytes`]), the proof is
     /// finalized from it — skipping the `O(|X₁|)` extraction — and falls

@@ -200,28 +200,19 @@ impl<A: Accumulator> IntraTree<A> {
     /// `batch` enables §6.3 online batch verification: mismatching nodes
     /// that share a clause are aggregated into one group proof (requires an
     /// aggregating accumulator, i.e. Construction 2).
+    ///
+    /// Every proof goes through the window-level [`ProofCache`]: an inline
+    /// mismatch proof is looked up by `(node AttDigest, clause)` before
+    /// proving cold, and a §6.3 group proof is keyed by the `Sum` of its
+    /// members' digests — so overlapping windows and repeated subscription
+    /// scans re-prove nothing. A one-off caller passes a fresh cache.
     pub fn query(
         &self,
         objects: &[Object],
         q: &CompiledQuery,
         acc: &A,
         batch: bool,
-    ) -> (Vec<Object>, BlockVo<A>) {
-        self.query_cached(objects, q, acc, batch, None)
-    }
-
-    /// [`IntraTree::query`] with a window-level [`ProofCache`]: every inline
-    /// mismatch proof is looked up by `(node AttDigest, clause)` before
-    /// proving cold, and §6.3 group proofs are keyed by the `Sum` of their
-    /// members' digests — so overlapping windows and repeated subscription
-    /// scans re-prove nothing.
-    pub fn query_cached(
-        &self,
-        objects: &[Object],
-        q: &CompiledQuery,
-        acc: &A,
-        batch: bool,
-        cache: Option<&ProofCache<A>>,
+        cache: &ProofCache<A>,
     ) -> (Vec<Object>, BlockVo<A>) {
         let mut results = Vec::new();
         let mut mismatches: Vec<(usize, usize)> = Vec::new(); // (node, clause) in DFS order
@@ -248,20 +239,16 @@ impl<A: Accumulator> IntraTree<A> {
                 // A group's digest is `Sum` of its members' AttDigests — a
                 // few point additions — so even group proofs get a cache
                 // key cheaply and overlapping windows reuse them.
-                let summed_att = cache.and_then(|_| {
-                    let atts: Vec<A::Value> =
-                        nodes.iter().filter_map(|&n| self.nodes[n].att.clone()).collect();
-                    if atts.len() == nodes.len() {
-                        acc.sum(&atts).ok()
-                    } else {
-                        None
-                    }
-                });
-                let proof = match (cache, summed_att) {
-                    (Some(cache), Some(att)) => cache.get_or_prove(acc, &att, &summed, &clause_ms),
-                    _ => acc.prove_disjoint(&summed, &clause_ms),
-                }
-                .expect("clause was checked disjoint per member");
+                let atts: Vec<A::Value> = nodes
+                    .iter()
+                    .map(|&n| {
+                        self.nodes[n].att.clone().expect("only digest-bearing nodes mismatch")
+                    })
+                    .collect();
+                let summed_att = acc.sum(&atts).expect("aggregating accumulator sums");
+                let proof = cache
+                    .get_or_prove(acc, &summed_att, &summed, &clause_ms)
+                    .expect("clause was checked disjoint per member");
                 groups.push(GroupProof {
                     clause: crate::vo::ClauseRef::Index(clause_idx as u16),
                     proof,
@@ -286,7 +273,7 @@ impl<A: Accumulator> IntraTree<A> {
         mismatches: &mut Vec<(usize, usize)>,
         acc: &A,
         batch: bool,
-        cache: Option<&ProofCache<A>>,
+        cache: &ProofCache<A>,
     ) -> VoNode<A> {
         let node = &self.nodes[idx];
         let can_prune = node.att.is_some();
@@ -333,7 +320,7 @@ impl<A: Accumulator> IntraTree<A> {
         acc: &A,
         batch: bool,
         mismatches: &mut Vec<(usize, usize)>,
-        cache: Option<&ProofCache<A>>,
+        cache: &ProofCache<A>,
     ) -> MismatchProof<A> {
         if batch && acc.supports_aggregation() {
             // Defer: record the (node, clause) pair; `query` assigns group
@@ -343,11 +330,10 @@ impl<A: Accumulator> IntraTree<A> {
         } else {
             let clause_ms = q.cnf.0[clause_idx].to_multiset();
             let node = &self.nodes[node_idx];
-            let proof = match (cache, &node.att) {
-                (Some(cache), Some(att)) => cache.get_or_prove(acc, att, &node.ms, &clause_ms),
-                _ => acc.prove_disjoint(&node.ms, &clause_ms),
-            }
-            .expect("find_disjoint_clause guarantees disjointness");
+            let att = node.att.as_ref().expect("only digest-bearing nodes mismatch");
+            let proof = cache
+                .get_or_prove(acc, att, &node.ms, &clause_ms)
+                .expect("find_disjoint_clause guarantees disjointness");
             MismatchProof::Inline { proof, clause: crate::vo::ClauseRef::Index(clause_idx as u16) }
         }
     }
@@ -476,7 +462,7 @@ mod tests {
             keywords: vec![vec!["Sedan".into()], vec!["Benz".into(), "BMW".into()]],
         }
         .compile(3);
-        let (results, vo) = tree.query(&objects(), &q, &a, false);
+        let (results, vo) = tree.query(&objects(), &q, &a, false, &ProofCache::new(8));
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].id, 1);
         assert!(vo.groups.is_empty(), "acc1 cannot batch");
@@ -490,7 +476,7 @@ mod tests {
         assert_eq!(tree.nodes.len(), 1);
         let q = Query { time_window: None, ranges: vec![], keywords: vec![vec!["X".into()]] }
             .compile(3);
-        let (results, _) = tree.query(&objs, &q, &a, false);
+        let (results, _) = tree.query(&objs, &q, &a, false, &ProofCache::new(8));
         assert_eq!(results.len(), 1);
     }
 
@@ -504,7 +490,7 @@ mod tests {
             keywords: vec![],
         }
         .compile(3);
-        let (results, _) = tree.query(&objects(), &q, &a, false);
+        let (results, _) = tree.query(&objects(), &q, &a, false, &ProofCache::new(8));
         let mut ids: Vec<u64> = results.iter().map(|o| o.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2], "values 4 and 5 lie in [0, 5]");

@@ -7,7 +7,11 @@
 //! by `(AttDigest, clause)`, so overlapping windows — the common shape of
 //! dashboard/scan workloads — re-prove nothing they have proven before.
 //! Parallel batches are the sharded layer's job
-//! ([`ShardedServiceProvider::query_batch`]).
+//! ([`ShardedServiceProvider::query_batch`]), and so is persistence: a
+//! [`ShardedServiceProvider`] opened over a directory logs **proof records
+//! only**. The SP is a full node, so everything else it serves from — the
+//! [`WitnessTable`] included — is derived from the chain at open, and the
+//! cache counters start at zero.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -18,7 +22,7 @@ use vchain_acc::{AccElem, Accumulator};
 use vchain_chain::ChainStore;
 use vchain_hash::{hash_domain, Digest};
 
-use crate::cache::{CacheKey, CacheStats, ProofCache};
+use crate::cache::{CacheKey, CacheStats, DirtyEntry, ProofCache};
 use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::CompiledQuery;
 use crate::store::{LogStore, RecordKey, RecoveryReport, StoreError, StoreRecord};
@@ -90,7 +94,7 @@ impl<A: Accumulator> ServiceProvider<A> {
     }
 
     /// [`ServiceProvider::time_window_query`] against an *external* proof
-    /// cache and optional persisted-witness table — the form the sharded
+    /// cache and optional witness table — the form the sharded
     /// serving layer uses, where each shard owns its cache and all shards
     /// share one read-only [`WitnessTable`]. The response is byte-identical
     /// regardless of which cache is supplied or how warm it is: proofs are
@@ -117,7 +121,7 @@ impl<A: Accumulator> ServiceProvider<A> {
             let block = self.store.block(height).expect("height in range");
             let idx = &self.indexed[height as usize];
             let (block_results, vo) =
-                idx.tree.query_cached(&block.objects, q, &self.acc, self.batch_verify, Some(cache));
+                idx.tree.query(&block.objects, q, &self.acc, self.batch_verify, cache);
             if !block_results.is_empty() {
                 results.push((height, block_results));
             }
@@ -160,9 +164,9 @@ impl<A: Accumulator> ServiceProvider<A> {
             if let Some(clause_idx) = q.cnf.find_disjoint_clause(&entry.ms) {
                 let clause_ms = q.cnf.0[clause_idx].to_multiset();
                 // Overlapping windows replay the same (skip entry, clause)
-                // pairs — exactly what the cache is for. A persisted
-                // witness, when available, lets a cold restart finalize the
-                // proof without re-extracting from the multiset.
+                // pairs — exactly what the cache is for. A tabled witness,
+                // when available, lets a miss finalize the proof without
+                // re-extracting from the multiset.
                 let wb = witnesses.and_then(|w| w.get(&ProofCache::<A>::att_digest(&entry.att)));
                 let proof = cache
                     .get_or_prove_with_witness(&self.acc, &entry.att, &entry.ms, &clause_ms, wb)
@@ -194,11 +198,12 @@ impl<A: Accumulator> ServiceProvider<A> {
 // Persistent, sharded serving front
 // ---------------------------------------------------------------------------
 
-/// A read-only table of persisted `X₁`-side proving witnesses, keyed by
-/// the accumulative-value digest ([`ProofCache::att_digest`]). Built once
-/// at [`ShardedServiceProvider::open`] time from the skip-list entries
-/// (and rehydrated from the witness log on warm starts), then shared
-/// immutably by every shard.
+/// A read-only, in-memory table of serialized `X₁`-side proving witnesses,
+/// keyed by the accumulative-value digest ([`ProofCache::att_digest`]).
+/// Derived from the skip-list entries every time a
+/// [`ShardedServiceProvider`] is built ([`ShardedServiceProvider::new`] and
+/// [`ShardedServiceProvider::open`] alike — it is never persisted), then
+/// shared immutably by every shard.
 #[derive(Debug, Default)]
 pub struct WitnessTable {
     map: HashMap<Digest, Vec<u8>>,
@@ -265,23 +270,17 @@ pub struct ShardStats {
     pub cache: CacheStats,
 }
 
-/// What [`ShardedServiceProvider::open`] found, rebuilt and repaired.
+/// What [`ShardedServiceProvider::open`] found and repaired.
 #[derive(Clone, Debug, Default)]
 pub struct ServingRecovery {
     /// Per-shard store recovery reports (`shards[i]` ↔ `shard-i.log`).
     pub shard_reports: Vec<RecoveryReport>,
-    /// Recovery report of the shared witness log.
-    pub witness_report: RecoveryReport,
     /// Proof entries rehydrated into shard caches.
     pub proofs_loaded: usize,
     /// Persisted proof records whose bytes failed the checked accumulator
     /// decode (skipped — the entry becomes a cache miss, never a wrong
     /// proof).
     pub proofs_rejected: usize,
-    /// Witnesses rehydrated from the witness log.
-    pub witnesses_loaded: usize,
-    /// Witnesses extracted fresh (first boot, or log gaps) and appended.
-    pub witnesses_built: usize,
 }
 
 struct Shard<A: Accumulator> {
@@ -292,7 +291,7 @@ struct Shard<A: Accumulator> {
 
 /// The production serving front: one [`ServiceProvider`] behind `N` worker
 /// shards with deterministic query routing, per-shard proof caches and
-/// write-behind persistence, and a shared persisted-witness table.
+/// write-behind persistence, and a shared in-memory witness table.
 ///
 /// * **Routing** — [`ShardedServiceProvider::route`] hashes the compiled
 ///   query's canonical content (window, CNF element indices, ranges,
@@ -305,11 +304,12 @@ struct Shard<A: Accumulator> {
 ///   byte-identical to the single-threaded path.
 /// * **Durability** — each shard owns `shard-i.log`; a shard flushes when
 ///   its dirty queue reaches [`ShardedConfig::flush_threshold`], at batch
-///   boundaries, and on [`ShardedServiceProvider::shutdown`]. Flush
-///   failures in the serving hot path are deferred to
-///   [`ShardedServiceProvider::take_flush_error`] rather than failing the
-///   query (the response itself is still correct — only durability of the
-///   cache is at stake).
+///   boundaries, and on [`ShardedServiceProvider::shutdown`]. The logs
+///   hold proof records and nothing else. Flush failures in the serving
+///   hot path are deferred to [`ShardedServiceProvider::take_flush_error`]
+///   rather than failing the query (the response itself is still correct —
+///   only durability of the cache is at stake), and the failed batch stays
+///   queued for the next flush.
 pub struct ShardedServiceProvider<A: Accumulator> {
     sp: ServiceProvider<A>,
     shards: Vec<Shard<A>>,
@@ -324,6 +324,52 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
     /// cheap finalization path.
     pub fn new(sp: ServiceProvider<A>, cfg: ShardedConfig) -> Self {
         assert!(cfg.shards >= 1, "at least one shard");
+        let shards = (0..cfg.shards)
+            .map(|_| Shard {
+                cache: ProofCache::new(cfg.cache_capacity),
+                log: None,
+                served: AtomicU64::new(0),
+            })
+            .collect();
+        Self::assemble(sp, shards, cfg)
+    }
+
+    /// Open (or create) the persistent serving state under `dir`: one
+    /// proof log per shard (`shard-i.log`), whose surviving entries are
+    /// preloaded into that shard's cache. Nothing else is read: the witness
+    /// table is derived from `sp` exactly as [`ShardedServiceProvider::new`]
+    /// derives it, and the cache counters start at zero.
+    pub fn open(
+        sp: ServiceProvider<A>,
+        cfg: ShardedConfig,
+        dir: &Path,
+    ) -> Result<(Self, ServingRecovery), StoreError> {
+        assert!(cfg.shards >= 1, "at least one shard");
+        std::fs::create_dir_all(dir).map_err(|e| StoreError::Io(e.to_string()))?;
+        let mut recovery = ServingRecovery::default();
+        let mut shards = Vec::with_capacity(cfg.shards);
+        for i in 0..cfg.shards {
+            let (log, records, report) = LogStore::open(dir.join(format!("shard-{i}.log")))?;
+            recovery.shard_reports.push(report);
+            let cache = ProofCache::new(cfg.cache_capacity).with_persistence();
+            for StoreRecord { key, proof } in records {
+                match sp.acc.proof_from_bytes(&proof) {
+                    Ok(p) => {
+                        cache.preload(CacheKey { att: key.att, clause: key.clause }, p);
+                        recovery.proofs_loaded += 1;
+                    }
+                    Err(_) => recovery.proofs_rejected += 1,
+                }
+            }
+            shards.push(Shard { cache, log: Some(Mutex::new(log)), served: AtomicU64::new(0) });
+        }
+        Ok((Self::assemble(sp, shards, cfg), recovery))
+    }
+
+    /// The one place a sharded front is put together, and the one place its
+    /// witness table is derived: a serialized witness per distinct
+    /// skip-entry digest, for constructions that have one.
+    fn assemble(sp: ServiceProvider<A>, shards: Vec<Shard<A>>, cfg: ShardedConfig) -> Self {
         let mut witnesses = WitnessTable::new();
         for idx in sp.indexed() {
             for entry in &idx.skiplist.entries {
@@ -335,13 +381,6 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
                 }
             }
         }
-        let shards = (0..cfg.shards)
-            .map(|_| Shard {
-                cache: ProofCache::new(cfg.cache_capacity),
-                log: None,
-                served: AtomicU64::new(0),
-            })
-            .collect();
         Self {
             sp,
             shards,
@@ -349,94 +388,6 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
             flush_threshold: cfg.flush_threshold.max(1),
             flush_error: Mutex::new(None),
         }
-    }
-
-    /// Open (or create) the persistent serving state under `dir`:
-    /// rehydrate the shared witness log (`witnesses.log`, extracting and
-    /// appending any witnesses the log does not yet cover) and each
-    /// shard's proof log (`shard-i.log`), preloading surviving proof
-    /// entries into the shard caches and restoring the last persisted
-    /// stats snapshot per shard.
-    pub fn open(
-        sp: ServiceProvider<A>,
-        cfg: ShardedConfig,
-        dir: &Path,
-    ) -> Result<(Self, ServingRecovery), StoreError> {
-        assert!(cfg.shards >= 1, "at least one shard");
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::Io(e.to_string()))?;
-        let mut recovery = ServingRecovery::default();
-
-        // Shared witness log first: skip proofs on every shard use it.
-        let (mut wlog, wrecords, wreport) = LogStore::open(dir.join("witnesses.log"))?;
-        recovery.witness_report = wreport;
-        let mut witnesses = WitnessTable::new();
-        for r in wrecords {
-            if let StoreRecord::Witness { att, witness, .. } = r {
-                // Validate against this key before trusting log bytes: a
-                // witness that doesn't round-trip is dropped (it would be
-                // rejected at finalize time anyway and re-derived below).
-                if sp.acc.finalize_from_witness_bytes(&witness, &no_elements()).is_some() {
-                    witnesses.insert(att, witness);
-                    recovery.witnesses_loaded += 1;
-                }
-            }
-        }
-        for (height, idx) in sp.indexed().iter().enumerate() {
-            for entry in &idx.skiplist.entries {
-                let att_d = ProofCache::<A>::att_digest(&entry.att);
-                if witnesses.get(&att_d).is_none() {
-                    if let Some(wb) = sp.acc.witness_bytes(&entry.ms) {
-                        wlog.append(&StoreRecord::Witness {
-                            block_height: height as u64,
-                            att: att_d,
-                            witness: wb.clone(),
-                        })?;
-                        witnesses.insert(att_d, wb);
-                        recovery.witnesses_built += 1;
-                    }
-                }
-            }
-        }
-        wlog.sync()?;
-        drop(wlog);
-
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for i in 0..cfg.shards {
-            let (log, records, report) = LogStore::open(dir.join(format!("shard-{i}.log")))?;
-            recovery.shard_reports.push(report);
-            let cache = ProofCache::new(cfg.cache_capacity).with_persistence();
-            let mut last_stats = None;
-            for r in records {
-                match r {
-                    StoreRecord::Proof { key, proof } => match sp.acc.proof_from_bytes(&proof) {
-                        Ok(p) => {
-                            cache.preload(CacheKey { att: key.att, clause: key.clause }, p);
-                            recovery.proofs_loaded += 1;
-                        }
-                        Err(_) => recovery.proofs_rejected += 1,
-                    },
-                    StoreRecord::Stats { hits, misses, evictions } => {
-                        last_stats = Some(CacheStats { hits, misses, evictions });
-                    }
-                    StoreRecord::Witness { .. } => {}
-                }
-            }
-            if let Some(stats) = last_stats {
-                cache.restore_stats(stats);
-            }
-            shards.push(Shard { cache, log: Some(Mutex::new(log)), served: AtomicU64::new(0) });
-        }
-
-        Ok((
-            Self {
-                sp,
-                shards,
-                witnesses,
-                flush_threshold: cfg.flush_threshold.max(1),
-                flush_error: Mutex::new(None),
-            },
-            recovery,
-        ))
     }
 
     /// The wrapped single-node service provider.
@@ -454,7 +405,7 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
         &self.shards[i].cache
     }
 
-    /// The shared persisted-witness table.
+    /// The shared in-memory witness table.
     pub fn witnesses(&self) -> &WitnessTable {
         &self.witnesses
     }
@@ -527,24 +478,34 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
     fn maybe_flush_shard(&self, i: usize) {
         let shard = &self.shards[i];
         if shard.log.is_some() && shard.cache.dirty_len() >= self.flush_threshold {
-            if let Err(e) = self.flush_shard(i, false) {
+            if let Err(e) = self.flush_shard(i) {
                 *self.flush_error.lock() = Some(e);
             }
         }
     }
 
-    /// Flush shard `i`'s dirty queue to its log: entries are deduplicated
-    /// last-wins and written in deterministic (key-sorted) order, followed
-    /// by a stats snapshot, then fsynced. Returns the number of proof
-    /// records appended.
-    fn flush_shard(&self, i: usize, force_stats: bool) -> Result<usize, StoreError> {
+    /// Flush shard `i`'s dirty queue to its log and fsync. Returns the
+    /// number of proof records appended. On an I/O error the drained batch
+    /// goes back to the front of the queue: the entries are still served
+    /// from RAM, and the next flush writes them once the disk recovers.
+    fn flush_shard(&self, i: usize) -> Result<usize, StoreError> {
         let shard = &self.shards[i];
         let Some(log) = &shard.log else { return Ok(0) };
         let dirty = shard.cache.take_dirty();
-        if dirty.is_empty() && !force_stats {
+        if dirty.is_empty() {
             return Ok(0);
         }
-        let mut by_key: BTreeMap<[u8; 64], crate::cache::DirtyEntry> = BTreeMap::new();
+        let written = self.write_batch(&mut log.lock(), &dirty);
+        if written.is_err() {
+            shard.cache.requeue_dirty(dirty);
+        }
+        written
+    }
+
+    /// Append `dirty` to `log` — deduplicated last-wins, in deterministic
+    /// (key-sorted) order — and fsync.
+    fn write_batch(&self, log: &mut LogStore, dirty: &[DirtyEntry]) -> Result<usize, StoreError> {
+        let mut by_key: BTreeMap<[u8; 64], &DirtyEntry> = BTreeMap::new();
         for e in dirty {
             let mut kb = [0u8; 64];
             kb[..32].copy_from_slice(e.key.att.as_bytes());
@@ -552,22 +513,14 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
             by_key.insert(kb, e); // last write wins
         }
         let height = self.sp.store().height().unwrap_or(0);
-        let n = by_key.len();
-        let stats = shard.cache.stats();
-        let mut g = log.lock();
-        for e in by_key.into_values() {
-            g.append(&StoreRecord::Proof {
+        for e in by_key.values() {
+            log.append(&StoreRecord {
                 key: RecordKey { block_height: height, att: e.key.att, clause: e.key.clause },
-                proof: e.proof,
+                proof: e.proof.clone(),
             })?;
         }
-        g.append(&StoreRecord::Stats {
-            hits: stats.hits,
-            misses: stats.misses,
-            evictions: stats.evictions,
-        })?;
-        g.sync()?;
-        Ok(n)
+        log.sync()?;
+        Ok(by_key.len())
     }
 
     /// Flush every shard's dirty queue. Returns total proof records
@@ -575,20 +528,16 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
     pub fn flush(&self) -> Result<usize, StoreError> {
         let mut total = 0;
         for i in 0..self.shards.len() {
-            total += self.flush_shard(i, false)?;
+            total += self.flush_shard(i)?;
         }
         Ok(total)
     }
 
-    /// Graceful shutdown: flush every shard (writing a final stats
-    /// snapshot even when no entries are dirty) and fsync. After this, a
+    /// Graceful shutdown: flush every shard and fsync. After this, a
     /// subsequent [`ShardedServiceProvider::open`] over the same directory
-    /// rehydrates every entry and counter this instance held.
+    /// rehydrates every proof this instance held.
     pub fn shutdown(self) -> Result<(), StoreError> {
-        for i in 0..self.shards.len() {
-            self.flush_shard(i, true)?;
-        }
-        Ok(())
+        self.flush().map(drop)
     }
 
     /// The last deferred write-behind flush error, if any (cleared on
@@ -634,13 +583,6 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
     }
 }
 
-/// An empty multiset of the canonical element type, used to validate
-/// persisted witness bytes (finalizing against ∅ exercises the full codec
-/// check without proving anything).
-fn no_elements() -> vchain_acc::MultiSet<crate::element::ElementId> {
-    vchain_acc::MultiSet::new()
-}
-
 /// The canonical routing digest of a compiled query: domain bits, window,
 /// every CNF clause's sorted element indices, and every range predicate.
 /// Everything that distinguishes two compiled queries is folded in, so
@@ -670,4 +612,110 @@ fn routing_digest(q: &CompiledQuery) -> Digest {
         bytes.extend_from_slice(&r.hi.to_le_bytes());
     }
     hash_domain("vchain/shard-route", &bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::miner::Miner;
+    use crate::query::Query;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use vchain_acc::Acc2;
+    use vchain_chain::{Difficulty, Object};
+
+    const DOMAIN_BITS: u8 = 3;
+
+    /// A small seeded chain: every call builds the same provider. Element
+    /// ids come from the process-wide interner, so the universe leaves room
+    /// for everything the crate's other unit tests intern (≈ 500 ids).
+    fn sp() -> ServiceProvider<Acc2> {
+        let cfg = MinerConfig {
+            scheme: IndexScheme::Both,
+            skip_levels: 2,
+            domain_bits: DOMAIN_BITS,
+            difficulty: Difficulty(2),
+            bloom_bits_per_key: 10,
+        };
+        static ACC: std::sync::OnceLock<Acc2> = std::sync::OnceLock::new();
+        let acc = ACC.get_or_init(|| Acc2::keygen(2048, &mut StdRng::seed_from_u64(15))).clone();
+        let mut miner = Miner::new(cfg, acc);
+        let kinds = ["Sedan", "Van", "Truck"];
+        for b in 0..6u64 {
+            let objs = (0..2u64)
+                .map(|o| {
+                    let kind = kinds[((b + o) % 3) as usize].to_string();
+                    Object::new(2 * b + o + 1, (b + 1) * 10, vec![(b + o) % 8], vec![kind])
+                })
+                .collect();
+            miner.mine_block((b + 1) * 10, objs);
+        }
+        miner.into_service_provider()
+    }
+
+    fn queries() -> Vec<CompiledQuery> {
+        ["Sedan", "Van", "Bus"]
+            .iter()
+            .map(|kw| {
+                Query {
+                    time_window: Some((10, 60)),
+                    ranges: vec![],
+                    keywords: vec![vec![kw.to_string()]],
+                }
+                .compile(DOMAIN_BITS)
+            })
+            .collect()
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("vchain-sp-unit-{}-{tag}", std::process::id()))
+    }
+
+    /// A write-behind flush that fails must not lose its batch: the entries
+    /// stay queued, and the first flush after the disk recovers writes them.
+    #[test]
+    fn failed_flush_keeps_its_entries_for_the_next_one() {
+        let dir = temp_dir("failed-flush");
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = ShardedConfig { shards: 1, cache_capacity: 4096, flush_threshold: 1 };
+        let (ssp, _) = ShardedServiceProvider::open(sp(), cfg, &dir).unwrap();
+        let path = dir.join("shard-0.log");
+        let swap_log = |log: LogStore| *ssp.shards[0].log.as_ref().unwrap().lock() = log;
+
+        // The disk stops taking writes: every threshold flush now fails.
+        swap_log(LogStore::read_only(&path).unwrap());
+        for q in &queries() {
+            ssp.query(q);
+        }
+        assert!(matches!(ssp.take_flush_error(), Some(StoreError::Io(_))));
+        let queued = ssp.shard_cache(0).dirty_len();
+        assert!(queued > 0);
+        assert_eq!(queued, ssp.total_entries(), "no proved entry left the queue");
+        assert!(ssp.flush().is_err());
+        assert_eq!(ssp.shard_cache(0).dirty_len(), queued, "a failed flush drains nothing");
+
+        // The disk recovers: the next flush appends every entry.
+        swap_log(LogStore::open(&path).unwrap().0);
+        assert_eq!(ssp.flush().unwrap(), queued);
+        assert_eq!(ssp.shard_cache(0).dirty_len(), 0);
+        drop(ssp);
+        let (_, recovery) = ShardedServiceProvider::open(sp(), cfg, &dir).unwrap();
+        assert_eq!(recovery.proofs_loaded, queued);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Witnesses are derived, never read: the memory-only front and a
+    /// first-boot persistent one hold the same table.
+    #[test]
+    fn new_and_first_boot_open_hold_equal_witness_tables() {
+        let dir = temp_dir("witness-tables");
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = ShardedConfig::default();
+        let in_memory = ShardedServiceProvider::new(sp(), cfg);
+        let (opened, _) = ShardedServiceProvider::open(sp(), cfg, &dir).unwrap();
+        assert!(!in_memory.witnesses().is_empty());
+        assert_eq!(in_memory.witnesses().map, opened.witnesses().map);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -2,11 +2,16 @@
 //! log-structured record store.
 //!
 //! A production service provider cannot re-prove the world after every
-//! deploy — the [`ProofCache`](crate::cache::ProofCache) and the per-entry
-//! Acc2 witnesses it serves from are worth exactly as much as they survive
-//! a restart. This module is the durability substrate of the sharded
-//! serving layer ([`crate::sp::ShardedServiceProvider`]): one flat file per
-//! shard, written strictly append-only, read back in full at startup.
+//! deploy — the [`ProofCache`](crate::cache::ProofCache) is worth exactly
+//! as much as it survives a restart. This module is the durability
+//! substrate of the sharded serving layer
+//! ([`crate::sp::ShardedServiceProvider`]): one flat file per shard, written
+//! strictly append-only, read back in full at startup. It holds **proof
+//! records only**. A proof is the one piece of serving state that is
+//! expensive to lose; everything else the SP serves from (the chain, the
+//! ADS multisets, the proving witnesses extracted from them) is a cheap
+//! deterministic function of the blocks a full node holds anyway and is
+//! derived at open, and the cache counters start at zero.
 //!
 //! # On-disk layout
 //!
@@ -20,7 +25,11 @@
 //! scan; `payload_check` is the first eight bytes of a domain-separated
 //! SHA-256 over the payload. Payloads are [`StoreRecord`]s under a
 //! versioned tag codec built on the same total [`WireError`]-returning
-//! reader the untrusted wire boundary uses.
+//! reader the untrusted wire boundary uses. Tag `0` is the proof record;
+//! tags `1` and `2` (the witness and counter-snapshot records of earlier
+//! builds) are retired and never reused — a frame that carries one is
+//! skipped like any other undecodable record, so a directory written by
+//! such a build opens as the proof cache it is.
 //!
 //! # Recovery protocol
 //!
@@ -79,8 +88,7 @@ pub const FRAME_HEADER_LEN: usize = 16;
 pub const LEN_CHECK_XOR: u32 = 0x9E37_79B9;
 
 /// Sanity cap on a single record's payload. Honest records are a few
-/// hundred bytes (a compressed proof or a witness coefficient vector); a
-/// claimed length beyond this is treated as torn-tail corruption rather
+/// hundred bytes (a compressed proof); a claimed length beyond this is treated as torn-tail corruption rather
 /// than an allocation request.
 pub const MAX_RECORD_LEN: usize = 1 << 20;
 
@@ -135,80 +143,40 @@ pub struct RecordKey {
     pub clause: Digest,
 }
 
-/// One durable record of the serving layer.
+/// The one durable record of the serving layer: a cached disjointness
+/// proof, as canonical
+/// [`Accumulator::proof_bytes`](vchain_acc::Accumulator::proof_bytes).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StoreRecord {
-    /// A cached disjointness proof, as canonical
-    /// [`Accumulator::proof_bytes`](vchain_acc::Accumulator::proof_bytes).
-    Proof {
-        /// Which `(att, clause)` pair the proof refutes.
-        key: RecordKey,
-        /// Canonical proof bytes.
-        proof: Vec<u8>,
-    },
-    /// A persisted `X₁`-side proving witness (Construction 2: the exponent
-    /// coefficient vector), keyed by the accumulative-value digest.
-    Witness {
-        /// Height of the block whose index entry this witness belongs to.
-        block_height: u64,
-        /// `H(value_bytes(att))` of the witnessed entry.
-        att: Digest,
-        /// Serialized witness
-        /// ([`Accumulator::witness_bytes`](vchain_acc::Accumulator::witness_bytes)).
-        witness: Vec<u8>,
-    },
-    /// A cache-statistics snapshot; on rehydration the *last* snapshot in
-    /// the log wins. Activity after the final flush is lost by design.
-    Stats {
-        /// Cache hits at snapshot time.
-        hits: u64,
-        /// Cache misses at snapshot time.
-        misses: u64,
-        /// LRU evictions at snapshot time.
-        evictions: u64,
-    },
+pub struct StoreRecord {
+    /// Which `(att, clause)` pair the proof refutes.
+    pub key: RecordKey,
+    /// Canonical proof bytes.
+    pub proof: Vec<u8>,
 }
 
+/// The proof record's tag byte. `1` and `2` are retired (see the module
+/// docs) and must never be assigned again.
 const TAG_PROOF: u8 = 0;
-const TAG_WITNESS: u8 = 1;
-const TAG_STATS: u8 = 2;
 
 /// Encode a record's frame *payload* (no frame header): the
-/// [`RECORD_VERSION`] byte, a tag byte, then the variant's fields on the
-/// shared little-endian writer.
+/// [`RECORD_VERSION`] byte, the tag byte, then the fields on the shared
+/// little-endian writer.
 pub fn encode_record(record: &StoreRecord) -> Vec<u8> {
     let mut w = Writer::default();
     w.u8(RECORD_VERSION);
-    match record {
-        StoreRecord::Proof { key, proof } => {
-            w.u8(TAG_PROOF);
-            w.u64(key.block_height);
-            w.bytes(key.att.as_bytes());
-            w.bytes(key.clause.as_bytes());
-            w.count(proof.len());
-            w.bytes(proof);
-        }
-        StoreRecord::Witness { block_height, att, witness } => {
-            w.u8(TAG_WITNESS);
-            w.u64(*block_height);
-            w.bytes(att.as_bytes());
-            w.count(witness.len());
-            w.bytes(witness);
-        }
-        StoreRecord::Stats { hits, misses, evictions } => {
-            w.u8(TAG_STATS);
-            w.u64(*hits);
-            w.u64(*misses);
-            w.u64(*evictions);
-        }
-    }
+    w.u8(TAG_PROOF);
+    w.u64(record.key.block_height);
+    w.bytes(record.key.att.as_bytes());
+    w.bytes(record.key.clause.as_bytes());
+    w.count(record.proof.len());
+    w.bytes(&record.proof);
     w.buf
 }
 
 /// Total inverse of [`encode_record`]: typed [`WireError`]s on any
-/// malformation (wrong record version, unknown tag, truncation, oversized
-/// counts, trailing bytes), never a panic. Accepted payloads re-encode
-/// byte-identically.
+/// malformation (wrong record version, unknown or retired tag, truncation,
+/// oversized counts, trailing bytes), never a panic. Accepted payloads
+/// re-encode byte-identically.
 pub fn decode_record(payload: &[u8]) -> Result<StoreRecord, WireError> {
     let mut r = Reader::new(payload);
     let version = r.u8()?;
@@ -216,27 +184,16 @@ pub fn decode_record(payload: &[u8]) -> Result<StoreRecord, WireError> {
         return Err(WireError::UnsupportedVersion(version));
     }
     let tag = r.u8()?;
-    let record = match tag {
-        TAG_PROOF => {
-            let block_height = r.u64()?;
-            let att = r.digest()?;
-            let clause = r.digest()?;
-            let n = r.count("proof bytes", 1)?;
-            let proof = r.take(n)?.to_vec();
-            StoreRecord::Proof { key: RecordKey { block_height, att, clause }, proof }
-        }
-        TAG_WITNESS => {
-            let block_height = r.u64()?;
-            let att = r.digest()?;
-            let n = r.count("witness bytes", 1)?;
-            let witness = r.take(n)?.to_vec();
-            StoreRecord::Witness { block_height, att, witness }
-        }
-        TAG_STATS => StoreRecord::Stats { hits: r.u64()?, misses: r.u64()?, evictions: r.u64()? },
-        other => return Err(WireError::BadTag { what: "store record", tag: other }),
-    };
+    if tag != TAG_PROOF {
+        return Err(WireError::BadTag { what: "store record", tag });
+    }
+    let block_height = r.u64()?;
+    let att = r.digest()?;
+    let clause = r.digest()?;
+    let n = r.count("proof bytes", 1)?;
+    let proof = r.take(n)?.to_vec();
     r.finish()?;
-    Ok(record)
+    Ok(StoreRecord { key: RecordKey { block_height, att, clause }, proof })
 }
 
 /// The payload checksum: first eight little-endian bytes of a
@@ -405,6 +362,16 @@ impl LogStore {
         self.file.sync_all().map_err(io_err)
     }
 
+    /// A store over a *read-only* handle to an existing log: every append
+    /// fails, which is how the serving layer's tests stand in for a disk
+    /// that stopped taking writes.
+    #[cfg(test)]
+    pub(crate) fn read_only(path: impl AsRef<Path>) -> Result<Self, StoreError> {
+        let path = path.as_ref().to_path_buf();
+        let file = File::open(&path).map_err(io_err)?;
+        Ok(Self { file, path })
+    }
+
     /// The backing file's path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -430,18 +397,12 @@ mod tests {
     }
 
     fn sample_records() -> Vec<StoreRecord> {
-        vec![
-            StoreRecord::Proof {
-                key: RecordKey {
-                    block_height: 7,
-                    att: Digest([1u8; 32]),
-                    clause: Digest([2u8; 32]),
-                },
-                proof: vec![9, 8, 7, 6],
-            },
-            StoreRecord::Witness { block_height: 3, att: Digest([4u8; 32]), witness: vec![1; 21] },
-            StoreRecord::Stats { hits: 10, misses: 2, evictions: 1 },
-        ]
+        (1u8..=3)
+            .map(|i| StoreRecord {
+                key: RecordKey { block_height: 7, att: Digest([i; 32]), clause: Digest([2u8; 32]) },
+                proof: vec![9, 8, 7, i],
+            })
+            .collect()
     }
 
     #[test]

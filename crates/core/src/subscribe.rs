@@ -437,13 +437,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             self.queries
                 .iter()
                 .map(|(id, q)| {
-                    let out = indexed.tree.query_cached(
-                        &block.objects,
-                        q,
-                        &self.acc,
-                        false,
-                        Some(&self.cache),
-                    );
+                    let out = indexed.tree.query(&block.objects, q, &self.acc, false, &self.cache);
                     (*id, out)
                 })
                 .collect()
@@ -595,8 +589,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             } else {
                 for &qid in &walk {
                     let q = &self.queries[&qid];
-                    let out =
-                        tree.query_cached(&block.objects, q, &self.acc, false, Some(&self.cache));
+                    let out = tree.query(&block.objects, q, &self.acc, false, &self.cache);
                     walked.push((qid, MatchOutcome::Walked(Box::new(out))));
                 }
             }

@@ -20,7 +20,7 @@ use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query};
 use vchain_core::store::LogStore;
 use vchain_core::wire::encode_response_v2;
-use vchain_core::{ServiceProvider, ShardedConfig, ShardedServiceProvider, StoreRecord};
+use vchain_core::{ServiceProvider, ShardedConfig, ShardedServiceProvider};
 use vchain_hash::Digest;
 
 const DOMAIN_BITS: u8 = 6;
@@ -81,13 +81,7 @@ fn persisted_keys(path: &PathBuf) -> BTreeSet<(Digest, Digest)> {
     let (_, records, report) = LogStore::open(path).unwrap();
     assert_eq!(report.skipped_corrupt, 0);
     assert_eq!(report.truncated_bytes, 0);
-    records
-        .into_iter()
-        .filter_map(|r| match r {
-            StoreRecord::Proof { key, .. } => Some((key.att, key.clause)),
-            _ => None,
-        })
-        .collect()
+    records.into_iter().map(|r| (r.key.att, r.key.clause)).collect()
 }
 
 #[test]

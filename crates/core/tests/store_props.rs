@@ -1,6 +1,6 @@
 //! Property tests for the store codec and the cache↔store round trip:
-//! encode∘decode identity per record type, decode totality on arbitrary
-//! bytes, record-version rejection, save→load→save byte equality, and the
+//! encode∘decode identity, decode totality on arbitrary bytes,
+//! record-version and retired-tag rejection, save→load→save byte equality, and the
 //! eviction-vs-persistence independence the write-behind design promises.
 
 use std::path::PathBuf;
@@ -34,16 +34,11 @@ fn digest(seed: u8) -> Digest {
     Digest(b)
 }
 
-/// Build one record of the tagged type from generic raw material — together
-/// with `0u8..3` this is a strategy over all three record variants.
-fn record_from(tag: u8, a: u64, b: u64, c: u64, seed: u8, payload: Vec<u8>) -> StoreRecord {
-    match tag {
-        0 => StoreRecord::Proof {
-            key: RecordKey { block_height: a, att: digest(seed), clause: digest(seed ^ 0xA5) },
-            proof: payload,
-        },
-        1 => StoreRecord::Witness { block_height: a, att: digest(seed), witness: payload },
-        _ => StoreRecord::Stats { hits: a, misses: b, evictions: c },
+/// Build the (one kind of) record from generic raw material.
+fn record_from(height: u64, seed: u8, payload: Vec<u8>) -> StoreRecord {
+    StoreRecord {
+        key: RecordKey { block_height: height, att: digest(seed), clause: digest(seed ^ 0xA5) },
+        proof: payload,
     }
 }
 
@@ -52,14 +47,11 @@ proptest! {
 
     #[test]
     fn encode_decode_identity(
-        tag in 0u8..3,
-        a in 0u64..=u64::MAX - 1,
-        b in 0u64..=u64::MAX - 1,
-        c in 0u64..=u64::MAX - 1,
+        height in 0u64..=u64::MAX - 1,
         seed in 0u8..=255,
         payload in pvec(0u8..=255, 0..200),
     ) {
-        let record = record_from(tag, a, b, c, seed, payload);
+        let record = record_from(height, seed, payload);
         let encoded = encode_record(&record);
         prop_assert_eq!(encoded[0], RECORD_VERSION);
         let decoded = decode_record(&encoded);
@@ -92,19 +84,20 @@ proptest! {
     #[test]
     fn unknown_record_version_is_rejected(
         version in 0u8..=255,
-        tag in 0u8..3,
-        a in 0u64..1000,
+        height in 0u64..1000,
         payload in pvec(0u8..=255, 0..32),
     ) {
         prop_assume!(version != RECORD_VERSION);
-        let mut encoded = encode_record(&record_from(tag, a, a, a, 7, payload));
+        let mut encoded = encode_record(&record_from(height, 7, payload));
         encoded[0] = version;
         prop_assert_eq!(decode_record(&encoded), Err(WireError::UnsupportedVersion(version)));
     }
 
+    /// Tag 0 is the proof record; 1 and 2 are retired, the rest never
+    /// assigned — all of them are the same typed error.
     #[test]
-    fn unknown_tag_is_rejected(tag in 3u8..=255) {
-        let mut encoded = encode_record(&StoreRecord::Stats { hits: 1, misses: 2, evictions: 3 });
+    fn unknown_tag_is_rejected(tag in 1u8..=255) {
+        let mut encoded = encode_record(&record_from(1, 2, vec![3]));
         encoded[1] = tag;
         prop_assert_eq!(
             decode_record(&encoded),
@@ -114,14 +107,11 @@ proptest! {
 
     #[test]
     fn log_survives_trailing_junk(
-        tags in pvec(0u8..3, 1..6),
+        n in 1usize..6,
         junk in pvec(0u8..=255, 1..64),
     ) {
-        let records: Vec<StoreRecord> = tags
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| record_from(t, i as u64, 2, 3, i as u8, vec![i as u8; 8]))
-            .collect();
+        let records: Vec<StoreRecord> =
+            (0..n).map(|i| record_from(i as u64, i as u8, vec![i as u8; 8])).collect();
         let path = temp_path("junk");
         {
             let (mut store, _, _) = LogStore::open(&path).unwrap();
@@ -161,7 +151,7 @@ fn dirty_to_records(cache: &ProofCache<Acc2>) -> Vec<StoreRecord> {
     cache
         .take_dirty()
         .into_iter()
-        .map(|e| StoreRecord::Proof {
+        .map(|e| StoreRecord {
             key: RecordKey { block_height: 0, att: e.key.att, clause: e.key.clause },
             proof: e.proof,
         })
@@ -191,8 +181,7 @@ fn cache_save_load_save_is_byte_identical() {
     // Load into a fresh cache; preloading must not dirty or count anything.
     let (_, loaded, _) = LogStore::open(&path1).unwrap();
     let cache2: ProofCache<Acc2> = ProofCache::new(64).with_persistence();
-    for r in &loaded {
-        let StoreRecord::Proof { key, proof } = r else { panic!("proofs only") };
+    for StoreRecord { key, proof } in &loaded {
         cache2.preload(
             CacheKey { att: key.att, clause: key.clause },
             a.proof_from_bytes(proof).unwrap(),
@@ -255,8 +244,7 @@ fn evicted_entries_are_still_persisted_and_reloadable() {
     let (_, loaded, report) = LogStore::open(&path).unwrap();
     assert_eq!(report.loaded, 6);
     let big: ProofCache<Acc2> = ProofCache::new(16);
-    for r in &loaded {
-        let StoreRecord::Proof { key, proof } = r else { panic!("proofs only") };
+    for StoreRecord { key, proof } in &loaded {
         big.preload(
             CacheKey { att: key.att, clause: key.clause },
             a.proof_from_bytes(proof).unwrap(),
@@ -268,28 +256,6 @@ fn evicted_entries_are_still_persisted_and_reloadable() {
     }
 
     std::fs::remove_file(&path).ok();
-}
-
-/// Stats snapshots rehydrate coherently: restored counters are the values
-/// at the last flush, and post-restart activity accrues *on top* of them.
-/// (Activity between the last flush and the crash resets — that is the
-/// documented durability granularity.)
-#[test]
-fn restored_stats_accrue_coherently() {
-    let a = acc();
-    let cache: ProofCache<Acc2> = ProofCache::new(8);
-    let snapshot = CacheStats { hits: 40, misses: 10, evictions: 3 };
-    cache.restore_stats(snapshot);
-    assert_eq!(cache.stats(), snapshot);
-
-    let x1 = ms(&[1]);
-    let att = a.setup(&x1);
-    cache.get_or_prove(&a, &att, &x1, &ms(&[9])).unwrap(); // miss
-    cache.get_or_prove(&a, &att, &x1, &ms(&[9])).unwrap(); // hit
-    let s = cache.stats();
-    assert_eq!(s.hits, snapshot.hits + 1);
-    assert_eq!(s.misses, snapshot.misses + 1);
-    assert_eq!(s.evictions, snapshot.evictions);
 }
 
 proptest! {

@@ -60,10 +60,11 @@
 //! ## Serving at scale
 //!
 //! For a long-lived deployment, wrap the SP in the persistent, sharded
-//! serving layer ([`core::sp::ShardedServiceProvider`]): proofs and Acc2
-//! witnesses are written behind the serving path to per-shard append-only
-//! logs, and a restarted provider rehydrates them instead of re-proving —
-//! answering the same queries byte-identically, warm:
+//! serving layer ([`core::sp::ShardedServiceProvider`]): proofs — and
+//! nothing else — are written behind the serving path to per-shard
+//! append-only logs, and a restarted provider rehydrates them instead of
+//! re-proving (witnesses are derived again at open, counters start at
+//! zero) — answering the same queries byte-identically, warm:
 //!
 //! ```
 //! use rand::rngs::StdRng;
