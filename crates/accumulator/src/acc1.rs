@@ -70,16 +70,11 @@ impl Acc1PublicKey {
 #[derive(Clone)]
 pub struct Acc1 {
     pk: Arc<Acc1PublicKey>,
-    /// The trapdoor, retained by the simulation's key generator. It is
-    /// *never* used for proving or verifying; with `fast_setup` it shortcuts
-    /// `Setup` from `O(n²)` to `O(n)` when the experiment being run does not
-    /// measure setup cost (see DESIGN.md §2).
-    sk: Option<Fr>,
-    fast_setup: bool,
 }
 
 impl Acc1 {
-    /// `KeyGen(1^λ)`: sample the trapdoor and publish `capacity + 1` powers.
+    /// `KeyGen(1^λ)`: sample the trapdoor, publish `capacity + 1` powers
+    /// and drop it — the handle holds public parameters only.
     ///
     /// The power vectors are produced through the generator combs
     /// ([`vchain_pairing::generator_powers`]) — the same fixed-base layer
@@ -101,24 +96,7 @@ impl Acc1 {
                 g1_combs: PowersCombCache::new(comb_limit),
                 g2_combs: PowersCombCache::new(comb_limit),
             }),
-            sk: Some(s),
-            fast_setup: false,
         }
-    }
-
-    /// Enable / disable the trapdoor fast path for `Setup`.
-    ///
-    /// Kept for Construction 1 only: honest `Setup` commits an expanded
-    /// degree-`n` polynomial against the key powers (5.8 ms at `n` = 256,
-    /// 67 ms at `n` = 1 024) where the trapdoor evaluates `Π (xᵢ + s)` and
-    /// pays one scalar multiplication (1.2 / 4.1 ms), which is what keeps
-    /// the Acc1 suites and `experiments` tractable. Construction 2's honest
-    /// `Setup` is a batched-affine sum of key points and beats its trapdoor
-    /// path below `n` ≈ 800, so [`Acc2`](crate::Acc2) has no such switch.
-    pub fn with_fast_setup(mut self, enabled: bool) -> Self {
-        assert!(!enabled || self.sk.is_some(), "fast setup requires the trapdoor");
-        self.fast_setup = enabled;
-        self
     }
 
     /// The published parameters.
@@ -193,17 +171,6 @@ impl Accumulator for Acc1 {
         let capacity = self.pk.capacity();
         if needed > capacity {
             return Err(AccError::CapacityExceeded { needed, capacity });
-        }
-        if self.fast_setup {
-            if let Some(s) = &self.sk {
-                // P_X(s) evaluated directly with the trapdoor: O(|X|).
-                let mut acc = Fr::one();
-                for (e, c) in x.iter() {
-                    let term = e.to_fr() + *s;
-                    acc = Field::mul(&acc, &term.pow_limbs(&[c]));
-                }
-                return Ok(G1Projective::generator().mul_fr(&acc).to_affine());
-            }
         }
         let p = Self::char_poly(x);
         Ok(self.commit_g1(&p)?.to_affine())
@@ -422,14 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_setup_matches_honest_setup() {
-        let a = acc();
-        let fast = a.clone().with_fast_setup(true);
-        let x = ms(&[5, 5, 9, 31]); // multiplicity included
-        assert_eq!(a.setup(&x), fast.setup(&x));
-    }
-
-    #[test]
     fn setup_deterministic_and_order_independent() {
         let a = acc();
         let x1: MultiSet<u64> = [3u64, 1, 2].into_iter().collect();
@@ -526,9 +485,6 @@ mod tests {
         // multiplicity counts toward the degree bound
         assert!(small.try_setup(&ms(&[1, 1, 1])).is_err());
         assert_eq!(small.try_setup(&ms(&[1, 2])).unwrap(), small.setup(&ms(&[1, 2])));
-        // the fast-setup path enforces the same bound as the honest commit
-        let fast = small.with_fast_setup(true);
-        assert!(fast.try_setup(&ms(&[1, 2, 3])).is_err());
     }
 
     #[test]

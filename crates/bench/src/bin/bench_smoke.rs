@@ -296,13 +296,13 @@ fn main() {
     let tree = IntraTree::build_clustered(&objects, &acc2_honest, 8);
     // Cold: a fresh (empty) cache per iteration, so every proof is proved.
     timings.push(time("block_query_intra_acc2", 5, || {
-        tree.query(&objects, &cq, &acc2_honest, false, &ProofCache::default())
+        tree.query(&objects, &cq, None, &acc2_honest, false, &ProofCache::default())
     }));
     // Same query against a warm window-level proof cache (the `time`
     // warm-up call populates it; every measured iteration hits).
     let cache: ProofCache<Acc2> = ProofCache::default();
     timings.push(time("block_query_intra_acc2_cached", 5, || {
-        tree.query(&objects, &cq, &acc2_honest, false, &cache)
+        tree.query(&objects, &cq, None, &acc2_honest, false, &cache)
     }));
 
     // --- a 12-block chain and 8 heavily overlapping windows --------------

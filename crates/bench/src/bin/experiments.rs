@@ -19,7 +19,7 @@ use vchain_core::query::Query;
 use vchain_core::subscribe::{
     verify_subscription_update, SubscriptionEngine, SubscriptionMode, SubscriptionUpdate,
 };
-use vchain_core::vo::VoSize;
+use vchain_core::wire::encode_update;
 use vchain_datagen::{Dataset, MhtBaseline, Workload, WorkloadSpec};
 
 /// Is `arg` an experiment this binary can run: `table1`, `fig9` … `fig22`,
@@ -97,10 +97,9 @@ fn table1(scale: Scale) {
     let mut rows = Vec::new();
     for ds in [Dataset::FourSquare, Dataset::Weather, Dataset::Ethereum] {
         let w = WorkloadSpec::paper_defaults(ds, blocks).generate();
-        for (acc_name, honest1, honest2) in [
-            ("acc1", Some(shared_acc1().with_fast_setup(false)), None),
-            ("acc2", None, Some(shared_acc2())),
-        ] {
+        for (acc_name, honest1, honest2) in
+            [("acc1", Some(shared_acc1()), None), ("acc2", None, Some(shared_acc2()))]
+        {
             for (scheme, sname) in schemes() {
                 let (t, s, hdr_bits) = match (&honest1, &honest2) {
                     (Some(a1), _) => measure_setup(&w, scheme, a1.clone()),
@@ -346,7 +345,7 @@ fn subscription_run<A: Accumulator>(
     let mut vo_bytes = 0usize;
     let mut verify_updates = |updates: Vec<SubscriptionUpdate<A>>, light: &LightClient| {
         for u in &updates {
-            vo_bytes += u.coverage.iter().map(|c| c.vo_size_bytes(&acc)).sum::<usize>();
+            vo_bytes += encode_update(u).len();
             let (_, d) = timed(|| {
                 verify_subscription_update(&cq, u, light, &cfg, &acc).expect("update verifies")
             });
@@ -401,7 +400,7 @@ fn fig16(scale: Scale) {
             .map(|o| 16 + 8 * o.numeric.len() + o.keywords.iter().map(|k| k.len()).sum::<usize>())
             .sum();
 
-        let acc1 = shared_acc1().with_fast_setup(false);
+        let acc1 = shared_acc1();
         let (t1, s1) = {
             let (tree, d) = timed(|| {
                 vchain_core::intra::IntraTree::build_clustered(&objects, &acc1, spec.domain_bits)

@@ -20,7 +20,8 @@ use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query};
 use vchain_core::sp::ServiceProvider;
 use vchain_core::verify::verify_response;
-use vchain_core::vo::{QueryResponse, VoSize};
+use vchain_core::vo::QueryResponse;
+use vchain_core::wire::encode_response_v2;
 use vchain_datagen::Workload;
 
 /// Capacity of the shared Construction-1 key (max characteristic-polynomial
@@ -33,8 +34,8 @@ pub const ACC2_UNIVERSE: u64 = 8192;
 static SHARED_ACC1: OnceLock<Acc1> = OnceLock::new();
 static SHARED_ACC2: OnceLock<Acc2> = OnceLock::new();
 
-/// Process-wide Construction-1 key (trapdoor fast path enabled; experiments
-/// that *measure* setup re-enable honest setup explicitly).
+/// Process-wide Construction-1 key (honest setup: the handle holds public
+/// parameters only).
 pub fn shared_acc1() -> Acc1 {
     SHARED_ACC1
         .get_or_init(|| {
@@ -42,11 +43,9 @@ pub fn shared_acc1() -> Acc1 {
             Acc1::keygen(ACC1_CAPACITY, &mut StdRng::seed_from_u64(0xACC1))
         })
         .clone()
-        .with_fast_setup(true)
 }
 
-/// Process-wide Construction-2 key (honest setup: Acc2 has no trapdoor
-/// path).
+/// Process-wide Construction-2 key.
 pub fn shared_acc2() -> Acc2 {
     SHARED_ACC2
         .get_or_init(|| {
@@ -93,6 +92,8 @@ pub fn build_chain<A: Accumulator>(
 pub struct QueryMetrics {
     pub sp_cpu: Duration,
     pub user_cpu: Duration,
+    /// The encoded response on the wire (VO and results) — the number
+    /// `vbench` reports as `bytes_per_op`.
     pub vo_bytes: usize,
     pub results: usize,
 }
@@ -128,7 +129,7 @@ pub fn run_query<A: Accumulator>(
     q: &CompiledQuery,
 ) -> QueryMetrics {
     let (resp, sp_cpu): (QueryResponse<A>, _) = timed(|| sp.time_window_query(q));
-    let vo_bytes = resp.vo_size_bytes(&sp.acc);
+    let vo_bytes = encode_response_v2(&resp).len();
     let (verified, user_cpu) =
         timed(|| verify_response(q, &resp, light, cfg, &sp.acc).expect("honest SP must verify"));
     QueryMetrics { sp_cpu, user_cpu, vo_bytes, results: verified.len() }

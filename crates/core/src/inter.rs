@@ -123,6 +123,17 @@ impl<A: Accumulator> SkipList<A> {
         self.entries.iter().find(|e| e.distance == distance)
     }
 
+    /// `(distance, hash_Lk)` of every level but the one at `distance` — what
+    /// a VO that uses that entry ships so the verifier can rebuild
+    /// `SkipListRoot`.
+    pub(crate) fn siblings_of(&self, distance: u64) -> Vec<(u64, Digest)> {
+        self.entries
+            .iter()
+            .filter(|e| e.distance != distance)
+            .map(|e| (e.distance, e.level_hash()))
+            .collect()
+    }
+
     /// Nominal ADS bytes this list adds to a block (Table 1 "S" metric).
     pub fn ads_size_bytes(&self, acc: &A) -> usize {
         self.entries.len() * (Digest::LEN + acc.value_size())

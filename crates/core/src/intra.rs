@@ -13,7 +13,8 @@ use vchain_hash::{hash_concat, hash_pair, Digest};
 use crate::cache::ProofCache;
 use crate::element::ElementId;
 use crate::query::{object_multiset, CompiledQuery};
-use crate::vo::{Att, BlockVo, GroupProof, MismatchProof, VoNode};
+use crate::subindex::Cell;
+use crate::vo::{Att, BlockVo, ClauseRef, GroupProof, MismatchProof, VoNode};
 
 /// Node payload: a leaf holds one object, an internal node two children.
 #[derive(Clone, Debug)]
@@ -44,6 +45,15 @@ pub struct IntraNode<A: Accumulator> {
     pub att: Option<A::Value>,
     /// Leaf or internal payload.
     pub kind: IntraNodeKind,
+}
+
+/// Why the walk prunes a node.
+enum Refutation {
+    /// Clause `i` of the query's CNF is disjoint from the node's multiset.
+    Clause(usize),
+    /// The query's enclosing grid cell has slabs absent from the node's
+    /// multiset ([`Cell::absent_slab_clause`]).
+    Cell(MultiSet<ElementId>, ClauseRef),
 }
 
 /// The per-block authenticated index.
@@ -197,9 +207,17 @@ impl<A: Accumulator> IntraTree<A> {
     /// Algorithm 3: pruning tree search. Returns this block's matching
     /// objects and the VO mirroring the pruned tree.
     ///
+    /// `cell` is the §7.1 sharing rule for standing queries: the grid cell
+    /// enclosing `q`'s range box ([`Cell::enclosing`]). Where one of its
+    /// slabs is absent from a node, the node is refuted by that cell clause
+    /// in preference to a clause of `q` — a refutation, and through the
+    /// cache a proof, common to every query the cell encloses. Time-window
+    /// queries pass `None`.
+    ///
     /// `batch` enables §6.3 online batch verification: mismatching nodes
     /// that share a clause are aggregated into one group proof (requires an
-    /// aggregating accumulator, i.e. Construction 2).
+    /// aggregating accumulator, i.e. Construction 2). Cell refutations stay
+    /// inline.
     ///
     /// Every proof goes through the window-level [`ProofCache`]: an inline
     /// mismatch proof is looked up by `(node AttDigest, clause)` before
@@ -210,19 +228,30 @@ impl<A: Accumulator> IntraTree<A> {
         &self,
         objects: &[Object],
         q: &CompiledQuery,
+        cell: Option<&Cell>,
         acc: &A,
         batch: bool,
         cache: &ProofCache<A>,
     ) -> (Vec<Object>, BlockVo<A>) {
         let mut results = Vec::new();
         let mut mismatches: Vec<(usize, usize)> = Vec::new(); // (node, clause) in DFS order
-        let mut root =
-            self.walk(self.root, objects, q, &mut results, &mut mismatches, acc, batch, cache);
+        let batch = batch && acc.supports_aggregation();
+        let mut root = self.walk(
+            self.root,
+            objects,
+            q,
+            cell,
+            &mut results,
+            &mut mismatches,
+            acc,
+            batch,
+            cache,
+        );
 
         // Batch grouping (§6.3): one aggregate proof per distinct mismatch
         // clause, over the multiset sum of the member nodes.
         let mut groups = Vec::new();
-        if batch && acc.supports_aggregation() && !mismatches.is_empty() {
+        if !mismatches.is_empty() {
             use std::collections::BTreeMap;
             let mut by_clause: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for (node, clause) in &mismatches {
@@ -249,10 +278,7 @@ impl<A: Accumulator> IntraTree<A> {
                 let proof = cache
                     .get_or_prove(acc, &summed_att, &summed, &clause_ms)
                     .expect("clause was checked disjoint per member");
-                groups.push(GroupProof {
-                    clause: crate::vo::ClauseRef::Index(clause_idx as u16),
-                    proof,
-                });
+                groups.push(GroupProof { clause: ClauseRef::Index(clause_idx as u16), proof });
             }
             // Patch the DFS-ordered placeholders with their group ids.
             let mut it = mismatches.iter();
@@ -269,6 +295,7 @@ impl<A: Accumulator> IntraTree<A> {
         idx: usize,
         objects: &[Object],
         q: &CompiledQuery,
+        cell: Option<&Cell>,
         results: &mut Vec<Object>,
         mismatches: &mut Vec<(usize, usize)>,
         acc: &A,
@@ -276,66 +303,78 @@ impl<A: Accumulator> IntraTree<A> {
         cache: &ProofCache<A>,
     ) -> VoNode<A> {
         let node = &self.nodes[idx];
-        let can_prune = node.att.is_some();
-        let att = node.att.as_ref().map(Att::of::<A>);
-        let mismatch_clause = if can_prune || matches!(node.kind, IntraNodeKind::Leaf { .. }) {
-            q.cnf.find_disjoint_clause(&node.ms)
-        } else {
-            None // nil internal: cannot prune, always descend
-        };
+        // Only a digest-bearing node can be refuted; a nil interior is a
+        // plain Merkle pair and is always descended.
+        if let Some(value) = &node.att {
+            let refutation = match cell.and_then(|c| c.absent_slab_clause(&node.ms)) {
+                Some((clause_ms, clause)) => Some(Refutation::Cell(clause_ms, clause)),
+                None => q.cnf.find_disjoint_clause(&node.ms).map(Refutation::Clause),
+            };
+            if let Some(why) = refutation {
+                let att = Att::of::<A>(value);
+                let proof = self.make_proof(idx, value, why, q, acc, batch, mismatches, cache);
+                return match &node.kind {
+                    IntraNodeKind::Leaf { obj_idx } => {
+                        VoNode::LeafMismatch { obj_hash: objects[*obj_idx].digest(), att, proof }
+                    }
+                    IntraNodeKind::Internal { left, right } => {
+                        let child_hash =
+                            hash_pair(&self.nodes[*left].hash, &self.nodes[*right].hash);
+                        VoNode::InternalMismatch { child_hash, att, proof }
+                    }
+                };
+            }
+        }
 
-        match (&node.kind, mismatch_clause) {
-            (IntraNodeKind::Leaf { obj_idx }, None) => {
+        let att = node.att.as_ref().map(Att::of::<A>);
+        match &node.kind {
+            IntraNodeKind::Leaf { obj_idx } => {
                 // match: return the object
                 let att = att.expect("leaves always carry AttDigest");
                 let result_idx = results.len() as u32;
                 results.push(objects[*obj_idx].clone());
                 VoNode::LeafMatch { att, result_idx }
             }
-            (IntraNodeKind::Leaf { obj_idx }, Some(clause)) => {
-                let att = att.expect("leaves always carry AttDigest");
-                let proof = self.make_proof(idx, clause, q, acc, batch, mismatches, cache);
-                VoNode::LeafMismatch { obj_hash: objects[*obj_idx].digest(), att, proof }
-            }
-            (IntraNodeKind::Internal { left, right }, Some(clause)) if can_prune => {
-                let att = att.expect("checked");
-                let child_hash = hash_pair(&self.nodes[*left].hash, &self.nodes[*right].hash);
-                let proof = self.make_proof(idx, clause, q, acc, batch, mismatches, cache);
-                VoNode::InternalMismatch { child_hash, att, proof }
-            }
-            (IntraNodeKind::Internal { left, right }, _) => {
-                let l = self.walk(*left, objects, q, results, mismatches, acc, batch, cache);
-                let r = self.walk(*right, objects, q, results, mismatches, acc, batch, cache);
+            IntraNodeKind::Internal { left, right } => {
+                let l = self.walk(*left, objects, q, cell, results, mismatches, acc, batch, cache);
+                let r = self.walk(*right, objects, q, cell, results, mismatches, acc, batch, cache);
                 VoNode::Internal { att, left: Box::new(l), right: Box::new(r) }
             }
         }
     }
 
+    /// The proof that node `node_idx` (digest `att`) is refuted by `why`.
+    /// `batch` (already gated on an aggregating accumulator) defers clause
+    /// refutations to §6.3 grouping.
     #[allow(clippy::too_many_arguments)]
     fn make_proof(
         &self,
         node_idx: usize,
-        clause_idx: usize,
+        att: &A::Value,
+        why: Refutation,
         q: &CompiledQuery,
         acc: &A,
         batch: bool,
         mismatches: &mut Vec<(usize, usize)>,
         cache: &ProofCache<A>,
     ) -> MismatchProof<A> {
-        if batch && acc.supports_aggregation() {
-            // Defer: record the (node, clause) pair; `query` assigns group
-            // ids after the walk and patches this placeholder in DFS order.
-            mismatches.push((node_idx, clause_idx));
-            MismatchProof::Group(u16::MAX)
-        } else {
-            let clause_ms = q.cnf.0[clause_idx].to_multiset();
-            let node = &self.nodes[node_idx];
-            let att = node.att.as_ref().expect("only digest-bearing nodes mismatch");
-            let proof = cache
-                .get_or_prove(acc, att, &node.ms, &clause_ms)
-                .expect("find_disjoint_clause guarantees disjointness");
-            MismatchProof::Inline { proof, clause: crate::vo::ClauseRef::Index(clause_idx as u16) }
-        }
+        let (clause_ms, clause) = match why {
+            Refutation::Clause(clause_idx) if batch => {
+                // Defer: record the (node, clause) pair; `query` assigns
+                // group ids after the walk and patches this placeholder in
+                // DFS order.
+                mismatches.push((node_idx, clause_idx));
+                return MismatchProof::Group(u16::MAX);
+            }
+            Refutation::Clause(clause_idx) => {
+                (q.cnf.0[clause_idx].to_multiset(), ClauseRef::Index(clause_idx as u16))
+            }
+            Refutation::Cell(clause_ms, clause) => (clause_ms, clause),
+        };
+        let proof = cache
+            .get_or_prove(acc, att, &self.nodes[node_idx].ms, &clause_ms)
+            .expect("the refutation was found disjoint from the node");
+        MismatchProof::Inline { proof, clause }
     }
 }
 
@@ -462,7 +501,7 @@ mod tests {
             keywords: vec![vec!["Sedan".into()], vec!["Benz".into(), "BMW".into()]],
         }
         .compile(3);
-        let (results, vo) = tree.query(&objects(), &q, &a, false, &ProofCache::new(8));
+        let (results, vo) = tree.query(&objects(), &q, None, &a, false, &ProofCache::new(8));
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].id, 1);
         assert!(vo.groups.is_empty(), "acc1 cannot batch");
@@ -476,7 +515,7 @@ mod tests {
         assert_eq!(tree.nodes.len(), 1);
         let q = Query { time_window: None, ranges: vec![], keywords: vec![vec!["X".into()]] }
             .compile(3);
-        let (results, _) = tree.query(&objs, &q, &a, false, &ProofCache::new(8));
+        let (results, _) = tree.query(&objs, &q, None, &a, false, &ProofCache::new(8));
         assert_eq!(results.len(), 1);
     }
 
@@ -490,7 +529,7 @@ mod tests {
             keywords: vec![],
         }
         .compile(3);
-        let (results, _) = tree.query(&objects(), &q, &a, false, &ProofCache::new(8));
+        let (results, _) = tree.query(&objects(), &q, None, &a, false, &ProofCache::new(8));
         let mut ids: Vec<u64> = results.iter().map(|o| o.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2], "values 4 and 5 lie in [0, 5]");

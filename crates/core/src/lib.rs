@@ -23,9 +23,9 @@
 //!   pipeline: frame-by-frame VO delivery with bounded buffering, the
 //!   deduplicating wire encoding, and cross-window pairing batching
 //!   (see `docs/LIGHT_CLIENT.md`).
-//! * [`subscribe`] / [`iptree`] — verifiable subscription queries with the
-//!   inverted prefix tree (§7.1, Algorithms 6/7) and lazy authentication
-//!   (§7.2, Algorithm 5).
+//! * [`subscribe`] / [`subindex`] — verifiable subscription queries: the
+//!   standing-query index that plays the inverted prefix tree's inverted
+//!   files (§7.1) and lazy authentication (§7.2, Algorithm 5).
 //!
 //! The generic parameter `A: Accumulator` selects between the paper's two
 //! accumulator constructions (`vchain_acc::Acc1`, `vchain_acc::Acc2`).
@@ -39,7 +39,6 @@ pub mod client;
 pub mod element;
 pub mod inter;
 pub mod intra;
-pub mod iptree;
 pub mod miner;
 pub mod query;
 pub mod sp;
@@ -73,7 +72,7 @@ pub use subscribe::{
 pub use verify::{
     verify_encoded_response, verify_response, DisjointBatch, VerifyError, WindowVerifier,
 };
-pub use vo::{BlockCoverage, ClauseRef, QueryResponse, VoNode, VoSize};
+pub use vo::{BlockCoverage, ClauseRef, QueryResponse, VoNode};
 pub use wire::{
     decode_bloom, decode_response_v2, decode_update, encode_bloom, encode_response_v2,
     encode_scan_stream, encode_update, StreamDecoder, StreamEvent, WireError, MAX_FRAME_BYTES,

@@ -121,7 +121,7 @@ impl<A: Accumulator> ServiceProvider<A> {
             let block = self.store.block(height).expect("height in range");
             let idx = &self.indexed[height as usize];
             let (block_results, vo) =
-                idx.tree.query(&block.objects, q, &self.acc, self.batch_verify, cache);
+                idx.tree.query(&block.objects, q, None, &self.acc, self.batch_verify, cache);
             if !block_results.is_empty() {
                 results.push((height, block_results));
             }
@@ -171,12 +171,6 @@ impl<A: Accumulator> ServiceProvider<A> {
                 let proof = cache
                     .get_or_prove_with_witness(&self.acc, &entry.att, &entry.ms, &clause_ms, wb)
                     .expect("disjointness established");
-                let siblings = skiplist
-                    .entries
-                    .iter()
-                    .filter(|e| e.distance != entry.distance)
-                    .map(|e| (e.distance, e.level_hash()))
-                    .collect();
                 return Some((
                     BlockCoverage::Skip {
                         height: cur,
@@ -184,7 +178,7 @@ impl<A: Accumulator> ServiceProvider<A> {
                         att: Att::of::<A>(&entry.att),
                         proof,
                         clause: ClauseRef::Index(clause_idx as u16),
-                        siblings,
+                        siblings: skiplist.siblings_of(entry.distance),
                     },
                     entry.distance,
                 ));

@@ -13,9 +13,15 @@
 //!   small ids at registration, so the per-block proof work is deduplicated
 //!   by content (the paper's BCIF effect) with zero per-query allocation at
 //!   match time;
-//! * the **grid-cell interval index** for the IP-Tree path (§7.1): queries
-//!   grouped by enclosing cell, rebuilt with the tree, so range refutations
-//!   are shared per cell exactly as the reference walk shares them.
+//! * the **grid-cell interval index** (§7.1): queries grouped by their
+//!   enclosing [`Cell`], so a range refutation is derived once per cell and
+//!   shared by every query inside it.
+//!
+//! Together these are the paper's IP-Tree inverted files: the posting lists
+//! and the content registry play the BCIF, the cell index the RCIF. No grid
+//! tree is materialized — the only thing the engine ever asked one was "the
+//! deepest cell containing this box", which [`Cell::enclosing`] computes
+//! from the box alone.
 //!
 //! The probe set (distinct subscribed literals, with their precomputed
 //! [`BloomKey`] lanes) is what the per-block [`AttributeBloom`] filters:
@@ -38,9 +44,80 @@ use std::collections::{BTreeMap, HashMap};
 use vchain_acc::MultiSet;
 
 use crate::bloom::{AttributeBloom, BloomKey};
-use crate::element::ElementId;
-use crate::iptree::{Cell, QueryId};
+use crate::element::{Element, ElementId};
 use crate::query::CompiledQuery;
+use crate::vo::ClauseRef;
+
+/// Identifier assigned by the subscription engine at registration.
+pub type QueryId = u32;
+
+/// A dyadic grid cell: a `depth`-bit prefix in each grid dimension.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Cell {
+    /// Prefix length in bits (0 = the whole domain).
+    pub depth: u8,
+    /// `(dim, prefix_bits)` pairs, one per grid dimension.
+    pub prefixes: Vec<(u8, u64)>,
+}
+
+impl Cell {
+    /// The deepest cell of the grid over `dims` (at most `max_depth` bits
+    /// per dimension) that contains a query's range box — the unit of proof
+    /// sharing for range mismatches: if a node's multiset is provably
+    /// outside this cell, every query enclosed by it mismatches for the
+    /// same reason. A dimension the query does not constrain spans the whole
+    /// domain, so it pins the cell to depth 0.
+    pub fn enclosing(q: &CompiledQuery, dims: &[u8], domain_bits: u8, max_depth: u8) -> Cell {
+        // The box's `[lo, hi]` in a grid dimension (the whole domain where
+        // the query has no predicate).
+        let side = |dim: u8| {
+            q.ranges.iter().find(|r| r.dim == dim).map_or((0, u64::MAX), |r| (r.lo, r.hi))
+        };
+        // `lo` and `hi` share a dyadic cell exactly as deep as their common
+        // binary prefix within the domain width.
+        let depth = dims
+            .iter()
+            .map(|&dim| {
+                let (lo, hi) = side(dim);
+                let differing_bits = (u64::BITS - (lo ^ hi).leading_zeros()) as u8;
+                domain_bits.saturating_sub(differing_bits)
+            })
+            .fold(max_depth, u8::min);
+        let prefixes = dims
+            .iter()
+            .map(|&dim| (dim, if depth == 0 { 0 } else { side(dim).0 >> (domain_bits - depth) }))
+            .collect();
+        Cell { depth, prefixes }
+    }
+
+    /// The refutation every query enclosed by this cell shares against a
+    /// node with multiset `ms`: the clause over the cell's slab prefixes
+    /// that are *absent* from `ms` (disjointness on any one dimension
+    /// already refutes every box contained in the cell), with its VO
+    /// reference. `None` when every slab is present — the node may contain
+    /// cell objects — and at depth 0, where the cell excludes nothing.
+    pub fn absent_slab_clause(
+        &self,
+        ms: &MultiSet<ElementId>,
+    ) -> Option<(MultiSet<ElementId>, ClauseRef)> {
+        if self.depth == 0 {
+            return None;
+        }
+        let mut clause_ms = MultiSet::new();
+        let mut absent = Vec::new();
+        for &(dim, bits) in &self.prefixes {
+            let e = ElementId::intern(&Element::Prefix { dim, len: self.depth, bits });
+            if !ms.contains(&e) {
+                clause_ms.insert(e);
+                absent.push((dim, bits));
+            }
+        }
+        if absent.is_empty() {
+            return None;
+        }
+        Some((clause_ms, ClauseRef::Cell { len: self.depth, prefixes: absent }))
+    }
+}
 
 /// Widest CNF the hit-mask classifier handles exactly; wider queries fall
 /// back to the per-query walk (correct, just not shared).
@@ -245,13 +322,11 @@ impl SubscriptionIndex {
     }
 
     /// Rebuild the grid-cell interval index from the engine's enclosing-cell
-    /// assignment (depth-0 cells are omitted: they share nothing).
+    /// assignment.
     pub fn rebuild_cells(&mut self, enclosing: &BTreeMap<QueryId, Cell>) {
         self.cells.clear();
         for (&qid, cell) in enclosing {
-            if cell.depth > 0 {
-                self.cells.entry(cell.clone()).or_default().push(qid);
-            }
+            self.cells.entry(cell.clone()).or_default().push(qid);
         }
     }
 
@@ -323,6 +398,8 @@ mod tests {
     use super::*;
     use crate::bloom::BLOOM_SEED;
     use crate::query::{Query, RangeSpec};
+    use crate::trans::prefix_interval;
+    use proptest::prelude::*;
 
     fn sub(ranges: Vec<RangeSpec>, keywords: Vec<Vec<&str>>) -> CompiledQuery {
         Query {
@@ -344,6 +421,110 @@ mod tests {
             kws.iter().map(|s| s.to_string()).collect(),
         );
         crate::query::object_multiset(&o, 4)
+    }
+
+    /// `[lo, hi]` of a cell in its `i`-th grid dimension.
+    fn side(cell: &Cell, i: usize, domain_bits: u8) -> (u64, u64) {
+        match cell.depth {
+            0 => (0, (1u64 << domain_bits) - 1),
+            depth => prefix_interval(depth, cell.prefixes[i].1, domain_bits),
+        }
+    }
+
+    #[test]
+    fn enclosing_cell_contains_box() {
+        let boxed = |lo0, hi0, lo1, hi1| {
+            sub(
+                vec![
+                    RangeSpec { dim: 0, lo: lo0, hi: hi0 },
+                    RangeSpec { dim: 1, lo: lo1, hi: hi1 },
+                ],
+                vec![vec!["subidx-cell"]],
+            )
+        };
+        // Domain [0, 15]²; Fig. 8's layout at larger scale.
+        for q in [boxed(0, 7, 8, 15), boxed(0, 7, 0, 15), boxed(0, 3, 0, 11), boxed(8, 15, 0, 15)] {
+            let c = Cell::enclosing(&q, &[0, 1], 4, 4);
+            for (i, r) in q.ranges.iter().enumerate() {
+                let (clo, chi) = side(&c, i, 4);
+                assert!(clo <= r.lo && r.hi <= chi);
+            }
+        }
+        // a tight box gets a deep cell
+        let c = Cell::enclosing(&boxed(4, 5, 8, 9), &[0, 1], 4, 4);
+        assert_eq!((c.depth, c.prefixes), (3, vec![(0, 0b010), (1, 0b100)]));
+        // an unconstrained grid dimension pins the cell to the whole domain
+        let c = Cell::enclosing(&boxed(4, 5, 8, 9), &[0, 1, 2], 4, 4);
+        assert_eq!((c.depth, c.prefixes), (0, vec![(0, 0), (1, 0), (2, 0)]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Against an oracle that shares no arithmetic with the
+        /// implementation: scan depths from the cap down, and at each depth
+        /// every prefix of every dimension, for the first cell whose
+        /// intervals contain the box.
+        #[test]
+        fn enclosing_cell_is_the_deepest_containing_cell(
+            domain_bits in 2u8..9,
+            max_depth in 1u8..9,
+            ndims in 1usize..4,
+            // per dimension: one in four unconstrained; else `lo`, and an
+            // extent of up to `span_bits` bits so tight boxes are common
+            unconstrained in proptest::collection::vec(0u8..4, 3..4),
+            lows in proptest::collection::vec(0u64..256, 3..4),
+            extents in proptest::collection::vec(0u64..256, 3..4),
+            span_bits in proptest::collection::vec(0u8..9, 3..4),
+        ) {
+            let max_depth = max_depth.min(domain_bits);
+            let dims: Vec<u8> = (0..ndims as u8).collect();
+            let full = (0, (1u64 << domain_bits) - 1);
+            let ranges: Vec<RangeSpec> = (0..ndims)
+                .filter(|&i| unconstrained[i] != 0)
+                .map(|i| {
+                    let lo = lows[i] & full.1;
+                    let extent = extents[i] & ((1u64 << span_bits[i]) - 1);
+                    RangeSpec { dim: i as u8, lo, hi: (lo + extent).min(full.1) }
+                })
+                .collect();
+            let q = Query { time_window: None, ranges: ranges.clone(), keywords: vec![] }
+                .compile(domain_bits);
+            let box_side = |dim: u8| {
+                ranges.iter().find(|r| r.dim == dim).map(|r| (r.lo, r.hi)).unwrap_or(full)
+            };
+            let oracle = (1..=max_depth)
+                .rev()
+                .find_map(|depth| {
+                    let prefixes: Option<Vec<(u8, u64)>> = dims
+                        .iter()
+                        .map(|&dim| {
+                            let (lo, hi) = box_side(dim);
+                            (0..1u64 << depth)
+                                .find(|&bits| {
+                                    let (clo, chi) = prefix_interval(depth, bits, domain_bits);
+                                    clo <= lo && hi <= chi
+                                })
+                                .map(|bits| (dim, bits))
+                        })
+                        .collect();
+                    prefixes.map(|prefixes| Cell { depth, prefixes })
+                })
+                .unwrap_or(Cell { depth: 0, prefixes: dims.iter().map(|&d| (d, 0)).collect() });
+            prop_assert_eq!(Cell::enclosing(&q, &dims, domain_bits, max_depth), oracle);
+        }
+    }
+
+    #[test]
+    fn absent_slab_clause_names_exactly_the_absent_slabs() {
+        // x∈[8,15], y∈[0,7] of a 4-bit domain
+        let cell = Cell { depth: 1, prefixes: vec![(0, 1), (1, 0)] };
+        assert!(cell.absent_slab_clause(&obj_ms(&[9, 3], &[])).is_none(), "object inside");
+        let (ms, clause) = cell.absent_slab_clause(&obj_ms(&[3, 3], &[])).expect("x slab absent");
+        assert_eq!(clause, ClauseRef::Cell { len: 1, prefixes: vec![(0, 1)] });
+        assert_eq!(ms.distinct_len(), 1);
+        let root = Cell { depth: 0, prefixes: vec![(0, 0), (1, 0)] };
+        assert!(root.absent_slab_clause(&obj_ms(&[3, 3], &[])).is_none(), "excludes nothing");
     }
 
     #[test]

@@ -9,10 +9,13 @@
 //!   Construction 2 and the inter-block index) buffers whole-block
 //!   mismatches on a stack and compresses runs with skip-list entries and
 //!   `ProofSum`, publishing only when a block's root multiset matches.
-//! * The **IP-Tree** (§7.1) can be enabled in either mode: queries are then
-//!   processed jointly per block, and mismatch proofs are shared — by
-//!   Boolean-clause content (the BCIF effect) and by enclosing grid cell
-//!   for range mismatches.
+//! * **Shared refutations** (§7.1). Queries with identical clause content
+//!   always share one proof (the IP-Tree's BCIF effect — it falls out of
+//!   the `(AttDigest, clause)` key of the [`ProofCache`] and of the
+//!   [`SubscriptionIndex`] content registry). `use_iptree` adds the RCIF
+//!   effect in either mode: every query is also given the grid [`Cell`]
+//!   enclosing its range box, and a node outside that cell is refuted by
+//!   the cell clause, one proof for every query the cell encloses.
 //!
 //! # The inverted match path
 //!
@@ -40,11 +43,10 @@ use vchain_hash::Digest;
 use crate::bloom::BLOOM_SEED;
 use crate::cache::ProofCache;
 use crate::element::ElementId;
-use crate::intra::{IntraNodeKind, IntraTree};
-use crate::iptree::{Cell, IpTree, QueryId};
+use crate::intra::IntraNodeKind;
 use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::{CompiledQuery, Query};
-use crate::subindex::SubscriptionIndex;
+use crate::subindex::{Cell, QueryId, SubscriptionIndex};
 use crate::verify::{verify_with_expected, VerifyError};
 use crate::vo::{Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, VoNode};
 
@@ -168,11 +170,6 @@ impl<A: Accumulator> BlockMatch<A> {
         self.height
     }
 
-    /// Number of queries matched (every registered query).
-    pub fn query_count(&self) -> usize {
-        self.outcomes.len()
-    }
-
     /// Number of distinct whole-block refutation proofs shared this block.
     pub fn shared_proofs(&self) -> usize {
         self.proofs.len()
@@ -196,17 +193,18 @@ pub struct SubscriptionEngine<A: Accumulator> {
     pub acc: A,
     /// Publication policy.
     pub mode: SubscriptionMode,
-    /// Whether the §7.1 inverted prefix tree is consulted.
+    /// Whether range refutations are shared per enclosing grid cell (§7.1).
     pub use_iptree: bool,
     queries: BTreeMap<QueryId, CompiledQuery>,
     /// The attribute-keyed standing-query index driving the `Indexed` path.
     index: SubscriptionIndex,
     strategy: WalkStrategy,
-    iptree: Option<IpTree>,
-    /// Set on (de)registration; the IP-Tree and the cell interval index are
-    /// rebuilt lazily at the next match, so registering Q queries costs
-    /// O(Q·log Q) total instead of O(Q²) tree rebuilds.
-    iptree_dirty: bool,
+    /// Set on (de)registration: the grid's dimensions are the union over
+    /// all registered queries, so the cells are reassigned lazily at the
+    /// next match instead of on every registration.
+    cells_dirty: bool,
+    /// Each query's enclosing grid cell, where it is deeper than the whole
+    /// domain (empty without `use_iptree`).
     enclosing: BTreeMap<QueryId, Cell>,
     lazy: BTreeMap<QueryId, LazyState<A>>,
     /// Persists across [`SubscriptionEngine::process_block`] calls: a
@@ -235,8 +233,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             queries: BTreeMap::new(),
             index: SubscriptionIndex::new(BLOOM_SEED),
             strategy: WalkStrategy::Indexed,
-            iptree: None,
-            iptree_dirty: false,
+            cells_dirty: false,
             enclosing: BTreeMap::new(),
             lazy: BTreeMap::new(),
             cache: ProofCache::default(),
@@ -262,11 +259,6 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         &self.cache
     }
 
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
     /// The compiled form of a registered query.
     pub fn compiled(&self, id: QueryId) -> Option<&CompiledQuery> {
         self.queries.get(&id)
@@ -284,7 +276,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             id,
             LazyState { clause_idx: None, pending: Vec::new(), from_height: self.next_height },
         );
-        self.iptree_dirty = true;
+        self.cells_dirty = true;
         id
     }
 
@@ -294,7 +286,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         let q = self.queries.remove(&id)?;
         self.index.remove(id, &q);
         let state = self.lazy.remove(&id);
-        self.iptree_dirty = true;
+        self.cells_dirty = true;
         match state {
             Some(s) if !s.pending.is_empty() => Some(SubscriptionUpdate {
                 query_id: id,
@@ -307,42 +299,35 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         }
     }
 
-    /// Rebuild the IP-Tree and cell interval index if registrations changed
-    /// since the last match.
-    fn ensure_iptree(&mut self) {
-        if !self.iptree_dirty {
+    /// Reassign the enclosing cells and the cell interval index if
+    /// registrations changed since the last match.
+    fn ensure_cells(&mut self) {
+        if !self.cells_dirty {
             return;
         }
-        self.iptree_dirty = false;
-        self.rebuild_iptree();
+        self.cells_dirty = false;
+        self.enclosing.clear();
+        // The grid spans every dimension some query constrains.
+        let mut dims: Vec<u8> = Vec::new();
+        if self.use_iptree {
+            dims.extend(self.queries.values().flat_map(|q| q.ranges.iter().map(|r| r.dim)));
+            dims.sort_unstable();
+            dims.dedup();
+        }
+        if !dims.is_empty() {
+            // Depth cap (paper §7.1: "to prevent the tree from becoming too
+            // deep, we switch back to the case without the IP-Tree when the
+            // tree depth reaches some pre-defined threshold"): a grid of at
+            // most ~2^16 cells whatever the dimensionality.
+            let max_depth = ((16 / dims.len()) as u8).clamp(1, self.cfg.domain_bits);
+            for (&id, q) in &self.queries {
+                let cell = Cell::enclosing(q, &dims, self.cfg.domain_bits, max_depth);
+                if cell.depth > 0 {
+                    self.enclosing.insert(id, cell);
+                }
+            }
+        }
         self.index.rebuild_cells(&self.enclosing);
-    }
-
-    fn rebuild_iptree(&mut self) {
-        if !self.use_iptree || self.queries.is_empty() {
-            self.iptree = None;
-            self.enclosing.clear();
-            return;
-        }
-        let mut dims: Vec<u8> =
-            self.queries.values().flat_map(|q| q.ranges.iter().map(|r| r.dim)).collect();
-        dims.sort_unstable();
-        dims.dedup();
-        if dims.is_empty() {
-            self.iptree = None;
-            self.enclosing.clear();
-            return;
-        }
-        // Depth cap (paper §7.1: "to prevent the tree from becoming too
-        // deep, we switch back to the case without the IP-Tree when the
-        // tree depth reaches some pre-defined threshold"): each split
-        // produces 2^D children, so bound the depth by a node budget of
-        // ~2^16 nodes rather than letting high-dimensional grids explode.
-        let max_depth = (16 / dims.len().max(1)) as u8;
-        let max_depth = max_depth.clamp(1, self.cfg.domain_bits);
-        let tree = IpTree::build(&self.queries, dims, self.cfg.domain_bits, max_depth);
-        self.enclosing = self.queries.iter().map(|(id, q)| (*id, tree.enclosing_cell(q))).collect();
-        self.iptree = Some(tree);
     }
 
     /// Process a newly confirmed block; returns the updates to publish.
@@ -363,7 +348,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
     /// given block, so steady-state match cost can be measured in isolation.
     pub fn match_block(&mut self, block: &Block, indexed: &IndexedBlock<A>) -> BlockMatch<A> {
         assert_eq!(block.header.height, self.next_height, "blocks must be processed in order");
-        self.ensure_iptree();
+        self.ensure_cells();
         match self.strategy {
             WalkStrategy::Naive => self.match_block_naive(block, indexed),
             WalkStrategy::Indexed => self.match_block_indexed(block, indexed),
@@ -427,32 +412,38 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         updates
     }
 
-    /// The reference twin: every query walks the intra-block index (jointly
-    /// when the IP-Tree is enabled, per query otherwise), exactly as the
-    /// engine always worked.
+    /// The reference twin: every query walks the intra-block index, exactly
+    /// as the engine always worked.
     fn match_block_naive(&mut self, block: &Block, indexed: &IndexedBlock<A>) -> BlockMatch<A> {
-        let per_query: BTreeMap<QueryId, (Vec<Object>, BlockVo<A>)> = if self.use_iptree {
-            self.process_block_shared(block, indexed)
-        } else {
-            self.queries
-                .iter()
-                .map(|(id, q)| {
-                    let out = indexed.tree.query(&block.objects, q, &self.acc, false, &self.cache);
-                    (*id, out)
-                })
-                .collect()
-        };
-        let candidates = per_query.len();
+        let outcomes: Vec<_> =
+            self.queries.keys().map(|&id| (id, self.query_block(id, block, indexed))).collect();
         BlockMatch {
             height: block.header.height,
             root: RootShape::Opaque,
             proofs: Vec::new(),
-            outcomes: per_query
-                .into_iter()
-                .map(|(id, walked)| (id, MatchOutcome::Walked(Box::new(walked))))
-                .collect(),
-            candidates,
+            candidates: outcomes.len(),
+            outcomes,
         }
+    }
+
+    /// One query's walk of the intra-block index (Algorithm 3), under its
+    /// enclosing cell when it has one.
+    fn query_block(
+        &self,
+        id: QueryId,
+        block: &Block,
+        indexed: &IndexedBlock<A>,
+    ) -> MatchOutcome<A> {
+        let cell = self.enclosing.get(&id);
+        let walked = indexed.tree.query(
+            &block.objects,
+            &self.queries[&id],
+            cell,
+            &self.acc,
+            false,
+            &self.cache,
+        );
+        MatchOutcome::Walked(Box::new(walked))
     }
 
     /// The inverted path. Per block:
@@ -461,8 +452,8 @@ impl<A: Accumulator> SubscriptionEngine<A> {
     ///    confirming positives against the exact root multiset;
     /// 2. classify every query off the posting lists (candidate, or first
     ///    disjoint clause — identical to the reference walk's root step);
-    /// 3. replicate the IP-Tree walk's root-level cell priority for queries
-    ///    whose enclosing cell has absent slabs;
+    /// 3. replicate the walk's root-level cell priority for queries whose
+    ///    enclosing cell has absent slabs;
     /// 4. resolve the distinct refutations through the cross-block cache +
     ///    one [`Accumulator::prove_disjoint_each`]; a clause that fails to
     ///    prove (possible only when the filter lied — see `corrupt_bloom`
@@ -494,22 +485,21 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         let mut cid_pending: Vec<u32> = vec![u32::MAX; self.index.distinct_contents()];
         let mut by_cell_key: HashMap<Vec<u32>, usize> = HashMap::new();
 
-        // 3. Root-level cell priority, exactly as the reference shared walk
-        //    assigns it (the cell interval index replaces the per-node scan).
+        // 3. Root-level cell priority, exactly as the reference walk assigns
+        //    it, once per cell instead of once per query (the interval index
+        //    is empty without `use_iptree`).
         let mut cell_assigned: BTreeMap<QueryId, (usize, ClauseRef)> = BTreeMap::new();
-        if self.use_iptree {
-            for (cell, qids) in self.index.cells() {
-                let Some((clause_ms, clause)) = absent_slab_clause(cell, root_ms) else {
-                    continue;
-                };
-                let key: Vec<u32> = clause_ms.elements().map(|e| e.raw()).collect();
-                let idx = *by_cell_key.entry(key).or_insert_with(|| {
-                    pending.push((clause_ms, None));
-                    pending.len() - 1
-                });
-                for &qid in qids {
-                    cell_assigned.insert(qid, (idx, clause.clone()));
-                }
+        for (cell, qids) in self.index.cells() {
+            let Some((clause_ms, clause)) = cell.absent_slab_clause(root_ms) else {
+                continue;
+            };
+            let key: Vec<u32> = clause_ms.elements().map(|e| e.raw()).collect();
+            let idx = *by_cell_key.entry(key).or_insert_with(|| {
+                pending.push((clause_ms, None));
+                pending.len() - 1
+            });
+            for &qid in qids {
+                cell_assigned.insert(qid, (idx, clause.clone()));
             }
         }
 
@@ -574,26 +564,8 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         let candidates = walk.len();
 
         // 5. Only the candidates touch the tree.
-        let mut walked: Vec<(QueryId, MatchOutcome<A>)> = Vec::with_capacity(walk.len());
-        if !walk.is_empty() {
-            if self.use_iptree {
-                let mut out: BTreeMap<QueryId, (Vec<Object>, Option<VoNode<A>>)> =
-                    walk.iter().map(|&id| (id, (Vec::new(), None))).collect();
-                let roots = self.shared_walk(tree, tree.root, &block.objects, &walk, &mut out);
-                for (qid, node) in roots {
-                    let (results, _) = out.remove(&qid).expect("present");
-                    let vo = BlockVo { root: node, groups: Vec::new() };
-                    walked.push((qid, MatchOutcome::Walked(Box::new((results, vo)))));
-                }
-                walked.sort_unstable_by_key(|(qid, _)| *qid);
-            } else {
-                for &qid in &walk {
-                    let q = &self.queries[&qid];
-                    let out = tree.query(&block.objects, q, &self.acc, false, &self.cache);
-                    walked.push((qid, MatchOutcome::Walked(Box::new(out))));
-                }
-            }
-        }
+        let walked: Vec<(QueryId, MatchOutcome<A>)> =
+            walk.iter().map(|&qid| (qid, self.query_block(qid, block, indexed))).collect();
 
         // Emit the publish-ordered outcome vector in one linear merge of the
         // three ascending sources (cell assignments, classified refutations,
@@ -772,20 +744,13 @@ impl<A: Accumulator> SubscriptionEngine<A> {
                 Ok(p) => p,
                 Err(_) => return,
             };
-            let siblings = indexed
-                .skiplist
-                .entries
-                .iter()
-                .filter(|e| e.distance != d)
-                .map(|e| (e.distance, e.level_hash()))
-                .collect();
             let skip_cov = BlockCoverage::Skip {
                 height,
                 distance: d,
                 att: Att::of::<A>(&entry.att),
                 proof: agg,
                 clause: ClauseRef::Index(clause_idx as u16),
-                siblings,
+                siblings: indexed.skiplist.siblings_of(d),
             };
             let keep_from = state.pending.len() - 1 - take;
             let current = state.pending.pop().expect("top");
@@ -794,157 +759,6 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             state.pending.push(current);
             return;
         }
-    }
-
-    /// IP-Tree joint processing (§7.1, Algorithm 7 in spirit): one traversal
-    /// of the intra-block index for *all* queries, sharing mismatch proofs
-    /// by clause content and by enclosing grid cell.
-    fn process_block_shared(
-        &self,
-        block: &Block,
-        indexed: &IndexedBlock<A>,
-    ) -> BTreeMap<QueryId, (Vec<Object>, BlockVo<A>)> {
-        let tree = &indexed.tree;
-        let qids: Vec<QueryId> = self.queries.keys().copied().collect();
-        let mut out: BTreeMap<QueryId, (Vec<Object>, Option<VoNode<A>>)> =
-            qids.iter().map(|&id| (id, (Vec::new(), None))).collect();
-
-        let roots = self.shared_walk(tree, tree.root, &block.objects, &qids, &mut out);
-        roots
-            .into_iter()
-            .map(|(qid, node)| {
-                let (results, _) = out.remove(&qid).expect("present");
-                (qid, (results, BlockVo { root: node, groups: Vec::new() }))
-            })
-            .collect()
-    }
-
-    /// Returns, per active query, the VO node for this subtree.
-    ///
-    /// Every refutation this node needs — one per distinct clause content
-    /// across all active queries (the BCIF effect) and per enclosing grid
-    /// cell — is first looked up in the persistent cross-block cache, and
-    /// the misses are proven together with one
-    /// [`Accumulator::prove_disjoint_each`] call, sharing the node-side
-    /// witness across clauses.
-    fn shared_walk(
-        &self,
-        tree: &IntraTree<A>,
-        node_idx: usize,
-        objects: &[Object],
-        active: &[QueryId],
-        out: &mut BTreeMap<QueryId, (Vec<Object>, Option<VoNode<A>>)>,
-    ) -> BTreeMap<QueryId, VoNode<A>> {
-        let node = &tree.nodes[node_idx];
-        let mut results_map: BTreeMap<QueryId, VoNode<A>> = BTreeMap::new();
-        let mut descend: Vec<QueryId> = Vec::new();
-
-        // The refutations this node needs, deduplicated by clause content;
-        // proofs are resolved (cache or batch-prove) after collection.
-        let mut pending: Vec<(MultiSet<ElementId>, Option<A::Proof>)> = Vec::new();
-        let mut by_content: HashMap<Vec<u32>, usize> = HashMap::new();
-        let mut assigned: BTreeMap<QueryId, (usize, ClauseRef)> = BTreeMap::new();
-        let mut intern = |pending: &mut Vec<(MultiSet<ElementId>, Option<A::Proof>)>,
-                          clause_ms: MultiSet<ElementId>| {
-            let key: Vec<u32> = clause_ms.elements().map(|e| e.raw()).collect();
-            *by_content.entry(key).or_insert_with(|| {
-                pending.push((clause_ms, None));
-                pending.len() - 1
-            })
-        };
-
-        // 1. Range sharing: queries grouped by enclosing cell; one proof per
-        //    cell whose slabs are all absent from the node's multiset.
-        if !self.enclosing.is_empty() {
-            let mut by_cell: BTreeMap<&Cell, Vec<QueryId>> = BTreeMap::new();
-            for &qid in active {
-                if let Some(c) = self.enclosing.get(&qid) {
-                    if c.depth > 0 {
-                        by_cell.entry(c).or_default().push(qid);
-                    }
-                }
-            }
-            for (cell, qids) in by_cell {
-                let Some((clause_ms, clause)) = absent_slab_clause(cell, &node.ms) else {
-                    continue; // the node may contain cell objects: no sharing
-                };
-                let idx = intern(&mut pending, clause_ms);
-                for qid in qids {
-                    assigned.insert(qid, (idx, clause.clone()));
-                }
-            }
-        }
-
-        // 2. Clause-content sharing (the BCIF effect): identical clause
-        //    sets across queries collapse onto one pending refutation.
-        for &qid in active {
-            if assigned.contains_key(&qid) {
-                continue; // already cell-refuted
-            }
-            let q = &self.queries[&qid];
-            match q.cnf.find_disjoint_clause(&node.ms) {
-                Some(ci) => {
-                    let idx = intern(&mut pending, q.cnf.0[ci].to_multiset());
-                    assigned.insert(qid, (idx, ClauseRef::Index(ci as u16)));
-                }
-                None => descend.push(qid),
-            }
-        }
-
-        // 3. Resolve the pending refutations (cache, then one shared witness).
-        if !pending.is_empty() {
-            let att = node.att.as_ref().expect("pruning requires AttDigest");
-            self.resolve_pending(att, &node.ms, &mut pending);
-            for (&qid, (idx, clause)) in &assigned {
-                let proof = pending[*idx]
-                    .1
-                    .clone()
-                    .expect("every pending clause was found disjoint from the node");
-                results_map.insert(
-                    qid,
-                    self.mismatch_node(
-                        tree,
-                        node_idx,
-                        objects,
-                        MismatchProof::Inline { proof, clause: clause.clone() },
-                    ),
-                );
-            }
-        }
-
-        if descend.is_empty() {
-            return results_map;
-        }
-
-        match &node.kind {
-            IntraNodeKind::Leaf { obj_idx } => {
-                let att = Att::of::<A>(node.att.as_ref().expect("leaves carry AttDigest"));
-                for qid in descend {
-                    let (results, _) = out.get_mut(&qid).expect("present");
-                    let result_idx = results.len() as u32;
-                    results.push(objects[*obj_idx].clone());
-                    results_map.insert(qid, VoNode::LeafMatch { att: att.clone(), result_idx });
-                }
-            }
-            IntraNodeKind::Internal { left, right } => {
-                let mut l = self.shared_walk(tree, *left, objects, &descend, out);
-                let mut r = self.shared_walk(tree, *right, objects, &descend, out);
-                let att = node.att.as_ref().map(Att::of::<A>);
-                for qid in descend {
-                    let ln = l.remove(&qid).expect("child VO");
-                    let rn = r.remove(&qid).expect("child VO");
-                    results_map.insert(
-                        qid,
-                        VoNode::Internal {
-                            att: att.clone(),
-                            left: Box::new(ln),
-                            right: Box::new(rn),
-                        },
-                    );
-                }
-            }
-        }
-        results_map
     }
 
     /// Resolve the pending refutations of one node (committed as `att`,
@@ -976,59 +790,6 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             }
         }
     }
-
-    fn mismatch_node(
-        &self,
-        tree: &IntraTree<A>,
-        node_idx: usize,
-        objects: &[Object],
-        proof: MismatchProof<A>,
-    ) -> VoNode<A> {
-        let node = &tree.nodes[node_idx];
-        let att = Att::of::<A>(node.att.as_ref().expect("pruning requires AttDigest"));
-        match &node.kind {
-            IntraNodeKind::Leaf { obj_idx } => {
-                VoNode::LeafMismatch { obj_hash: objects[*obj_idx].digest(), att, proof }
-            }
-            IntraNodeKind::Internal { left, right } => {
-                let child_hash =
-                    vchain_hash::hash_pair(&tree.nodes[*left].hash, &tree.nodes[*right].hash);
-                VoNode::InternalMismatch { child_hash, att, proof }
-            }
-        }
-    }
-}
-
-/// The refutation every query enclosed by `cell` shares against a node with
-/// multiset `ms`: the clause over the cell's slab prefixes that are *absent*
-/// from `ms` (disjointness on any one dimension already refutes every box
-/// contained in the cell), with its VO reference. `None` when every slab is
-/// present: the node may contain cell objects.
-fn absent_slab_clause(
-    cell: &Cell,
-    ms: &MultiSet<ElementId>,
-) -> Option<(MultiSet<ElementId>, ClauseRef)> {
-    let absent: Vec<(u8, u64)> = cell
-        .prefixes
-        .iter()
-        .zip(cell.elements())
-        .filter(|(_, e)| !ms.contains(e))
-        .map(|((dim, bits), _)| (*dim, *bits))
-        .collect();
-    if absent.is_empty() {
-        return None;
-    }
-    let clause_ms = absent
-        .iter()
-        .map(|(dim, bits)| {
-            ElementId::intern(&crate::element::Element::Prefix {
-                dim: *dim,
-                len: cell.depth,
-                bits: *bits,
-            })
-        })
-        .collect();
-    Some((clause_ms, ClauseRef::Cell { len: cell.depth, prefixes: absent }))
 }
 
 fn coverage_span<A: Accumulator>(cov: &BlockCoverage<A>) -> (u64, u64) {

@@ -148,16 +148,8 @@ pub fn verify_response<A: Accumulator>(
     cfg: &MinerConfig,
     acc: &A,
 ) -> Result<Vec<Object>, VerifyError> {
-    let (ts, te) = q.time_window.ok_or(VerifyError::MissingWindow)?;
-
-    // Expected coverage: every known block whose timestamp is in-window.
-    let expected: BTreeSet<u64> = light
-        .headers()
-        .iter()
-        .filter(|h| h.timestamp >= ts && h.timestamp <= te)
-        .map(|h| h.height)
-        .collect();
-    verify_with_expected(q, &response.results, &response.coverage, light, cfg, acc, expected)
+    let verifier = WindowVerifier::for_window(Cow::Borrowed(q), Cow::Borrowed(light), *cfg)?;
+    verify_coverage(verifier, &response.results, &response.coverage, acc)
 }
 
 /// Deferred disjointness checks, collected across a whole response — or,
@@ -298,9 +290,9 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
     }
 
     /// A verifier whose expected coverage is derived from the query's time
-    /// window against the light client's headers — the same derivation as
-    /// [`verify_response`]. Errors with [`VerifyError::MissingWindow`] on a
-    /// windowless (subscription) query.
+    /// window against the light client's headers: every known block whose
+    /// timestamp is in-window. Errors with [`VerifyError::MissingWindow`]
+    /// on a windowless (subscription) query.
     pub fn for_window(
         q: Cow<'a, CompiledQuery>,
         light: Cow<'a, LightClient>,
@@ -469,11 +461,9 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
     }
 }
 
-/// Core verification against an explicit set of expected block heights —
-/// shared by time-window queries and subscription updates (§7), whose
-/// expected coverage is the interval since the last update. Drives a
-/// [`WindowVerifier`] over the coverage entries, pairing each block entry
-/// with its claimed result objects.
+/// Verification against an explicit set of expected block heights — the
+/// form subscription updates (§7) take, whose expected coverage is the
+/// interval since the last update.
 pub fn verify_with_expected<A: Accumulator>(
     q: &CompiledQuery,
     results: &[(u64, Vec<Object>)],
@@ -483,13 +473,24 @@ pub fn verify_with_expected<A: Accumulator>(
     acc: &A,
     expected: BTreeSet<u64>,
 ) -> Result<Vec<Object>, VerifyError> {
+    let verifier = WindowVerifier::new(Cow::Borrowed(q), Cow::Borrowed(light), *cfg, expected);
+    verify_coverage(verifier, results, coverage, acc)
+}
+
+/// Drive `verifier` over the coverage entries, pairing each block entry
+/// with its claimed result objects, then flush and check completeness.
+fn verify_coverage<A: Accumulator>(
+    mut verifier: WindowVerifier<'_, A>,
+    results: &[(u64, Vec<Object>)],
+    coverage: &[BlockCoverage<A>],
+    acc: &A,
+) -> Result<Vec<Object>, VerifyError> {
     let results_by_height: BTreeMap<u64, &Vec<Object>> =
         results.iter().map(|(h, v)| (*h, v)).collect();
     if results_by_height.len() != results.len() {
         return Err(VerifyError::ResultIndexing { height: 0 });
     }
 
-    let mut verifier = WindowVerifier::new(Cow::Borrowed(q), Cow::Borrowed(light), *cfg, expected);
     static EMPTY: Vec<Object> = Vec::new();
     for cov in coverage {
         let block_results = match cov {

@@ -15,7 +15,7 @@
 // Decoded VOs are attacker-shaped; resolution paths must not panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use vchain_acc::{AccError, Accumulator, MultiSet};
+use vchain_acc::{Accumulator, MultiSet};
 use vchain_chain::Object;
 use vchain_hash::Digest;
 
@@ -67,9 +67,9 @@ pub enum ClauseRef {
     /// set itself, so the SP cannot substitute a weaker clause.
     Index(u16),
     /// A grid cell: one binary prefix of length `len` per listed dimension.
-    /// Used by the IP-Tree subscription path (§7.1) where one proof against
-    /// a cell is shared by every query whose range box lies inside it; the
-    /// verifier checks the containment before trusting it.
+    /// Used by subscriptions that share range refutations (§7.1): one proof
+    /// against a cell serves every query whose range box lies inside it;
+    /// the verifier checks the containment before trusting it.
     Cell {
         /// Prefix length in bits.
         len: u8,
@@ -146,14 +146,6 @@ impl ClauseRef {
                 }
                 Ok(out)
             }
-        }
-    }
-
-    /// Nominal wire size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            ClauseRef::Index(_) => 2,
-            ClauseRef::Cell { prefixes, .. } => 1 + 9 * prefixes.len(),
         }
     }
 }
@@ -271,68 +263,6 @@ pub struct QueryResponse<A: Accumulator> {
     pub coverage: Vec<BlockCoverage<A>>,
 }
 
-/// Nominal wire-size accounting (compressed points + digests), the paper's
-/// "VO size" metric. Result objects are *not* part of the VO.
-pub trait VoSize<A: Accumulator> {
-    /// Nominal serialized size of this VO fragment in bytes.
-    fn vo_size_bytes(&self, acc: &A) -> usize;
-}
-
-impl<A: Accumulator> VoSize<A> for VoNode<A> {
-    fn vo_size_bytes(&self, acc: &A) -> usize {
-        let tag = 1usize;
-        match self {
-            VoNode::Internal { att, left, right } => {
-                tag + att.as_ref().map(|_| acc.value_size()).unwrap_or(0)
-                    + left.vo_size_bytes(acc)
-                    + right.vo_size_bytes(acc)
-            }
-            VoNode::InternalMismatch { att: _, proof, .. } => {
-                tag + Digest::LEN + acc.value_size() + proof_size(acc, proof)
-            }
-            VoNode::LeafMatch { .. } => tag + acc.value_size() + 4,
-            VoNode::LeafMismatch { proof, .. } => {
-                tag + Digest::LEN + acc.value_size() + proof_size(acc, proof)
-            }
-        }
-    }
-}
-
-fn proof_size<A: Accumulator>(acc: &A, p: &MismatchProof<A>) -> usize {
-    match p {
-        MismatchProof::Inline { clause, .. } => acc.proof_size() + clause.size_bytes(),
-        MismatchProof::Group(_) => 2,
-    }
-}
-
-impl<A: Accumulator> VoSize<A> for BlockVo<A> {
-    fn vo_size_bytes(&self, acc: &A) -> usize {
-        self.root.vo_size_bytes(acc)
-            + self.groups.iter().map(|g| acc.proof_size() + g.clause.size_bytes()).sum::<usize>()
-    }
-}
-
-impl<A: Accumulator> VoSize<A> for BlockCoverage<A> {
-    fn vo_size_bytes(&self, acc: &A) -> usize {
-        match self {
-            BlockCoverage::Block { vo, .. } => 8 + vo.vo_size_bytes(acc),
-            BlockCoverage::Skip { clause, siblings, .. } => {
-                8 + 8
-                    + acc.value_size()
-                    + acc.proof_size()
-                    + clause.size_bytes()
-                    + siblings.len() * (8 + Digest::LEN)
-            }
-        }
-    }
-}
-
-impl<A: Accumulator> VoSize<A> for QueryResponse<A> {
-    fn vo_size_bytes(&self, acc: &A) -> usize {
-        self.coverage.iter().map(|c| c.vo_size_bytes(acc)).sum()
-    }
-}
-
 impl<A: Accumulator> QueryResponse<A> {
     /// Total number of result objects.
     pub fn result_count(&self) -> usize {
@@ -344,6 +274,3 @@ impl<A: Accumulator> QueryResponse<A> {
         self.results.iter().flat_map(|(_, v)| v.iter())
     }
 }
-
-/// Re-exported for `sp`/`verify` signatures.
-pub type AccResult<T> = Result<T, AccError>;

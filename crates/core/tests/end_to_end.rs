@@ -10,7 +10,8 @@ use vchain_chain::{Difficulty, LightClient, Object};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{Query, RangeSpec};
 use vchain_core::verify::{verify_response, VerifyError};
-use vchain_core::vo::{BlockCoverage, QueryResponse, VoSize};
+use vchain_core::vo::{BlockCoverage, QueryResponse};
+use vchain_core::wire::encode_response_v2;
 
 const DOMAIN_BITS: u8 = 6;
 
@@ -94,7 +95,7 @@ fn run_roundtrip<A: Accumulator>(scheme: IndexScheme, acc: A, batch: bool) {
     let cq = q.compile(DOMAIN_BITS);
     let sp = miner.into_service_provider().with_batch_verify(batch);
     let resp = sp.time_window_query(&cq);
-    assert!(resp.vo_size_bytes(&sp.acc) > 0);
+    assert!(!encode_response_v2(&resp).is_empty());
     let verified =
         verify_response(&cq, &resp, &light, &sp.cfg, &sp.acc).expect("honest SP must verify");
     let mut got: Vec<u64> = verified.iter().map(|o| o.id).collect();
@@ -177,7 +178,7 @@ fn parallel_overlapping_windows_verify_and_hit_the_cache() {
     let grew = sp.proof_cache().stats();
     assert_eq!(grew.misses, after_first.misses, "warm pass must not prove anything new");
     for ((cq, cold), warm) in windows.iter().zip(&cold).zip(&warm) {
-        assert_eq!(cold.vo_size_bytes(&sp.acc), warm.vo_size_bytes(&sp.acc));
+        assert_eq!(encode_response_v2(cold), encode_response_v2(warm));
         let a = verify_response(cq, cold, &light, &sp.cfg, &sp.acc).unwrap();
         let b = verify_response(cq, warm, &light, &sp.cfg, &sp.acc).unwrap();
         assert_eq!(
@@ -301,8 +302,8 @@ fn vo_size_smaller_with_intra_index_on_clustered_data() {
     .compile(DOMAIN_BITS);
     let sp_nil = mk(IndexScheme::Nil);
     let sp_intra = mk(IndexScheme::Intra);
-    let vo_nil = sp_nil.time_window_query(&q).vo_size_bytes(&sp_nil.acc);
-    let vo_intra = sp_intra.time_window_query(&q).vo_size_bytes(&sp_intra.acc);
+    let vo_nil = encode_response_v2(&sp_nil.time_window_query(&q)).len();
+    let vo_intra = encode_response_v2(&sp_intra.time_window_query(&q)).len();
     assert!(
         vo_intra < vo_nil,
         "intra index must shrink the VO on clustered data: {vo_intra} vs {vo_nil}"

@@ -1,5 +1,5 @@
 //! Subscription-query integration tests (paper §7): real-time and lazy
-//! publication, IP-Tree proof sharing, and verification of every update.
+//! publication, per-cell proof sharing, and verification of every update.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -7,10 +7,12 @@ use vchain_acc::Acc2;
 use vchain_chain::{Difficulty, LightClient, Object};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{Query, RangeSpec};
+use vchain_core::subindex::Cell;
 use vchain_core::subscribe::{
     verify_subscription_update, SubscriptionEngine, SubscriptionMode, SubscriptionUpdate,
 };
-use vchain_core::vo::BlockCoverage;
+use vchain_core::vo::{BlockCoverage, MismatchProof, VoNode};
+use vchain_core::ProofCache;
 
 const DOMAIN_BITS: u8 = 6;
 
@@ -236,4 +238,62 @@ fn iptree_shares_proofs_and_stays_correct() {
     let with = run(true);
     let without = run(false);
     assert_eq!(with, without, "IP-Tree must not change any query's results");
+}
+
+/// `IntraTree::query` is total over its arguments: under §6.3 grouping a
+/// cell refutation stays an inline proof beside the grouped clause
+/// refutations, and the mixed VO verifies.
+#[test]
+fn cell_rule_composes_with_batch_grouping() {
+    fn count(node: &VoNode<Acc2>, inline_cells: &mut usize, grouped: &mut usize) {
+        match node {
+            VoNode::Internal { left, right, .. } => {
+                count(left, inline_cells, grouped);
+                count(right, inline_cells, grouped);
+            }
+            VoNode::InternalMismatch { proof, .. } | VoNode::LeafMismatch { proof, .. } => {
+                match proof {
+                    MismatchProof::Inline { .. } => *inline_cells += 1,
+                    MismatchProof::Group(_) => *grouped += 1,
+                }
+            }
+            VoNode::LeafMatch { .. } => {}
+        }
+    }
+
+    let mut h = Harness::new(SubscriptionMode::Realtime, false);
+    let q = Query {
+        time_window: None,
+        ranges: vec![RangeSpec { dim: 0, lo: 16, hi: 31 }],
+        keywords: vec![vec!["Sedan".into()]],
+    }
+    .compile(DOMAIN_BITS);
+    let cell = Cell::enclosing(&q, &[0], DOMAIN_BITS, 4);
+    assert_eq!(cell.depth, 2, "[16, 31] is the 6-bit prefix 01");
+    let (mut inline_cells, mut grouped) = (0, 0);
+    for (ts, objs) in blocks(8, 21) {
+        h.step(ts, objs);
+        let height = h.light.headers().len() as u64 - 1;
+        let block = h.miner.store().block(height).unwrap();
+        let tree = &h.miner.indexed()[height as usize].tree;
+        let (results, vo) = tree.query(
+            &block.objects,
+            &q,
+            Some(&cell),
+            &h.engine.acc,
+            true,
+            &ProofCache::default(),
+        );
+        count(&vo.root, &mut inline_cells, &mut grouped);
+        let update = SubscriptionUpdate {
+            query_id: 0,
+            from_height: height,
+            to_height: height,
+            results: if results.is_empty() { vec![] } else { vec![(height, results)] },
+            coverage: vec![BlockCoverage::Block { height, vo }],
+        };
+        verify_subscription_update(&q, &update, &h.light, &h.engine.cfg, &h.engine.acc)
+            .expect("a VO mixing inline cell proofs and §6.3 groups verifies");
+    }
+    assert!(inline_cells > 0 && grouped > 0, "{inline_cells} cell / {grouped} grouped");
 }

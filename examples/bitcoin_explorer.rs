@@ -14,7 +14,7 @@ use vchain::chain::{Difficulty, LightClient};
 use vchain::core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain::core::query::{Query, RangeSpec};
 use vchain::core::verify::verify_response;
-use vchain::core::vo::VoSize;
+use vchain::core::wire::encode_response_v2;
 use vchain::datagen::{Dataset, WorkloadSpec};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     };
     println!("generating accumulator public key (q-SDH construction)…");
     // Construction 1: compact public key sized by the max multiset degree.
-    let acc = Acc1::keygen(2048, &mut StdRng::seed_from_u64(7)).with_fast_setup(true);
+    let acc = Acc1::keygen(2048, &mut StdRng::seed_from_u64(7));
 
     // ETH-shaped stream: log-normal-ish amounts, sparse Zipf addresses.
     let spec = WorkloadSpec::paper_defaults(Dataset::Ethereum, 16);
@@ -67,11 +67,11 @@ fn main() {
 
     println!("query: amount ∈ [128, 255] ∧ {hot_addr} over blocks {}..{}", window.0, window.1);
     println!(
-        "  {} verified results | SP {:.3}s | user {:.3}s | VO {:.1} KB",
+        "  {} verified results | SP {:.3}s | user {:.3}s | response {:.1} KB",
         results.len(),
         sp_time.as_secs_f64(),
         user_time.as_secs_f64(),
-        resp.vo_size_bytes(&sp.acc) as f64 / 1024.0
+        encode_response_v2(&resp).len() as f64 / 1024.0
     );
     for o in results.iter().take(5) {
         println!("  tx {}: amount {} parties {:?}", o.id, o.numeric[0], o.keywords);

@@ -12,7 +12,7 @@ use vchain::chain::{Difficulty, LightClient, Object};
 use vchain::core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain::core::query::{Query, RangeSpec};
 use vchain::core::verify::verify_response;
-use vchain::core::vo::VoSize;
+use vchain::core::wire::encode_response_v2;
 
 fn main() {
     // ---- system parameters (public) -----------------------------------
@@ -68,9 +68,9 @@ fn main() {
     let sp = miner.into_service_provider();
     let resp = sp.time_window_query(&q);
     println!(
-        "SP returned {} results, VO = {} bytes",
+        "SP returned {} results, {} bytes on the wire",
         resp.result_count(),
-        resp.vo_size_bytes(&sp.acc)
+        encode_response_v2(&resp).len()
     );
 
     // ---- the user verifies soundness & completeness -------------------

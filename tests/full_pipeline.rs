@@ -10,7 +10,7 @@ use vchain::acc::Acc2;
 use vchain::chain::{Difficulty, LightClient};
 use vchain::core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain::core::verify::verify_response;
-use vchain::core::vo::VoSize;
+use vchain::core::wire::encode_response_v2;
 use vchain::datagen::{Dataset, WorkloadSpec};
 
 fn acc() -> Acc2 {
@@ -59,7 +59,7 @@ fn run_dataset(ds: Dataset, seed: u64) {
         let mut got: Vec<u64> = verified.iter().map(|o| o.id).collect();
         got.sort_unstable();
         assert_eq!(got, expect, "{ds:?} trial {trial}");
-        assert!(resp.vo_size_bytes(&sp.acc) > 0);
+        assert!(!encode_response_v2(&resp).is_empty());
     }
 }
 
