@@ -350,7 +350,6 @@ fn main() {
             scan_light.clone(),
             scan_cfg,
             sp_acc.clone(),
-            vchain_core::client::PipelineMode::Inline,
         );
         for chunk in scan_stream.chunks(4096) {
             sv.feed(chunk).expect("honest stream feeds");

@@ -18,11 +18,20 @@
 //! large) multisets themselves. All entries of one cache refer to one
 //! accumulator public key; callers that rotate keys must use fresh caches.
 //!
+//! A §6.3 group proof is over the multiset *sum* of its member nodes, and
+//! is keyed ([`ProofCache::group_key`]) by one digest over the members'
+//! serialized values in walk order, not by the `Sum` of those values: each
+//! value binds its multiset, so the sequence binds the sum, and asking
+//! costs a hash. Summing (curve additions, two field inversions a group)
+//! is for a miss.
+//!
 //! # Persistence
 //!
 //! A cache built [`ProofCache::with_persistence`] additionally queues a
 //! [`DirtyEntry`] (the key halves plus canonical proof bytes) on every
-//! insert. The serving layer drains the queue with
+//! insert of a key that is not already resident (proofs are deterministic:
+//! two threads that miss on the same query insert the same bytes, and the
+//! log gets them once). The serving layer drains the queue with
 //! [`ProofCache::take_dirty`] and appends it to a [`crate::store::LogStore`]
 //! — write-behind, so the proving hot path never waits on a disk. Because
 //! dirty capture happens at *insert* and is independent of the LRU list,
@@ -32,6 +41,12 @@
 //! start, [`ProofCache::preload`] rehydrates entries without touching
 //! either the stats or the dirty queue. Proofs are all that is persisted:
 //! the counters of a reopened cache start at zero.
+//!
+//! *Upgrading over a warm log.* Builds before PR 17 keyed a group proof by
+//! the digest of the summed value. Such records still preload, are never
+//! asked for again and age out by LRU, while the same proofs are re-proved
+//! once and re-logged under [`ProofCache::group_key`]: warmth lost, never
+//! a wrong proof. Inline and skip records keep their keys.
 
 use std::collections::HashMap;
 
@@ -189,13 +204,19 @@ impl<A: Accumulator> ProofCache<A> {
     /// `clause`: digests over the serialized accumulative value and the
     /// clause's canonical `(index, count)` encoding.
     pub fn key<E: AccElem>(att: &A::Value, clause: &MultiSet<E>) -> CacheKey {
-        let att_bytes = A::value_bytes(att);
-        let mut clause_bytes = Vec::with_capacity(16 * clause.distinct_len());
-        for (e, c) in clause.iter() {
-            clause_bytes.extend_from_slice(&e.to_index().to_le_bytes());
-            clause_bytes.extend_from_slice(&c.to_le_bytes());
-        }
-        CacheKey { att: hash_bytes(&att_bytes), clause: hash_bytes(&clause_bytes) }
+        CacheKey { att: Self::att_digest(att), clause: clause_digest(clause) }
+    }
+
+    /// The cache key for proving the multiset *sum* of a §6.3 group's
+    /// members (committed as `members`, in walk order) disjoint from
+    /// `clause`: one domain-separated digest over the members' serialized
+    /// values, so no `Sum` is computed to ask — and a one-member group
+    /// hashes what an inline key hashes.
+    pub fn group_key<E: AccElem>(members: &[&A::Value], clause: &MultiSet<E>) -> CacheKey {
+        let values: Vec<Vec<u8>> = members.iter().map(|att| A::value_bytes(att)).collect();
+        let mut parts: Vec<&[u8]> = vec![b"vchain/group-key"];
+        parts.extend(values.iter().map(Vec::as_slice));
+        CacheKey { att: hash_concat(&parts), clause: clause_digest(clause) }
     }
 
     /// The `att` half of [`ProofCache::key`] alone — the handle the
@@ -223,9 +244,10 @@ impl<A: Accumulator> ProofCache<A> {
     }
 
     /// Insert (or refresh) a proof, evicting the least-recently-used entry
-    /// when full. With persistence on, the entry is also queued for
-    /// write-behind — *before* any eviction decision, so an entry evicted
-    /// later has still been captured durably.
+    /// when full. With persistence on, a key that was not resident is also
+    /// queued for write-behind — *before* any eviction decision, so an entry
+    /// evicted later has still been captured durably. A refresh queues
+    /// nothing: the key was queued, or preloaded, when it became resident.
     pub fn insert(&self, key: CacheKey, proof: A::Proof) {
         self.insert_inner(key, proof, self.persist);
     }
@@ -240,14 +262,14 @@ impl<A: Accumulator> ProofCache<A> {
     fn insert_inner(&self, key: CacheKey, proof: A::Proof, record_dirty: bool) {
         let digest = key.digest();
         let mut g = self.inner.lock();
-        if record_dirty {
-            g.dirty.push(DirtyEntry { key, proof: A::proof_bytes(&proof) });
-        }
         if let Some(&i) = g.map.get(&digest) {
             g.nodes[i].proof = proof;
             g.detach(i);
             g.push_front(i);
             return;
+        }
+        if record_dirty {
+            g.dirty.push(DirtyEntry { key, proof: A::proof_bytes(&proof) });
         }
         if g.map.len() == self.capacity {
             let lru = g.tail;
@@ -272,8 +294,8 @@ impl<A: Accumulator> ProofCache<A> {
     }
 
     /// Drain the write-behind queue (insertion order preserved; the same
-    /// key may appear more than once if it was re-inserted — flushers
-    /// dedupe last-wins).
+    /// key appears more than once only if it was evicted and re-inserted in
+    /// between — flushers dedupe last-wins).
     pub fn take_dirty(&self) -> Vec<DirtyEntry> {
         core::mem::take(&mut self.inner.lock().dirty)
     }
@@ -320,17 +342,24 @@ impl<A: Accumulator> ProofCache<A> {
         clause: &MultiSet<E>,
         witness: Option<&[u8]>,
     ) -> Result<A::Proof, AccError> {
-        let key = Self::key(att, clause);
+        self.get_or_insert_with(Self::key(att, clause), || {
+            match witness.and_then(|wb| acc.finalize_from_witness_bytes(wb, clause)) {
+                Some(proof) => Ok(proof),
+                None => acc.prove_disjoint(x1, clause),
+            }
+        })
+    }
+
+    /// Look `key` up; on a miss run `prove` and remember its proof.
+    pub(crate) fn get_or_insert_with(
+        &self,
+        key: CacheKey,
+        prove: impl FnOnce() -> Result<A::Proof, AccError>,
+    ) -> Result<A::Proof, AccError> {
         if let Some(p) = self.get(&key) {
             return Ok(p);
         }
-        if let Some(wb) = witness {
-            if let Some(proof) = acc.finalize_from_witness_bytes(wb, clause) {
-                self.insert(key, proof.clone());
-                return Ok(proof);
-            }
-        }
-        let proof = acc.prove_disjoint(x1, clause)?;
+        let proof = prove()?;
         self.insert(key, proof.clone());
         Ok(proof)
     }
@@ -366,6 +395,17 @@ impl<A: Accumulator> ProofCache<A> {
         g.stats = CacheStats::default();
         g.dirty.clear();
     }
+}
+
+/// Digest of a clause's canonical `(index, count)` encoding — the `clause`
+/// half of every [`CacheKey`].
+fn clause_digest<E: AccElem>(clause: &MultiSet<E>) -> Digest {
+    let mut bytes = Vec::with_capacity(16 * clause.distinct_len());
+    for (e, c) in clause.iter() {
+        bytes.extend_from_slice(&e.to_index().to_le_bytes());
+        bytes.extend_from_slice(&c.to_le_bytes());
+    }
+    hash_bytes(&bytes)
 }
 
 impl<A: Accumulator> Default for ProofCache<A> {
@@ -455,6 +495,40 @@ mod tests {
         cache.insert(key, p);
         cache.insert(key, p);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Two threads that miss on the same query both insert; the second
+    /// insert finds the key resident and must not log it again.
+    #[test]
+    fn insert_of_a_resident_key_queues_nothing() {
+        let a = acc();
+        let cache: ProofCache<Acc2> = ProofCache::new(2).with_persistence();
+        let x = ms(&[1]);
+        let att = a.setup(&x);
+        let key = ProofCache::<Acc2>::key(&att, &ms(&[10]));
+        let p = a.prove_disjoint(&x, &ms(&[10])).unwrap();
+        cache.insert(key, p);
+        assert_eq!(cache.dirty_len(), 1);
+        cache.insert(key, p);
+        assert_eq!(cache.dirty_len(), 1, "a resident key is already queued or logged");
+        cache.take_dirty();
+        cache.insert(key, p);
+        assert_eq!(cache.dirty_len(), 0, "flushed and still resident: nothing to write");
+    }
+
+    #[test]
+    fn group_key_binds_members_order_and_clause() {
+        let a = acc();
+        let (att1, att2) = (a.setup(&ms(&[1])), a.setup(&ms(&[2])));
+        let (c1, c2) = (ms(&[10]), ms(&[11]));
+        let key = ProofCache::<Acc2>::group_key::<u64>;
+        assert_eq!(key(&[&att1, &att2], &c1), key(&[&att1, &att2], &c1));
+        assert_ne!(key(&[&att1, &att2], &c1), key(&[&att2, &att1], &c1));
+        assert_ne!(key(&[&att1, &att2], &c1), key(&[&att1], &c1));
+        assert_ne!(key(&[&att1, &att2], &c1), key(&[&att1, &att2], &c2));
+        // a one-member group is not the member's inline entry
+        assert_ne!(key(&[&att1], &c1).att, ProofCache::<Acc2>::key(&att1, &c1).att);
+        assert_eq!(key(&[&att1], &c1).clause, ProofCache::<Acc2>::key(&att1, &c1).clause);
     }
 
     #[test]

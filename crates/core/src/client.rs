@@ -6,14 +6,12 @@
 //! ([`crate::wire::encode_scan_stream`]); the client feeds transport
 //! chunks into a [`StreamVerifier`], which decodes frame-by-frame with
 //! bounded buffering and verifies each coverage entry as soon as it is
-//! complete. With [`PipelineMode::Worker`] the two stages overlap: a
-//! worker thread verifies block *i* while the caller's thread is still
-//! decoding block *i + 1*.
+//! complete, on the caller's thread.
 //!
 //! ```text
-//!   transport chunks ──▶ StreamDecoder ──(bounded channel)──▶ WindowScan
-//!        caller thread   frame reassembly                     hash + operand decode
-//!                        + proof decode        worker thread  + one batch flush
+//!   transport chunks ──▶ StreamDecoder ──(one entry at a time)──▶ WindowScan
+//!                        frame reassembly                         hash + operand decode
+//!                        + proof decode                           + one batch flush
 //! ```
 //!
 //! The second pillar is *cross-block batching across windows*: every
@@ -62,9 +60,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
 
 use vchain_acc::Accumulator;
 use vchain_chain::{LightClient, Object};
@@ -75,38 +70,33 @@ use crate::verify::{DisjointBatch, VerifyError, WindowVerifier};
 use crate::vo::BlockCoverage;
 use crate::wire::{StreamDecoder, StreamEvent, WireError};
 
-/// How many decoded-but-unverified coverage entries the pipeline may hold
-/// between its decode and verify stages. Small on purpose: the bound is
-/// the backpressure that keeps peak memory independent of response size.
-const PIPELINE_DEPTH: usize = 8;
-
-/// Whether the verify stage runs on the caller's thread or overlaps the
-/// decode stage on a dedicated worker thread.
+/// How [`StreamVerifier::for_query`] schedules decode and verify. There is
+/// one way; the type exists only because the frozen benchmark source
+/// (`vbench/workloads/window_e2e.rs`) passes `PipelineMode::Inline`. The
+/// worker-thread mode it used to select did not win `window_e2e`
+/// (`docs/BENCHMARKS.md` § PR 17) and went; ROADMAP item 1 (ii) removes the
+/// parameter and this type.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// Decode and verify alternate on the caller's thread. No
-    /// concurrency, minimal footprint — and the mode the pipeline falls
-    /// back to if a worker thread cannot be spawned.
+    /// Decode and verify alternate on the caller's thread.
     Inline,
-    /// A worker thread verifies entry *i* while the caller decodes entry
-    /// *i + 1* — the two-stage pipeline of the module docs.
-    Worker,
 }
 
 /// Counters a [`StreamVerifier`] accumulates while consuming a stream.
 ///
 /// `peak_buffer_bytes` is the pipeline's high-water memory mark: the
 /// largest value, over the whole stream, of *(bytes of the one partial
-/// frame being reassembled) + (retained intern-table bytes) + (wire bytes
-/// of decoded entries queued to the verify stage)*. For any multi-block
-/// stream this is far below the full VO size — the point of streaming —
-/// and a test in `tests/fault_injection.rs` asserts exactly that.
+/// frame being reassembled) + (retained intern-table bytes)*
+/// ([`StreamDecoder::peak_buffered`]) — a decoded entry is verified before
+/// the next frame is looked at, so nothing else is held. For any
+/// multi-block stream this is far below the full VO size — the point of
+/// streaming — and a test in `tests/fault_injection.rs` asserts exactly
+/// that.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Total stream bytes fed (the VO's wire size).
     pub vo_bytes: usize,
-    /// High-water mark of buffered bytes (partial frame + intern table +
-    /// entries in flight between the pipeline stages).
+    /// High-water mark of buffered bytes (partial frame + intern table).
     pub peak_buffer_bytes: usize,
     /// Entries in the stream's shared intern table.
     pub table_entries: usize,
@@ -184,8 +174,9 @@ pub struct WindowScan<A: Accumulator> {
 
 impl<A: Accumulator> WindowScan<A> {
     /// A scan over `queries`, one window per query, verified against
-    /// `light`'s headers. The scan owns its copies so it can live on a
-    /// worker thread (`'static`).
+    /// `light`'s headers. The scan owns its copies, and lends each window's
+    /// verifier owned ones (`'static`) so it can hold the open verifier
+    /// beside them.
     pub fn new(queries: Vec<CompiledQuery>, light: LightClient, cfg: MinerConfig) -> Self {
         Self {
             queries,
@@ -211,24 +202,24 @@ impl<A: Accumulator> WindowScan<A> {
     }
 
     fn open_current(&mut self) -> Result<&mut WindowVerifier<'static, A>, VerifyError> {
-        if self.current.is_none() {
-            let q = self
-                .queries
-                .get(self.current_idx)
-                .ok_or(VerifyError::Malformed(WireError::NonCanonical {
-                    what: "stream window index beyond the scan's queries",
-                }))?
-                .clone();
-            let v = WindowVerifier::for_window(
-                Cow::Owned(q),
-                Cow::Owned(self.light.clone()),
-                self.cfg,
-            )?;
-            self.current = Some(v.with_batch(std::mem::take(&mut self.batch)));
+        match self.current {
+            Some(ref mut v) => Ok(v),
+            None => {
+                let q = self
+                    .queries
+                    .get(self.current_idx)
+                    .ok_or(VerifyError::Malformed(WireError::NonCanonical {
+                        what: "stream window index beyond the scan's queries",
+                    }))?
+                    .clone();
+                let v = WindowVerifier::for_window(
+                    Cow::Owned(q),
+                    Cow::Owned(self.light.clone()),
+                    self.cfg,
+                )?;
+                Ok(self.current.insert(v.with_batch(std::mem::take(&mut self.batch))))
+            }
         }
-        // The line above guarantees presence; spelled without unwrap to
-        // honour this module's no-panic wall.
-        self.current.as_mut().ok_or(VerifyError::PipelineLost)
     }
 
     /// Close the currently open window: run its completeness checks and
@@ -276,24 +267,10 @@ impl<A: Accumulator> WindowScan<A> {
     }
 }
 
-enum Item<A: Accumulator> {
-    Entry { window: usize, coverage: BlockCoverage<A>, results: Vec<Object>, bytes: usize },
-}
-
-struct Worker<A: Accumulator> {
-    tx: mpsc::SyncSender<Item<A>>,
-    handle: thread::JoinHandle<Result<Vec<Vec<Object>>, VerifyError>>,
-}
-
-enum Stage<A: Accumulator> {
-    Inline(Box<WindowScan<A>>),
-    Worker(Worker<A>),
-}
-
 /// The streamed verification pipeline: feeds transport chunks through the
 /// chunked [`StreamDecoder`] and verifies coverage entries as they
-/// complete, holding only one partial frame, the intern table, and a
-/// bounded in-flight queue in memory.
+/// complete, holding only one partial frame and the intern table in
+/// memory.
 ///
 /// ```
 /// # use rand::rngs::StdRng;
@@ -317,10 +294,9 @@ enum Stage<A: Accumulator> {
 /// use vchain_core::client::{PipelineMode, StreamVerifier};
 /// use vchain_core::wire::encode_scan_stream;
 ///
-/// // The SP frames the response; the client verifies it as it arrives,
-/// // with decode and verify overlapped on a worker thread.
+/// // The SP frames the response; the client verifies it as it arrives.
 /// let stream = encode_scan_stream(&[sp.time_window_query(&q)]);
-/// let mut v = StreamVerifier::for_query(q, light.clone(), cfg, acc.clone(), PipelineMode::Worker);
+/// let mut v = StreamVerifier::for_query(q, light.clone(), cfg, acc.clone(), PipelineMode::Inline);
 /// for chunk in stream.chunks(64) {
 ///     v.feed(chunk).unwrap();
 /// }
@@ -368,71 +344,35 @@ enum Stage<A: Accumulator> {
 pub struct StreamVerifier<A: Accumulator> {
     decoder: StreamDecoder<A>,
     acc: A,
-    stage: Option<Stage<A>>,
-    inflight: Arc<AtomicUsize>,
-    expected_windows: usize,
-    peak_buffer: usize,
+    scan: WindowScan<A>,
     error: Option<VerifyError>,
 }
 
 impl<A: Accumulator> StreamVerifier<A> {
     /// A pipeline verifying a multi-window scan: one query per window, in
     /// stream order.
-    pub fn new(
-        queries: Vec<CompiledQuery>,
-        light: LightClient,
-        cfg: MinerConfig,
-        acc: A,
-        mode: PipelineMode,
-    ) -> Self {
-        let expected_windows = queries.len();
-        let inflight = Arc::new(AtomicUsize::new(0));
-        let stage = match mode {
-            PipelineMode::Inline => Stage::Inline(Box::new(WindowScan::new(queries, light, cfg))),
-            PipelineMode::Worker => match spawn_worker(
-                queries.clone(),
-                light.clone(),
-                cfg,
-                acc.clone(),
-                Arc::clone(&inflight),
-            ) {
-                Some(w) => Stage::Worker(w),
-                // Spawn failure (resource exhaustion) degrades to inline
-                // verification rather than failing the query.
-                None => Stage::Inline(Box::new(WindowScan::new(queries, light, cfg))),
-            },
-        };
+    pub fn new(queries: Vec<CompiledQuery>, light: LightClient, cfg: MinerConfig, acc: A) -> Self {
         Self {
             decoder: StreamDecoder::new(),
             acc,
-            stage: Some(stage),
-            inflight,
-            expected_windows,
-            peak_buffer: 0,
+            scan: WindowScan::new(queries, light, cfg),
             error: None,
         }
     }
 
-    /// [`StreamVerifier::new`] for the common single-window case.
+    /// [`StreamVerifier::new`] for the common single-window case. `_mode`
+    /// selects nothing (see [`PipelineMode`]).
     pub fn for_query(
         q: CompiledQuery,
         light: LightClient,
         cfg: MinerConfig,
         acc: A,
-        mode: PipelineMode,
+        _mode: PipelineMode,
     ) -> Self {
-        Self::new(vec![q], light, cfg, acc, mode)
+        Self::new(vec![q], light, cfg, acc)
     }
 
     fn fail(&mut self, e: VerifyError) -> VerifyError {
-        // Capture the worker's real error if it died first.
-        let e = match (&e, self.stage.take()) {
-            (VerifyError::PipelineLost, Some(Stage::Worker(w))) => join_worker(w),
-            (_, stage) => {
-                self.stage = stage;
-                e
-            }
-        };
         self.error = Some(e.clone());
         e
     }
@@ -449,105 +389,40 @@ impl<A: Accumulator> StreamVerifier<A> {
             Err(e) => return Err(self.fail(VerifyError::Malformed(e))),
         };
         for ev in events {
-            match ev {
-                StreamEvent::Header { windows, .. } => {
-                    if windows.len() != self.expected_windows {
-                        return Err(self.fail(VerifyError::Malformed(WireError::NonCanonical {
-                            what: "stream window count differs from the scan's queries",
-                        })));
-                    }
+            let outcome = match ev {
+                StreamEvent::Header { windows, .. } if windows.len() != self.scan.windows() => {
+                    Err(VerifyError::Malformed(WireError::NonCanonical {
+                        what: "stream window count differs from the scan's queries",
+                    }))
                 }
-                StreamEvent::Entry { window, coverage, results, wire_bytes } => {
-                    match self.stage.as_mut() {
-                        Some(Stage::Inline(scan)) => {
-                            if let Err(e) = scan.entry(&self.acc, window, &coverage, &results) {
-                                return Err(self.fail(e));
-                            }
-                        }
-                        Some(Stage::Worker(worker)) => {
-                            self.inflight.fetch_add(wire_bytes, Ordering::Relaxed);
-                            let item = Item::Entry { window, coverage, results, bytes: wire_bytes };
-                            if worker.tx.send(item).is_err() {
-                                // Receiver gone: the worker stopped on an
-                                // error — join it to surface the real one.
-                                return Err(self.fail(VerifyError::PipelineLost));
-                            }
-                        }
-                        None => return Err(self.fail(VerifyError::PipelineLost)),
-                    }
+                StreamEvent::Header { .. } => Ok(()),
+                StreamEvent::Entry { window, coverage, results } => {
+                    self.scan.entry(&self.acc, window, &coverage, &results)
                 }
+            };
+            if let Err(e) = outcome {
+                return Err(self.fail(e));
             }
-            let buffered = self
-                .decoder
-                .buffered()
-                .saturating_add(self.decoder.table_bytes())
-                .saturating_add(self.inflight.load(Ordering::Relaxed));
-            self.peak_buffer = self.peak_buffer.max(buffered);
         }
         Ok(())
     }
 
-    /// Declare the stream over: checks stream-level completeness, waits for
-    /// the verify stage, flushes the one cross-window pairing batch, and
-    /// returns each window's verified results plus the pipeline counters.
-    pub fn finish(mut self) -> Result<(Vec<Vec<Object>>, StreamStats), VerifyError> {
-        if let Some(e) = self.error.clone() {
+    /// Declare the stream over: checks stream-level completeness, flushes
+    /// the one cross-window pairing batch, and returns each window's
+    /// verified results plus the pipeline counters.
+    pub fn finish(self) -> Result<(Vec<Vec<Object>>, StreamStats), VerifyError> {
+        let Self { decoder, acc, scan, error } = self;
+        if let Some(e) = error {
             return Err(e);
         }
         let stats = StreamStats {
-            vo_bytes: self.decoder.bytes_fed(),
-            peak_buffer_bytes: self.peak_buffer.max(self.decoder.peak_buffered()),
-            table_entries: self.decoder.table_entries(),
-            entries: self.decoder.entries_done(),
-            windows: self.expected_windows,
+            vo_bytes: decoder.bytes_fed(),
+            peak_buffer_bytes: decoder.peak_buffered(),
+            table_entries: decoder.table_entries(),
+            entries: decoder.entries_done(),
+            windows: scan.windows(),
         };
-        std::mem::take(&mut self.decoder).finish().map_err(VerifyError::Malformed)?;
-        let results = match self.stage.take() {
-            Some(Stage::Inline(scan)) => scan.finish(&self.acc)?,
-            Some(Stage::Worker(worker)) => {
-                let Worker { tx, handle } = worker;
-                drop(tx); // hang up: the worker drains the queue and finishes
-                match handle.join() {
-                    Ok(r) => r?,
-                    Err(_) => return Err(VerifyError::PipelineLost),
-                }
-            }
-            None => return Err(VerifyError::PipelineLost),
-        };
-        Ok((results, stats))
-    }
-}
-
-fn spawn_worker<A: Accumulator>(
-    queries: Vec<CompiledQuery>,
-    light: LightClient,
-    cfg: MinerConfig,
-    acc: A,
-    inflight: Arc<AtomicUsize>,
-) -> Option<Worker<A>> {
-    let (tx, rx) = mpsc::sync_channel::<Item<A>>(PIPELINE_DEPTH);
-    let handle = thread::Builder::new()
-        .name("vchain-stream-verify".into())
-        .spawn(move || {
-            let mut scan = WindowScan::new(queries, light, cfg);
-            while let Ok(item) = rx.recv() {
-                let Item::Entry { window, coverage, results, bytes } = item;
-                let outcome = scan.entry(&acc, window, &coverage, &results);
-                inflight.fetch_sub(bytes, Ordering::Relaxed);
-                outcome?;
-            }
-            scan.finish(&acc)
-        })
-        .ok()?;
-    Some(Worker { tx, handle })
-}
-
-/// Retrieve the error a dead worker actually stopped on; a worker that
-/// panicked or ended without one is a lost pipeline.
-fn join_worker<A: Accumulator>(w: Worker<A>) -> VerifyError {
-    drop(w.tx);
-    match w.handle.join() {
-        Ok(Err(e)) => e,
-        Ok(Ok(_)) | Err(_) => VerifyError::PipelineLost,
+        decoder.finish().map_err(VerifyError::Malformed)?;
+        Ok((scan.finish(&acc)?, stats))
     }
 }

@@ -6,6 +6,8 @@
 //! (Algorithm 2) so that similar objects share mismatch proofs; queried by
 //! pruning tree search (Algorithm 3).
 
+use std::collections::BTreeMap;
+
 use vchain_acc::{Accumulator, MultiSet};
 use vchain_chain::Object;
 use vchain_hash::{hash_concat, hash_pair, Digest};
@@ -214,16 +216,20 @@ impl<A: Accumulator> IntraTree<A> {
     /// cache a proof, common to every query the cell encloses. Time-window
     /// queries pass `None`.
     ///
-    /// `batch` enables §6.3 online batch verification: mismatching nodes
-    /// that share a clause are aggregated into one group proof (requires an
-    /// aggregating accumulator, i.e. Construction 2). Cell refutations stay
-    /// inline.
+    /// `batch` asks for §6.3 online batch verification: mismatching nodes
+    /// that share a clause are aggregated into one group proof. It takes
+    /// effect only with an aggregating accumulator (Construction 2); the
+    /// time-window path always asks, the subscription engine never does.
+    /// Cell refutations stay inline.
     ///
-    /// Every proof goes through the window-level [`ProofCache`]: an inline
-    /// mismatch proof is looked up by `(node AttDigest, clause)` before
-    /// proving cold, and a §6.3 group proof is keyed by the `Sum` of its
-    /// members' digests — so overlapping windows and repeated subscription
-    /// scans re-prove nothing. A one-off caller passes a fresh cache.
+    /// Every proof goes through the window-level [`ProofCache`], and every
+    /// lookup is made with a key the walk already holds: an inline mismatch
+    /// proof by `(node AttDigest, clause)`, a §6.3 group proof by its
+    /// members' AttDigests in walk order plus the clause
+    /// ([`ProofCache::group_key`]). The members' multisets are summed and
+    /// the proof computed only on a miss — so overlapping windows and
+    /// repeated subscription scans re-prove nothing, and a fully warm query
+    /// does no curve arithmetic. A one-off caller passes a fresh cache.
     pub fn query(
         &self,
         objects: &[Object],
@@ -234,56 +240,34 @@ impl<A: Accumulator> IntraTree<A> {
         cache: &ProofCache<A>,
     ) -> (Vec<Object>, BlockVo<A>) {
         let mut results = Vec::new();
-        let mut mismatches: Vec<(usize, usize)> = Vec::new(); // (node, clause) in DFS order
+        // Clause refutations deferred to §6.3 grouping: clause index →
+        // member nodes in walk order.
+        let mut deferred: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         let batch = batch && acc.supports_aggregation();
-        let mut root = self.walk(
-            self.root,
-            objects,
-            q,
-            cell,
-            &mut results,
-            &mut mismatches,
-            acc,
-            batch,
-            cache,
-        );
+        let mut root =
+            self.walk(self.root, objects, q, cell, &mut results, &mut deferred, acc, batch, cache);
 
         // Batch grouping (§6.3): one aggregate proof per distinct mismatch
         // clause, over the multiset sum of the member nodes.
         let mut groups = Vec::new();
-        if !mismatches.is_empty() {
-            use std::collections::BTreeMap;
-            let mut by_clause: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for (node, clause) in &mismatches {
-                by_clause.entry(*clause).or_default().push(*node);
-            }
-            let rank: BTreeMap<usize, u16> =
-                by_clause.keys().enumerate().map(|(i, &c)| (c, i as u16)).collect();
-            for (&clause_idx, nodes) in &by_clause {
-                let mut summed = MultiSet::new();
-                for &n in nodes {
-                    summed = summed.sum(&self.nodes[n].ms);
-                }
-                let clause_ms = q.cnf.0[clause_idx].to_multiset();
-                // A group's digest is `Sum` of its members' AttDigests — a
-                // few point additions — so even group proofs get a cache
-                // key cheaply and overlapping windows reuse them.
-                let atts: Vec<A::Value> = nodes
-                    .iter()
-                    .map(|&n| {
-                        self.nodes[n].att.clone().expect("only digest-bearing nodes mismatch")
-                    })
-                    .collect();
-                let summed_att = acc.sum(&atts).expect("aggregating accumulator sums");
-                let proof = cache
-                    .get_or_prove(acc, &summed_att, &summed, &clause_ms)
-                    .expect("clause was checked disjoint per member");
-                groups.push(GroupProof { clause: ClauseRef::Index(clause_idx as u16), proof });
-            }
-            // Patch the DFS-ordered placeholders with their group ids.
-            let mut it = mismatches.iter();
-            patch_group_ids(&mut root, &mut it, &rank);
-            debug_assert!(it.next().is_none(), "all placeholders patched");
+        for (&clause_idx, nodes) in &deferred {
+            let clause_ms = q.cnf.0[clause_idx].to_multiset();
+            let atts: Vec<&A::Value> = nodes
+                .iter()
+                .map(|&n| self.nodes[n].att.as_ref().expect("only digest-bearing nodes mismatch"))
+                .collect();
+            let proof = cache
+                .get_or_insert_with(ProofCache::<A>::group_key(&atts, &clause_ms), || {
+                    let summed =
+                        nodes.iter().fold(MultiSet::new(), |sum, &n| sum.sum(&self.nodes[n].ms));
+                    acc.prove_disjoint(&summed, &clause_ms)
+                })
+                .expect("clause was checked disjoint per member");
+            groups.push(GroupProof { clause: ClauseRef::Index(clause_idx as u16), proof });
+        }
+        if !groups.is_empty() {
+            let clauses: Vec<usize> = deferred.into_keys().collect();
+            patch_group_ids(&mut root, &clauses);
         }
 
         (results, BlockVo { root, groups })
@@ -297,7 +281,7 @@ impl<A: Accumulator> IntraTree<A> {
         q: &CompiledQuery,
         cell: Option<&Cell>,
         results: &mut Vec<Object>,
-        mismatches: &mut Vec<(usize, usize)>,
+        deferred: &mut BTreeMap<usize, Vec<usize>>,
         acc: &A,
         batch: bool,
         cache: &ProofCache<A>,
@@ -312,7 +296,7 @@ impl<A: Accumulator> IntraTree<A> {
             };
             if let Some(why) = refutation {
                 let att = Att::of::<A>(value);
-                let proof = self.make_proof(idx, value, why, q, acc, batch, mismatches, cache);
+                let proof = self.make_proof(idx, value, why, q, acc, batch, deferred, cache);
                 return match &node.kind {
                     IntraNodeKind::Leaf { obj_idx } => {
                         VoNode::LeafMismatch { obj_hash: objects[*obj_idx].digest(), att, proof }
@@ -336,8 +320,8 @@ impl<A: Accumulator> IntraTree<A> {
                 VoNode::LeafMatch { att, result_idx }
             }
             IntraNodeKind::Internal { left, right } => {
-                let l = self.walk(*left, objects, q, cell, results, mismatches, acc, batch, cache);
-                let r = self.walk(*right, objects, q, cell, results, mismatches, acc, batch, cache);
+                let l = self.walk(*left, objects, q, cell, results, deferred, acc, batch, cache);
+                let r = self.walk(*right, objects, q, cell, results, deferred, acc, batch, cache);
                 VoNode::Internal { att, left: Box::new(l), right: Box::new(r) }
             }
         }
@@ -355,16 +339,16 @@ impl<A: Accumulator> IntraTree<A> {
         q: &CompiledQuery,
         acc: &A,
         batch: bool,
-        mismatches: &mut Vec<(usize, usize)>,
+        deferred: &mut BTreeMap<usize, Vec<usize>>,
         cache: &ProofCache<A>,
     ) -> MismatchProof<A> {
         let (clause_ms, clause) = match why {
             Refutation::Clause(clause_idx) if batch => {
-                // Defer: record the (node, clause) pair; `query` assigns
-                // group ids after the walk and patches this placeholder in
-                // DFS order.
-                mismatches.push((node_idx, clause_idx));
-                return MismatchProof::Group(u16::MAX);
+                // Defer: file the node under its clause. The clause index
+                // stands in for the group id until `query`, which knows
+                // every group of the block, patches it.
+                deferred.entry(clause_idx).or_default().push(node_idx);
+                return MismatchProof::Group(clause_idx as u16);
             }
             Refutation::Clause(clause_idx) => {
                 (q.cnf.0[clause_idx].to_multiset(), ClauseRef::Index(clause_idx as u16))
@@ -378,25 +362,21 @@ impl<A: Accumulator> IntraTree<A> {
     }
 }
 
-/// Replace `Group(u16::MAX)` placeholders with their assigned group ids,
-/// consuming the DFS-ordered mismatch records.
-fn patch_group_ids<A: Accumulator>(
-    node: &mut VoNode<A>,
-    it: &mut core::slice::Iter<'_, (usize, usize)>,
-    rank: &std::collections::BTreeMap<usize, u16>,
-) {
+/// Replace every `Group(clause index)` stand-in with the group's id: the
+/// clause's rank among `clauses`, the block's grouped clauses in ascending
+/// order.
+fn patch_group_ids<A: Accumulator>(node: &mut VoNode<A>, clauses: &[usize]) {
     match node {
         VoNode::Internal { left, right, .. } => {
-            patch_group_ids(left, it, rank);
-            patch_group_ids(right, it, rank);
+            patch_group_ids(left, clauses);
+            patch_group_ids(right, clauses);
         }
-        VoNode::InternalMismatch { proof, .. } | VoNode::LeafMismatch { proof, .. } => {
-            if matches!(proof, MismatchProof::Group(id) if *id == u16::MAX) {
-                let (_, clause) = it.next().expect("one record per placeholder");
-                *proof = MismatchProof::Group(rank[clause]);
-            }
+        VoNode::InternalMismatch { proof: MismatchProof::Group(id), .. }
+        | VoNode::LeafMismatch { proof: MismatchProof::Group(id), .. } => {
+            let rank = clauses.binary_search(&(*id as usize)).expect("a deferred clause");
+            *id = rank as u16;
         }
-        VoNode::LeafMatch { .. } => {}
+        _ => {}
     }
 }
 

@@ -2,10 +2,15 @@
 //! with `⟨R, VO⟩`, using the intra-block index (Algorithm 3) and the
 //! inter-block skip list (Algorithm 4).
 //!
-//! The proving pipeline is cache-backed: every inline mismatch proof and
-//! every skip-entry proof goes through a window-level [`ProofCache`] keyed
-//! by `(AttDigest, clause)`, so overlapping windows — the common shape of
-//! dashboard/scan workloads — re-prove nothing they have proven before.
+//! The proving pipeline is cache-backed: every mismatch proof — inline,
+//! §6.3 group or skip entry — goes through a window-level [`ProofCache`],
+//! keyed by digests the walk already holds (`(AttDigest, clause)`, or a
+//! group's member AttDigests and its clause), so overlapping windows — the
+//! common shape of dashboard/scan workloads — re-prove nothing they have
+//! proven before, and a fully warm query does no curve arithmetic at all.
+//! Whether a block's clause refutations travel as §6.3 groups is derived,
+//! not set: they do exactly when the accumulator aggregates
+//! ([`Accumulator::supports_aggregation`], i.e. Construction 2).
 //! Parallel batches are the sharded layer's job
 //! ([`ShardedServiceProvider::query_batch`]), and so is persistence: a
 //! [`ShardedServiceProvider`] opened over a directory logs **proof records
@@ -38,8 +43,6 @@ pub struct ServiceProvider<A: Accumulator> {
     indexed: Vec<IndexedBlock<A>>,
     history: Vec<crate::inter::BlockSummary<A>>,
     cache: ProofCache<A>,
-    /// §6.3 online batch verification (effective with Construction 2 only).
-    pub batch_verify: bool,
 }
 
 impl<A: Accumulator> ServiceProvider<A> {
@@ -50,8 +53,7 @@ impl<A: Accumulator> ServiceProvider<A> {
         indexed: Vec<IndexedBlock<A>>,
         history: Vec<crate::inter::BlockSummary<A>>,
     ) -> Self {
-        let batch_verify = acc.supports_aggregation();
-        Self { cfg, acc, store, indexed, history, cache: ProofCache::default(), batch_verify }
+        Self { cfg, acc, store, indexed, history, cache: ProofCache::default() }
     }
 
     /// The replicated chain.
@@ -67,12 +69,6 @@ impl<A: Accumulator> ServiceProvider<A> {
     /// The per-block summaries (for subscription engines).
     pub fn history(&self) -> &[crate::inter::BlockSummary<A>] {
         &self.history
-    }
-
-    /// Enable / disable §6.3 grouped proofs in the VOs this SP produces.
-    pub fn with_batch_verify(mut self, enabled: bool) -> Self {
-        self.batch_verify = enabled && self.acc.supports_aggregation();
-        self
     }
 
     /// The window-level proof cache (inspect its [`stats`] to observe warm
@@ -120,8 +116,10 @@ impl<A: Accumulator> ServiceProvider<A> {
             // 1. process this block individually
             let block = self.store.block(height).expect("height in range");
             let idx = &self.indexed[height as usize];
+            // `true`: clause refutations travel as §6.3 groups (wherever the
+            // accumulator aggregates — the walk checks).
             let (block_results, vo) =
-                idx.tree.query(&block.objects, q, None, &self.acc, self.batch_verify, cache);
+                idx.tree.query(&block.objects, q, None, &self.acc, true, cache);
             if !block_results.is_empty() {
                 results.push((height, block_results));
             }

@@ -31,6 +31,13 @@
 //! skipped like any other undecodable record, so a directory written by
 //! such a build opens as the proof cache it is.
 //!
+//! A record's key is the two halves of a
+//! [`CacheKey`](crate::cache::CacheKey), opaque to this module. PR 17
+//! changed how the key of a §6.3 *group* proof is derived, not the file
+//! format: a log written before it opens unchanged, its group records go
+//! unasked-for and the same proofs are appended once more under the new key
+//! (see [`crate::cache`], "Upgrading over a warm log").
+//!
 //! # Recovery protocol
 //!
 //! [`LogStore::open`] scans every frame and classifies damage into exactly
@@ -60,7 +67,7 @@
 )]
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::{Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use vchain_hash::{hash_domain, Digest};
@@ -249,10 +256,11 @@ impl LogStore {
     /// Open (creating if absent) the store at `path`, replay every
     /// surviving record, and repair the file per the recovery protocol.
     ///
-    /// A file shorter than its own header is treated as a torn creation
-    /// and rewritten fresh; a file with foreign magic is refused with
-    /// [`StoreError::BadMagic`] — this code never truncates a file it
-    /// cannot prove is its own.
+    /// A file shorter than its own header whose bytes are a prefix of
+    /// `STORE_MAGIC ‖ STORE_VERSION` — empty, or our own torn creation — is
+    /// rewritten fresh; any other file without the magic, however short, is
+    /// refused with [`StoreError::BadMagic`] and left untouched — this code
+    /// never truncates a file it cannot prove is its own.
     pub fn open(
         path: impl AsRef<Path>,
     ) -> Result<(Self, Vec<StoreRecord>, RecoveryReport), StoreError> {
@@ -271,8 +279,16 @@ impl LogStore {
 
         if bytes.len() < STORE_HEADER_LEN {
             // Empty (fresh) or torn mid-header-write: both rewrite cleanly.
+            // Anything else this short is somebody else's file.
+            let ours = STORE_MAGIC.iter().chain(&[STORE_VERSION]);
+            if !ours.zip(&bytes).all(|(a, b)| a == b) {
+                return Err(StoreError::BadMagic);
+            }
             report.truncated_bytes = bytes.len() as u64;
             file.set_len(0).map_err(io_err)?;
+            // `read_to_end` left the cursor past the torn bytes; writing
+            // there would zero-fill the start of the emptied file.
+            file.rewind().map_err(io_err)?;
             file.write_all(&STORE_MAGIC).map_err(io_err)?;
             file.write_all(&[STORE_VERSION]).map_err(io_err)?;
             file.sync_all().map_err(io_err)?;
@@ -338,7 +354,6 @@ impl LogStore {
         }
         report.loaded = records.len();
         // Position at the (possibly repaired) end for subsequent appends.
-        use std::io::Seek as _;
         file.seek(std::io::SeekFrom::End(0)).map_err(io_err)?;
         Ok((Self { file, path }, records, report))
     }
@@ -427,10 +442,26 @@ mod tests {
     #[test]
     fn foreign_file_is_refused() {
         let path = temp_path("foreign");
-        std::fs::write(&path, b"definitely not a store file").unwrap();
-        assert_eq!(LogStore::open(&path).unwrap_err(), StoreError::BadMagic);
-        // and the foreign file is left untouched
-        assert_eq!(std::fs::read(&path).unwrap(), b"definitely not a store file");
+        // Longer and shorter than a store header: neither is ours to wipe.
+        for foreign in [&b"definitely not a store file"[..], b"hello", b"VCHSTORX"] {
+            std::fs::write(&path, foreign).unwrap();
+            assert_eq!(LogStore::open(&path).unwrap_err(), StoreError::BadMagic);
+            // and the foreign file is left untouched
+            assert_eq!(std::fs::read(&path).unwrap(), foreign);
+        }
+        // Our own torn header — any proper prefix of magic ‖ version — is
+        // a crashed creation and heals into a fresh, appendable store.
+        let header = [&STORE_MAGIC[..], &[STORE_VERSION]].concat();
+        for torn in 0..STORE_HEADER_LEN {
+            std::fs::write(&path, &header[..torn]).unwrap();
+            let (mut store, records, report) = LogStore::open(&path).unwrap();
+            assert!(records.is_empty());
+            assert_eq!(report.truncated_bytes, torn as u64);
+            store.append(&sample_records()[0]).unwrap();
+            store.sync().unwrap();
+            drop(store);
+            assert_eq!(LogStore::open(&path).unwrap().1, sample_records()[..1]);
+        }
         std::fs::remove_file(&path).ok();
     }
 

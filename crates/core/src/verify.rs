@@ -108,11 +108,6 @@ pub enum VerifyError {
     /// The response bytes failed structural decoding before any
     /// cryptographic check ran.
     Malformed(crate::wire::WireError),
-    /// The streamed-verification worker thread died before delivering its
-    /// verdict (a defect in the *client*, never attributable to the SP —
-    /// surfaced as its own variant so callers cannot mistake a local crash
-    /// for a refuted response).
-    PipelineLost,
 }
 
 impl core::fmt::Display for VerifyError {
@@ -246,15 +241,14 @@ impl<A: Accumulator> DisjointBatch<A> {
 /// Incremental window verification: the per-coverage-entry core of
 /// [`verify_with_expected`], factored out so callers can drive it one
 /// entry at a time — which is exactly what the streamed pipeline
-/// (`core::client`) needs to verify block *i* while block *i + 1* is still
-/// being decoded.
+/// (`core::client`) needs to verify block *i* before block *i + 1* has
+/// arrived.
 ///
 /// Borrows are [`Cow`]s: the batch path ([`verify_with_expected`]) passes
 /// borrowed query/headers and pays zero clones; the streamed pipeline
-/// passes owned copies, giving a `WindowVerifier<'static, A>` it can move
-/// into a worker thread. The accumulator is *not* stored — every method
-/// takes it by reference — so the verifier stays `Send` whenever the
-/// accumulator's value/proof types are.
+/// passes owned copies, giving a `WindowVerifier<'static, A>` its scan can
+/// hold beside the queries it owns. The accumulator is *not* stored —
+/// every method takes it by reference.
 pub struct WindowVerifier<'a, A: Accumulator> {
     q: Cow<'a, CompiledQuery>,
     light: Cow<'a, LightClient>,

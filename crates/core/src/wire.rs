@@ -1112,10 +1112,6 @@ pub enum StreamEvent<A: Accumulator> {
         coverage: BlockCoverage<A>,
         /// The block's result objects (empty for skip entries).
         results: Vec<Object>,
-        /// Wire size of the frame that carried this entry (length prefix
-        /// included) — what the client's in-flight buffer accounting
-        /// charges for it.
-        wire_bytes: usize,
     },
 }
 
@@ -1172,16 +1168,11 @@ impl<A: Accumulator> StreamDecoder<A> {
         }
     }
 
-    /// Bytes currently buffered (the incomplete frame, if any).
-    pub fn buffered(&self) -> usize {
-        self.pending.len()
-    }
-
     /// High-water mark of the decoder's retained memory over the stream so
     /// far: the buffered partial frame plus the intern table, sampled at
     /// the same instant (the table is only counted once it is actually
     /// retained — while the header frame is still buffered, its bytes are
-    /// part of [`StreamDecoder::buffered`], not of the table).
+    /// part of the partial frame, not of the table).
     pub fn peak_buffered(&self) -> usize {
         self.peak_buffered
     }
@@ -1189,12 +1180,6 @@ impl<A: Accumulator> StreamDecoder<A> {
     /// Total bytes fed so far (the stream's wire size).
     pub fn bytes_fed(&self) -> usize {
         self.fed
-    }
-
-    /// Byte length of the retained intern-table entries (0 before the
-    /// header frame arrives).
-    pub fn table_bytes(&self) -> usize {
-        self.slots.as_ref().map(TableSlots::table_bytes).unwrap_or(0)
     }
 
     /// Intern-table entry count (0 before the header frame arrives).
@@ -1220,8 +1205,9 @@ impl<A: Accumulator> StreamDecoder<A> {
         }
         self.fed = self.fed.saturating_add(chunk.len());
         self.pending.extend_from_slice(chunk);
-        self.peak_buffered =
-            self.peak_buffered.max(self.pending.len().saturating_add(self.table_bytes()));
+        // (the table counts from the moment the header frame is released)
+        let table_bytes = self.slots.as_ref().map_or(0, TableSlots::table_bytes);
+        self.peak_buffered = self.peak_buffered.max(self.pending.len().saturating_add(table_bytes));
         let mut events = Vec::new();
         while let Some(len_bytes) = self.pending.get(..4) {
             let len = le_bytes(len_bytes) as usize;
@@ -1317,12 +1303,7 @@ impl<A: Accumulator> StreamDecoder<A> {
                 self.window_done += 1;
                 self.entries_done += 1;
                 self.next_seq += 1;
-                events.push(StreamEvent::Entry {
-                    window,
-                    coverage,
-                    results,
-                    wire_bytes: payload.len().saturating_add(4),
-                });
+                events.push(StreamEvent::Entry { window, coverage, results });
                 Ok(())
             }
         }

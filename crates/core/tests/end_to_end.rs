@@ -8,9 +8,10 @@ use rand::{Rng, SeedableRng};
 use vchain_acc::{Acc1, Acc2, Accumulator};
 use vchain_chain::{Difficulty, LightClient, Object};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
-use vchain_core::query::{Query, RangeSpec};
+use vchain_core::query::{CompiledQuery, Query, RangeSpec};
+use vchain_core::sp::ServiceProvider;
 use vchain_core::verify::{verify_response, VerifyError};
-use vchain_core::vo::{BlockCoverage, QueryResponse};
+use vchain_core::vo::{BlockCoverage, MismatchProof, QueryResponse, VoNode};
 use vchain_core::wire::encode_response_v2;
 
 const DOMAIN_BITS: u8 = 6;
@@ -88,12 +89,12 @@ fn naive_results<A: Accumulator>(miner: &Miner<A>, q: &Query) -> Vec<u64> {
     ids
 }
 
-fn run_roundtrip<A: Accumulator>(scheme: IndexScheme, acc: A, batch: bool) {
+fn run_roundtrip<A: Accumulator>(scheme: IndexScheme, acc: A) {
     let (miner, light) = build_chain(scheme, acc.clone());
     let q = sample_query();
     let expected = naive_results(&miner, &q);
     let cq = q.compile(DOMAIN_BITS);
-    let sp = miner.into_service_provider().with_batch_verify(batch);
+    let sp = miner.into_service_provider();
     let resp = sp.time_window_query(&cq);
     assert!(!encode_response_v2(&resp).is_empty());
     let verified =
@@ -105,27 +106,27 @@ fn run_roundtrip<A: Accumulator>(scheme: IndexScheme, acc: A, batch: bool) {
 
 #[test]
 fn roundtrip_acc1_nil() {
-    run_roundtrip(IndexScheme::Nil, Acc1::keygen(600, &mut StdRng::seed_from_u64(1)), false);
+    run_roundtrip(IndexScheme::Nil, Acc1::keygen(600, &mut StdRng::seed_from_u64(1)));
 }
 
 #[test]
 fn roundtrip_acc1_intra() {
-    run_roundtrip(IndexScheme::Intra, Acc1::keygen(600, &mut StdRng::seed_from_u64(2)), false);
+    run_roundtrip(IndexScheme::Intra, Acc1::keygen(600, &mut StdRng::seed_from_u64(2)));
 }
 
 #[test]
 fn roundtrip_acc1_both() {
-    run_roundtrip(IndexScheme::Both, Acc1::keygen(4000, &mut StdRng::seed_from_u64(3)), false);
+    run_roundtrip(IndexScheme::Both, Acc1::keygen(4000, &mut StdRng::seed_from_u64(3)));
 }
 
 #[test]
 fn roundtrip_acc2_nil() {
-    run_roundtrip(IndexScheme::Nil, Acc2::keygen(4096, &mut StdRng::seed_from_u64(4)), false);
+    run_roundtrip(IndexScheme::Nil, Acc2::keygen(4096, &mut StdRng::seed_from_u64(4)));
 }
 
 #[test]
 fn roundtrip_acc2_both_with_batch() {
-    run_roundtrip(IndexScheme::Both, Acc2::keygen(4096, &mut StdRng::seed_from_u64(5)), true);
+    run_roundtrip(IndexScheme::Both, Acc2::keygen(4096, &mut StdRng::seed_from_u64(5)));
 }
 
 #[test]
@@ -188,6 +189,135 @@ fn parallel_overlapping_windows_verify_and_hit_the_cache() {
     }
 }
 
+/// Where a response's disjointness proofs sit: the three SP proving sites.
+#[derive(Debug, Default)]
+struct ProofSites {
+    /// Member count of every §6.3 group of every block VO.
+    group_members: Vec<usize>,
+    /// Inline mismatch proofs.
+    inline: usize,
+    /// Skip entries.
+    skips: usize,
+}
+
+impl ProofSites {
+    fn of<A: Accumulator>(resp: &QueryResponse<A>) -> Self {
+        fn walk<A: Accumulator>(n: &VoNode<A>, members: &mut [usize], inline: &mut usize) {
+            match n {
+                VoNode::Internal { left, right, .. } => {
+                    walk(left, members, inline);
+                    walk(right, members, inline);
+                }
+                VoNode::InternalMismatch { proof, .. } | VoNode::LeafMismatch { proof, .. } => {
+                    match proof {
+                        MismatchProof::Group(id) => members[*id as usize] += 1,
+                        MismatchProof::Inline { .. } => *inline += 1,
+                    }
+                }
+                VoNode::LeafMatch { .. } => {}
+            }
+        }
+        let mut sites = Self::default();
+        for cov in &resp.coverage {
+            match cov {
+                BlockCoverage::Block { vo, .. } => {
+                    let mut members = vec![0; vo.groups.len()];
+                    walk(&vo.root, &mut members, &mut sites.inline);
+                    sites.group_members.extend(members);
+                }
+                BlockCoverage::Skip { .. } => sites.skips += 1,
+            }
+        }
+        sites
+    }
+
+    /// A group of ≥ 2 members, a one-member group and a skip entry.
+    fn has_all_three(&self) -> bool {
+        self.group_members.iter().any(|&m| m >= 2)
+            && self.group_members.contains(&1)
+            && self.skips > 0
+    }
+}
+
+/// Solve, over queries derived from the chain's own objects (each object's
+/// two keywords as two clauses, a narrow range around its first value), for
+/// one whose whole-chain response reaches all three proving sites at once.
+fn three_site_query(sp: &ServiceProvider<Acc2>) -> CompiledQuery {
+    let objects = sp.store().blocks().iter().flat_map(|b| b.objects.iter());
+    let candidates = objects.map(|o| {
+        Query {
+            time_window: Some((10, 120)),
+            ranges: vec![RangeSpec {
+                dim: 0,
+                lo: o.numeric[0].saturating_sub(6),
+                hi: (o.numeric[0] + 6).min(63),
+            }],
+            keywords: o.keywords.iter().map(|k| vec![k.clone()]).collect(),
+        }
+        .compile(DOMAIN_BITS)
+    });
+    candidates
+        .into_iter()
+        .find(|q| ProofSites::of(&sp.time_window_query(q)).has_all_three())
+        .expect("some object-derived query reaches a ≥2-member group, a 1-member group and a skip")
+}
+
+/// Look up, then sum: a fully warm time-window query finds every proof —
+/// §6.3 groups included — under a key built from digests the walk already
+/// holds, so it performs no curve arithmetic (a `Sum` of member digests
+/// costs two field inversions per group), proves nothing, and returns the
+/// bytes the cold query returned.
+#[test]
+fn warm_query_pays_no_field_inversion_and_no_miss() {
+    use vchain_pairing::stats::field_inversions;
+    let acc = Acc2::keygen(4096, &mut StdRng::seed_from_u64(17));
+    let (miner, light) = build_chain(IndexScheme::Both, acc);
+    let sp = miner.into_service_provider();
+    let q = three_site_query(&sp);
+    sp.proof_cache().clear();
+
+    let cold = sp.time_window_query(&q);
+    let sites = ProofSites::of(&cold);
+    assert!(sites.has_all_three(), "{sites:?}");
+    let after_cold = sp.proof_cache().stats();
+    assert_eq!(after_cold.misses as usize, sites.group_members.len() + sites.skips);
+
+    let inversions = field_inversions();
+    let warm = sp.time_window_query(&q);
+    assert_eq!(field_inversions() - inversions, 0, "a warm query does no curve arithmetic");
+    let after_warm = sp.proof_cache().stats();
+    assert_eq!(after_warm.misses, after_cold.misses, "a warm query proves nothing");
+    assert_eq!(after_warm.hits - after_cold.hits, after_cold.misses);
+    assert_eq!(encode_response_v2(&warm), encode_response_v2(&cold));
+    verify_response(&q, &warm, &light, &sp.cfg, &sp.acc).expect("warm answer verifies");
+}
+
+/// Grouping is derived, not set: over the same chain and the same query an
+/// aggregating accumulator's time-window VO refutes clauses only through
+/// §6.3 groups, a non-aggregating one's only inline.
+#[test]
+fn clause_refutations_group_exactly_when_the_accumulator_aggregates() {
+    let (miner2, light2) =
+        build_chain(IndexScheme::Both, Acc2::keygen(4096, &mut StdRng::seed_from_u64(18)));
+    let sp2 = miner2.into_service_provider();
+    let q = three_site_query(&sp2);
+    let resp2 = sp2.time_window_query(&q);
+    let sites2 = ProofSites::of(&resp2);
+    assert!(sites2.has_all_three(), "{sites2:?}");
+    assert_eq!(sites2.inline, 0, "Acc2 aggregates: no inline clause refutation, {sites2:?}");
+    verify_response(&q, &resp2, &light2, &sp2.cfg, &sp2.acc).expect("grouped VO verifies");
+
+    let (miner1, light1) =
+        build_chain(IndexScheme::Both, Acc1::keygen(4000, &mut StdRng::seed_from_u64(19)));
+    let sp1 = miner1.into_service_provider();
+    let resp1 = sp1.time_window_query(&q);
+    let sites1 = ProofSites::of(&resp1);
+    assert!(sites1.group_members.is_empty(), "Acc1 cannot aggregate, {sites1:?}");
+    assert_eq!(sites1.inline, sites2.group_members.iter().sum::<usize>(), "same pruned nodes");
+    assert_eq!(sites1.skips, sites2.skips, "same skips");
+    verify_response(&q, &resp1, &light1, &sp1.cfg, &sp1.acc).expect("inline VO verifies");
+}
+
 #[test]
 fn adversarial_sp_is_caught() {
     let acc = Acc1::keygen(600, &mut StdRng::seed_from_u64(8));
@@ -235,7 +365,6 @@ fn adversarial_sp_is_caught() {
 fn proof_swapped_between_clauses_fails() {
     // A proof made against one clause must not verify for another: swap the
     // clause reference inside a mismatch VO node.
-    use vchain_core::vo::{MismatchProof, VoNode};
     let acc = Acc1::keygen(600, &mut StdRng::seed_from_u64(9));
     let (miner, light) = build_chain(IndexScheme::Intra, acc);
     // query with two clauses having different content

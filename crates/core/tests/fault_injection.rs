@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use vchain_acc::{Acc1, Acc2, Accumulator};
 use vchain_chain::{Difficulty, LightClient, Object};
 use vchain_core::adversary::{for_each_att, for_each_proof, Adversary, AttRole, POINT_MUTATIONS};
-use vchain_core::client::{PipelineMode, StreamVerifier};
+use vchain_core::client::StreamVerifier;
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::CompiledQuery;
 use vchain_core::query::{Query, RangeSpec};
@@ -135,7 +135,6 @@ fn classify(e: &VerifyError) -> &'static str {
         VerifyError::AggregationUnsupported => "AggregationUnsupported",
         VerifyError::MissingWindow => "MissingWindow",
         VerifyError::InvalidUpdateInterval { .. } => "InvalidUpdateInterval",
-        VerifyError::PipelineLost => "PipelineLost",
         VerifyError::Malformed(w) => match w {
             WireError::Truncated { .. } => "Malformed/Truncated",
             WireError::UnsupportedVersion(_) => "Malformed/UnsupportedVersion",
@@ -570,8 +569,8 @@ fn client_decodes_only_pairing_operands() {
     }
     assert!(hashed_only > 0 && !operands.is_empty() && !proofs.is_empty());
 
-    // Clause digests are the client's own `Setup`, not decodes. Inline
-    // mode keeps all the work on this thread, where the counters are.
+    // Clause digests are the client's own `Setup`, not decodes. The
+    // pipeline runs on this thread, where the counters are.
     let (g1, g2) = (stats::g1_subgroup_checks(), stats::g2_subgroup_checks());
     drive_stream(&queries, &light, sp.cfg, &sp.acc, &stream).expect("honest stream verifies");
     assert_eq!(stats::g2_subgroup_checks() - g2, 0, "no G2 point is ever decoded");
@@ -582,8 +581,8 @@ fn client_decodes_only_pairing_operands() {
     );
 }
 
-/// Feed a byte string through the streamed verification pipeline in inline
-/// mode (single-threaded, so `catch_unwind` sees any panic directly).
+/// Feed a byte string through the streamed verification pipeline (it runs
+/// on the caller's thread, so `catch_unwind` sees any panic directly).
 fn drive_stream<A: Accumulator>(
     queries: &[CompiledQuery],
     light: &LightClient,
@@ -591,13 +590,7 @@ fn drive_stream<A: Accumulator>(
     acc: &A,
     bytes: &[u8],
 ) -> Result<Vec<Vec<Object>>, VerifyError> {
-    let mut sv = StreamVerifier::new(
-        queries.to_vec(),
-        light.clone(),
-        cfg,
-        acc.clone(),
-        PipelineMode::Inline,
-    );
+    let mut sv = StreamVerifier::new(queries.to_vec(), light.clone(), cfg, acc.clone());
     for chunk in bytes.chunks(251) {
         sv.feed(chunk)?;
     }
@@ -708,7 +701,7 @@ fn stream_fault_injection_acc2() {
 
 /// Each targeted streaming mutation class lands on its intended taxonomy
 /// entry (not merely "some error"), and the honest stream's peak buffer
-/// stays strictly below the full VO size in both pipeline modes.
+/// stays strictly below the full VO size.
 #[test]
 fn stream_mutation_classes_hit_their_taxonomy_entries() {
     use vchain_core::wire::WireError;
@@ -724,23 +717,20 @@ fn stream_mutation_classes_hit_their_taxonomy_entries() {
     let (cfg, acc) = (sp.cfg, &sp.acc);
     let stream = encode_scan_stream(&responses);
 
-    // Honest control, both pipeline modes: results match and buffering is
-    // strictly sub-linear in the stream (the acceptance bar's
-    // "peak buffer < full VO size").
-    for mode in [PipelineMode::Inline, PipelineMode::Worker] {
-        let mut sv = StreamVerifier::new(queries.clone(), light.clone(), cfg, acc.clone(), mode);
-        for chunk in stream.chunks(251) {
-            sv.feed(chunk).expect("honest stream feeds");
-        }
-        let (_, stats) = sv.finish().expect("honest stream verifies");
-        assert_eq!(stats.vo_bytes, stream.len());
-        assert!(
-            stats.peak_buffer_bytes < stats.vo_bytes,
-            "streaming must buffer less than the full VO: peak={} full={}",
-            stats.peak_buffer_bytes,
-            stats.vo_bytes
-        );
+    // Honest control: the stream verifies and buffering is strictly
+    // sub-linear in it (the acceptance bar's "peak buffer < full VO size").
+    let mut sv = StreamVerifier::new(queries.clone(), light.clone(), cfg, acc.clone());
+    for chunk in stream.chunks(251) {
+        sv.feed(chunk).expect("honest stream feeds");
     }
+    let (_, stats) = sv.finish().expect("honest stream verifies");
+    assert_eq!(stats.vo_bytes, stream.len());
+    assert!(
+        stats.peak_buffer_bytes < stats.vo_bytes,
+        "streaming must buffer less than the full VO: peak={} full={}",
+        stats.peak_buffer_bytes,
+        stats.vo_bytes
+    );
 
     let mut adv = Adversary::new(0x7A70_0000_0000_0007);
 
