@@ -187,24 +187,25 @@ impl Accumulator for Acc1 {
         self.finalize_from_poly(&Self::char_poly(x1), x2)
     }
 
-    fn prove_disjoint_each<E: AccElem>(
+    fn prove_disjoint_batch<E: AccElem>(
         &self,
-        x1: &MultiSet<E>,
-        clauses: &[MultiSet<E>],
+        jobs: &[(&MultiSet<E>, &[MultiSet<E>])],
     ) -> Vec<Result<Acc1Proof, AccError>> {
-        // The X₁-side witness — its characteristic polynomial, the largest
-        // subproduct tree of proving — is computed once and shared by every
-        // clause; each clause then pays only its own xgcd and two commits.
-        let p1 = Self::char_poly(x1);
-        clauses
-            .iter()
-            .map(|x2| {
+        let mut results = Vec::with_capacity(jobs.iter().map(|(_, clauses)| clauses.len()).sum());
+        for &(x1, clauses) in jobs {
+            // The X₁-side witness — its characteristic polynomial, the largest
+            // subproduct tree of proving — is computed once and shared by
+            // every clause; each clause then pays only its own xgcd and two
+            // commits.
+            let p1 = Self::char_poly(x1);
+            results.extend(clauses.iter().map(|x2| {
                 if x1.intersects(x2) {
                     return Err(AccError::NotDisjoint);
                 }
                 self.finalize_from_poly(&p1, x2)
-            })
-            .collect()
+            }));
+        }
+        results
     }
 
     fn verify_operand(&self, a1: &Acc1Value, a2: &Acc1Value, proof: &Acc1Proof) -> bool {

@@ -11,14 +11,32 @@
 //!   powers `g₁^{sⁱ}, i ∈ [0, 2q−2] \ {q}`.
 //! * `VerifyDisjoint`: `e(d_A(X₁), d_B(X₂)) = e(π, g₂)`.
 //!
-//! The SP-side proving path is split in two (see [`Acc2Witness`]): the
-//! `X₁`-side coefficient extraction is reusable across every clause of one
-//! query, and the per-clause finalization first *convolves exponents* —
-//! `π`'s exponent polynomial is `A_{X₁}(s)·B_{X₂}(s)`, so colliding terms
-//! `x + q − y` merge into one integer coefficient before any point work —
-//! and then sums the (overwhelmingly unit-coefficient) powers with
-//! batched-affine additions. Both effects cut cold `ProveDisjoint` well
-//! below the naive one-point-per-(x,y)-pair multi-exponentiation.
+//! The SP-side proving path is **batch-first**: a service provider walks a
+//! whole query (or a whole block's standing queries) before it proves
+//! anything, so [`Accumulator::prove_disjoint_batch`] sees every job at once
+//! and shares what one-at-a-time proving pays per call. `π`'s exponent
+//! polynomial is `A_{X₁}(s)·B_{X₂}(s)`, so a proof is a sum of published
+//! powers `g₁^{s^{x+q−y}}`; the batch prover
+//!
+//! * pushes every such sum of a chunk of jobs through **one** batched-affine
+//!   ladder ([`sum_affine_groups`]: one field inversion per halving round
+//!   for the chunk, not per proof) and normalizes the chunk's proofs with
+//!   one more ([`batch_to_affine`]);
+//! * merges colliding exponents `x + q − y = x′ + q − y′` by sort-merge and
+//!   **buckets the non-unit ones by coefficient value** — multiplicities are
+//!   2, 3, 4 …, so `Σ c·B_c` over the few bucket sums is a handful of
+//!   additions where Pippenger would sweep windows of a 256-bit scalar;
+//! * where an `X₁` of unit multiplicities meets clauses that share
+//!   literals, uses `π(X₁, Y) = Σ_{y∈Y} π(X₁, {y})` (the proof is linear in
+//!   both multisets, the property `Sum`/`ProofSum` rest on): each distinct
+//!   literal's sum is computed once and every clause's proof assembled from
+//!   its literals' sums.
+//!
+//! [`Acc2::finalize_proof`] (behind [`Accumulator::prove_disjoint`]) is the
+//! one-job reference twin: a `BTreeMap` convolution, its own ladder, a
+//! Pippenger pass over the non-unit coefficients. The two are byte-identical
+//! on every input — a proof is a group element and its affine encoding is
+//! unique — which `tests/batch_props.rs` and the ledger's twin rows pin.
 //!
 //! The public key grows with the *universe size* `q` (every attribute value
 //! must map into `[1, q)`), the drawback the paper addresses with a trusted
@@ -30,8 +48,8 @@ use std::sync::Arc;
 use rand::Rng;
 use vchain_bigint::U256;
 use vchain_pairing::{
-    multi_pairing, multiexp, sum_affine, CurveSpec, Field, Fr, G1Affine, G1Projective, G1Spec,
-    G2Affine, G2Projective, G2Spec,
+    batch_to_affine, multi_pairing, multiexp, sum_affine, sum_affine_groups, CurveSpec, Field, Fr,
+    G1Affine, G1Projective, G1Spec, G2Affine, G2Projective, G2Spec,
 };
 
 use crate::{batch_coefficients, AccElem, AccError, Accumulator, BatchItem, MultiSet};
@@ -66,9 +84,10 @@ pub struct Acc2PublicKey {
     pub g2_powers: Vec<G2Affine>,
 }
 
-/// The reusable `X₁`-side state of a disjointness proof: the coefficient
-/// vector of `A_{X₁}(s)`, checked against the universe bound once. One
-/// witness serves every clause of a query via [`Acc2::finalize_proof`].
+/// The `X₁`-side state of a disjointness proof: the coefficient vector of
+/// `A_{X₁}(s)`, checked against the universe bound once. One witness serves
+/// every clause its `X₁` meets — in the batch prover, and one at a time
+/// through the reference twin [`Acc2::finalize_proof`].
 ///
 /// ```
 /// use rand::rngs::StdRng;
@@ -137,10 +156,26 @@ impl Acc2 {
         Ok(())
     }
 
-    /// The reusable half of `ProveDisjoint`: extract (and bound-check) the
-    /// `X₁`-side coefficients. Cost is O(|X₁|) integer work — every
-    /// per-clause [`Acc2::finalize_proof`] built on the same witness skips
-    /// it.
+    /// Whether a proof of `witness`'s `X₁` against `x2` exists under this
+    /// key. Disjointness before the universe bound, preserving the
+    /// historical error precedence: intersecting inputs report `NotDisjoint`
+    /// even when the clause also contains out-of-range elements.
+    fn check_clause<E: AccElem>(
+        &self,
+        witness: &Acc2Witness,
+        x2: &MultiSet<E>,
+    ) -> Result<(), AccError> {
+        for e in x2.elements() {
+            if witness.coeffs.binary_search_by_key(&e.to_index(), |&(i, _)| i).is_ok() {
+                return Err(AccError::NotDisjoint);
+            }
+        }
+        self.check_universe(x2)
+    }
+
+    /// The `X₁` half of `ProveDisjoint`: extract (and bound-check) the
+    /// `X₁`-side coefficients. Cost is O(|X₁|) integer work, paid once per
+    /// `X₁` however many clauses it meets.
     pub fn prove_witness<E: AccElem>(&self, x1: &MultiSet<E>) -> Result<Acc2Witness, AccError> {
         self.check_universe(x1)?;
         let mut coeffs: Vec<(u64, u64)> = x1.iter().map(|(e, c)| (e.to_index(), c)).collect();
@@ -151,8 +186,10 @@ impl Acc2 {
         Ok(Acc2Witness { coeffs })
     }
 
-    /// The per-clause half of `ProveDisjoint`: convolve the witness with the
-    /// clause's exponents and sum the matching public-key powers.
+    /// The per-clause half of `ProveDisjoint`, one job at a time — the
+    /// reference twin of [`Accumulator::prove_disjoint_batch`]: convolve the
+    /// witness with the clause's exponents and sum the matching public-key
+    /// powers.
     ///
     /// Duplicate exponents `x + q − y` merge into one integer coefficient
     /// first, so the point work is bounded by the number of *distinct*
@@ -165,15 +202,7 @@ impl Acc2 {
         witness: &Acc2Witness,
         x2: &MultiSet<E>,
     ) -> Result<Acc2Proof, AccError> {
-        // Disjointness before the universe bound, preserving the historical
-        // error precedence: intersecting inputs report `NotDisjoint` even
-        // when the clause also contains out-of-range elements.
-        for e in x2.elements() {
-            if witness.coeffs.binary_search_by_key(&e.to_index(), |&(i, _)| i).is_ok() {
-                return Err(AccError::NotDisjoint);
-            }
-        }
-        self.check_universe(x2)?;
+        self.check_clause(witness, x2)?;
         let q = self.pk.q;
         // exponent convolution: coefficient of s^{x+q−y} is Σ c₁(x)·c₂(y)
         let mut conv: BTreeMap<u64, u128> = BTreeMap::new();
@@ -199,64 +228,11 @@ impl Acc2 {
                 scalars.push(k);
             }
         }
-        let mut pi = sum_affine(&units);
+        let mut pi = sum_affine(units);
         if !bases.is_empty() {
             pi = pi.add(&multiexp(&bases, &scalars));
         }
         Ok(Acc2Proof { pi: pi.to_affine() })
-    }
-
-    /// Version byte heading every serialized [`Acc2Witness`]; bump on any
-    /// layout change so stale persisted witnesses are rejected, not
-    /// misread.
-    pub const WITNESS_VERSION: u8 = 1;
-
-    /// Canonical bytes of a witness: the version byte, a `u32` coefficient
-    /// count, then `(index, multiplicity)` as little-endian `u64` pairs in
-    /// ascending index order. `16·|X₁| + 5` bytes total.
-    pub fn witness_to_bytes(witness: &Acc2Witness) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + 16 * witness.coeffs.len());
-        out.push(Self::WITNESS_VERSION);
-        out.extend_from_slice(
-            &u32::try_from(witness.coeffs.len()).unwrap_or(u32::MAX).to_le_bytes(),
-        );
-        for &(idx, count) in &witness.coeffs {
-            out.extend_from_slice(&idx.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-        }
-        out
-    }
-
-    /// Checked inverse of [`Acc2::witness_to_bytes`] against *this* key:
-    /// `None` on any malformation — wrong version, truncated or trailing
-    /// bytes, an index outside the key's universe `[1, q)`, a zero
-    /// multiplicity, or indices not strictly ascending (the invariant
-    /// [`Acc2::finalize_proof`]'s disjointness binary search relies on).
-    pub fn witness_from_bytes(&self, bytes: &[u8]) -> Option<Acc2Witness> {
-        let (&version, rest) = bytes.split_first()?;
-        if version != Self::WITNESS_VERSION {
-            return None;
-        }
-        let (len_bytes, rest) = rest.split_at_checked(4)?;
-        let n = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-        if rest.len() != n.checked_mul(16)? {
-            return None;
-        }
-        let mut coeffs = Vec::with_capacity(n);
-        let mut prev: Option<u64> = None;
-        for chunk in rest.chunks_exact(16) {
-            let idx = u64::from_le_bytes(chunk.get(..8)?.try_into().ok()?);
-            let count = u64::from_le_bytes(chunk.get(8..)?.try_into().ok()?);
-            if idx == 0 || idx >= self.pk.q || count == 0 {
-                return None;
-            }
-            if prev.is_some_and(|p| p >= idx) {
-                return None;
-            }
-            prev = Some(idx);
-            coeffs.push((idx, count));
-        }
-        Some(Acc2Witness { coeffs })
     }
 }
 
@@ -271,26 +247,19 @@ impl Accumulator for Acc2 {
 
     fn try_setup<E: AccElem>(&self, x: &MultiSet<E>) -> Result<Acc2Value, AccError> {
         self.check_universe(x)?;
-        let q = self.pk.q;
+        let q = self.pk.q as usize;
+        let (g1, g2) = (&self.pk.g1_powers, &self.pk.g2_powers);
         // d_A = Π (g1^{s^x})^{c_x} ; d_B = Π (g2^{s^{q-x}})^{c_x}.
-        // Unit multiplicities (the common case) sum batched-affine.
-        let mut da_units: Vec<G1Affine> = Vec::new();
-        let mut db_units: Vec<G2Affine> = Vec::new();
-        let mut da = G1Projective::identity();
-        let mut db = G2Projective::identity();
-        for (e, c) in x.iter() {
-            let idx = e.to_index() as usize;
-            if c == 1 {
-                da_units.push(self.pk.g1_powers[idx]);
-                db_units.push(self.pk.g2_powers[q as usize - idx]);
-            } else {
-                let count = U256::from_u64(c);
-                da = da.add(&self.pk.g1_powers[idx].to_projective().mul_u256(&count));
-                db = db.add(&self.pk.g2_powers[q as usize - idx].to_projective().mul_u256(&count));
-            }
+        // Unit multiplicities (the common case) sum batched-affine, gathered
+        // straight out of the key's powers.
+        let units = || x.iter().filter(|&(_, c)| c == 1).map(|(e, _)| e.to_index() as usize);
+        let mut da = sum_affine(units().map(|idx| g1[idx]));
+        let mut db = sum_affine(units().map(|idx| g2[q - idx]));
+        for (e, c) in x.iter().filter(|&(_, c)| c != 1) {
+            let (idx, count) = (e.to_index() as usize, U256::from_u64(c));
+            da = da.add(&g1[idx].to_projective().mul_u256(&count));
+            db = db.add(&g2[q - idx].to_projective().mul_u256(&count));
         }
-        da = da.add(&sum_affine(&da_units));
-        db = db.add(&sum_affine(&db_units));
         Ok(Acc2Value { da: da.to_affine(), db: db.to_affine() })
     }
 
@@ -303,31 +272,42 @@ impl Accumulator for Acc2 {
         self.finalize_proof(&witness, x2)
     }
 
-    fn prove_disjoint_each<E: AccElem>(
+    fn prove_disjoint_batch<E: AccElem>(
         &self,
-        x1: &MultiSet<E>,
-        clauses: &[MultiSet<E>],
+        jobs: &[(&MultiSet<E>, &[MultiSet<E>])],
     ) -> Vec<Result<Acc2Proof, AccError>> {
-        // One shared X₁-side witness; a clause that intersects (or whose
-        // convolution overflows the key) fails alone. If the witness itself
-        // cannot be built, every clause inherits that error.
-        match self.prove_witness(x1) {
-            Ok(witness) => clauses.iter().map(|c| self.finalize_proof(&witness, c)).collect(),
-            Err(e) => clauses.iter().map(|_| Err(e.clone())).collect(),
+        // Every check first, exactly as the one-job path makes them: a
+        // clause that intersects or leaves the universe fails alone, and if
+        // the X₁-side witness cannot be built, every clause of its group
+        // inherits that error.
+        let mut checks = Vec::with_capacity(jobs.iter().map(|(_, clauses)| clauses.len()).sum());
+        // One proof per passed check, in job order.
+        let mut proofs: Vec<Acc2Proof> = Vec::with_capacity(checks.capacity());
+        let mut chunk = Chunk::default();
+        for &(x1, clauses) in jobs {
+            match self.prove_witness(x1) {
+                Err(e) => checks.extend(clauses.iter().map(|_| Err(e.clone()))),
+                Ok(witness) => {
+                    let first = checks.len();
+                    checks.extend(clauses.iter().map(|c| self.check_clause(&witness, c)));
+                    let provable: Vec<&MultiSet<E>> = clauses
+                        .iter()
+                        .zip(&checks[first..])
+                        .filter_map(|(c, check)| check.is_ok().then_some(c))
+                        .collect();
+                    chunk.plan_group(self.pk.q, &witness.coeffs, &provable);
+                }
+            }
+            if chunk.exps.len() >= CHUNK_POINTS {
+                chunk.prove_into(&self.pk.g1_powers, &mut proofs);
+            }
         }
-    }
-
-    fn witness_bytes<E: AccElem>(&self, x1: &MultiSet<E>) -> Option<Vec<u8>> {
-        self.prove_witness(x1).ok().map(|w| Self::witness_to_bytes(&w))
-    }
-
-    fn finalize_from_witness_bytes<E: AccElem>(
-        &self,
-        witness: &[u8],
-        clause: &MultiSet<E>,
-    ) -> Option<Acc2Proof> {
-        let w = self.witness_from_bytes(witness)?;
-        self.finalize_proof(&w, clause).ok()
+        chunk.prove_into(&self.pk.g1_powers, &mut proofs);
+        let mut proofs = proofs.into_iter();
+        checks
+            .into_iter()
+            .map(|check| check.map(|()| proofs.next().expect("one proof per passed check")))
+            .collect()
     }
 
     fn verify_operand(&self, da: &G1Affine, a2: &Acc2Value, proof: &Acc2Proof) -> bool {
@@ -350,7 +330,7 @@ impl Accumulator for Acc2 {
     }
 
     fn sum_operands(&self, ops: &[G1Affine]) -> Result<G1Affine, AccError> {
-        Ok(sum_affine(ops).to_affine())
+        Ok(sum_affine(ops.iter().copied()).to_affine())
     }
 
     /// Random-linear-combination batch verification. Construction 2's
@@ -425,6 +405,173 @@ impl Accumulator for Acc2 {
     }
 }
 
+/// How many public-key powers one chunk of the batch prover gathers before
+/// it runs its ladder. A chunk is whole `X₁` groups, so this is where it
+/// closes, not a cap on it. What it bounds is the ladder's working layer
+/// (104 bytes a point: under 1 MB here, where a block's 1 056 jobs in one
+/// piece are 5–13 MB and a batch has no upper limit), at no cost in time: on
+/// the ledger's `prove_batch_acc2_window_19` / `_block_1056` fixtures a
+/// proof costs 176 / 19.2 µs at 1 000 points a chunk, 149–155 / 17.7–18.7 µs
+/// anywhere from 4 000 to 24 000, and the same with no bound at all — past
+/// a few thousand chords a round's shared inversion is already spread thin.
+/// A constant, not an option: no caller has a reason to choose.
+const CHUNK_POINTS: usize = 8_192;
+
+/// The batch prover's unit of work ([`Accumulator::prove_disjoint_batch`]):
+/// the jobs of some whole `X₁` groups, planned as index lists — which
+/// powers each ladder group sums, and which group sums, times what, make up
+/// each proof — and then proved together by [`Chunk::prove_into`].
+#[derive(Default)]
+struct Chunk {
+    /// Exponents of the `g₁` powers to sum, ladder group after ladder group.
+    exps: Vec<usize>,
+    /// Ladder group `g` is `exps[group_ends[g − 1]..group_ends[g]]`.
+    group_ends: Vec<usize>,
+    /// `(ladder group, coefficient)`, proof after proof, a proof's terms
+    /// ascending by coefficient: `π = Σ coefficient · sum(group)`.
+    terms: Vec<(usize, u128)>,
+    /// Proof `p` is `terms[proof_ends[p − 1]..proof_ends[p]]`.
+    proof_ends: Vec<usize>,
+    /// Scratch of [`Chunk::plan_clause`], reused from clause to clause.
+    conv: Vec<(usize, u128)>,
+}
+
+impl Chunk {
+    /// Plan the proofs of one `X₁` (its witness coefficients, ascending by
+    /// index) against `clauses`, each already checked disjoint from it and
+    /// inside the universe `[1, q)`.
+    fn plan_group<E: AccElem>(&mut self, q: u64, x1: &[(u64, u64)], clauses: &[&MultiSet<E>]) {
+        let mut literals: Vec<u64> =
+            clauses.iter().flat_map(|c| c.elements().map(AccElem::to_index)).collect();
+        let uses = literals.len();
+        literals.sort_unstable();
+        literals.dedup();
+        // π is linear in the clause: π(X₁, Y) = Σ_{y∈Y} c(y)·π(X₁, {y}). Where
+        // clauses share literals, sum each distinct literal's shifted copy
+        // of X₁ once and assemble every clause from its literals' sums. With
+        // multiplicities on X₁ a literal's sum is itself a bucketed sum, and
+        // with nothing shared it saves nothing: those clauses go one by one.
+        if literals.len() == uses || x1.iter().any(|&(_, c)| c != 1) {
+            for clause in clauses {
+                self.plan_clause(q, x1, clause);
+            }
+            return;
+        }
+        let first_group = self.group_ends.len();
+        for y in &literals {
+            self.exps.extend(x1.iter().map(|&(x, _)| exponent(q, x, *y)));
+            self.group_ends.push(self.exps.len());
+        }
+        for clause in clauses {
+            let start = self.terms.len();
+            self.terms.extend(clause.iter().map(|(y, c)| {
+                let group = literals.binary_search(&y.to_index()).expect("collected above");
+                (first_group + group, c as u128)
+            }));
+            self.terms[start..].sort_unstable_by_key(|&(_, c)| c);
+            self.proof_ends.push(self.terms.len());
+        }
+    }
+
+    /// Plan one proof on its own: convolve exponents, merge collisions, and
+    /// hand the ladder one group of unit-coefficient powers plus one group
+    /// per distinct larger coefficient.
+    fn plan_clause<E: AccElem>(&mut self, q: u64, x1: &[(u64, u64)], clause: &MultiSet<E>) {
+        // The coefficient of s^{x+q−y} is Σ c₁(x)·c₂(y) over colliding pairs.
+        self.conv.clear();
+        for (y, c2) in clause.iter() {
+            let y = y.to_index();
+            self.conv.extend(
+                x1.iter().map(|&(x, c1)| (exponent(q, x, y), u128::from(c1) * u128::from(c2))),
+            );
+        }
+        // Every literal appended an ascending run; the stable sort merges
+        // runs instead of starting over.
+        self.conv.sort_by_key(|&(exp, _)| exp);
+        self.conv.dedup_by(|next, kept| {
+            let collide = next.0 == kept.0;
+            if collide {
+                kept.1 += next.1;
+            }
+            collide
+        });
+        // Units first, then buckets of equal coefficient, ascending.
+        self.conv.sort_unstable_by_key(|&(_, c)| c);
+        for bucket in self.conv.chunk_by(|a, b| a.1 == b.1) {
+            self.exps.extend(bucket.iter().map(|&(exp, _)| exp));
+            self.group_ends.push(self.exps.len());
+            self.terms.push((self.group_ends.len() - 1, bucket[0].1));
+        }
+        self.proof_ends.push(self.terms.len());
+    }
+
+    /// Prove everything planned — one ladder over every group, one shared
+    /// normalization — append the proofs in planning order, and reset.
+    fn prove_into(&mut self, powers: &[G1Affine], proofs: &mut Vec<Acc2Proof>) {
+        if self.proof_ends.is_empty() {
+            return;
+        }
+        let mut start = 0;
+        let groups = self.group_ends.iter().map(|&end| {
+            let group = &self.exps[core::mem::replace(&mut start, end)..end];
+            group.iter().map(|&exp| powers[exp])
+        });
+        let sums = sum_affine_groups(groups);
+        let add = |acc: G1Projective, p: &G1Projective| match acc.is_identity() {
+            true => *p,
+            false => acc.add(p),
+        };
+        let mut start = 0;
+        let points: Vec<G1Projective> = self
+            .proof_ends
+            .iter()
+            .map(|&end| {
+                // Σ c·B_c by running sums, largest coefficient first: after
+                // adding bucket c the running sum holds every bucket ≥ c, and
+                // is owed to π once per unit of the gap down to the next
+                // smaller coefficient — a handful of additions where the
+                // twin runs Pippenger over 256-bit scalars holding 2 and 3.
+                let terms = &self.terms[core::mem::replace(&mut start, end)..end];
+                let (mut running, mut pi) = (G1Projective::identity(), G1Projective::identity());
+                for (i, &(group, c)) in terms.iter().enumerate().rev() {
+                    running = add(running, &sums[group]);
+                    let gap = c - i.checked_sub(1).map_or(0, |below| terms[below].1);
+                    if gap > 0 {
+                        pi = add(pi, &times(&running, gap));
+                    }
+                }
+                pi
+            })
+            .collect();
+        proofs.extend(batch_to_affine(&points).into_iter().map(|pi| Acc2Proof { pi }));
+        self.exps.clear();
+        self.group_ends.clear();
+        self.terms.clear();
+        self.proof_ends.clear();
+    }
+}
+
+/// The exponent `x + q − y` of the power a pair `(x ∈ X₁, y ∈ X₂)` selects.
+/// Never the forbidden `q`: the pair was checked disjoint.
+fn exponent(q: u64, x: u64, y: u64) -> usize {
+    let exp = x + q - y;
+    debug_assert_ne!(exp, q, "disjointness was checked before planning");
+    exp as usize
+}
+
+/// `k·P` for the small gaps between bucket coefficients (`k ≥ 1`): plain
+/// double-and-add, no table to build for a scalar of two or three bits.
+fn times(p: &G1Projective, k: u128) -> G1Projective {
+    let mut acc = *p;
+    for bit in (0..k.ilog2()).rev() {
+        acc = acc.double();
+        if (k >> bit) & 1 == 1 {
+            acc = acc.add(p);
+        }
+    }
+    acc
+}
+
 /// The pairs of the aggregated check of
 /// [`Acc2::batch_holds`]: one per distinct clause digest of
 /// the batch, in first-occurrence order, then the `g₂` pair.
@@ -488,79 +635,28 @@ mod tests {
         for c in &clauses {
             assert_eq!(a.finalize_proof(&w, c).unwrap(), a.prove_disjoint(&x1, c).unwrap());
         }
-        let many = a.prove_disjoint_many(&x1, &clauses).unwrap();
-        for (p, c) in many.iter().zip(&clauses) {
-            assert_eq!(*p, a.prove_disjoint(&x1, c).unwrap());
-            assert!(a.verify_disjoint(&a.setup(&x1), &a.setup(c), p));
+        let batch = a.prove_disjoint_batch(&[(&x1, &clauses)]);
+        for (p, c) in batch.iter().zip(&clauses) {
+            assert_eq!(*p, a.prove_disjoint(&x1, c));
+            assert!(a.verify_disjoint(&a.setup(&x1), &a.setup(c), p.as_ref().unwrap()));
         }
     }
 
     #[test]
-    fn witness_bytes_round_trip_and_rejection() {
-        let a = acc();
-        let x1 = ms(&[1, 2, 3, 7, 7]);
-        let w = a.prove_witness(&x1).unwrap();
-        let bytes = Acc2::witness_to_bytes(&w);
-        let back = a.witness_from_bytes(&bytes).unwrap();
-        assert_eq!(Acc2::witness_to_bytes(&back), bytes, "decode∘encode identity");
-
-        // wrong version byte
-        let mut bad = bytes.clone();
-        bad[0] ^= 1;
-        assert!(a.witness_from_bytes(&bad).is_none());
-        // truncation and trailing bytes
-        assert!(a.witness_from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(a.witness_from_bytes(&long).is_none());
-        // out-of-universe index (q = 64)
-        let oob = Acc2::witness_to_bytes(&Acc2Witness { coeffs: vec![(64, 1)] });
-        assert!(a.witness_from_bytes(&oob).is_none());
-        // zero multiplicity and non-ascending indices
-        let zero = Acc2::witness_to_bytes(&Acc2Witness { coeffs: vec![(3, 0)] });
-        assert!(a.witness_from_bytes(&zero).is_none());
-        let unsorted = Acc2::witness_to_bytes(&Acc2Witness { coeffs: vec![(5, 1), (3, 1)] });
-        assert!(a.witness_from_bytes(&unsorted).is_none());
-        // empty input is not a witness
-        assert!(a.witness_from_bytes(&[]).is_none());
-    }
-
-    #[test]
-    fn finalize_from_witness_bytes_matches_prove_disjoint() {
-        let a = acc();
-        let x1 = ms(&[1, 2, 3, 7, 7]);
-        let wb = a.witness_bytes(&x1).unwrap();
-        for c in [ms(&[10, 20]), ms(&[30]), ms(&[10, 31, 32])] {
-            let from_bytes = a.finalize_from_witness_bytes(&wb, &c).unwrap();
-            let direct = a.prove_disjoint(&x1, &c).unwrap();
-            assert_eq!(
-                Acc2::proof_bytes(&from_bytes),
-                Acc2::proof_bytes(&direct),
-                "persisted-witness proofs are byte-identical to cold proofs"
-            );
-        }
-        // an intersecting clause falls back to None, never a wrong proof
-        assert!(a.finalize_from_witness_bytes(&wb, &ms(&[2])).is_none());
-        // garbage witness bytes likewise
-        assert!(a.finalize_from_witness_bytes(b"not a witness", &ms(&[10])).is_none());
-    }
-
-    #[test]
-    fn prove_disjoint_many_propagates_errors() {
+    fn prove_disjoint_batch_attributes_errors_per_clause() {
         let a = acc();
         let x1 = ms(&[1, 2]);
-        assert_eq!(
-            a.prove_disjoint_many(&x1, &[ms(&[10]), ms(&[2])]).unwrap_err(),
-            AccError::NotDisjoint
-        );
-        assert!(matches!(
-            a.prove_disjoint_many(&ms(&[64]), &[ms(&[1])]).unwrap_err(),
-            AccError::CapacityExceeded { .. }
-        ));
-        // the override point attributes per clause: the good proof survives
-        let each = a.prove_disjoint_each(&x1, &[ms(&[10]), ms(&[2])]);
-        assert_eq!(each[0], a.prove_disjoint(&x1, &ms(&[10])));
-        assert_eq!(each[1], Err(AccError::NotDisjoint));
+        // the intersecting clause fails alone: the good proof survives
+        let batch = a.prove_disjoint_batch(&[(&x1, &[ms(&[10]), ms(&[2])])]);
+        assert_eq!(batch[0], a.prove_disjoint(&x1, &ms(&[10])));
+        assert_eq!(batch[1], Err(AccError::NotDisjoint));
+        // an X₁ outside the universe fails every clause of its group, and
+        // only of its group
+        let batch =
+            a.prove_disjoint_batch(&[(&ms(&[64]), &[ms(&[1]), ms(&[2])]), (&x1, &[ms(&[10])])]);
+        assert!(matches!(batch[0], Err(AccError::CapacityExceeded { .. })));
+        assert!(matches!(batch[1], Err(AccError::CapacityExceeded { .. })));
+        assert_eq!(batch[2], a.prove_disjoint(&x1, &ms(&[10])));
     }
 
     #[test]
@@ -848,6 +944,107 @@ mod tests {
     fn forbidden_power_is_poisoned() {
         let a = acc();
         assert!(a.pk.g1_powers[a.pk.q as usize].is_identity());
+    }
+
+    /// Batch and one-by-one proofs of `jobs` under `a`, compared.
+    fn assert_batch_is_twin(a: &Acc2, jobs: &[(MultiSet<u64>, Vec<MultiSet<u64>>)]) {
+        let borrowed: Vec<_> = jobs.iter().map(|(x1, cs)| (x1, cs.as_slice())).collect();
+        let twin: Vec<_> = jobs
+            .iter()
+            .flat_map(|(x1, cs)| cs.iter().map(move |c| a.prove_disjoint(x1, c)))
+            .collect();
+        assert_eq!(a.prove_disjoint_batch(&borrowed), twin);
+    }
+
+    /// Jobs through every path of the batch prover whose exponents crowd
+    /// the forbidden one: `x − y = ±1` throughout.
+    fn jobs_around_q() -> Vec<(MultiSet<u64>, Vec<MultiSet<u64>>)> {
+        vec![
+            (ms(&[10, 12, 14]), vec![ms(&[11, 13]), ms(&[13, 15]), ms(&[9, 11])]), // shared literals
+            (ms(&[10, 12, 12, 14]), vec![ms(&[11, 13])]),                          // buckets
+            (ms(&[20, 22]), vec![ms(&[21]), ms(&[19, 23])]), // clause by clause
+        ]
+    }
+
+    /// The batch prover never reads `g1_powers[q]`: with a non-identity
+    /// point planted there, every proof is still what the clean key gives.
+    /// (The twin would add the planted point in silently; the batch prover's
+    /// `debug_assert_ne!` also trips in debug builds.)
+    #[test]
+    fn batch_never_reads_the_forbidden_power() {
+        let clean = acc();
+        let mut planted = Acc2PublicKey {
+            q: clean.pk.q,
+            g1_powers: clean.pk.g1_powers.clone(),
+            g2_powers: clean.pk.g2_powers.clone(),
+        };
+        planted.g1_powers[planted.q as usize] = G1Projective::generator().mul_u64(77).to_affine();
+        let planted = Acc2 { pk: Arc::new(planted) };
+        for (x1, clauses) in jobs_around_q() {
+            assert_eq!(
+                planted.prove_disjoint_batch(&[(&x1, &clauses)]),
+                clean.prove_disjoint_batch(&[(&x1, &clauses)])
+            );
+        }
+        assert_batch_is_twin(&clean, &jobs_around_q());
+    }
+
+    /// Equal points meeting in one ladder round — the same-`x` spill. An
+    /// honest key's powers are distinct, so the key here is the degenerate
+    /// one of trapdoor `s = −1`: the powers alternate `g, −g`, and the pairs
+    /// of every round are doublings or cancellations.
+    #[test]
+    fn batch_matches_twin_when_every_chord_is_exceptional() {
+        let q = 32u64;
+        let (g1, g2) =
+            (G1Projective::generator().to_affine(), G2Projective::generator().to_affine());
+        let a = Acc2 {
+            pk: Arc::new(Acc2PublicKey {
+                q,
+                g1_powers: (0..2 * q - 1)
+                    .map(|i| match i {
+                        i if i == q => G1Affine::identity(),
+                        i if i % 2 == 0 => g1,
+                        _ => g1.neg(),
+                    })
+                    .collect(),
+                g2_powers: (0..q).map(|i| if i % 2 == 0 { g2 } else { g2.neg() }).collect(),
+            }),
+        };
+        let jobs = vec![
+            (ms(&[1, 2, 3, 4, 6]), vec![ms(&[20, 21]), ms(&[21, 23]), ms(&[20, 24, 26])]),
+            (ms(&[1, 2, 2, 5, 7, 9]), vec![ms(&[20, 22]), ms(&[21])]),
+            (ms(&[2, 4, 6, 8]), vec![ms(&[10, 12, 14])]),
+        ];
+        assert_batch_is_twin(&a, &jobs);
+        for (x1, clauses) in &jobs {
+            for c in clauses {
+                let proof = a.prove_disjoint(x1, c).unwrap();
+                assert!(a.verify_disjoint(&a.setup(x1), &a.setup(c), &proof));
+            }
+        }
+    }
+
+    /// A chunk boundary falling between two `X₁` groups: the first group
+    /// alone plans past the chunk budget, so the second is proved by a
+    /// second ladder — and in between sits a group with no provable clause.
+    #[test]
+    fn chunk_boundary_between_groups() {
+        let a = Acc2::keygen(256, &mut StdRng::seed_from_u64(22));
+        let x1: MultiSet<u64> = (1..=100).collect();
+        // disjoint two-literal clauses: nothing shared, 200 points apiece
+        let clauses: Vec<MultiSet<u64>> = (0..CHUNK_POINTS.div_ceil(200) as u64)
+            .map(|i| ms(&[101 + 2 * i, 102 + 2 * i]))
+            .collect();
+        assert!(clauses.len() * 200 >= CHUNK_POINTS && 102 + 2 * clauses.len() < 256);
+        assert_batch_is_twin(
+            &a,
+            &[
+                (x1, clauses),
+                (ms(&[1, 2]), vec![ms(&[2])]),
+                (ms(&[3, 4, 5]), vec![ms(&[200, 201]), ms(&[201, 202])]),
+            ],
+        );
     }
 
     /// The comb-built key must equal the naive window-walk key limb for

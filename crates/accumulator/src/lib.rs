@@ -259,31 +259,24 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
         x2: &MultiSet<E>,
     ) -> Result<Self::Proof, AccError>;
 
-    /// Prove one multiset disjoint from *each* of several clause sets — the
-    /// per-query shape of the SP proving pipeline, where one tree node or
-    /// skip entry is refuted against several queries' clauses at once.
-    /// Every clause gets its own `Result`: a clause that intersects `x1` (or
-    /// overflows the key) fails alone, which is what callers whose clause
-    /// list comes from an *approximate* source (e.g. a Bloom-filtered
-    /// candidate classification) need — one stale clause costs one `Err`,
-    /// not the whole batch.
+    /// Prove a batch of disjointness jobs, grouped by their `X₁`: each entry
+    /// pairs one multiset with the clause sets to refute it against — the
+    /// shape in which a service provider's proofs reach the prover, since it
+    /// walks a whole query (or a whole block's standing queries) first and
+    /// proves the distinct cache misses afterwards. Returns one `Result`
+    /// per clause, flat, in job order. A clause that intersects its `X₁` (or
+    /// overflows the key) fails alone, with the error
+    /// [`Accumulator::prove_disjoint`] would report for it, which is what
+    /// callers whose clause list comes from an *approximate* source (a
+    /// Bloom-filtered candidate classification) need — one stale clause
+    /// costs one `Err`, not the batch.
     ///
-    /// This is the one multi-clause override point. The default
-    /// implementation loops; the constructions override it to compute the
-    /// `X₁`-side witness (Construction 1: the characteristic polynomial;
-    /// Construction 2: the exponent coefficient vector) **once** and run
-    /// only the cheap per-clause finalization in the loop.
-    fn prove_disjoint_each<E: AccElem>(
-        &self,
-        x1: &MultiSet<E>,
-        clauses: &[MultiSet<E>],
-    ) -> Vec<Result<Self::Proof, AccError>> {
-        clauses.iter().map(|c| self.prove_disjoint(x1, c)).collect()
-    }
-
-    /// [`Accumulator::prove_disjoint_each`] for callers that need all the
-    /// proofs or none: the first failing clause's error aborts the call, as
-    /// [`Accumulator::prove_disjoint`] would report it.
+    /// This is the one multi-proof override point. The default
+    /// implementation loops over [`Accumulator::prove_disjoint`];
+    /// Construction 1 computes each `X₁`'s characteristic polynomial once,
+    /// Construction 2 shares its whole point-summation pass across the
+    /// batch (see the `acc2` module docs). Every override returns the
+    /// proofs `prove_disjoint` would, byte for byte.
     ///
     /// ```
     /// use rand::rngs::StdRng;
@@ -293,19 +286,21 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// let acc = Acc2::keygen(64, &mut StdRng::seed_from_u64(2));
     /// let node: MultiSet<u64> = [1u64, 2, 3, 4].into_iter().collect();
     /// let clauses: Vec<MultiSet<u64>> =
-    ///     vec![[10u64, 11].into_iter().collect(), [20u64].into_iter().collect()];
-    /// let proofs = acc.prove_disjoint_many(&node, &clauses).unwrap();
-    /// // one shared witness, but byte-for-byte the same proofs as one-at-a-time
+    ///     vec![[10u64, 11].into_iter().collect(), [20u64, 3].into_iter().collect()];
+    /// let proofs = acc.prove_disjoint_batch(&[(&node, &clauses)]);
+    /// // one shared pass, but the same proofs — and errors — as one at a time
     /// for (p, c) in proofs.iter().zip(&clauses) {
-    ///     assert_eq!(*p, acc.prove_disjoint(&node, c).unwrap());
+    ///     assert_eq!(*p, acc.prove_disjoint(&node, c));
     /// }
+    /// assert!(proofs[0].is_ok() && proofs[1].is_err());
     /// ```
-    fn prove_disjoint_many<E: AccElem>(
+    fn prove_disjoint_batch<E: AccElem>(
         &self,
-        x1: &MultiSet<E>,
-        clauses: &[MultiSet<E>],
-    ) -> Result<Vec<Self::Proof>, AccError> {
-        self.prove_disjoint_each(x1, clauses).into_iter().collect()
+        jobs: &[(&MultiSet<E>, &[MultiSet<E>])],
+    ) -> Vec<Result<Self::Proof, AccError>> {
+        jobs.iter()
+            .flat_map(|&(x1, clauses)| clauses.iter().map(move |c| self.prove_disjoint(x1, c)))
+            .collect()
     }
 
     /// `VerifyDisjoint(acc(X₁), acc(X₂), π, pk) → {0, 1}`.
@@ -422,39 +417,6 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// [`Accumulator::verify_operand`] and the GLS scalar-multiplication
     /// paths. Accepted bytes re-encode identically.
     fn proof_from_bytes(&self, bytes: &[u8]) -> Result<Self::Proof, DecodeError>;
-
-    /// Serialize the reusable `X₁`-side proving state for persistence, when
-    /// the construction has one that is cheap to extract and small on disk.
-    ///
-    /// Construction 2's witness is the exponent coefficient vector of `X₁`
-    /// (16 bytes per distinct element — see `Acc2::prove_witness`), so a
-    /// service provider can persist it once per skip entry and, after a
-    /// restart, refute *any* clause against that entry with only the cheap
-    /// per-clause finalization — no `O(|X₁|)` re-extraction, and crucially no
-    /// dependence on still holding the multiset in memory. Construction 1's
-    /// witness is a full `G2` commitment ladder and is not worth persisting;
-    /// it keeps the default `None`, which callers must treat as "re-prove
-    /// from the multiset".
-    fn witness_bytes<E: AccElem>(&self, _x1: &MultiSet<E>) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Finalize a disjointness proof for `clause` from witness bytes
-    /// previously produced by [`Accumulator::witness_bytes`].
-    ///
-    /// Returns `None` when the construction has no serialized-witness path,
-    /// when the bytes fail validation (wrong version, malformed, out of the
-    /// key's universe), or when the clause intersects the witnessed set —
-    /// callers fall back to [`Accumulator::prove_disjoint`], which reports
-    /// the precise error. A `Some` proof is byte-identical to the proof
-    /// `prove_disjoint` would derive from the original multiset.
-    fn finalize_from_witness_bytes<E: AccElem>(
-        &self,
-        _witness: &[u8],
-        _clause: &MultiSet<E>,
-    ) -> Option<Self::Proof> {
-        None
-    }
 
     /// Whether `Sum`/`ProofSum` are available (Construction 2 only).
     fn supports_aggregation(&self) -> bool {

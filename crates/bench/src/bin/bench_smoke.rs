@@ -53,6 +53,39 @@ fn ms(v: &[u64]) -> MultiSet<u64> {
     v.iter().copied().collect()
 }
 
+/// Time `jobs` through `prove_disjoint_batch` and through one
+/// `prove_disjoint` per job — four rows: whole batch and per proof, each way
+/// — after checking once that both give the same proofs.
+fn twin_rows(
+    timings: &mut Vec<Timing>,
+    acc: &Acc2,
+    jobs: &[(MultiSet<u64>, Vec<MultiSet<u64>>)],
+    iters: u32,
+    [batch, batch_per_proof, one_by_one, one_by_one_per_proof]: [&'static str; 4],
+) {
+    let borrowed: Vec<(&MultiSet<u64>, &[MultiSet<u64>])> =
+        jobs.iter().map(|(x1, clauses)| (x1, clauses.as_slice())).collect();
+    let prove_each = || -> Vec<_> {
+        jobs.iter()
+            .flat_map(|(x1, clauses)| clauses.iter().map(move |c| acc.prove_disjoint(x1, c)))
+            .collect()
+    };
+    assert_eq!(acc.prove_disjoint_batch(&borrowed), prove_each(), "{batch}: batch ≠ twin");
+    let proofs = borrowed.iter().map(|(_, clauses)| clauses.len()).sum::<usize>() as f64;
+    for (per_proof, t) in [
+        (batch_per_proof, time(batch, iters, || acc.prove_disjoint_batch(&borrowed))),
+        (one_by_one_per_proof, time(one_by_one, iters, prove_each)),
+    ] {
+        eprintln!("[bench-smoke] {per_proof}: {:.2} µs", t.us_per_iter / proofs);
+        timings.push(Timing {
+            name: per_proof,
+            iters: t.iters,
+            us_per_iter: t.us_per_iter / proofs,
+        });
+        timings.push(t);
+    }
+}
+
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_pairing.json".to_string());
     let mut rng = StdRng::seed_from_u64(0xBE7C);
@@ -175,11 +208,13 @@ fn main() {
         }
     };
     timings.push(time("prove_disjoint_acc2_naive", 20, || naive(&node_ms, &clause4)));
-    // Witness reuse across the clauses of one query (per-clause mean).
+    // One X₁ against the eight clauses of one query, as one batch (per-clause
+    // mean beside it). The rows keep the names they were first recorded
+    // under, when the multi-clause entry was `prove_disjoint_many`.
     let clauses8: Vec<MultiSet<u64>> =
         (0..8u64).map(|i| (1000 + 4 * i..1004 + 4 * i).collect()).collect();
     let t = time("prove_disjoint_many_acc2_8", 10, || {
-        acc2.prove_disjoint_many(&node_ms, &clauses8).unwrap()
+        acc2.prove_disjoint_batch(&[(&node_ms, &clauses8)])
     });
     timings.push(Timing {
         name: "prove_disjoint_many_acc2_per_clause",
@@ -187,6 +222,59 @@ fn main() {
         us_per_iter: t.us_per_iter / clauses8.len() as f64,
     });
     timings.push(t);
+    // The batch prover beside its one-job twin at the two shapes `vbench`'s
+    // proving-bound workloads hand it (fixtures built once, untimed).
+    // A cold `window_e2e` query: 19 jobs, each its own X₁ — a §6.3 sum of
+    // ≈ 116 elements, every sixth with a multiplicity — against one
+    // 4-literal clause.
+    let window19: Vec<(MultiSet<u64>, Vec<MultiSet<u64>>)> = (0..19u64)
+        .map(|j| {
+            let x1 = (0..116u64)
+                .map(|i| (1 + 3 * i + j, if i % 6 == 0 { 2 + (i / 6 + j) % 4 } else { 1 }))
+                .collect();
+            (x1, vec![(1000 + 5 * j..1004 + 5 * j).collect()])
+        })
+        .collect();
+    twin_rows(
+        &mut timings,
+        &acc2,
+        &window19,
+        20,
+        [
+            "prove_batch_acc2_window_19",
+            "prove_batch_acc2_window_19_per_proof",
+            "prove_batch_acc2_window_19_one_by_one",
+            "prove_batch_acc2_window_19_one_by_one_per_proof",
+        ],
+    );
+    // A fresh `subscribe_stream` block: 25 X₁ of 43 unit elements (tree
+    // nodes), 1 056 clauses of 2–3 literals, each node's drawn from its own
+    // pool of 45 — standing queries that share literals, not clauses.
+    let mut fixture_rng = StdRng::seed_from_u64(0x1056);
+    let block1056: Vec<(MultiSet<u64>, Vec<MultiSet<u64>>)> = (0..25u64)
+        .map(|j| {
+            let clauses = (0..if j < 6 { 43 } else { 42 })
+                .map(|c| {
+                    (0..2 + usize::from(c % 3 != 0))
+                        .map(|_| 2000 + 50 * j + rand::Rng::gen_range(&mut fixture_rng, 0..45u64))
+                        .collect()
+                })
+                .collect();
+            ((0..43u64).map(|i| 1 + 7 * i + j).collect(), clauses)
+        })
+        .collect();
+    twin_rows(
+        &mut timings,
+        &acc2,
+        &block1056,
+        5,
+        [
+            "prove_batch_acc2_block_1056",
+            "prove_batch_acc2_block_1056_per_proof",
+            "prove_batch_acc2_block_1056_one_by_one",
+            "prove_batch_acc2_block_1056_one_by_one_per_proof",
+        ],
+    );
     // --- Acc1: fast polynomial engine + comb commits ---------------------
     // The PR-3 bench conflated the polynomial phases and the commitment
     // phase under one entry; they are timed separately now so the
@@ -228,9 +316,10 @@ fn main() {
             vchain_pairing::multiexp(&pk.g2_powers[..s2.len()], &s2),
         )
     }));
-    // Witness sharing across one query's clauses, as for Acc2 above.
+    // One characteristic polynomial across one query's clauses, as for Acc2
+    // above.
     let t = time("prove_disjoint_many_acc1_8", 5, || {
-        acc1.prove_disjoint_many(&node16, &clauses8).unwrap()
+        acc1.prove_disjoint_batch(&[(&node16, &clauses8)])
     });
     timings.push(Timing {
         name: "prove_disjoint_many_acc1_per_clause",

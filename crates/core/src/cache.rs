@@ -25,6 +25,18 @@
 //! costs a hash. Summing (curve additions, two field inversions a group)
 //! is for a miss.
 //!
+//! # The resolver
+//!
+//! The SP walks before it proves. A walk (`IntraTree::plan`, the skip
+//! decisions of a time window, a block's root-level subscription
+//! refutations) records each refutation as a [`ProofRequest`] and carries on;
+//! [`ProofCache::resolve`] then settles all of a query's — or a block's —
+//! requests in one call: every distinct key is looked up once, the misses go
+//! to the prover *together*
+//! ([`Accumulator::prove_disjoint_batch`], grouped by `X₁`), the proofs are
+//! inserted, and each request is answered from the resolver's own table.
+//! It is the only place the SP proves.
+//!
 //! # Persistence
 //!
 //! A cache built [`ProofCache::with_persistence`] additionally queues a
@@ -48,11 +60,12 @@
 //! once and re-logged under [`ProofCache::group_key`]: warmth lost, never
 //! a wrong proof. Inline and skip records keep their keys.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
 use vchain_acc::{AccElem, AccError, Accumulator, MultiSet};
-use vchain_hash::{hash_bytes, hash_concat, Digest};
+use vchain_hash::{hash_bytes, hash_concat, hash_concat_iter, Digest};
 
 /// Sentinel index for "no node" in the intrusive LRU list.
 const NIL: usize = usize::MAX;
@@ -61,9 +74,12 @@ const NIL: usize = usize::MAX;
 /// construction or the last [`ProofCache::clear`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered without proving: from the cache, or — a request
+    /// repeating a key of its own [`ProofCache::resolve`] call — from that
+    /// call's table.
     pub hits: u64,
-    /// Lookups that fell through to the prover.
+    /// Lookups that fell through to the prover: the distinct proofs
+    /// computed (a failed proof attempt counts too).
     pub misses: u64,
     /// Entries displaced by the LRU policy.
     pub evictions: u64,
@@ -98,6 +114,60 @@ pub struct DirtyEntry {
     pub key: CacheKey,
     /// Canonical proof bytes ([`Accumulator::proof_bytes`]).
     pub proof: Vec<u8>,
+}
+
+/// One refutation a walk wants proved — `X₁ ∩ clause = ∅` — under the cache
+/// key the walk already holds. The currency of [`ProofCache::resolve`].
+#[derive(Clone, Debug)]
+pub struct ProofRequest<'a, E: AccElem> {
+    key: CacheKey,
+    x1: X1<'a, E>,
+    clause: MultiSet<E>,
+}
+
+/// The `X₁` of a [`ProofRequest`], borrowed from the index.
+#[derive(Clone, Debug)]
+enum X1<'a, E: AccElem> {
+    /// A node's or skip entry's multiset.
+    Node(&'a MultiSet<E>),
+    /// The members of a §6.3 group: `X₁` is their sum, computed only on a
+    /// miss.
+    Group(Vec<&'a MultiSet<E>>),
+}
+
+impl<'a, E: AccElem> ProofRequest<'a, E> {
+    /// Refute one node or skip entry — multiset `ms`, committed as `att` —
+    /// by `clause` ([`ProofCache::key`]).
+    pub fn node<A: Accumulator>(att: &A::Value, ms: &'a MultiSet<E>, clause: MultiSet<E>) -> Self {
+        Self { key: ProofCache::<A>::key(att, &clause), x1: X1::Node(ms), clause }
+    }
+
+    /// Refute a §6.3 group — the multiset *sum* of `members`, each given as
+    /// `(AttDigest, multiset)` in walk order — by `clause`
+    /// ([`ProofCache::group_key`]).
+    pub fn group<'v, A: Accumulator>(
+        members: impl IntoIterator<Item = (&'v A::Value, &'a MultiSet<E>)>,
+        clause: MultiSet<E>,
+    ) -> Self
+    where
+        A::Value: 'v,
+    {
+        let mut x1 = Vec::new();
+        let att = ProofCache::<A>::group_att(members.into_iter().map(|(att, ms)| {
+            x1.push(ms);
+            att
+        }));
+        Self { key: CacheKey { att, clause: clause_digest(&clause) }, x1: X1::Group(x1), clause }
+    }
+}
+
+/// The misses of one [`ProofCache::resolve`] that share an `X₁`: one job
+/// group for the prover.
+struct Misses<'a, E: AccElem> {
+    x1: Cow<'a, MultiSet<E>>,
+    clauses: Vec<MultiSet<E>>,
+    /// Each clause's slot in the resolver's table and its cache key.
+    slots: Vec<(usize, CacheKey)>,
 }
 
 struct Node<P> {
@@ -143,22 +213,23 @@ impl<P> Inner<P> {
 
 /// A thread-safe LRU cache of disjointness proofs, keyed by
 /// `(accumulative value, clause element set)`. See the module docs for the
-/// soundness argument; see [`ProofCache::get_or_prove`] for the one-call
-/// usage every SP site goes through.
+/// soundness argument; see [`ProofCache::resolve`] for the one call every SP
+/// site's proofs go through.
 ///
 /// ```
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 /// use vchain_acc::{Acc2, Accumulator, MultiSet};
-/// use vchain_core::cache::ProofCache;
+/// use vchain_core::cache::{ProofCache, ProofRequest};
 ///
 /// let acc = Acc2::keygen(64, &mut StdRng::seed_from_u64(4));
 /// let cache: ProofCache<Acc2> = ProofCache::new(128);
 /// let x1: MultiSet<u64> = [1u64, 2].into_iter().collect();
 /// let clause: MultiSet<u64> = [10u64].into_iter().collect();
 /// let att = acc.setup(&x1);
-/// let cold = cache.get_or_prove(&acc, &att, &x1, &clause).unwrap();
-/// let warm = cache.get_or_prove(&acc, &att, &x1, &clause).unwrap();
+/// let ask = || vec![ProofRequest::node::<Acc2>(&att, &x1, clause.clone())];
+/// let cold = cache.resolve(&acc, ask()).remove(0).unwrap();
+/// let warm = cache.resolve(&acc, ask()).remove(0).unwrap();
 /// assert_eq!(Acc2::proof_bytes(&cold), Acc2::proof_bytes(&warm));
 /// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
 /// ```
@@ -193,7 +264,7 @@ impl<A: Accumulator> ProofCache<A> {
     }
 
     /// Turn on write-behind capture: every subsequent [`ProofCache::insert`]
-    /// (and the insert half of the `get_or_prove` family) also queues a
+    /// (and the insert half of [`ProofCache::resolve`]) also queues a
     /// [`DirtyEntry`] for [`ProofCache::take_dirty`].
     pub fn with_persistence(mut self) -> Self {
         self.persist = true;
@@ -204,7 +275,7 @@ impl<A: Accumulator> ProofCache<A> {
     /// `clause`: digests over the serialized accumulative value and the
     /// clause's canonical `(index, count)` encoding.
     pub fn key<E: AccElem>(att: &A::Value, clause: &MultiSet<E>) -> CacheKey {
-        CacheKey { att: Self::att_digest(att), clause: clause_digest(clause) }
+        CacheKey { att: hash_bytes(&A::value_bytes(att)), clause: clause_digest(clause) }
     }
 
     /// The cache key for proving the multiset *sum* of a §6.3 group's
@@ -213,23 +284,27 @@ impl<A: Accumulator> ProofCache<A> {
     /// values, so no `Sum` is computed to ask — and a one-member group
     /// hashes what an inline key hashes.
     pub fn group_key<E: AccElem>(members: &[&A::Value], clause: &MultiSet<E>) -> CacheKey {
-        let values: Vec<Vec<u8>> = members.iter().map(|att| A::value_bytes(att)).collect();
-        let mut parts: Vec<&[u8]> = vec![b"vchain/group-key"];
-        parts.extend(values.iter().map(Vec::as_slice));
-        CacheKey { att: hash_concat(&parts), clause: clause_digest(clause) }
+        CacheKey { att: Self::group_att(members.iter().copied()), clause: clause_digest(clause) }
     }
 
-    /// The `att` half of [`ProofCache::key`] alone — the handle the
-    /// in-memory [`crate::sp::WitnessTable`] files witnesses under.
-    pub fn att_digest(att: &A::Value) -> Digest {
-        hash_bytes(&A::value_bytes(att))
+    /// The `att` half of [`ProofCache::group_key`].
+    fn group_att<'v>(members: impl Iterator<Item = &'v A::Value>) -> Digest
+    where
+        A::Value: 'v,
+    {
+        let tag = Cow::Borrowed(&b"vchain/group-key"[..]);
+        hash_concat_iter(core::iter::once(tag).chain(members.map(|v| A::value_bytes(v).into())))
     }
 
     /// Look up a proof, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<A::Proof> {
-        let digest = key.digest();
+        self.get_digest(&key.digest())
+    }
+
+    /// [`ProofCache::get`] under the combined map key.
+    fn get_digest(&self, digest: &Digest) -> Option<A::Proof> {
         let mut g = self.inner.lock();
-        match g.map.get(&digest).copied() {
+        match g.map.get(digest).copied() {
             Some(i) => {
                 g.detach(i);
                 g.push_front(i);
@@ -314,54 +389,70 @@ impl<A: Accumulator> ProofCache<A> {
         g.dirty = entries;
     }
 
-    /// The SP fast path: return the cached proof for `(att, clause)` or
-    /// prove `X₁ ∩ clause = ∅` cold and remember the result. Errors are
-    /// *not* cached (they are cheap to re-derive and carry context).
-    pub fn get_or_prove<E: AccElem>(
+    /// Settle a batch of requests — all of one query's, or one block's: look
+    /// every distinct key up once, prove the misses together, remember them,
+    /// and answer each request, in order, from this call's own results (so
+    /// the answer does not depend on what the cache could hold on to).
+    ///
+    /// A request that repeats a key of the same call costs a hit, not a
+    /// second proof: [`CacheStats::misses`] counts distinct proofs computed.
+    /// A group's `X₁` is summed only if its key misses. Errors are not
+    /// cached (they are cheap to re-derive and carry context): a request
+    /// whose proof fails gets the `Err` [`Accumulator::prove_disjoint`] would
+    /// have given it, alone.
+    pub fn resolve<E: AccElem>(
         &self,
         acc: &A,
-        att: &A::Value,
-        x1: &MultiSet<E>,
-        clause: &MultiSet<E>,
-    ) -> Result<A::Proof, AccError> {
-        self.get_or_prove_with_witness(acc, att, x1, clause, None)
-    }
-
-    /// [`ProofCache::get_or_prove`] with an optional *serialized witness*
-    /// fast path: on a miss, if `witness` carries serialized `X₁`-side
-    /// proving state (see [`Accumulator::witness_bytes`]), the proof is
-    /// finalized from it — skipping the `O(|X₁|)` extraction — and falls
-    /// back to a cold `prove_disjoint` if the bytes are rejected. Both
-    /// paths derive byte-identical proofs, so cache contents do not depend
-    /// on which path ran.
-    pub fn get_or_prove_with_witness<E: AccElem>(
-        &self,
-        acc: &A,
-        att: &A::Value,
-        x1: &MultiSet<E>,
-        clause: &MultiSet<E>,
-        witness: Option<&[u8]>,
-    ) -> Result<A::Proof, AccError> {
-        self.get_or_insert_with(Self::key(att, clause), || {
-            match witness.and_then(|wb| acc.finalize_from_witness_bytes(wb, clause)) {
-                Some(proof) => Ok(proof),
-                None => acc.prove_disjoint(x1, clause),
-            }
-        })
-    }
-
-    /// Look `key` up; on a miss run `prove` and remember its proof.
-    pub(crate) fn get_or_insert_with(
-        &self,
-        key: CacheKey,
-        prove: impl FnOnce() -> Result<A::Proof, AccError>,
-    ) -> Result<A::Proof, AccError> {
-        if let Some(p) = self.get(&key) {
-            return Ok(p);
+        requests: Vec<ProofRequest<'_, E>>,
+    ) -> Vec<Result<A::Proof, AccError>> {
+        // One slot per distinct key, in first-request order.
+        let mut slot_of: HashMap<Digest, usize> = HashMap::with_capacity(requests.len());
+        let mut slots: Vec<Option<Result<A::Proof, AccError>>> = Vec::with_capacity(requests.len());
+        let mut answers: Vec<usize> = Vec::with_capacity(requests.len());
+        // The misses, grouped by X₁ — the `att` half of the key commits to it.
+        let mut group_of: HashMap<Digest, usize> = HashMap::new();
+        let mut groups: Vec<Misses<'_, E>> = Vec::new();
+        for ProofRequest { key, x1, clause } in requests {
+            let digest = key.digest();
+            let slot = *slot_of.entry(digest).or_insert_with(|| {
+                let hit = self.get_digest(&digest);
+                if hit.is_none() {
+                    let group = *group_of.entry(key.att).or_insert_with(|| {
+                        let x1 = match x1 {
+                            X1::Node(ms) => Cow::Borrowed(ms),
+                            X1::Group(members) => Cow::Owned(
+                                members.iter().fold(MultiSet::new(), |sum, ms| sum.sum(ms)),
+                            ),
+                        };
+                        groups.push(Misses { x1, clauses: Vec::new(), slots: Vec::new() });
+                        groups.len() - 1
+                    });
+                    groups[group].clauses.push(clause);
+                    groups[group].slots.push((slots.len(), key));
+                }
+                slots.push(hit.map(Ok));
+                slots.len() - 1
+            });
+            answers.push(slot);
         }
-        let proof = prove()?;
-        self.insert(key, proof.clone());
-        Ok(proof)
+        self.inner.lock().stats.hits += (answers.len() - slots.len()) as u64;
+
+        if !groups.is_empty() {
+            let jobs: Vec<(&MultiSet<E>, &[MultiSet<E>])> =
+                groups.iter().map(|g| (&*g.x1, &g.clauses[..])).collect();
+            let proved = acc.prove_disjoint_batch(&jobs);
+            let missed = groups.iter().flat_map(|g| &g.slots);
+            for (&(slot, key), result) in missed.zip(proved) {
+                if let Ok(proof) = &result {
+                    self.insert(key, proof.clone());
+                }
+                slots[slot] = Some(result);
+            }
+        }
+        answers
+            .into_iter()
+            .map(|slot| slots[slot].clone().expect("every slot was a hit or has been proved"))
+            .collect()
     }
 
     /// Number of cached proofs.
@@ -436,6 +527,17 @@ mod tests {
         v.iter().copied().collect()
     }
 
+    /// A one-request resolve: what a query with a single refutation asks.
+    fn prove_one(
+        cache: &ProofCache<Acc2>,
+        a: &Acc2,
+        att: &<Acc2 as Accumulator>::Value,
+        x1: &MultiSet<u64>,
+        clause: &MultiSet<u64>,
+    ) -> Result<<Acc2 as Accumulator>::Proof, AccError> {
+        cache.resolve(a, vec![ProofRequest::node::<Acc2>(att, x1, clause.clone())]).remove(0)
+    }
+
     #[test]
     fn cold_then_warm_byte_identical() {
         let a = acc();
@@ -443,8 +545,8 @@ mod tests {
         let x1 = ms(&[1, 2, 3]);
         let clause = ms(&[10, 11]);
         let att = a.setup(&x1);
-        let cold = cache.get_or_prove(&a, &att, &x1, &clause).unwrap();
-        let warm = cache.get_or_prove(&a, &att, &x1, &clause).unwrap();
+        let cold = prove_one(&cache, &a, &att, &x1, &clause).unwrap();
+        let warm = prove_one(&cache, &a, &att, &x1, &clause).unwrap();
         assert_eq!(Acc2::proof_bytes(&cold), Acc2::proof_bytes(&warm));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -472,11 +574,11 @@ mod tests {
         let keys: Vec<CacheKey> =
             clauses.iter().map(|c| ProofCache::<Acc2>::key(&att, c)).collect();
         for c in &clauses[..2] {
-            cache.get_or_prove(&a, &att, &x, c).unwrap();
+            prove_one(&cache, &a, &att, &x, c).unwrap();
         }
         // touch the first entry so the *second* is now least recent
         assert!(cache.get(&keys[0]).is_some());
-        cache.get_or_prove(&a, &att, &x, &clauses[2]).unwrap();
+        prove_one(&cache, &a, &att, &x, &clauses[2]).unwrap();
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&keys[0]).is_some(), "refreshed entry survives");
         assert!(cache.get(&keys[1]).is_none(), "LRU entry evicted");
@@ -529,6 +631,14 @@ mod tests {
         // a one-member group is not the member's inline entry
         assert_ne!(key(&[&att1], &c1).att, ProofCache::<Acc2>::key(&att1, &c1).att);
         assert_eq!(key(&[&att1], &c1).clause, ProofCache::<Acc2>::key(&att1, &c1).clause);
+        // and it is the key shard logs have carried since PR 17: the tag,
+        // then each member's serialized value, every part length-prefixed
+        let (v1, v2) = (Acc2::value_bytes(&att1), Acc2::value_bytes(&att2));
+        let logged = hash_concat(&[b"vchain/group-key", &v1, &v2]);
+        assert_eq!(key(&[&att1, &att2], &c1).att, logged);
+        let (x1, x2) = (ms(&[1]), ms(&[2]));
+        let request = ProofRequest::group::<Acc2>([(&att1, &x1), (&att2, &x2)], c1);
+        assert_eq!(request.key.att, logged);
     }
 
     #[test]
@@ -537,7 +647,7 @@ mod tests {
         let cache: ProofCache<Acc2> = ProofCache::new(4);
         let x = ms(&[1]);
         let att = a.setup(&x);
-        cache.get_or_prove(&a, &att, &x, &ms(&[10])).unwrap();
+        prove_one(&cache, &a, &att, &x, &ms(&[10])).unwrap();
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
@@ -549,8 +659,76 @@ mod tests {
         let cache: ProofCache<Acc2> = ProofCache::new(4);
         let x = ms(&[1]);
         let att = a.setup(&x);
-        assert_eq!(cache.get_or_prove(&a, &att, &x, &ms(&[1])).unwrap_err(), AccError::NotDisjoint);
+        assert_eq!(prove_one(&cache, &a, &att, &x, &ms(&[1])).unwrap_err(), AccError::NotDisjoint);
         assert!(cache.is_empty());
+    }
+
+    /// One resolve over a mixed bag — a warm key, cold keys on two nodes and
+    /// a §6.3 group, a repeated key, a clause that cannot be proved — answers
+    /// every request in order with what `prove_disjoint` gives, and counts a
+    /// miss per distinct proof attempted, a hit per request answered without
+    /// proving.
+    #[test]
+    fn resolve_answers_in_order_and_misses_are_distinct_proofs() {
+        let a = acc();
+        let cache: ProofCache<Acc2> = ProofCache::new(16);
+        let (x, y) = (ms(&[1, 2]), ms(&[2, 3]));
+        let (att_x, att_y) = (a.setup(&x), a.setup(&y));
+        let warm = prove_one(&cache, &a, &att_x, &x, &ms(&[10])).unwrap();
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, evictions: 0 });
+
+        let node = |att, x1, clause: &[u64]| ProofRequest::node::<Acc2>(att, x1, ms(clause));
+        let group =
+            |clause: &[u64]| ProofRequest::group::<Acc2>([(&att_x, &x), (&att_y, &y)], ms(clause));
+        let answers = cache.resolve(
+            &a,
+            vec![
+                node(&att_x, &x, &[11]),
+                node(&att_x, &x, &[10]), // warm
+                node(&att_y, &y, &[11]),
+                group(&[11, 12]),
+                node(&att_x, &x, &[11]), // repeats request 0
+                node(&att_y, &y, &[3]),  // intersects
+                group(&[11, 12]),        // repeats request 3
+                node(&att_x, &x, &[12]),
+            ],
+        );
+        let sum = x.sum(&y);
+        let expect = [
+            a.prove_disjoint(&x, &ms(&[11])),
+            Ok(warm),
+            a.prove_disjoint(&y, &ms(&[11])),
+            a.prove_disjoint(&sum, &ms(&[11, 12])),
+            a.prove_disjoint(&x, &ms(&[11])),
+            Err(AccError::NotDisjoint),
+            a.prove_disjoint(&sum, &ms(&[11, 12])),
+            a.prove_disjoint(&x, &ms(&[12])),
+        ];
+        assert_eq!(answers, expect);
+        // five distinct cold keys (one of them unprovable), one warm key, two
+        // repeats
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 6, evictions: 0 });
+        assert_eq!(cache.len(), 5, "the failed proof is not cached");
+        assert!(cache.resolve(&a, Vec::<ProofRequest<'_, u64>>::new()).is_empty());
+    }
+
+    /// Answers come from the resolver's own results: a cache that can hold
+    /// one proof still answers a request for six, repeats included.
+    #[test]
+    fn capacity_one_cache_answers_a_multi_proof_resolve() {
+        let a = acc();
+        let cache: ProofCache<Acc2> = ProofCache::new(1);
+        let x = ms(&[1, 2, 3]);
+        let att = a.setup(&x);
+        let clauses: Vec<MultiSet<u64>> =
+            [10u64, 11, 12, 10, 13, 11].iter().map(|&e| ms(&[e])).collect();
+        let requests = clauses.iter().map(|c| ProofRequest::node::<Acc2>(&att, &x, c.clone()));
+        let answers = cache.resolve(&a, requests.collect());
+        for (answer, c) in answers.iter().zip(&clauses) {
+            assert_eq!(*answer, a.prove_disjoint(&x, c));
+        }
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 4, evictions: 3 });
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -565,7 +743,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..8u64 {
                         let clause = ms(&[10 + (t + i) % 6]);
-                        cache.get_or_prove(a, att, x, &clause).unwrap();
+                        prove_one(cache, a, att, x, &clause).unwrap();
                     }
                 });
             }

@@ -5,14 +5,23 @@
 //! accumulative digest. Built bottom-up by greedy Jaccard clustering
 //! (Algorithm 2) so that similar objects share mismatch proofs; queried by
 //! pruning tree search (Algorithm 3).
+//!
+//! The search *plans*: its single descent (`IntraTree::plan`) decides what
+//! is returned and what is refuted by which clause, files every refutation
+//! as a [`ProofRequest`], and returns the VO with request indices where the
+//! proofs go (`PlannedVo` — a type of this module, so nothing
+//! [`crate::wire`] encodes can hold an unfilled proof). The caller resolves
+//! the requests — of this block alone ([`IntraTree::query`]), of a whole
+//! time window, of every candidate of a subscription block — through
+//! [`ProofCache::resolve`], and `PlannedVo::fill` puts the proofs in.
 
 use std::collections::BTreeMap;
 
-use vchain_acc::{Accumulator, MultiSet};
+use vchain_acc::{AccError, Accumulator, MultiSet};
 use vchain_chain::Object;
 use vchain_hash::{hash_concat, hash_pair, Digest};
 
-use crate::cache::ProofCache;
+use crate::cache::{ProofCache, ProofRequest};
 use crate::element::ElementId;
 use crate::query::{object_multiset, CompiledQuery};
 use crate::subindex::Cell;
@@ -49,13 +58,83 @@ pub struct IntraNode<A: Accumulator> {
     pub kind: IntraNodeKind,
 }
 
-/// Why the walk prunes a node.
-enum Refutation {
-    /// Clause `i` of the query's CNF is disjoint from the node's multiset.
-    Clause(usize),
-    /// The query's enclosing grid cell has slabs absent from the node's
-    /// multiset ([`Cell::absent_slab_clause`]).
-    Cell(MultiSet<ElementId>, ClauseRef),
+/// A block's VO as the walk leaves it: the nodes of [`BlockVo`]'s pruned
+/// tree with, wherever a proof goes, the index of the request that will
+/// produce it.
+pub(crate) struct PlannedVo {
+    /// The walk in pre-order: an `Internal` is followed by its left subtree,
+    /// then its right. (Flat, so that planning a node costs a push and the
+    /// tree is boxed once, by `fill`.)
+    nodes: Vec<PlannedNode>,
+    /// `(clause index, request)` of each §6.3 group, ascending by clause:
+    /// a group's id is its rank here.
+    groups: Vec<(u16, usize)>,
+}
+
+/// [`VoNode`], children to follow and proofs pending.
+enum PlannedNode {
+    Internal { att: Option<Att> },
+    InternalMismatch { child_hash: Digest, att: Att, proof: PlannedProof },
+    LeafMatch { att: Att, result_idx: u32 },
+    LeafMismatch { obj_hash: Digest, att: Att, proof: PlannedProof },
+}
+
+/// [`MismatchProof`], proof pending.
+enum PlannedProof {
+    /// The proof request `request` answers, refuting `clause`.
+    Inline { request: usize, clause: ClauseRef },
+    /// Member of the §6.3 group of this clause index.
+    Group(u16),
+}
+
+impl PlannedVo {
+    /// The VO, given the answers to the requests it was planned against
+    /// ([`ProofCache::resolve`]'s, indexed as the requests were).
+    pub(crate) fn fill<A: Accumulator>(self, proofs: &[Result<A::Proof, AccError>]) -> BlockVo<A> {
+        let proof = |request: usize| -> A::Proof {
+            proofs[request].clone().expect("the walk found the clause disjoint from the node")
+        };
+        let fill_proof = |planned| match planned {
+            PlannedProof::Inline { request, clause } => {
+                MismatchProof::Inline { proof: proof(request), clause }
+            }
+            PlannedProof::Group(clause) => {
+                let id = self.groups.binary_search_by_key(&clause, |&(c, _)| c);
+                MismatchProof::Group(id.expect("a group clause") as u16)
+            }
+        };
+        let root = fill_node(&mut self.nodes.into_iter(), &fill_proof);
+        let groups = self
+            .groups
+            .iter()
+            .map(|&(clause, request)| GroupProof {
+                clause: ClauseRef::Index(clause),
+                proof: proof(request),
+            })
+            .collect();
+        BlockVo { root, groups }
+    }
+}
+
+/// Rebuild the subtree whose pre-order walk `nodes` yields next.
+fn fill_node<A: Accumulator>(
+    nodes: &mut impl Iterator<Item = PlannedNode>,
+    fill_proof: &impl Fn(PlannedProof) -> MismatchProof<A>,
+) -> VoNode<A> {
+    match nodes.next().expect("an internal node is followed by both its subtrees") {
+        PlannedNode::Internal { att } => {
+            let left = Box::new(fill_node(nodes, fill_proof));
+            let right = Box::new(fill_node(nodes, fill_proof));
+            VoNode::Internal { att, left, right }
+        }
+        PlannedNode::InternalMismatch { child_hash, att, proof } => {
+            VoNode::InternalMismatch { child_hash, att, proof: fill_proof(proof) }
+        }
+        PlannedNode::LeafMatch { att, result_idx } => VoNode::LeafMatch { att, result_idx },
+        PlannedNode::LeafMismatch { obj_hash, att, proof } => {
+            VoNode::LeafMismatch { obj_hash, att, proof: fill_proof(proof) }
+        }
+    }
 }
 
 /// The per-block authenticated index.
@@ -207,7 +286,9 @@ impl<A: Accumulator> IntraTree<A> {
     }
 
     /// Algorithm 3: pruning tree search. Returns this block's matching
-    /// objects and the VO mirroring the pruned tree.
+    /// objects and the VO mirroring the pruned tree — for a caller with this
+    /// one block to answer: plan, resolve against `cache`, fill. (The
+    /// serving paths plan many walks and resolve them together.)
     ///
     /// `cell` is the §7.1 sharing rule for standing queries: the grid cell
     /// enclosing `q`'s range box ([`Cell::enclosing`]). Where one of its
@@ -239,74 +320,117 @@ impl<A: Accumulator> IntraTree<A> {
         batch: bool,
         cache: &ProofCache<A>,
     ) -> (Vec<Object>, BlockVo<A>) {
-        let mut results = Vec::new();
-        // Clause refutations deferred to §6.3 grouping: clause index →
-        // member nodes in walk order.
-        let mut deferred: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut requests = Vec::new();
         let batch = batch && acc.supports_aggregation();
-        let mut root =
-            self.walk(self.root, objects, q, cell, &mut results, &mut deferred, acc, batch, cache);
-
-        // Batch grouping (§6.3): one aggregate proof per distinct mismatch
-        // clause, over the multiset sum of the member nodes.
-        let mut groups = Vec::new();
-        for (&clause_idx, nodes) in &deferred {
-            let clause_ms = q.cnf.0[clause_idx].to_multiset();
-            let atts: Vec<&A::Value> = nodes
-                .iter()
-                .map(|&n| self.nodes[n].att.as_ref().expect("only digest-bearing nodes mismatch"))
-                .collect();
-            let proof = cache
-                .get_or_insert_with(ProofCache::<A>::group_key(&atts, &clause_ms), || {
-                    let summed =
-                        nodes.iter().fold(MultiSet::new(), |sum, &n| sum.sum(&self.nodes[n].ms));
-                    acc.prove_disjoint(&summed, &clause_ms)
-                })
-                .expect("clause was checked disjoint per member");
-            groups.push(GroupProof { clause: ClauseRef::Index(clause_idx as u16), proof });
-        }
-        if !groups.is_empty() {
-            let clauses: Vec<usize> = deferred.into_keys().collect();
-            patch_group_ids(&mut root, &clauses);
-        }
-
-        (results, BlockVo { root, groups })
+        let (results, vo) = self.plan(objects, q, cell, batch, &mut requests);
+        (results, vo.fill(&cache.resolve(acc, requests)))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        &self,
-        idx: usize,
+    /// The descent of [`IntraTree::query`] on its own: decide results and
+    /// refutations, append each refutation to `requests`, and return the VO
+    /// planned against their indices. `batch` defers clause refutations to
+    /// §6.3 groups — the caller has checked that the accumulator aggregates.
+    pub(crate) fn plan<'a>(
+        &'a self,
         objects: &[Object],
         q: &CompiledQuery,
         cell: Option<&Cell>,
-        results: &mut Vec<Object>,
-        deferred: &mut BTreeMap<usize, Vec<usize>>,
-        acc: &A,
         batch: bool,
-        cache: &ProofCache<A>,
-    ) -> VoNode<A> {
-        let node = &self.nodes[idx];
+        requests: &mut Vec<ProofRequest<'a, ElementId>>,
+    ) -> (Vec<Object>, PlannedVo) {
+        let mut walk = Walk {
+            tree: self,
+            objects,
+            q,
+            cell,
+            batch,
+            requests,
+            results: Vec::new(),
+            nodes: Vec::new(),
+            deferred: BTreeMap::new(),
+        };
+        walk.descend(self.root);
+        let Walk { requests, results, nodes, deferred, .. } = walk;
+
+        // Batch grouping (§6.3): one aggregate proof per distinct mismatch
+        // clause, over the multiset sum of the member nodes.
+        let mut groups = Vec::with_capacity(deferred.len());
+        for (clause_idx, members) in deferred {
+            let members = members.iter().map(|&n| {
+                let node = &self.nodes[n];
+                (node.att.as_ref().expect("only digest-bearing nodes mismatch"), &node.ms)
+            });
+            groups.push((clause_idx, requests.len()));
+            let clause_ms = q.cnf.0[clause_idx as usize].to_multiset();
+            requests.push(ProofRequest::group::<A>(members, clause_ms));
+        }
+        (results, PlannedVo { nodes, groups })
+    }
+}
+
+/// One descent of [`IntraTree::plan`]: what it walks, and what it
+/// accumulates.
+struct Walk<'w, 'a, A: Accumulator> {
+    tree: &'a IntraTree<A>,
+    objects: &'w [Object],
+    q: &'w CompiledQuery,
+    cell: Option<&'w Cell>,
+    batch: bool,
+    requests: &'w mut Vec<ProofRequest<'a, ElementId>>,
+    /// The block's matching objects.
+    results: Vec<Object>,
+    /// The pruned tree, in pre-order.
+    nodes: Vec<PlannedNode>,
+    /// Clause refutations deferred to §6.3 grouping: clause index → member
+    /// nodes in walk order.
+    deferred: BTreeMap<u16, Vec<usize>>,
+}
+
+impl<A: Accumulator> Walk<'_, '_, A> {
+    fn descend(&mut self, idx: usize) {
+        let tree = self.tree;
+        let node = &tree.nodes[idx];
         // Only a digest-bearing node can be refuted; a nil interior is a
         // plain Merkle pair and is always descended.
         if let Some(value) = &node.att {
-            let refutation = match cell.and_then(|c| c.absent_slab_clause(&node.ms)) {
-                Some((clause_ms, clause)) => Some(Refutation::Cell(clause_ms, clause)),
-                None => q.cnf.find_disjoint_clause(&node.ms).map(Refutation::Clause),
+            // The query's enclosing grid cell has slabs absent from the
+            // node ([`Cell::absent_slab_clause`]), or else clause `i` of the
+            // query's CNF is disjoint from the node's multiset.
+            let refutation = match self.cell.and_then(|c| c.absent_slab_clause(&node.ms)) {
+                Some(cell_clause) => Some(cell_clause),
+                None => self
+                    .q
+                    .cnf
+                    .find_disjoint_clause(&node.ms)
+                    .map(|i| (self.q.cnf.0[i].to_multiset(), ClauseRef::Index(i as u16))),
             };
-            if let Some(why) = refutation {
-                let att = Att::of::<A>(value);
-                let proof = self.make_proof(idx, value, why, q, acc, batch, deferred, cache);
-                return match &node.kind {
-                    IntraNodeKind::Leaf { obj_idx } => {
-                        VoNode::LeafMismatch { obj_hash: objects[*obj_idx].digest(), att, proof }
+            if let Some((clause_ms, clause)) = refutation {
+                let proof = match clause {
+                    // Defer: file the node under its clause; `fill`, which
+                    // knows every group of the block, turns that into an id.
+                    ClauseRef::Index(i) if self.batch => {
+                        self.deferred.entry(i).or_default().push(idx);
+                        PlannedProof::Group(i)
                     }
-                    IntraNodeKind::Internal { left, right } => {
-                        let child_hash =
-                            hash_pair(&self.nodes[*left].hash, &self.nodes[*right].hash);
-                        VoNode::InternalMismatch { child_hash, att, proof }
+                    clause => {
+                        self.requests.push(ProofRequest::node::<A>(value, &node.ms, clause_ms));
+                        PlannedProof::Inline { request: self.requests.len() - 1, clause }
                     }
                 };
+                let att = Att::of::<A>(value);
+                self.nodes.push(match &node.kind {
+                    IntraNodeKind::Leaf { obj_idx } => PlannedNode::LeafMismatch {
+                        obj_hash: self.objects[*obj_idx].digest(),
+                        att,
+                        proof,
+                    },
+                    IntraNodeKind::Internal { left, right } => {
+                        let child_hash =
+                            hash_pair(&tree.nodes[*left].hash, &tree.nodes[*right].hash);
+                        PlannedNode::InternalMismatch { child_hash, att, proof }
+                    }
+                });
+                return;
             }
         }
 
@@ -315,68 +439,16 @@ impl<A: Accumulator> IntraTree<A> {
             IntraNodeKind::Leaf { obj_idx } => {
                 // match: return the object
                 let att = att.expect("leaves always carry AttDigest");
-                let result_idx = results.len() as u32;
-                results.push(objects[*obj_idx].clone());
-                VoNode::LeafMatch { att, result_idx }
+                let result_idx = self.results.len() as u32;
+                self.results.push(self.objects[*obj_idx].clone());
+                self.nodes.push(PlannedNode::LeafMatch { att, result_idx });
             }
             IntraNodeKind::Internal { left, right } => {
-                let l = self.walk(*left, objects, q, cell, results, deferred, acc, batch, cache);
-                let r = self.walk(*right, objects, q, cell, results, deferred, acc, batch, cache);
-                VoNode::Internal { att, left: Box::new(l), right: Box::new(r) }
+                self.nodes.push(PlannedNode::Internal { att });
+                self.descend(*left);
+                self.descend(*right);
             }
         }
-    }
-
-    /// The proof that node `node_idx` (digest `att`) is refuted by `why`.
-    /// `batch` (already gated on an aggregating accumulator) defers clause
-    /// refutations to §6.3 grouping.
-    #[allow(clippy::too_many_arguments)]
-    fn make_proof(
-        &self,
-        node_idx: usize,
-        att: &A::Value,
-        why: Refutation,
-        q: &CompiledQuery,
-        acc: &A,
-        batch: bool,
-        deferred: &mut BTreeMap<usize, Vec<usize>>,
-        cache: &ProofCache<A>,
-    ) -> MismatchProof<A> {
-        let (clause_ms, clause) = match why {
-            Refutation::Clause(clause_idx) if batch => {
-                // Defer: file the node under its clause. The clause index
-                // stands in for the group id until `query`, which knows
-                // every group of the block, patches it.
-                deferred.entry(clause_idx).or_default().push(node_idx);
-                return MismatchProof::Group(clause_idx as u16);
-            }
-            Refutation::Clause(clause_idx) => {
-                (q.cnf.0[clause_idx].to_multiset(), ClauseRef::Index(clause_idx as u16))
-            }
-            Refutation::Cell(clause_ms, clause) => (clause_ms, clause),
-        };
-        let proof = cache
-            .get_or_prove(acc, att, &self.nodes[node_idx].ms, &clause_ms)
-            .expect("the refutation was found disjoint from the node");
-        MismatchProof::Inline { proof, clause }
-    }
-}
-
-/// Replace every `Group(clause index)` stand-in with the group's id: the
-/// clause's rank among `clauses`, the block's grouped clauses in ascending
-/// order.
-fn patch_group_ids<A: Accumulator>(node: &mut VoNode<A>, clauses: &[usize]) {
-    match node {
-        VoNode::Internal { left, right, .. } => {
-            patch_group_ids(left, clauses);
-            patch_group_ids(right, clauses);
-        }
-        VoNode::InternalMismatch { proof: MismatchProof::Group(id), .. }
-        | VoNode::LeafMismatch { proof: MismatchProof::Group(id), .. } => {
-            let rank = clauses.binary_search(&(*id as usize)).expect("a deferred clause");
-            *id = rank as u16;
-        }
-        _ => {}
     }
 }
 

@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use adversary::Adversary;
 pub use bloom::{AttributeBloom, BloomKey};
-pub use cache::{CacheKey, CacheStats, DirtyEntry, ProofCache};
+pub use cache::{CacheKey, CacheStats, DirtyEntry, ProofCache, ProofRequest};
 pub use client::{PipelineMode, StreamStats, StreamVerifier, WindowScan};
 pub use element::{Element, ElementId};
 pub use inter::{SkipEntry, SkipList};

@@ -2,23 +2,26 @@
 //! with `⟨R, VO⟩`, using the intra-block index (Algorithm 3) and the
 //! inter-block skip list (Algorithm 4).
 //!
-//! The proving pipeline is cache-backed: every mismatch proof — inline,
-//! §6.3 group or skip entry — goes through a window-level [`ProofCache`],
-//! keyed by digests the walk already holds (`(AttDigest, clause)`, or a
-//! group's member AttDigests and its clause), so overlapping windows — the
-//! common shape of dashboard/scan workloads — re-prove nothing they have
-//! proven before, and a fully warm query does no curve arithmetic at all.
+//! The proving pipeline is plan → resolve → fill. A query first walks its
+//! whole window — every block's index, every skip decision (a skip needs a
+//! disjoint clause, never a proof) — recording each refutation as a
+//! [`ProofRequest`]: inline, §6.3 group or skip entry, keyed by digests the
+//! walk already holds (`(AttDigest, clause)`, or a group's member AttDigests
+//! and its clause). One [`ProofCache::resolve`] then answers them all: what
+//! the window-level cache holds is not proved again — overlapping windows,
+//! the common shape of dashboard/scan workloads, re-prove nothing, and a
+//! fully warm query does no curve arithmetic at all — and what it lacks
+//! reaches the prover as one batch.
 //! Whether a block's clause refutations travel as §6.3 groups is derived,
 //! not set: they do exactly when the accumulator aggregates
 //! ([`Accumulator::supports_aggregation`], i.e. Construction 2).
 //! Parallel batches are the sharded layer's job
 //! ([`ShardedServiceProvider::query_batch`]), and so is persistence: a
 //! [`ShardedServiceProvider`] opened over a directory logs **proof records
-//! only**. The SP is a full node, so everything else it serves from — the
-//! [`WitnessTable`] included — is derived from the chain at open, and the
-//! cache counters start at zero.
+//! only**. The SP is a full node, so everything else it serves from is
+//! derived from the chain, and the cache counters start at zero.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,7 +30,9 @@ use vchain_acc::{AccElem, Accumulator};
 use vchain_chain::ChainStore;
 use vchain_hash::{hash_domain, Digest};
 
-use crate::cache::{CacheKey, CacheStats, DirtyEntry, ProofCache};
+use crate::cache::{CacheKey, CacheStats, DirtyEntry, ProofCache, ProofRequest};
+use crate::inter::SkipEntry;
+use crate::intra::PlannedVo;
 use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::CompiledQuery;
 use crate::store::{LogStore, RecordKey, RecoveryReport, StoreError, StoreRecord};
@@ -90,143 +95,115 @@ impl<A: Accumulator> ServiceProvider<A> {
     }
 
     /// [`ServiceProvider::time_window_query`] against an *external* proof
-    /// cache and optional witness table — the form the sharded
-    /// serving layer uses, where each shard owns its cache and all shards
-    /// share one read-only [`WitnessTable`]. The response is byte-identical
-    /// regardless of which cache is supplied or how warm it is: proofs are
-    /// deterministic functions of `(X₁, clause)`.
+    /// cache — the form the sharded serving layer uses, where each shard
+    /// owns its cache. The response is byte-identical regardless of which
+    /// cache is supplied or how warm it is: proofs are deterministic
+    /// functions of `(X₁, clause)`.
+    ///
+    /// The third parameter is ignored (see [`WitnessTable`]).
     pub fn time_window_query_with(
         &self,
         q: &CompiledQuery,
         cache: &ProofCache<A>,
-        witnesses: Option<&WitnessTable>,
+        _witnesses: Option<&WitnessTable>,
     ) -> QueryResponse<A> {
         let (ts, te) = q.time_window.expect("time-window query requires a window");
         let heights = self.store.heights_in_window(ts, te);
         let mut results = Vec::new();
-        let mut coverage = Vec::new();
         let Some(&start) = heights.first() else {
-            return QueryResponse { results, coverage };
+            return QueryResponse { results, coverage: Vec::new() };
         };
         let end = *heights.last().expect("non-empty");
+        // §6.3 groups wherever the accumulator aggregates.
+        let batch = self.acc.supports_aggregation();
 
+        // Plan the whole window: nothing below proves.
+        let mut requests = Vec::with_capacity(2 * heights.len());
+        let mut planned = Vec::with_capacity(heights.len());
         let mut h = end as i64;
         while h >= start as i64 {
             let height = h as u64;
             // 1. process this block individually
             let block = self.store.block(height).expect("height in range");
-            let idx = &self.indexed[height as usize];
-            // `true`: clause refutations travel as §6.3 groups (wherever the
-            // accumulator aggregates — the walk checks).
-            let (block_results, vo) =
-                idx.tree.query(&block.objects, q, None, &self.acc, true, cache);
+            let tree = &self.indexed[height as usize].tree;
+            let (block_results, vo) = tree.plan(&block.objects, q, None, batch, &mut requests);
             if !block_results.is_empty() {
                 results.push((height, block_results));
             }
-            coverage.push(BlockCoverage::Block { height, vo });
+            planned.push(PlannedCoverage::Block { height, vo });
             h -= 1;
 
             // 2. greedily skip preceding mismatching runs
-            if self.cfg.scheme == IndexScheme::Both {
-                loop {
-                    if h < start as i64 {
-                        break;
-                    }
-                    let cur = (h + 1) as u64; // block whose skip list we use
-                    let Some(jump) = self.try_skip(cur, start, q, cache, witnesses) else {
-                        break;
-                    };
-                    coverage.push(jump.0);
-                    h -= jump.1 as i64;
-                }
+            while self.cfg.scheme == IndexScheme::Both && h >= start as i64 {
+                let cur = (h + 1) as u64; // block whose skip list we use
+                let Some((entry, clause)) = self.find_skip(cur, start, q) else {
+                    break;
+                };
+                // Overlapping windows replay the same (skip entry, clause)
+                // pairs — exactly what the cache is for.
+                let clause_ms = q.cnf.0[clause as usize].to_multiset();
+                requests.push(ProofRequest::node::<A>(&entry.att, &entry.ms, clause_ms));
+                let proof = requests.len() - 1;
+                planned.push(PlannedCoverage::Skip { height: cur, entry, clause, proof });
+                h -= entry.distance as i64;
             }
         }
+
+        // Prove once, then put the proofs where the plan says.
+        let proofs = cache.resolve(&self.acc, requests);
+        let coverage = planned
+            .into_iter()
+            .map(|planned| match planned {
+                PlannedCoverage::Block { height, vo } => {
+                    BlockCoverage::Block { height, vo: vo.fill(&proofs) }
+                }
+                PlannedCoverage::Skip { height, entry, clause, proof } => BlockCoverage::Skip {
+                    height,
+                    distance: entry.distance,
+                    att: Att::of::<A>(&entry.att),
+                    proof: proofs[proof].clone().expect("disjointness established"),
+                    clause: ClauseRef::Index(clause),
+                    siblings: self.indexed[height as usize].skiplist.siblings_of(entry.distance),
+                },
+            })
+            .collect();
         QueryResponse { results, coverage }
     }
 
-    /// Try the largest skip at block `cur` covering `cur-distance ..= cur-1`
-    /// entirely inside `[start, cur-1]` whose summary mismatches the query.
-    fn try_skip(
-        &self,
-        cur: u64,
-        start: u64,
-        q: &CompiledQuery,
-        cache: &ProofCache<A>,
-        witnesses: Option<&WitnessTable>,
-    ) -> Option<(BlockCoverage<A>, u64)> {
-        let skiplist = &self.indexed[cur as usize].skiplist;
-        for entry in skiplist.entries.iter().rev() {
+    /// The largest skip at block `cur` covering `cur-distance ..= cur-1`
+    /// entirely inside `[start, cur-1]` whose summary mismatches the query,
+    /// with the index of the clause that refutes it.
+    fn find_skip(&self, cur: u64, start: u64, q: &CompiledQuery) -> Option<(&SkipEntry<A>, u16)> {
+        self.indexed[cur as usize].skiplist.entries.iter().rev().find_map(|entry| {
             if entry.distance > cur || cur - entry.distance < start {
-                continue; // would overshoot the window start
+                return None; // would overshoot the window start
             }
-            if let Some(clause_idx) = q.cnf.find_disjoint_clause(&entry.ms) {
-                let clause_ms = q.cnf.0[clause_idx].to_multiset();
-                // Overlapping windows replay the same (skip entry, clause)
-                // pairs — exactly what the cache is for. A tabled witness,
-                // when available, lets a miss finalize the proof without
-                // re-extracting from the multiset.
-                let wb = witnesses.and_then(|w| w.get(&ProofCache::<A>::att_digest(&entry.att)));
-                let proof = cache
-                    .get_or_prove_with_witness(&self.acc, &entry.att, &entry.ms, &clause_ms, wb)
-                    .expect("disjointness established");
-                return Some((
-                    BlockCoverage::Skip {
-                        height: cur,
-                        distance: entry.distance,
-                        att: Att::of::<A>(&entry.att),
-                        proof,
-                        clause: ClauseRef::Index(clause_idx as u16),
-                        siblings: skiplist.siblings_of(entry.distance),
-                    },
-                    entry.distance,
-                ));
-            }
-        }
-        None
+            let clause = q.cnf.find_disjoint_clause(&entry.ms)?;
+            Some((entry, clause as u16))
+        })
     }
+}
+
+/// One stretch of a window's coverage as the planning pass leaves it:
+/// [`BlockCoverage`] with request indices where the proofs go.
+enum PlannedCoverage<'a, A: Accumulator> {
+    Block { height: u64, vo: PlannedVo },
+    Skip { height: u64, entry: &'a SkipEntry<A>, clause: u16, proof: usize },
 }
 
 // ---------------------------------------------------------------------------
 // Persistent, sharded serving front
 // ---------------------------------------------------------------------------
 
-/// A read-only, in-memory table of serialized `X₁`-side proving witnesses,
-/// keyed by the accumulative-value digest ([`ProofCache::att_digest`]).
-/// Derived from the skip-list entries every time a
-/// [`ShardedServiceProvider`] is built ([`ShardedServiceProvider::new`] and
-/// [`ShardedServiceProvider::open`] alike — it is never persisted), then
-/// shared immutably by every shard.
+/// An empty shell. It held serialized `X₁`-side proving witnesses until
+/// PR 18 (PR 15 had measured finalizing from one at the cost of a cold
+/// proof); the type, [`ShardedServiceProvider::witnesses`] and the third
+/// parameter of [`ServiceProvider::time_window_query_with`] remain only
+/// because the frozen benchmark sources name them
+/// (`vbench/workloads/serve.rs`), like [`crate::client::PipelineMode`].
+/// ROADMAP item 1 (ii) removes all three.
 #[derive(Debug, Default)]
-pub struct WitnessTable {
-    map: HashMap<Digest, Vec<u8>>,
-}
-
-impl WitnessTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// File a witness under its accumulative-value digest.
-    pub fn insert(&mut self, att: Digest, witness: Vec<u8>) {
-        self.map.insert(att, witness);
-    }
-
-    /// The witness bytes for an accumulative-value digest, if present.
-    pub fn get(&self, att: &Digest) -> Option<&[u8]> {
-        self.map.get(att).map(Vec::as_slice)
-    }
-
-    /// Number of stored witnesses.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
+pub struct WitnessTable;
 
 /// Shape of a [`ShardedServiceProvider`]: how many shards, how much cache
 /// per shard, and how many dirty entries accumulate before a shard's
@@ -283,7 +260,7 @@ struct Shard<A: Accumulator> {
 
 /// The production serving front: one [`ServiceProvider`] behind `N` worker
 /// shards with deterministic query routing, per-shard proof caches and
-/// write-behind persistence, and a shared in-memory witness table.
+/// write-behind persistence.
 ///
 /// * **Routing** — [`ShardedServiceProvider::route`] hashes the compiled
 ///   query's canonical content (window, CNF element indices, ranges,
@@ -305,15 +282,13 @@ struct Shard<A: Accumulator> {
 pub struct ShardedServiceProvider<A: Accumulator> {
     sp: ServiceProvider<A>,
     shards: Vec<Shard<A>>,
-    witnesses: WitnessTable,
     flush_threshold: usize,
     flush_error: Mutex<Option<StoreError>>,
 }
 
 impl<A: Accumulator> ShardedServiceProvider<A> {
     /// An ephemeral (memory-only) sharded front: same routing and fan-out,
-    /// no disk. The witness table is still built, so skip proofs use the
-    /// cheap finalization path.
+    /// no disk.
     pub fn new(sp: ServiceProvider<A>, cfg: ShardedConfig) -> Self {
         assert!(cfg.shards >= 1, "at least one shard");
         let shards = (0..cfg.shards)
@@ -328,9 +303,8 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
 
     /// Open (or create) the persistent serving state under `dir`: one
     /// proof log per shard (`shard-i.log`), whose surviving entries are
-    /// preloaded into that shard's cache. Nothing else is read: the witness
-    /// table is derived from `sp` exactly as [`ShardedServiceProvider::new`]
-    /// derives it, and the cache counters start at zero.
+    /// preloaded into that shard's cache. Nothing else is read, and the
+    /// cache counters start at zero.
     pub fn open(
         sp: ServiceProvider<A>,
         cfg: ShardedConfig,
@@ -358,25 +332,10 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
         Ok((Self::assemble(sp, shards, cfg), recovery))
     }
 
-    /// The one place a sharded front is put together, and the one place its
-    /// witness table is derived: a serialized witness per distinct
-    /// skip-entry digest, for constructions that have one.
     fn assemble(sp: ServiceProvider<A>, shards: Vec<Shard<A>>, cfg: ShardedConfig) -> Self {
-        let mut witnesses = WitnessTable::new();
-        for idx in sp.indexed() {
-            for entry in &idx.skiplist.entries {
-                let att_d = ProofCache::<A>::att_digest(&entry.att);
-                if witnesses.get(&att_d).is_none() {
-                    if let Some(wb) = sp.acc.witness_bytes(&entry.ms) {
-                        witnesses.insert(att_d, wb);
-                    }
-                }
-            }
-        }
         Self {
             sp,
             shards,
-            witnesses,
             flush_threshold: cfg.flush_threshold.max(1),
             flush_error: Mutex::new(None),
         }
@@ -397,9 +356,10 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
         &self.shards[i].cache
     }
 
-    /// The shared in-memory witness table.
+    /// The empty shell the frozen benchmark sources ask for
+    /// ([`WitnessTable`]).
     pub fn witnesses(&self) -> &WitnessTable {
-        &self.witnesses
+        &WitnessTable
     }
 
     /// Deterministic shard routing: a domain-separated digest over the
@@ -418,7 +378,7 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
     pub fn query(&self, q: &CompiledQuery) -> QueryResponse<A> {
         let i = self.route(q);
         let shard = &self.shards[i];
-        let resp = self.sp.time_window_query_with(q, &shard.cache, Some(&self.witnesses));
+        let resp = self.sp.time_window_query_with(q, &shard.cache, None);
         shard.served.fetch_add(1, Ordering::Relaxed);
         self.maybe_flush_shard(i);
         resp
@@ -446,7 +406,7 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
                                 let resp = self.sp.time_window_query_with(
                                     &queries[qi],
                                     &shard.cache,
-                                    Some(&self.witnesses),
+                                    None,
                                 );
                                 shard.served.fetch_add(1, Ordering::Relaxed);
                                 (qi, resp)
@@ -495,7 +455,8 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
     }
 
     /// Append `dirty` to `log` — deduplicated last-wins, in deterministic
-    /// (key-sorted) order — and fsync.
+    /// (key-sorted) order, as one all-or-nothing write
+    /// ([`LogStore::append_all`]) — and fsync.
     fn write_batch(&self, log: &mut LogStore, dirty: &[DirtyEntry]) -> Result<usize, StoreError> {
         let mut by_key: BTreeMap<[u8; 64], &DirtyEntry> = BTreeMap::new();
         for e in dirty {
@@ -505,14 +466,16 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
             by_key.insert(kb, e); // last write wins
         }
         let height = self.sp.store().height().unwrap_or(0);
-        for e in by_key.values() {
-            log.append(&StoreRecord {
+        let records: Vec<StoreRecord> = by_key
+            .values()
+            .map(|e| StoreRecord {
                 key: RecordKey { block_height: height, att: e.key.att, clause: e.key.clause },
                 proof: e.proof.clone(),
-            })?;
-        }
+            })
+            .collect();
+        log.append_all(&records)?;
         log.sync()?;
-        Ok(by_key.len())
+        Ok(records.len())
     }
 
     /// Flush every shard's dirty queue. Returns total proof records
@@ -613,7 +576,7 @@ mod tests {
     use crate::query::Query;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use vchain_acc::Acc2;
+    use vchain_acc::{Acc2, MultiSet};
     use vchain_chain::{Difficulty, Object};
 
     const DOMAIN_BITS: u8 = 3;
@@ -697,17 +660,102 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Witnesses are derived, never read: the memory-only front and a
-    /// first-boot persistent one hold the same table.
+    /// ROADMAP item 5's gap: a flush that fails part-way through a frame must
+    /// not tear the *middle* of the shard log — the next flush would append
+    /// good frames behind the torn one, and the next open would cut them all
+    /// off as a torn tail. At every byte offset of a 3-record batch: the
+    /// failed flush keeps its entries and leaves no bytes, the healed handle
+    /// writes them, and the reopened log holds both flushes whole.
     #[test]
-    fn new_and_first_boot_open_hold_equal_witness_tables() {
-        let dir = temp_dir("witness-tables");
+    fn failed_flush_leaves_no_torn_frame_mid_log() {
+        let dir = temp_dir("mid-log-tear");
         std::fs::remove_dir_all(&dir).ok();
-        let cfg = ShardedConfig::default();
-        let in_memory = ShardedServiceProvider::new(sp(), cfg);
-        let (opened, _) = ShardedServiceProvider::open(sp(), cfg, &dir).unwrap();
-        assert!(!in_memory.witnesses().is_empty());
-        assert_eq!(in_memory.witnesses().map, opened.witnesses().map);
+        let cfg = ShardedConfig { shards: 1, cache_capacity: 4096, flush_threshold: usize::MAX };
+        let (ssp, _) = ShardedServiceProvider::open(sp(), cfg, &dir).unwrap();
+        let (cache, log) = (&ssp.shards[0].cache, ssp.shards[0].log.as_ref().unwrap());
+        let proof = {
+            let (x1, x2): (MultiSet<u64>, MultiSet<u64>) =
+                ([1u64].into_iter().collect(), [2u64].into_iter().collect());
+            ssp.inner().acc.prove_disjoint(&x1, &x2).unwrap()
+        };
+        let insert = |ids: core::ops::Range<u8>| {
+            for i in ids {
+                cache.insert(CacheKey { att: Digest([i; 32]), clause: Digest([7; 32]) }, proof);
+            }
+        };
+        let frame = crate::store::frame_record(&StoreRecord {
+            key: RecordKey { block_height: 0, att: Digest([0; 32]), clause: Digest([7; 32]) },
+            proof: Acc2::proof_bytes(&proof),
+        });
+        for n in 0..3 * frame.len() {
+            let path = dir.join(format!("tear-{n}.log"));
+            *log.lock() = LogStore::open(&path).unwrap().0;
+            cache.clear();
+            insert(0..2);
+            assert_eq!(ssp.flush().unwrap(), 2);
+
+            insert(2..5);
+            log.lock().fail_after(n);
+            assert!(matches!(ssp.flush(), Err(StoreError::Io(_))), "offset {n}");
+            assert_eq!(cache.dirty_len(), 3, "offset {n}: the failed batch stays queued");
+            assert_eq!(ssp.flush().unwrap(), 3, "offset {n}");
+
+            let (_, records, report) = LogStore::open(&path).unwrap();
+            let whole = RecoveryReport { loaded: 5, skipped_corrupt: 0, truncated_bytes: 0 };
+            assert_eq!(report, whole, "offset {n}");
+            let atts: Vec<u8> = records.iter().map(|r| r.key.att.as_bytes()[0]).collect();
+            assert_eq!(atts, [0, 1, 2, 3, 4], "offset {n}");
+        }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Proofs in a block's VO: its §6.3 groups plus its inline mismatches.
+    fn proofs_in(node: &crate::vo::VoNode<Acc2>) -> usize {
+        use crate::vo::{MismatchProof, VoNode};
+        match node {
+            VoNode::Internal { left, right, .. } => proofs_in(left) + proofs_in(right),
+            VoNode::InternalMismatch { proof: MismatchProof::Inline { .. }, .. }
+            | VoNode::LeafMismatch { proof: MismatchProof::Inline { .. }, .. } => 1,
+            _ => 0,
+        }
+    }
+
+    /// The resolver, without a clock. A cold query computes one proof per
+    /// distinct `(group | skip entry, clause)` key — `CacheStats::misses`,
+    /// the counter `vbench` derives `sp.proofs_per_op` from — a warm one
+    /// computes none, and a cache that can hold a single proof still serves
+    /// the same bytes: proofs are placed from the resolver's results, not
+    /// read back after eviction.
+    #[test]
+    fn misses_are_distinct_proofs_and_capacity_does_not_change_the_answer() {
+        let sp = sp();
+        let mut multi_proof_queries = 0;
+        for q in &queries() {
+            let cache = ProofCache::default();
+            let cold = sp.time_window_query_with(q, &cache, None);
+            let requested: usize = cold
+                .coverage
+                .iter()
+                .map(|cov| match cov {
+                    BlockCoverage::Block { vo, .. } => vo.groups.len() + proofs_in(&vo.root),
+                    BlockCoverage::Skip { .. } => 1,
+                })
+                .sum();
+            let stats = cache.stats();
+            assert_eq!(stats.misses as usize, cache.len(), "a miss is a distinct proof computed");
+            assert_eq!((stats.hits + stats.misses) as usize, requested);
+            multi_proof_queries += usize::from(stats.misses > 1);
+
+            let bytes = crate::wire::encode_response_v2(&cold);
+            let warm = sp.time_window_query_with(q, &cache, None);
+            assert_eq!(cache.stats().misses, stats.misses, "a warm query proves nothing");
+            assert_eq!(crate::wire::encode_response_v2(&warm), bytes);
+
+            let tiny = ProofCache::new(1);
+            let squeezed = sp.time_window_query_with(q, &tiny, None);
+            assert_eq!(crate::wire::encode_response_v2(&squeezed), bytes);
+            assert_eq!(tiny.stats().misses, stats.misses);
+        }
+        assert!(multi_proof_queries > 0, "the fixture has queries of several proofs");
     }
 }

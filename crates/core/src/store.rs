@@ -244,12 +244,23 @@ pub struct RecoveryReport {
 /// An append-only record log backed by one flat file. See the module docs
 /// for layout and recovery semantics.
 ///
-/// Writes go through [`LogStore::append`] (buffered in the OS) and become
-/// crash-durable at [`LogStore::sync`]; the serving layer syncs once per
-/// flush batch, not per record.
+/// Writes go through [`LogStore::append_all`] (buffered in the OS) and
+/// become crash-durable at [`LogStore::sync`]; the serving layer writes and
+/// syncs once per flush batch, not per record. A write that fails part-way
+/// is cut back off the file, so the log never keeps a torn frame with whole
+/// ones appended behind it — which the next [`LogStore::open`] would take
+/// for a torn tail, and truncate them all.
 pub struct LogStore {
     file: File,
     path: PathBuf,
+    /// Where the last whole frame ends, and the next one goes.
+    end: u64,
+    /// A write failed and its bytes may still be in the file past `end`.
+    torn: bool,
+    /// Fault injection: the next write stops after this many bytes and
+    /// fails.
+    #[cfg(test)]
+    fail_after: Option<usize>,
 }
 
 impl LogStore {
@@ -292,7 +303,7 @@ impl LogStore {
             file.write_all(&STORE_MAGIC).map_err(io_err)?;
             file.write_all(&[STORE_VERSION]).map_err(io_err)?;
             file.sync_all().map_err(io_err)?;
-            return Ok((Self { file, path }, Vec::new(), report));
+            return Ok((Self::at_end(file, path, STORE_HEADER_LEN as u64), Vec::new(), report));
         }
         if bytes.get(..8) != Some(&STORE_MAGIC[..]) {
             return Err(StoreError::BadMagic);
@@ -354,21 +365,69 @@ impl LogStore {
         }
         report.loaded = records.len();
         // Position at the (possibly repaired) end for subsequent appends.
-        file.seek(std::io::SeekFrom::End(0)).map_err(io_err)?;
-        Ok((Self { file, path }, records, report))
+        let end = file.seek(std::io::SeekFrom::End(0)).map_err(io_err)?;
+        Ok((Self::at_end(file, path, end), records, report))
+    }
+
+    /// A store whose handle is positioned at `end`, the end of its last
+    /// whole frame.
+    fn at_end(file: File, path: PathBuf, end: u64) -> Self {
+        Self {
+            file,
+            path,
+            end,
+            torn: false,
+            #[cfg(test)]
+            fail_after: None,
+        }
     }
 
     /// Append one record (buffered; durable after [`LogStore::sync`]).
     pub fn append(&mut self, record: &StoreRecord) -> Result<(), StoreError> {
-        self.file.write_all(&frame_record(record)).map_err(io_err)
+        self.append_all(core::slice::from_ref(record))
     }
 
-    /// Append a batch of records (one buffered write each).
+    /// Append a batch of records, all or nothing: the frames go out in one
+    /// buffered write, and if it fails — possibly part-way through a frame —
+    /// the file is cut back to where the batch began, so a retry (or any
+    /// later append) lands on a whole-frame boundary.
     pub fn append_all(&mut self, records: &[StoreRecord]) -> Result<(), StoreError> {
-        for r in records {
-            self.append(r)?;
+        self.heal()?;
+        let frames: Vec<u8> = records.iter().flat_map(frame_record).collect();
+        match self.write_frames(&frames) {
+            Ok(()) => {
+                self.end += frames.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                self.torn = true;
+                // If the cut fails too, `torn` stays set and the next append
+                // starts by trying again.
+                let _ = self.heal();
+                Err(io_err(e))
+            }
+        }
+    }
+
+    /// Cut a failed write's bytes back off the file.
+    fn heal(&mut self) -> Result<(), StoreError> {
+        if self.torn {
+            self.file.set_len(self.end).map_err(io_err)?;
+            self.file.seek(std::io::SeekFrom::Start(self.end)).map_err(io_err)?;
+            self.torn = false;
         }
         Ok(())
+    }
+
+    fn write_frames(&mut self, frames: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        {
+            if let Some(n) = self.fail_after.take() {
+                self.file.write_all(frames.get(..n).unwrap_or(frames))?;
+                return Err(std::io::Error::other("injected write failure"));
+            }
+        }
+        self.file.write_all(frames)
     }
 
     /// Flush OS buffers and fsync — the durability point of a flush batch.
@@ -384,7 +443,16 @@ impl LogStore {
     pub(crate) fn read_only(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path).map_err(io_err)?;
-        Ok(Self { file, path })
+        let end = file.metadata().map_err(io_err)?.len();
+        Ok(Self::at_end(file, path, end))
+    }
+
+    /// Make the next append write its first `n` bytes and then fail — a
+    /// disk filling up mid-flush. One-shot: the append after that goes
+    /// through.
+    #[cfg(test)]
+    pub(crate) fn fail_after(&mut self, n: usize) {
+        self.fail_after = Some(n);
     }
 
     /// The backing file's path.
@@ -461,6 +529,33 @@ mod tests {
             store.sync().unwrap();
             drop(store);
             assert_eq!(LogStore::open(&path).unwrap().1, sample_records()[..1]);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A write that fails part-way — at every byte offset of a 3-record
+    /// batch — leaves nothing behind: the retry and a later batch land on a
+    /// whole-frame boundary, and the reopened log holds every record once.
+    #[test]
+    fn failed_append_is_cut_back_at_every_offset() {
+        let path = temp_path("cutback");
+        let records = sample_records();
+        let later = StoreRecord { proof: vec![1, 2, 3], ..records[0].clone() };
+        let batch_len: usize = records.iter().map(|r| frame_record(r).len()).sum();
+        for n in 0..batch_len {
+            std::fs::remove_file(&path).ok();
+            let (mut store, _, _) = LogStore::open(&path).unwrap();
+            store.append(&later).unwrap();
+            store.fail_after(n);
+            assert!(matches!(store.append_all(&records), Err(StoreError::Io(_))), "offset {n}");
+            store.append_all(&records).unwrap();
+            store.append(&later).unwrap();
+            store.sync().unwrap();
+            drop(store);
+            let (_, loaded, report) = LogStore::open(&path).unwrap();
+            let expect = RecoveryReport { loaded: 5, skipped_corrupt: 0, truncated_bytes: 0 };
+            assert_eq!(report, expect, "offset {n}");
+            assert_eq!(loaded[1..4], records[..], "offset {n}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -25,25 +25,29 @@
 //! lists (pre-filtered by the per-block [`crate::bloom`] filter, confirmed
 //! against the exact root multiset), every non-candidate gets the same
 //! root-level refutation the reference walk would emit (first disjoint
-//! clause, or shared grid cell), the distinct refutations are proven once
-//! through [`Accumulator::prove_disjoint_each`] + the shared
-//! [`ProofCache`], and only the candidates walk the tree. The original walk
+//! clause, or shared grid cell), and only the candidates walk the tree.
+//! Nothing is proved along the way: the distinct root-level refutations and
+//! every refutation of every candidate's walk are [`ProofRequest`]s, and
+//! one [`ProofCache::resolve`] per block answers them all — the cross-block
+//! cache first, the distinct misses as one batch for the prover, where
+//! standing queries that share only a *literal* still share that literal's
+//! part of the work. The original walk
 //! survives as [`WalkStrategy::Naive`] — the in-tree reference twin that the
 //! differential suite (`tests/subscribe_diff.rs`) pins the fast path against
-//! byte-for-byte. [`SubscriptionEngine::match_block`] /
+//! byte-for-byte, resolving query by query. [`SubscriptionEngine::match_block`] /
 //! [`SubscriptionEngine::publish`] expose the two halves separately so the
 //! match stage can be measured and tested without materializing updates.
 
 use std::collections::{BTreeMap, HashMap};
 
-use vchain_acc::{Accumulator, MultiSet};
+use vchain_acc::{AccError, Accumulator};
 use vchain_chain::{Block, LightClient, Object};
 use vchain_hash::Digest;
 
 use crate::bloom::BLOOM_SEED;
-use crate::cache::ProofCache;
+use crate::cache::{ProofCache, ProofRequest};
 use crate::element::ElementId;
-use crate::intra::IntraNodeKind;
+use crate::intra::{IntraNodeKind, PlannedVo};
 use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::{CompiledQuery, Query};
 use crate::subindex::{Cell, QueryId, SubscriptionIndex};
@@ -412,11 +416,20 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         updates
     }
 
-    /// The reference twin: every query walks the intra-block index, exactly
-    /// as the engine always worked.
+    /// The reference twin: every query walks the intra-block index
+    /// (Algorithm 3), under its enclosing cell when it has one, exactly as
+    /// the engine always worked — and resolves its proofs on its own.
     fn match_block_naive(&mut self, block: &Block, indexed: &IndexedBlock<A>) -> BlockMatch<A> {
-        let outcomes: Vec<_> =
-            self.queries.keys().map(|&id| (id, self.query_block(id, block, indexed))).collect();
+        let outcomes: Vec<_> = self
+            .queries
+            .iter()
+            .map(|(&id, q)| {
+                let cell = self.enclosing.get(&id);
+                let walked =
+                    indexed.tree.query(&block.objects, q, cell, &self.acc, false, &self.cache);
+                (id, MatchOutcome::Walked(Box::new(walked)))
+            })
+            .collect();
         BlockMatch {
             height: block.header.height,
             root: RootShape::Opaque,
@@ -424,26 +437,6 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             candidates: outcomes.len(),
             outcomes,
         }
-    }
-
-    /// One query's walk of the intra-block index (Algorithm 3), under its
-    /// enclosing cell when it has one.
-    fn query_block(
-        &self,
-        id: QueryId,
-        block: &Block,
-        indexed: &IndexedBlock<A>,
-    ) -> MatchOutcome<A> {
-        let cell = self.enclosing.get(&id);
-        let walked = indexed.tree.query(
-            &block.objects,
-            &self.queries[&id],
-            cell,
-            &self.acc,
-            false,
-            &self.cache,
-        );
-        MatchOutcome::Walked(Box::new(walked))
     }
 
     /// The inverted path. Per block:
@@ -454,12 +447,12 @@ impl<A: Accumulator> SubscriptionEngine<A> {
     ///    disjoint clause — identical to the reference walk's root step);
     /// 3. replicate the walk's root-level cell priority for queries whose
     ///    enclosing cell has absent slabs;
-    /// 4. resolve the distinct refutations through the cross-block cache +
-    ///    one [`Accumulator::prove_disjoint_each`]; a clause that fails to
-    ///    prove (possible only when the filter lied — see `corrupt_bloom`
-    ///    fault injection) demotes its queries to the walk, so corruption
-    ///    costs work, never correctness;
-    /// 5. walk only the candidates.
+    /// 4. plan the candidates' walks — only they touch the tree;
+    /// 5. resolve the block's requests, root-level and walked, in one
+    ///    [`ProofCache::resolve`]. A root-level clause that fails to prove
+    ///    (possible only when the filter lied — see `corrupt_bloom` fault
+    ///    injection) demotes its queries to the walk, in a second round of
+    ///    4.–5., so corruption costs work, never correctness.
     ///
     /// Every emitted VO is byte-identical to the reference twin's: the same
     /// first-disjoint clause (or cell) refutes at the same root node, and
@@ -478,10 +471,12 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         let present = self.index.present_literals(Some(&indexed.bloom), root_ms);
         let cls = self.index.classify(&present);
 
-        // Refutations deduplicated by clause content; proofs resolved after
-        // collection (cache, then one batched prove). Content ids are dense
-        // registry indices, so the dedup table is a flat array, not a map.
-        let mut pending: Vec<(MultiSet<ElementId>, Option<A::Proof>)> = Vec::new();
+        // Root-level refutations deduplicated by clause content: the block's
+        // first requests, so a content's request index is its rank here.
+        // Content ids are dense registry indices, so the dedup table is a
+        // flat array, not a map.
+        let root = |clause_ms| ProofRequest::node::<A>(&root_att, root_ms, clause_ms);
+        let mut requests: Vec<ProofRequest<'_, ElementId>> = Vec::new();
         let mut cid_pending: Vec<u32> = vec![u32::MAX; self.index.distinct_contents()];
         let mut by_cell_key: HashMap<Vec<u32>, usize> = HashMap::new();
 
@@ -495,8 +490,8 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             };
             let key: Vec<u32> = clause_ms.elements().map(|e| e.raw()).collect();
             let idx = *by_cell_key.entry(key).or_insert_with(|| {
-                pending.push((clause_ms, None));
-                pending.len() - 1
+                requests.push(root(clause_ms));
+                requests.len() - 1
             });
             for &qid in qids {
                 cell_assigned.insert(qid, (idx, clause.clone()));
@@ -510,45 +505,50 @@ impl<A: Accumulator> SubscriptionEngine<A> {
                 continue;
             }
             if cid_pending[cid as usize] == u32::MAX {
-                cid_pending[cid as usize] = pending.len() as u32;
-                pending.push((self.index.content(cid).clone(), None));
+                cid_pending[cid as usize] = requests.len() as u32;
+                requests.push(root(self.index.content(cid).clone()));
             }
         }
+        let root_requests = requests.len();
 
-        // 4. Resolve: cross-block cache first, one shared-witness batch for
-        //    the misses. A clause that is not actually disjoint (a lying
-        //    Bloom filter skipped a present literal) fails alone and demotes
-        //    its queries to the walk (self-healing); the good proofs are kept.
-        self.resolve_pending(&root_att, root_ms, &mut pending);
-
-        // Compact the proof table; queries whose refutation failed to prove
-        // join the candidates and take the exact walk instead.
-        let mut proofs: Vec<A::Proof> = Vec::with_capacity(pending.len());
-        let mut proof_slot: Vec<Option<usize>> = Vec::with_capacity(pending.len());
-        for (_, proof) in pending {
-            match proof {
-                Some(p) => {
-                    proof_slot.push(Some(proofs.len()));
-                    proofs.push(p);
-                }
-                None => proof_slot.push(None),
-            }
-        }
-
-        // Classification may pass a query as candidate (e.g. one with more
-        // clauses than the exact-mask width) that the cell step already
-        // refuted; cell priority wins, exactly as in the reference walk.
-        // Queries whose refutation failed to prove join them (possible only
-        // under a lying Bloom filter, so the scan is gated on any failure).
-        let mut walk: Vec<QueryId> = cls
+        // 4. Only the candidates touch the tree. Classification may pass a
+        //    query as candidate (e.g. one with more clauses than the
+        //    exact-mask width) that the cell step already refuted; cell
+        //    priority wins, exactly as in the reference walk.
+        let mut candidates: Vec<QueryId> = cls
             .candidates
             .into_iter()
             .filter(|qid| cell_assigned.is_empty() || !cell_assigned.contains_key(qid))
             .collect();
+        candidates.sort_unstable();
+        let planned = self.plan_walks(&candidates, block, indexed, &mut requests);
+
+        // 5. The block's one proving pass.
+        let answers = self.cache.resolve(&self.acc, requests);
+        let mut walked = fill_walks(planned, &answers);
+
+        // Compact the shared proof table. A root-level clause that is not
+        // actually disjoint (a lying Bloom filter skipped a present literal)
+        // fails alone, and the good proofs are kept.
+        let mut proofs: Vec<A::Proof> = Vec::with_capacity(root_requests);
+        let proof_slot: Vec<Option<usize>> = answers
+            .into_iter()
+            .take(root_requests)
+            .map(|answer| {
+                answer.ok().map(|proof| {
+                    proofs.push(proof);
+                    proofs.len() - 1
+                })
+            })
+            .collect();
+
+        // Queries whose refutation failed to prove take the exact walk
+        // instead (self-healing), in a second round.
         if proof_slot.contains(&None) {
+            let mut demoted: Vec<QueryId> = Vec::new();
             for (&qid, (idx, _)) in &cell_assigned {
                 if proof_slot[*idx].is_none() {
-                    walk.push(qid);
+                    demoted.push(qid);
                 }
             }
             for &(qid, _, cid) in &cls.refuted {
@@ -556,16 +556,15 @@ impl<A: Accumulator> SubscriptionEngine<A> {
                     continue;
                 }
                 if proof_slot[cid_pending[cid as usize] as usize].is_none() {
-                    walk.push(qid);
+                    demoted.push(qid);
                 }
             }
+            let mut requests = Vec::new();
+            let planned = self.plan_walks(&demoted, block, indexed, &mut requests);
+            walked.extend(fill_walks(planned, &self.cache.resolve(&self.acc, requests)));
+            walked.sort_unstable_by_key(|&(qid, _)| qid);
         }
-        walk.sort_unstable();
-        let candidates = walk.len();
-
-        // 5. Only the candidates touch the tree.
-        let walked: Vec<(QueryId, MatchOutcome<A>)> =
-            walk.iter().map(|&qid| (qid, self.query_block(qid, block, indexed))).collect();
+        let candidates = walked.len();
 
         // Emit the publish-ordered outcome vector in one linear merge of the
         // three ascending sources (cell assignments, classified refutations,
@@ -761,35 +760,38 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         }
     }
 
-    /// Resolve the pending refutations of one node (committed as `att`,
-    /// multiset `ms`): warm ones come from the cross-block cache, the misses
-    /// share one witness computation and are inserted. A clause that fails
-    /// to prove keeps `None`; what that means is the caller's decision.
-    fn resolve_pending(
+    /// Plan the walk of each of `qids` over the block's index (Algorithm 3),
+    /// under its enclosing cell when it has one, appending the refutations
+    /// to `requests`.
+    fn plan_walks<'a>(
         &self,
-        att: &A::Value,
-        ms: &MultiSet<ElementId>,
-        pending: &mut [(MultiSet<ElementId>, Option<A::Proof>)],
-    ) {
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, (clause_ms, proof)) in pending.iter_mut().enumerate() {
-            match self.cache.get(&ProofCache::<A>::key(att, clause_ms)) {
-                Some(hit) => *proof = Some(hit),
-                None => misses.push(i),
-            }
-        }
-        if misses.is_empty() {
-            return;
-        }
-        let clauses: Vec<MultiSet<ElementId>> =
-            misses.iter().map(|&i| pending[i].0.clone()).collect();
-        for (&i, res) in misses.iter().zip(self.acc.prove_disjoint_each(ms, &clauses)) {
-            if let Ok(proof) = res {
-                self.cache.insert(ProofCache::<A>::key(att, &pending[i].0), proof.clone());
-                pending[i].1 = Some(proof);
-            }
-        }
+        qids: &[QueryId],
+        block: &Block,
+        indexed: &'a IndexedBlock<A>,
+        requests: &mut Vec<ProofRequest<'a, ElementId>>,
+    ) -> Vec<(QueryId, Vec<Object>, PlannedVo)> {
+        qids.iter()
+            .map(|&qid| {
+                let cell = self.enclosing.get(&qid);
+                let q = &self.queries[&qid];
+                let (results, vo) = indexed.tree.plan(&block.objects, q, cell, false, requests);
+                (qid, results, vo)
+            })
+            .collect()
     }
+}
+
+/// The outcomes of planned walks, given the answers to their requests.
+fn fill_walks<A: Accumulator>(
+    planned: Vec<(QueryId, Vec<Object>, PlannedVo)>,
+    answers: &[Result<A::Proof, AccError>],
+) -> Vec<(QueryId, MatchOutcome<A>)> {
+    planned
+        .into_iter()
+        .map(|(qid, results, vo)| {
+            (qid, MatchOutcome::Walked(Box::new((results, vo.fill(answers)))))
+        })
+        .collect()
 }
 
 fn coverage_span<A: Accumulator>(cov: &BlockCoverage<A>) -> (u64, u64) {
@@ -809,5 +811,89 @@ fn extract_proof<A: Accumulator>(cov: &BlockCoverage<A>) -> A::Proof {
             _ => unreachable!("lazy pending entries are whole-block mismatches"),
         },
         BlockCoverage::Skip { proof, .. } => proof.clone(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::miner::Miner;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use vchain_acc::Acc2;
+    use vchain_chain::Difficulty;
+
+    /// One mined block of four cars and an engine over standing queries that
+    /// meet on it: two walk the tree and refute its Van side by the same
+    /// clause, one refutes its Sedan side, one is refuted at the root.
+    fn fixture() -> (Miner<Acc2>, SubscriptionEngine<Acc2>) {
+        let cfg = MinerConfig {
+            scheme: IndexScheme::Both,
+            skip_levels: 2,
+            domain_bits: 3,
+            difficulty: Difficulty(2),
+            bloom_bits_per_key: 10,
+        };
+        // Element ids come from the process-wide interner: leave room for
+        // what the crate's other unit tests intern.
+        let acc = Acc2::keygen(2048, &mut StdRng::seed_from_u64(18));
+        let mut miner = Miner::new(cfg, acc.clone());
+        let car = |id, v, kind: &str, make: &str| {
+            Object::new(id, 10, vec![v], vec![kind.to_string(), make.to_string()])
+        };
+        miner.mine_block(
+            10,
+            vec![
+                car(1, 4, "Sedan", "Benz"),
+                car(2, 5, "Sedan", "Audi"),
+                car(3, 6, "Van", "Benz"),
+                car(4, 7, "Van", "BMW"),
+            ],
+        );
+        let mut engine = SubscriptionEngine::new(cfg, acc, SubscriptionMode::Realtime, false);
+        for keywords in [["Sedan", "Benz"], ["Sedan", "Audi"], ["Van", "BMW"], ["Truck", "Benz"]] {
+            engine.register(&Query {
+                time_window: None,
+                ranges: vec![],
+                keywords: keywords.iter().map(|k| vec![k.to_string()]).collect(),
+            });
+        }
+        (miner, engine)
+    }
+
+    fn published(miner: &Miner<Acc2>, engine: &mut SubscriptionEngine<Acc2>) -> Vec<Vec<u8>> {
+        let updates = engine.process_block(&miner.store().blocks()[0], &miner.indexed()[0]);
+        updates.iter().map(crate::wire::encode_update).collect()
+    }
+
+    /// `CacheStats::misses` is *distinct proofs computed* — what `vbench`
+    /// reports as `subscribe.proofs_per_block`: standing queries that refute
+    /// the same `(node, clause)` in one block cost one miss between them, the
+    /// rest are hits.
+    #[test]
+    fn queries_sharing_a_refutation_cost_one_miss() {
+        let (miner, mut engine) = fixture();
+        let m = engine.match_block(&miner.store().blocks()[0], &miner.indexed()[0]);
+        assert_eq!(m.candidates, 3, "three queries walk, one is refuted at the root");
+        let stats = engine.cache.stats();
+        assert_eq!(stats.misses as usize, engine.cache.len(), "one proof per distinct key");
+        assert!(stats.hits > 0, "the two Sedan queries refute the Van side by the same clause");
+        // matching the same block again proves nothing
+        engine.match_block(&miner.store().blocks()[0], &miner.indexed()[0]);
+        assert_eq!(engine.cache.stats().misses, stats.misses);
+    }
+
+    /// A cache that can hold one proof still publishes a multi-candidate
+    /// block correctly: the VOs are filled from the resolver's results, not
+    /// re-read after eviction.
+    #[test]
+    fn capacity_one_cache_publishes_the_same_block() {
+        let (miner, mut engine) = fixture();
+        let (_, mut squeezed) = fixture();
+        squeezed.cache = ProofCache::new(1);
+        let expect = published(&miner, &mut engine);
+        assert_eq!(expect.len(), 4);
+        assert_eq!(published(&miner, &mut squeezed), expect);
+        assert!(squeezed.cache.stats().evictions > 0);
     }
 }

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vchain_acc::{Acc2, Accumulator, MultiSet};
-use vchain_core::cache::{CacheStats, ProofCache};
+use vchain_core::cache::{CacheStats, ProofCache, ProofRequest};
 use vchain_core::store::{
     decode_record, encode_record, frame_record, payload_check, FRAME_HEADER_LEN, LEN_CHECK_XOR,
     RECORD_VERSION,
@@ -164,8 +164,9 @@ fn cache_save_load_save_is_byte_identical() {
     let cache: ProofCache<Acc2> = ProofCache::new(64).with_persistence();
     let x1 = ms(&[1, 2, 3]);
     let att = a.setup(&x1);
+    // one request per resolve, as eight one-proof queries would ask
     for e in 10u64..18 {
-        cache.get_or_prove(&a, &att, &x1, &ms(&[e])).unwrap();
+        cache.resolve(&a, vec![ProofRequest::node::<Acc2>(&att, &x1, ms(&[e]))]).remove(0).unwrap();
     }
 
     // Save.
@@ -223,10 +224,14 @@ fn evicted_entries_are_still_persisted_and_reloadable() {
     let x1 = ms(&[1, 2]);
     let att = a.setup(&x1);
     let clauses: Vec<MultiSet<u64>> = (20u64..26).map(|e| ms(&[e])).collect();
-    let mut originals = Vec::new();
-    for c in &clauses {
-        originals.push(Acc2::proof_bytes(&tiny.get_or_prove(&a, &att, &x1, c).unwrap()));
-    }
+    // one six-proof query: the answers come from the resolver's own results,
+    // four of them for keys the two-entry cache has already let go of
+    let requests = clauses.iter().map(|c| ProofRequest::node::<Acc2>(&att, &x1, c.clone()));
+    let originals: Vec<Vec<u8>> = tiny
+        .resolve(&a, requests.collect())
+        .iter()
+        .map(|proof| Acc2::proof_bytes(proof.as_ref().unwrap()))
+        .collect();
     assert_eq!(tiny.len(), 2, "capacity bound holds");
     assert_eq!(tiny.stats().evictions, 4, "four entries were displaced");
 

@@ -54,8 +54,16 @@ pub fn hash_bytes(data: &[u8]) -> Digest {
 /// `hash(a | b | …)` notation. Each part is length-prefixed to rule out
 /// ambiguity attacks on the concatenation.
 pub fn hash_concat(parts: &[&[u8]]) -> Digest {
+    hash_concat_iter(parts)
+}
+
+/// [`hash_concat`] over parts produced one at a time — the same digest,
+/// without first collecting the parts (or, for computed parts, keeping
+/// them all alive) in a slice.
+pub fn hash_concat_iter<P: AsRef<[u8]>>(parts: impl IntoIterator<Item = P>) -> Digest {
     let mut h = Sha256::new();
     for p in parts {
+        let p = p.as_ref();
         h.update(&(p.len() as u64).to_le_bytes());
         h.update(p);
     }

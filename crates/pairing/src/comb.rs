@@ -232,7 +232,7 @@ pub fn comb_multiexp<S: CurveSpec>(combs: &[FixedBaseComb<S>], scalars: &[U256])
         }
     }
     // …sum all columns with shared batched-affine rounds…
-    let sums = sum_affine_groups(&columns);
+    let sums = sum_affine_groups(columns.iter().map(|column| column.iter().copied()));
     // …and combine with one Horner pass: Σ 2ʲ·S_j.
     let mut acc = Projective::identity();
     for s in sums.iter().rev() {

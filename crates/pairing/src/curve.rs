@@ -887,62 +887,79 @@ pub fn batch_to_affine<S: CurveSpec>(points: &[Projective<S>]) -> Vec<Affine<S>>
 /// public-key powers and get ~2× from it. Exceptional same-`x` pairs
 /// (doublings / cancellations) are routed through the complete projective
 /// formulas, so the function is total.
-pub fn sum_affine<S: CurveSpec>(points: &[Affine<S>]) -> Projective<S> {
-    let [sum] = &sum_affine_groups(core::slice::from_ref(&points.to_vec()))[..] else {
-        unreachable!("one group in, one sum out")
-    };
-    *sum
+pub fn sum_affine<S: CurveSpec>(points: impl IntoIterator<Item = Affine<S>>) -> Projective<S> {
+    let [sum] = sum_affine_groups([points])[..] else { unreachable!("one group in, one sum out") };
+    sum
 }
 
 /// [`sum_affine`] over many *independent* groups at once, sharing one
 /// batched inversion per halving round across all of them — the comb
-/// multi-exponentiation sums its 32 column groups this way, so the
-/// amortization never degrades even when individual groups are short.
-/// Returns one sum per input group, in order.
-pub fn sum_affine_groups<S: CurveSpec>(groups: &[Vec<Affine<S>>]) -> Vec<Projective<S>> {
-    let mut layers: Vec<Vec<Affine<S>>> =
-        groups.iter().map(|g| g.iter().filter(|p| !p.infinity).copied().collect()).collect();
-    let mut spills = vec![Projective::<S>::identity(); groups.len()];
+/// multi-exponentiation sums its 32 column groups this way and the batch
+/// prover every sum of a chunk of proofs, so the amortization never
+/// degrades even when individual groups are short. Returns one sum per
+/// input group, in order.
+///
+/// Groups arrive as iterators and are copied exactly once, into one flat
+/// working layer that every round halves in place: a caller gathering
+/// scattered public-key powers hands over the gather itself, not a `Vec`
+/// of its result.
+pub fn sum_affine_groups<S, G>(groups: impl IntoIterator<Item = G>) -> Vec<Projective<S>>
+where
+    S: CurveSpec,
+    G: IntoIterator<Item = Affine<S>>,
+{
+    // Group `g` occupies `layer[start..start + len]` for `spans[g] = (start, len)`.
+    let mut layer: Vec<Affine<S>> = Vec::new();
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    for group in groups {
+        let start = layer.len();
+        layer.extend(group.into_iter().filter(|p| !p.infinity));
+        spans.push((start, layer.len() - start));
+    }
+    let mut spills = vec![Projective::<S>::identity(); spans.len()];
     let mut denoms: Vec<S::F> = Vec::new();
-    // (group, pair index) of each batched chord, in denominator order
-    let mut fast: Vec<(usize, usize)> = Vec::new();
-    while layers.iter().any(|l| l.len() > 1) {
+    while spans.iter().any(|&(_, len)| len > 1) {
         denoms.clear();
-        fast.clear();
-        for (gi, layer) in layers.iter().enumerate() {
-            for i in 0..layer.len() / 2 {
-                let (p, q) = (&layer[2 * i], &layer[2 * i + 1]);
-                if p.x == q.x {
-                    spills[gi] = spills[gi].add(&p.to_projective()).add(&q.to_projective());
+        for (&(start, len), spill) in spans.iter().zip(&mut spills) {
+            for pair in layer[start..start + len].chunks_exact(2) {
+                if pair[0].x == pair[1].x {
+                    *spill = spill.add(&pair[0].to_projective()).add(&pair[1].to_projective());
                 } else {
-                    denoms.push(Field::sub(&q.x, &p.x));
-                    fast.push((gi, i));
+                    denoms.push(Field::sub(&pair[1].x, &pair[0].x));
                 }
             }
         }
         crate::field::batch_invert(&mut denoms);
-        let mut next: Vec<Vec<Affine<S>>> =
-            layers.iter().map(|l| Vec::with_capacity(l.len() / 2 + 1)).collect();
-        for (k, &(gi, i)) in fast.iter().enumerate() {
-            let (p, q) = (layers[gi][2 * i], layers[gi][2 * i + 1]);
-            let lambda = Field::mul(&Field::sub(&q.y, &p.y), &denoms[k]);
-            let x3 = Field::sub(&Field::sub(&lambda.square(), &p.x), &q.x);
-            let y3 = Field::sub(&Field::mul(&lambda, &Field::sub(&p.x, &x3)), &p.y);
-            next[gi].push(Affine { x: x3, y: y3, infinity: false });
-        }
-        for (gi, layer) in layers.iter().enumerate() {
-            if layer.len() % 2 == 1 {
-                next[gi].push(layer[layer.len() - 1]);
+        let mut inverses = denoms.iter();
+        for (start, len) in &mut spans {
+            // A round's sums land at the front of the group's own span: the
+            // write position never overtakes the pair being read.
+            let mut out = *start;
+            for i in 0..*len / 2 {
+                let (p, q) = (layer[*start + 2 * i], layer[*start + 2 * i + 1]);
+                if p.x == q.x {
+                    continue; // spilled above
+                }
+                let inv = inverses.next().expect("one denominator per chord");
+                let lambda = Field::mul(&Field::sub(&q.y, &p.y), inv);
+                let x3 = Field::sub(&Field::sub(&lambda.square(), &p.x), &q.x);
+                let y3 = Field::sub(&Field::mul(&lambda, &Field::sub(&p.x, &x3)), &p.y);
+                layer[out] = Affine { x: x3, y: y3, infinity: false };
+                out += 1;
             }
+            if *len % 2 == 1 {
+                layer[out] = layer[*start + *len - 1];
+                out += 1;
+            }
+            *len = out - *start;
         }
-        layers = next;
     }
-    layers
+    spans
         .iter()
         .zip(spills)
-        .map(|(layer, spill)| match layer.first() {
-            Some(p) => spill.add(&p.to_projective()),
-            None => spill,
+        .map(|(&(start, len), spill)| match len {
+            0 => spill,
+            _ => spill.add(&layer[start].to_projective()),
         })
         .collect()
 }
@@ -1265,7 +1282,7 @@ mod tests {
                 (0..n).map(|_| g.mul_u64(r.gen_range(1..10_000)).to_affine()).collect();
             let expect =
                 pts.iter().fold(G1Projective::identity(), |acc, p| acc.add(&p.to_projective()));
-            assert_eq!(sum_affine(&pts), expect, "n = {n}");
+            assert_eq!(sum_affine(pts.iter().copied()), expect, "n = {n}");
         }
         // exceptional inputs: identities, duplicates (doubling) and
         // cancellations must all route through the spill path correctly
@@ -1273,7 +1290,23 @@ mod tests {
         let exceptional =
             [p, p, p.neg(), G1Affine::identity(), g.to_affine(), G1Affine::identity()];
         let expect = g.add(&g.mul_u64(5));
-        assert_eq!(sum_affine(&exceptional), expect);
+        assert_eq!(sum_affine(exceptional), expect);
+
+        // several groups of unequal length in one call — empty, single,
+        // odd, even, and the exceptional one in the middle — share every
+        // round's inversion and still come out group by group
+        let mut groups: Vec<Vec<G1Affine>> = [0usize, 1, 5, 0, 16, 3, 33]
+            .iter()
+            .map(|&n| (0..n).map(|_| g.mul_u64(r.gen_range(1..10_000)).to_affine()).collect())
+            .collect();
+        groups.insert(3, exceptional.to_vec());
+        let sums = sum_affine_groups(groups.iter().map(|group| group.iter().copied()));
+        assert_eq!(sums.len(), groups.len());
+        for (sum, group) in sums.iter().zip(&groups) {
+            let expect =
+                group.iter().fold(G1Projective::identity(), |acc, p| acc.add(&p.to_projective()));
+            assert_eq!(*sum, expect, "group of {}", group.len());
+        }
     }
 
     #[test]

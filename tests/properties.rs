@@ -98,7 +98,7 @@ proptest! {
         a in ms_strategy(6),
         b_ids in proptest::collection::vec(100u32..140, 1..4),
     ) {
-        use vchain::core::cache::ProofCache;
+        use vchain::core::cache::{ProofCache, ProofRequest};
         let acc = acc2();
         let b: MultiSet<ElementId> =
             b_ids.into_iter().map(|i| ElementId::keyword(&format!("pp:{i}"))).collect();
@@ -109,8 +109,9 @@ proptest! {
         // first query proves cold, the second hits the cache — the proofs
         // must serialize identically (and match a cache-free derivation).
         let w1 = acc.prove_disjoint(&a, &b).unwrap();
-        let cold = cache.get_or_prove(&acc, &att, &a, &b).unwrap();
-        let warm = cache.get_or_prove(&acc, &att, &a, &b).unwrap();
+        let ask = || vec![ProofRequest::node::<Acc2>(&att, &a, b.clone())];
+        let cold = cache.resolve(&acc, ask()).remove(0).unwrap();
+        let warm = cache.resolve(&acc, ask()).remove(0).unwrap();
         prop_assert_eq!(cache.stats().hits, 1);
         prop_assert_eq!(Acc2::proof_bytes(&cold), Acc2::proof_bytes(&warm));
         prop_assert_eq!(Acc2::proof_bytes(&w1), Acc2::proof_bytes(&warm));
