@@ -38,6 +38,17 @@
 //! on every input — a proof is a group element and its affine encoding is
 //! unique — which `tests/batch_props.rs` and the ledger's twin rows pin.
 //!
+//! Set-up is batch-first for the same reason, on the miner's side: a block's
+//! index is planned on multisets alone, so all its digests are asked for in
+//! one [`Accumulator::setup_batch`]. A digest is two sums of published
+//! powers (`g₁^{s^x}` for `d_A`, `g₂^{s^{q−x}}` for `d_B`), and the batch
+//! runs one ladder and one normalization per curve for a whole chunk of
+//! digests, out of the same [`sum_affine_groups`] / [`batch_to_affine`] pair
+//! and under the same chunk budget as the prover. It has no twin: a lone
+//! [`Accumulator::try_setup`] is the batch of one job, and
+//! `tests/batch_props.rs` holds both against `acc(X)` evaluated term by
+//! term.
+//!
 //! The public key grows with the *universe size* `q` (every attribute value
 //! must map into `[1, q)`), the drawback the paper addresses with a trusted
 //! oracle / SGX; our dictionary encoder plays that role (DESIGN.md §2).
@@ -48,8 +59,8 @@ use std::sync::Arc;
 use rand::Rng;
 use vchain_bigint::U256;
 use vchain_pairing::{
-    batch_to_affine, multi_pairing, multiexp, sum_affine, sum_affine_groups, CurveSpec, Field, Fr,
-    G1Affine, G1Projective, G1Spec, G2Affine, G2Projective, G2Spec,
+    batch_to_affine, multi_pairing, multiexp, sum_affine, sum_affine_groups, Affine, CurveSpec,
+    Field, Fr, G1Affine, G1Projective, G1Spec, G2Affine, G2Projective, G2Spec,
 };
 
 use crate::{batch_coefficients, AccElem, AccError, Accumulator, BatchItem, MultiSet};
@@ -246,21 +257,37 @@ impl Accumulator for Acc2 {
     }
 
     fn try_setup<E: AccElem>(&self, x: &MultiSet<E>) -> Result<Acc2Value, AccError> {
-        self.check_universe(x)?;
+        self.setup_batch(&[x]).pop().expect("one job in, one result out")
+    }
+
+    fn setup_batch<E: AccElem>(&self, jobs: &[&MultiSet<E>]) -> Vec<Result<Acc2Value, AccError>> {
+        // Every check first, as the prover makes them: a multiset that
+        // leaves the universe fails alone.
+        let checks: Vec<_> = jobs.iter().map(|x| self.check_universe(x)).collect();
+        let passed: Vec<&MultiSet<E>> =
+            jobs.iter().zip(&checks).filter_map(|(x, check)| check.is_ok().then_some(*x)).collect();
         let q = self.pk.q as usize;
         let (g1, g2) = (&self.pk.g1_powers, &self.pk.g2_powers);
-        // d_A = Π (g1^{s^x})^{c_x} ; d_B = Π (g2^{s^{q-x}})^{c_x}.
-        // Unit multiplicities (the common case) sum batched-affine, gathered
-        // straight out of the key's powers.
-        let units = || x.iter().filter(|&(_, c)| c == 1).map(|(e, _)| e.to_index() as usize);
-        let mut da = sum_affine(units().map(|idx| g1[idx]));
-        let mut db = sum_affine(units().map(|idx| g2[q - idx]));
-        for (e, c) in x.iter().filter(|&(_, c)| c != 1) {
-            let (idx, count) = (e.to_index() as usize, U256::from_u64(c));
-            da = da.add(&g1[idx].to_projective().mul_u256(&count));
-            db = db.add(&g2[q - idx].to_projective().mul_u256(&count));
+        let mut values = Vec::with_capacity(passed.len());
+        let (mut chunk_start, mut points) = (0, 0);
+        for (i, x) in passed.iter().enumerate() {
+            // A chunk is whole jobs: it closes past the budget, as the
+            // prover's does.
+            points += x.distinct_len();
+            if points >= CHUNK_POINTS || i + 1 == passed.len() {
+                let chunk = &passed[core::mem::replace(&mut chunk_start, i + 1)..=i];
+                // d_A = Π (g1^{s^x})^{c_x} ; d_B = Π (g2^{s^{q-x}})^{c_x}.
+                let da = digest_components(chunk, |idx| g1[idx]);
+                let db = digest_components(chunk, |idx| g2[q - idx]);
+                values.extend(da.into_iter().zip(db).map(|(da, db)| Acc2Value { da, db }));
+                points = 0;
+            }
         }
-        Ok(Acc2Value { da: da.to_affine(), db: db.to_affine() })
+        let mut values = values.into_iter();
+        checks
+            .into_iter()
+            .map(|check| check.map(|()| values.next().expect("one value per passed check")))
+            .collect()
     }
 
     fn prove_disjoint<E: AccElem>(
@@ -391,7 +418,7 @@ impl Accumulator for Acc2 {
         let mut db = G2Projective::identity();
         for v in values {
             da = da.add_affine(&v.da);
-            db = db.add(&v.db.to_projective());
+            db = db.add_affine(&v.db);
         }
         Ok(Acc2Value { da: da.to_affine(), db: db.to_affine() })
     }
@@ -416,6 +443,29 @@ impl Accumulator for Acc2 {
 /// a few thousand chords a round's shared inversion is already spread thin.
 /// A constant, not an option: no caller has a reason to choose.
 const CHUNK_POINTS: usize = 8_192;
+
+/// One component of every digest of a chunk of set-up jobs
+/// ([`Accumulator::setup_batch`]): `Σ c_x · power(x)` per job, where `power`
+/// reads the key (`g₁^{s^x}` for `d_A`, `g₂^{s^{q−x}}` for `d_B`). Unit
+/// multiplicities — the common case: an object's attributes, a tree node's
+/// union — are gathered straight out of the key into one ladder for the whole
+/// chunk, and the chunk's sums normalized together: a round's inversion and
+/// the final one are paid once per chunk and curve, not once per digest.
+fn digest_components<S: CurveSpec, E: AccElem>(
+    jobs: &[&MultiSet<E>],
+    power: impl Fn(usize) -> Affine<S> + Copy,
+) -> Vec<Affine<S>> {
+    let power_of = move |e: &E| power(e.to_index() as usize);
+    let mut sums = sum_affine_groups(
+        jobs.iter().map(|x| x.iter().filter(|&(_, c)| c == 1).map(move |(e, _)| power_of(e))),
+    );
+    for (sum, x) in sums.iter_mut().zip(jobs) {
+        for (e, c) in x.iter().filter(|&(_, c)| c != 1) {
+            *sum = sum.add(&power_of(e).to_projective().mul_u256(&U256::from_u64(c)));
+        }
+    }
+    batch_to_affine(&sums)
+}
 
 /// The batch prover's unit of work ([`Accumulator::prove_disjoint_batch`]):
 /// the jobs of some whole `X₁` groups, planned as index lists — which
@@ -989,16 +1039,13 @@ mod tests {
         assert_batch_is_twin(&clean, &jobs_around_q());
     }
 
-    /// Equal points meeting in one ladder round — the same-`x` spill. An
-    /// honest key's powers are distinct, so the key here is the degenerate
-    /// one of trapdoor `s = −1`: the powers alternate `g, −g`, and the pairs
-    /// of every round are doublings or cancellations.
-    #[test]
-    fn batch_matches_twin_when_every_chord_is_exceptional() {
-        let q = 32u64;
+    /// The degenerate key of trapdoor `s = −1`: the powers alternate `g, −g`.
+    /// An honest key's powers are distinct; under this one the pairs of
+    /// every ladder round are doublings or cancellations.
+    fn alternating_key(q: u64) -> Acc2 {
         let (g1, g2) =
             (G1Projective::generator().to_affine(), G2Projective::generator().to_affine());
-        let a = Acc2 {
+        Acc2 {
             pk: Arc::new(Acc2PublicKey {
                 q,
                 g1_powers: (0..2 * q - 1)
@@ -1010,7 +1057,13 @@ mod tests {
                     .collect(),
                 g2_powers: (0..q).map(|i| if i % 2 == 0 { g2 } else { g2.neg() }).collect(),
             }),
-        };
+        }
+    }
+
+    /// Equal points meeting in one ladder round — the same-`x` spill.
+    #[test]
+    fn batch_matches_twin_when_every_chord_is_exceptional() {
+        let a = alternating_key(32);
         let jobs = vec![
             (ms(&[1, 2, 3, 4, 6]), vec![ms(&[20, 21]), ms(&[21, 23]), ms(&[20, 24, 26])]),
             (ms(&[1, 2, 2, 5, 7, 9]), vec![ms(&[20, 22]), ms(&[21])]),
@@ -1022,6 +1075,36 @@ mod tests {
                 let proof = a.prove_disjoint(x1, c).unwrap();
                 assert!(a.verify_disjoint(&a.setup(x1), &a.setup(c), &proof));
             }
+        }
+    }
+
+    /// The same spill in set-up, on both curves: under the alternating key
+    /// `acc(X)` is `(n·g₁, n·g₂)` for `n` the even elements of `X` less the
+    /// odd ones, counted with multiplicity (`q = 32` is even, so `s^{q−x}`
+    /// has the sign of `s^x`) — all doublings, all cancellations, and
+    /// mixtures, side by side in one ladder.
+    #[test]
+    fn setup_batch_is_exact_when_every_chord_is_exceptional() {
+        let a = alternating_key(32);
+        let jobs = [
+            (ms(&[2, 4, 6, 8, 10, 12, 14]), 7i64), // doublings all the way down
+            (ms(&[1, 2, 3, 4]), 0),                // every pair cancels
+            (ms(&[1, 2, 4, 6, 7, 8, 8, 8]), 4),    // a mixture, with a multiplicity
+            (ms(&[5]), -1),
+            (ms(&[]), 0),
+        ];
+        let batch = a.setup_batch(&jobs.iter().map(|(x, _)| x).collect::<Vec<_>>());
+        for ((x, n), got) in jobs.iter().zip(batch) {
+            let (mut da, mut db) = (
+                G1Projective::generator().mul_u64(n.unsigned_abs()),
+                G2Projective::generator().mul_u64(n.unsigned_abs()),
+            );
+            if *n < 0 {
+                (da, db) = (da.neg(), db.neg());
+            }
+            let want = Acc2Value { da: da.to_affine(), db: db.to_affine() };
+            assert_eq!(got, Ok(want), "{x:?}");
+            assert_eq!(a.try_setup(x), Ok(want), "{x:?}");
         }
     }
 

@@ -252,6 +252,37 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// attributable rejection, not a crash.
     fn try_setup<E: AccElem>(&self, x: &MultiSet<E>) -> Result<Self::Value, AccError>;
 
+    /// `Setup` of many multisets at once — the shape in which set-up reaches
+    /// a full node: Algorithm 2 plans a block's index on multisets alone, so
+    /// every digest of the block can be asked for in one call. Returns one
+    /// `Result` per job, in order; a job that exceeds the key fails alone,
+    /// with the error [`Accumulator::try_setup`] would report for it.
+    ///
+    /// The set-up override point, beside
+    /// [`Accumulator::prove_disjoint_batch`] for proofs. The default is one
+    /// `try_setup` per job, which Construction 1 keeps (a digest there is a
+    /// characteristic polynomial committed on the comb tables; two digests
+    /// share nothing). Construction 2 sums public-key powers, and shares the
+    /// summation pass across the batch (see the `acc2` module docs); its
+    /// `try_setup` *is* the batch of one. Every override returns the values
+    /// `try_setup` would, byte for byte.
+    ///
+    /// ```
+    /// use rand::rngs::StdRng;
+    /// use rand::SeedableRng;
+    /// use vchain_acc::{Acc2, Accumulator, MultiSet};
+    ///
+    /// let acc = Acc2::keygen(64, &mut StdRng::seed_from_u64(4));
+    /// let nodes: Vec<MultiSet<u64>> =
+    ///     vec![[1u64, 2].into_iter().collect(), [2u64, 3, 64].into_iter().collect()];
+    /// let digests = acc.setup_batch(&nodes.iter().collect::<Vec<_>>());
+    /// assert_eq!(digests[0], Ok(acc.setup(&nodes[0])));
+    /// assert!(digests[1].is_err()); // 64 is outside the universe [1, 64)
+    /// ```
+    fn setup_batch<E: AccElem>(&self, jobs: &[&MultiSet<E>]) -> Vec<Result<Self::Value, AccError>> {
+        jobs.iter().map(|x| self.try_setup(x)).collect()
+    }
+
     /// `ProveDisjoint(X₁, X₂, pk) → π`, defined only when `X₁ ∩ X₂ = ∅`.
     fn prove_disjoint<E: AccElem>(
         &self,

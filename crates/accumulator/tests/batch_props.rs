@@ -10,12 +10,19 @@
 //! sweep covers what the derivation did not think of. The three cases that
 //! need a hand-made key or the chunk constant (the same-`x` spill, the
 //! forbidden power, a chunk boundary) live in `acc2.rs`'s unit tests.
+//!
+//! The second half holds [`Accumulator::setup_batch`] to the same standard:
+//! job for job what [`Accumulator::try_setup`] returns — and, since
+//! Construction 2's `try_setup` *is* its batch of one, also what the
+//! definition of `acc(X)` gives when it is evaluated term by term over the
+//! published powers, with nothing shared and nothing batched.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
-use vchain_acc::{Acc1, Acc2, AccError, Accumulator, MultiSet};
+use vchain_acc::{Acc1, Acc1Value, Acc2, Acc2Value, AccElem, AccError, Accumulator, MultiSet};
+use vchain_pairing::{Field, Fr, G1Projective, G2Projective};
 
 type Job = (MultiSet<u64>, Vec<MultiSet<u64>>);
 
@@ -191,6 +198,143 @@ fn degenerate_batches() {
     ]);
 }
 
+// --- set-up ---------------------------------------------------------------
+
+/// `acc(X) = (g₁^{Σ c·s^x}, g₂^{Σ c·s^{q−x}})` by definition: one scalar
+/// multiplication and one projective addition per element, straight off the
+/// key. For multisets inside the universe.
+fn acc2_by_definition(x: &MultiSet<u64>) -> Acc2Value {
+    let pk = acc2().public_key();
+    let (mut da, mut db) = (G1Projective::identity(), G2Projective::identity());
+    for (&e, c) in x.iter() {
+        da = da.add(&pk.g1_powers[e as usize].to_projective().mul_u64(c));
+        db = db.add(&pk.g2_powers[(pk.q - e) as usize].to_projective().mul_u64(c));
+    }
+    Acc2Value { da: da.to_affine(), db: db.to_affine() }
+}
+
+/// `acc(X) = g₁^{P_X(s)}`, `P_X(s) = Π (s + x)^c` multiplied out one linear
+/// factor at a time and committed one power at a time. For multisets within
+/// the key's capacity.
+fn acc1_by_definition(x: &MultiSet<u64>) -> Acc1Value {
+    let mut p = vec![Fr::one()];
+    for (e, c) in x.iter() {
+        for _ in 0..c {
+            // p ← p · (s + x): coefficient i is x·pᵢ + pᵢ₋₁
+            let x = e.to_fr();
+            let mut next = vec![Fr::zero(); p.len() + 1];
+            for (i, a) in p.iter().enumerate() {
+                next[i] = Field::add(&next[i], &Field::mul(a, &x));
+                next[i + 1] = *a;
+            }
+            p = next;
+        }
+    }
+    let powers = &acc1().public_key().g1_powers;
+    let commit = p
+        .iter()
+        .zip(powers)
+        .fold(G1Projective::identity(), |sum, (a, power)| sum.add(&power.mul_fr(a)));
+    commit.to_affine()
+}
+
+/// Set `jobs` up as one batch and hold every result against one `try_setup`
+/// of the same job — `value_bytes` for `value_bytes`, `Err` for `Err` — and
+/// every `Ok` against the definition.
+fn assert_setup_batch_is_twin<A: Accumulator>(
+    acc: &A,
+    jobs: &[MultiSet<u64>],
+    by_definition: impl Fn(&MultiSet<u64>) -> A::Value,
+) -> Vec<Result<A::Value, AccError>> {
+    let batch = acc.setup_batch(&jobs.iter().collect::<Vec<_>>());
+    assert_eq!(batch.len(), jobs.len(), "one result per job");
+    for (i, (got, x)) in batch.iter().zip(jobs).enumerate() {
+        match (got, acc.try_setup(x)) {
+            (Ok(got), Ok(twin)) => {
+                assert_eq!(A::value_bytes(got), A::value_bytes(&twin), "job {i}");
+                assert_eq!(A::value_bytes(got), A::value_bytes(&by_definition(x)), "job {i}");
+            }
+            (Err(got), Err(twin)) => assert_eq!(*got, twin, "job {i}"),
+            (got, twin) => panic!("job {i}: batch {got:?}, one-by-one {twin:?}"),
+        }
+    }
+    batch
+}
+
+fn assert_setup_both(jobs: &[MultiSet<u64>]) {
+    assert_setup_batch_is_twin(acc2(), jobs, acc2_by_definition);
+    assert_setup_batch_is_twin(acc1(), jobs, acc1_by_definition);
+}
+
+/// No job, and the job with nothing in it: `acc(∅)` is the neutral element
+/// under Construction 2 and `g₁^1` under Construction 1.
+#[test]
+fn setup_of_nothing() {
+    assert!(acc2().setup_batch::<u64>(&[]).is_empty());
+    assert!(acc1().setup_batch::<u64>(&[]).is_empty());
+    assert_setup_both(&[ms(&[]), ms(&[5, 9]), ms(&[])]);
+    let empty = acc2().setup(&ms(&[]));
+    assert!(empty.da.is_identity() && empty.db.is_identity());
+}
+
+/// Multiplicities 2, 3 and 7 — a §6.3 sum, a skip-list entry — beside units:
+/// alone, mixed into one job, and as the whole of a job (no unit term for
+/// the ladder to sum).
+#[test]
+fn setup_with_multiplicities() {
+    assert_setup_both(&[
+        ms(&[1, 2, 2, 3]),
+        ms(&[4, 4, 4]),
+        ms(&[5, 5, 5, 5, 5, 5, 5]),
+        ms(&[1, 2, 2, 3, 3, 3, 6, 6, 6, 6, 6, 6, 6, 8, 9]),
+        ms(&[10, 11, 12]),
+    ]);
+}
+
+/// The same multiset twice in one batch, apart and side by side: two equal
+/// groups in one ladder, two equal values out.
+#[test]
+fn setup_of_the_same_multiset_twice() {
+    let x = ms(&[3, 7, 7, 20, 41]);
+    let batch = assert_setup_batch_is_twin(
+        acc2(),
+        &[x.clone(), ms(&[1, 2]), x.clone(), x.clone()],
+        acc2_by_definition,
+    );
+    assert!(batch[0] == batch[2] && batch[2] == batch[3] && batch[0] != batch[1]);
+    assert_setup_batch_is_twin(acc1(), &[x.clone(), ms(&[1, 2]), x.clone(), x], acc1_by_definition);
+}
+
+/// A job outside the key in the middle of a batch fails alone, with the
+/// error it fails with on its own, and its neighbours' values are theirs —
+/// not shifted by one.
+#[test]
+fn setup_failure_fails_alone() {
+    let jobs = [ms(&[1, 2, 3]), ms(&[4, Q, 5]), ms(&[6, 7]), ms(&[Q + 9]), ms(&[8])];
+    let batch = assert_setup_batch_is_twin(acc2(), &jobs, acc2_by_definition);
+    assert_eq!(batch[1], Err(AccError::CapacityExceeded { needed: 64, capacity: 63 }));
+    assert_eq!(batch[3], Err(AccError::CapacityExceeded { needed: 73, capacity: 63 }));
+    assert_eq!(batch.iter().filter(|r| r.is_ok()).count(), 3);
+    // Construction 1's bound is the cardinality.
+    let wide: MultiSet<u64> = (100..130).collect();
+    let batch =
+        assert_setup_batch_is_twin(acc1(), &[ms(&[1, 2]), wide, ms(&[3])], acc1_by_definition);
+    assert_eq!(batch[1], Err(AccError::CapacityExceeded { needed: 30, capacity: 24 }));
+    assert!(batch[0].is_ok() && batch[2].is_ok());
+}
+
+/// A batch several chunks long (25 200 points; a chunk closes at the first
+/// whole job past 8 192), no two neighbouring jobs alike: every job's value
+/// is its own on both sides of every boundary.
+#[test]
+fn setup_batch_crosses_chunk_boundaries() {
+    let jobs: Vec<MultiSet<u64>> = (0..400u64)
+        .map(|j| (1..Q).map(|e| (e, if (e + j) % 17 == 0 { 1 + j % 3 } else { 1 })).collect())
+        .collect();
+    assert!(jobs.iter().all(|x| x.distinct_len() == 63));
+    assert_setup_batch_is_twin(acc2(), &jobs, acc2_by_definition);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -241,5 +385,21 @@ proptest! {
             })
             .collect();
         assert_batch_is_twin(acc1(), &jobs);
+    }
+
+    /// Blind draws for set-up: up to six jobs of up to 23 draws from a small
+    /// universe (so multiplicities above one occur by collision and repeats
+    /// of a whole job are not rare), now and then a job outside the key.
+    #[test]
+    fn random_setup_batches_match_one_by_one(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let jobs: Vec<MultiSet<u64>> = (0..rng.gen_range(0..7usize))
+            .map(|_| {
+                let top = if rng.gen_bool(0.1) { Q + 4 } else { rng.gen_range(2..Q) };
+                (0..rng.gen_range(0..24usize)).map(|_| rng.gen_range(1..top)).collect()
+            })
+            .collect();
+        assert_setup_batch_is_twin(acc2(), &jobs, acc2_by_definition);
+        assert_setup_batch_is_twin(acc1(), &jobs, acc1_by_definition);
     }
 }

@@ -22,6 +22,7 @@ use vchain_acc::poly::naive;
 use vchain_acc::{Acc2, AccElem, Accumulator, MultiSet};
 use vchain_bench::{build_chain, shared_acc1, shared_acc2};
 use vchain_core::cache::ProofCache;
+use vchain_core::inter::SkipList;
 use vchain_core::intra::IntraTree;
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::subscribe::{SubscriptionEngine, SubscriptionMode, WalkStrategy};
@@ -53,37 +54,58 @@ fn ms(v: &[u64]) -> MultiSet<u64> {
     v.iter().copied().collect()
 }
 
-/// Time `jobs` through `prove_disjoint_batch` and through one
-/// `prove_disjoint` per job — four rows: whole batch and per proof, each way
-/// — after checking once that both give the same proofs.
-fn twin_rows(
+/// Four rows for a batch entry point beside its one-job twin on the same
+/// `items` jobs — whole batch and per item, each way — after checking once
+/// that both give the same answers. Returns the two whole-batch times
+/// (µs: batch, one by one) for a caller with a bar to hold them to.
+fn twin_rows<T: PartialEq + std::fmt::Debug>(
+    timings: &mut Vec<Timing>,
+    items: usize,
+    iters: u32,
+    [batch, batch_per_item, one_by_one, one_by_one_per_item]: [&'static str; 4],
+    mut run_batch: impl FnMut() -> T,
+    mut run_one_by_one: impl FnMut() -> T,
+) -> (f64, f64) {
+    assert_eq!(run_batch(), run_one_by_one(), "{batch}: batch ≠ twin");
+    let (t_batch, t_each) =
+        (time(batch, iters, run_batch), time(one_by_one, iters, run_one_by_one));
+    let whole = (t_batch.us_per_iter, t_each.us_per_iter);
+    for (per_item, t) in [(batch_per_item, t_batch), (one_by_one_per_item, t_each)] {
+        eprintln!("[bench-smoke] {per_item}: {:.2} µs", t.us_per_iter / items as f64);
+        timings.push(Timing {
+            name: per_item,
+            iters: t.iters,
+            us_per_iter: t.us_per_iter / items as f64,
+        });
+        timings.push(t);
+    }
+    whole
+}
+
+/// [`twin_rows`] for `jobs` through `prove_disjoint_batch` and through one
+/// `prove_disjoint` per job.
+fn prove_twin_rows(
     timings: &mut Vec<Timing>,
     acc: &Acc2,
     jobs: &[(MultiSet<u64>, Vec<MultiSet<u64>>)],
     iters: u32,
-    [batch, batch_per_proof, one_by_one, one_by_one_per_proof]: [&'static str; 4],
+    names: [&'static str; 4],
 ) {
     let borrowed: Vec<(&MultiSet<u64>, &[MultiSet<u64>])> =
         jobs.iter().map(|(x1, clauses)| (x1, clauses.as_slice())).collect();
-    let prove_each = || -> Vec<_> {
-        jobs.iter()
-            .flat_map(|(x1, clauses)| clauses.iter().map(move |c| acc.prove_disjoint(x1, c)))
-            .collect()
-    };
-    assert_eq!(acc.prove_disjoint_batch(&borrowed), prove_each(), "{batch}: batch ≠ twin");
-    let proofs = borrowed.iter().map(|(_, clauses)| clauses.len()).sum::<usize>() as f64;
-    for (per_proof, t) in [
-        (batch_per_proof, time(batch, iters, || acc.prove_disjoint_batch(&borrowed))),
-        (one_by_one_per_proof, time(one_by_one, iters, prove_each)),
-    ] {
-        eprintln!("[bench-smoke] {per_proof}: {:.2} µs", t.us_per_iter / proofs);
-        timings.push(Timing {
-            name: per_proof,
-            iters: t.iters,
-            us_per_iter: t.us_per_iter / proofs,
-        });
-        timings.push(t);
-    }
+    let proofs = borrowed.iter().map(|(_, clauses)| clauses.len()).sum();
+    twin_rows(
+        timings,
+        proofs,
+        iters,
+        names,
+        || acc.prove_disjoint_batch(&borrowed),
+        || -> Vec<_> {
+            jobs.iter()
+                .flat_map(|(x1, clauses)| clauses.iter().map(move |c| acc.prove_disjoint(x1, c)))
+                .collect()
+        },
+    );
 }
 
 fn main() {
@@ -235,7 +257,7 @@ fn main() {
             (x1, vec![(1000 + 5 * j..1004 + 5 * j).collect()])
         })
         .collect();
-    twin_rows(
+    prove_twin_rows(
         &mut timings,
         &acc2,
         &window19,
@@ -263,7 +285,7 @@ fn main() {
             ((0..43u64).map(|i| 1 + 7 * i + j).collect(), clauses)
         })
         .collect();
-    twin_rows(
+    prove_twin_rows(
         &mut timings,
         &acc2,
         &block1056,
@@ -392,6 +414,53 @@ fn main() {
     let cache: ProofCache<Acc2> = ProofCache::default();
     timings.push(time("block_query_intra_acc2_cached", 5, || {
         tree.query(&objects, &cq, None, &acc2_honest, false, &cache)
+    }));
+
+    // --- miner set-up: a block's digests as one batch ---------------------
+    // The 23 node multisets of the tree above (12 objects of 18 attributes,
+    // unions up to 153) through one `setup_batch`, beside one `try_setup`
+    // per node — Construction 2's `try_setup` is its batch of one, so the
+    // twin pays exactly what the batch shares: a halving ladder and a
+    // normalization per digest and curve.
+    let node_sets: Vec<&MultiSet<_>> = tree.nodes.iter().map(|n| &n.ms).collect();
+    assert_eq!(node_sets.len(), 23, "the fixture block's tree");
+    let (batch_us, one_by_one_us) = twin_rows(
+        &mut timings,
+        node_sets.len(),
+        50,
+        [
+            "setup_batch_acc2_block_23",
+            "setup_batch_acc2_block_23_per_node",
+            "setup_batch_acc2_block_23_one_by_one",
+            "setup_batch_acc2_block_23_one_by_one_per_node",
+        ],
+        || acc2_honest.setup_batch(&node_sets),
+        || node_sets.iter().map(|x| acc2_honest.try_setup(x)).collect(),
+    );
+    assert!(
+        batch_us <= 0.5 * one_by_one_us,
+        "a block's set-up batch must cost at most half of its digests one by one \
+         ({batch_us:.0} µs vs {one_by_one_us:.0} µs)"
+    );
+
+    // --- a block's skip list at height 64 ----------------------------------
+    // Five levels (distances 2 … 32), each the sum of two halves that exist:
+    // five multiset sums and five `Sum`s, where summing every covered block
+    // afresh took 62 of each.
+    let chain64 = WorkloadSpec::paper_defaults(Dataset::FourSquare, 64).generate();
+    let cfg64 = MinerConfig {
+        scheme: IndexScheme::Both,
+        skip_levels: 5,
+        domain_bits: chain64.spec.domain_bits,
+        difficulty: vchain_chain::Difficulty(0),
+        bloom_bits_per_key: 10,
+    };
+    let mut miner64 = Miner::new(cfg64, shared_acc2());
+    for (ts, objs) in &chain64.blocks {
+        miner64.mine_block(*ts, objs.clone());
+    }
+    timings.push(time("skiplist_build_acc2_h64", 50, || {
+        SkipList::build(miner64.history(), cfg64.skip_levels, &miner64.acc)
     }));
 
     // --- a 12-block chain and 8 heavily overlapping windows --------------

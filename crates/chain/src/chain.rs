@@ -38,6 +38,32 @@ impl core::fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
+/// Whether `header` may follow `tip` (`None`: an empty chain). The one rule
+/// of both node kinds — a light client must follow exactly the header chains
+/// a full node can hold.
+fn check_extends(
+    tip: Option<&BlockHeader>,
+    header: &BlockHeader,
+    difficulty: Difficulty,
+) -> Result<(), ChainError> {
+    let expected_height = tip.map_or(0, |t| t.height + 1);
+    if header.height != expected_height {
+        return Err(ChainError::WrongHeight { expected: expected_height, got: header.height });
+    }
+    let expected_prev = tip.map_or(Digest::ZERO, BlockHeader::block_hash);
+    if header.prev_hash != expected_prev {
+        return Err(ChainError::BrokenLink { expected: expected_prev, got: header.prev_hash });
+    }
+    // equal timestamps are legal: several blocks may share a clock tick
+    if tip.is_some_and(|t| header.timestamp < t.timestamp) {
+        return Err(ChainError::TimestampRegression);
+    }
+    if !header.verify_pow(difficulty) {
+        return Err(ChainError::InvalidPow);
+    }
+    Ok(())
+}
+
 /// A full node's storage: all blocks, indexed by height and hash.
 #[derive(Debug, Default)]
 pub struct ChainStore {
@@ -73,28 +99,7 @@ impl ChainStore {
 
     /// Validate and append a block.
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
-        let expected_height = self.height().map(|h| h + 1).unwrap_or(0);
-        if block.header.height != expected_height {
-            return Err(ChainError::WrongHeight {
-                expected: expected_height,
-                got: block.header.height,
-            });
-        }
-        let expected_prev = self.tip_hash();
-        if block.header.prev_hash != expected_prev {
-            return Err(ChainError::BrokenLink {
-                expected: expected_prev,
-                got: block.header.prev_hash,
-            });
-        }
-        if let Some(last) = self.blocks.last() {
-            if block.header.timestamp < last.header.timestamp {
-                return Err(ChainError::TimestampRegression);
-            }
-        }
-        if !block.header.verify_pow(self.difficulty) {
-            return Err(ChainError::InvalidPow);
-        }
+        check_extends(self.blocks.last().map(|b| &b.header), &block.header, self.difficulty)?;
         self.by_hash.insert(block.block_hash(), self.blocks.len());
         self.blocks.push(block);
         Ok(())
@@ -142,17 +147,7 @@ impl LightClient {
 
     /// Validate and accept the next header.
     pub fn sync_header(&mut self, header: BlockHeader) -> Result<(), ChainError> {
-        let expected_height = self.headers.last().map(|h| h.height + 1).unwrap_or(0);
-        if header.height != expected_height {
-            return Err(ChainError::WrongHeight { expected: expected_height, got: header.height });
-        }
-        let expected_prev = self.headers.last().map(|h| h.block_hash()).unwrap_or(Digest::ZERO);
-        if header.prev_hash != expected_prev {
-            return Err(ChainError::BrokenLink { expected: expected_prev, got: header.prev_hash });
-        }
-        if !header.verify_pow(self.difficulty) {
-            return Err(ChainError::InvalidPow);
-        }
+        check_extends(self.headers.last(), &header, self.difficulty)?;
         self.headers.push(header);
         Ok(())
     }
@@ -228,6 +223,27 @@ mod tests {
         store.append(mk_block(Digest::ZERO, 0, 10, d)).unwrap();
         let bad = mk_block(hash_bytes(b"wrong"), 1, 20, d);
         assert!(matches!(store.append(bad), Err(ChainError::BrokenLink { .. })));
+    }
+
+    /// A light client follows only header chains a full node can hold: the
+    /// store's timestamp rule is the client's too, and equal timestamps pass
+    /// on both sides.
+    #[test]
+    fn light_client_rejects_timestamp_regression() {
+        let d = Difficulty(0);
+        let (mut store, mut light) = (ChainStore::new(d), LightClient::new(d));
+        let b0 = mk_block(Digest::ZERO, 0, 10, d);
+        let h0 = b0.block_hash();
+        light.sync_header(b0.header.clone()).unwrap();
+        store.append(b0).unwrap();
+        let back = mk_block(h0, 1, 9, d);
+        assert_eq!(light.sync_header(back.header.clone()), Err(ChainError::TimestampRegression));
+        assert_eq!(store.append(back), Err(ChainError::TimestampRegression));
+        assert_eq!(light.len(), 1, "a rejected header is not kept");
+        let same = mk_block(h0, 1, 10, d);
+        light.sync_header(same.header.clone()).unwrap();
+        store.append(same).unwrap();
+        assert_eq!(light.block_hash(1).unwrap(), store.tip_hash());
     }
 
     #[test]

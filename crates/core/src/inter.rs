@@ -12,6 +12,8 @@
 //! the SP process the current block before jumping, which is
 //! completeness-safe — see DESIGN.md §4.)
 
+use std::sync::Arc;
+
 use vchain_acc::{Accumulator, MultiSet};
 use vchain_hash::{hash_concat, Digest};
 
@@ -68,43 +70,73 @@ pub struct BlockSummary<A: Accumulator> {
     pub ms: MultiSet<ElementId>,
     /// `acc(ms)` — reused by Construction 2's `Sum` aggregation.
     pub att: A::Value,
+    /// The block's own skip list, shared with its
+    /// [`IndexedBlock`](crate::miner::IndexedBlock) rather than copied: later
+    /// blocks' lists are summed from its entries ([`SkipList::build`]).
+    pub skiplist: Arc<SkipList<A>>,
 }
 
 impl<A: Accumulator> SkipList<A> {
     /// Build block `h`'s skip list from the mined history
-    /// (`history[j]` = summary of block `j`, `history.len() == h`).
+    /// (`history[j]` = summary of block `j`, `history.len() == h`), whose
+    /// own lists were built with at least `levels` levels.
     ///
-    /// With an aggregating accumulator the entry digest is
-    /// `Sum(att_{h−k}, …, att_{h−1})` — the paper's explanation of why acc2
-    /// is an order of magnitude cheaper here (Table 1). Otherwise the digest
-    /// is set up from scratch on the summed multiset.
+    /// The list *doubles*: the `2ʲ` blocks an entry covers are two runs of
+    /// `2ʲ⁻¹` that are summed already — the nearer is this list's entry one
+    /// level down, the farther block `h − 2ʲ⁻¹`'s entry at that level (level
+    /// 1: the two preceding blocks' own summaries) — so a level costs one
+    /// multiset sum however long its run, not one per covered block.
+    ///
+    /// With an aggregating accumulator the entry digest is the `Sum` of the
+    /// two halves' digests — the paper's explanation of why acc2 is an order
+    /// of magnitude cheaper here (Table 1). Otherwise the levels' digests
+    /// are set up from scratch on the summed multisets, as one batch.
     pub fn build(history: &[BlockSummary<A>], levels: u8, acc: &A) -> Self {
-        let h = history.len() as u64;
-        let mut entries = Vec::new();
-        for j in 1..=levels {
-            let distance = 1u64 << j;
-            if distance > h {
-                break;
+        let h = history.len();
+        let depth = (1..=levels).take_while(|&j| 1usize << j <= h).count();
+        // The farther half of level `j`'s run.
+        let far = |j: usize| match j {
+            1 => (&history[h - 2].ms, &history[h - 2].att),
+            _ => {
+                let entry = history[h - (1 << (j - 1))].skiplist.entries.get(j - 2);
+                let entry = entry.expect("the history's own lists reach this level");
+                (&entry.ms, &entry.att)
             }
-            let range = &history[(h - distance) as usize..];
-            let hashes: Vec<Digest> = range.iter().map(|s| s.hash).collect();
-            let mut ms = MultiSet::new();
-            for s in range {
-                ms = ms.sum(&s.ms);
-            }
-            let att = if acc.supports_aggregation() {
-                let atts: Vec<A::Value> = range.iter().map(|s| s.att.clone()).collect();
-                acc.sum(&atts).expect("aggregating accumulator")
-            } else {
-                acc.setup(&ms)
-            };
-            entries.push(SkipEntry {
-                distance,
-                pre_skipped_hash: pre_skipped_hash(&hashes),
-                ms,
-                att,
-            });
+        };
+        let mut multisets: Vec<MultiSet<ElementId>> = Vec::with_capacity(depth);
+        for j in 1..=depth {
+            let near = if j == 1 { &history[h - 1].ms } else { &multisets[j - 2] };
+            multisets.push(far(j).0.sum(near));
         }
+        let atts = if acc.supports_aggregation() {
+            let mut atts: Vec<A::Value> = Vec::with_capacity(depth);
+            for j in 1..=depth {
+                let near = if j == 1 { &history[h - 1].att } else { &atts[j - 2] };
+                let sum = acc.sum(&[far(j).1.clone(), near.clone()]);
+                atts.push(sum.expect("aggregating accumulator"));
+            }
+            atts
+        } else {
+            acc.setup_batch(&multisets.iter().collect::<Vec<_>>())
+                .into_iter()
+                .map(|att| att.expect("the chain's attributes lie within the key's bounds"))
+                .collect()
+        };
+        let entries = multisets
+            .into_iter()
+            .zip(atts)
+            .enumerate()
+            .map(|(level, (ms, att))| {
+                let distance = 2usize << level;
+                let hashes: Vec<Digest> = history[h - distance..].iter().map(|s| s.hash).collect();
+                SkipEntry {
+                    distance: distance as u64,
+                    pre_skipped_hash: pre_skipped_hash(&hashes),
+                    ms,
+                    att,
+                }
+            })
+            .collect();
         Self { entries }
     }
 
@@ -162,33 +194,37 @@ mod tests {
         A.get_or_init(|| Acc2::keygen(64, &mut StdRng::seed_from_u64(5))).clone()
     }
 
-    fn summary(a: &Acc2, seed: u64, elems: &[u64]) -> BlockSummary<Acc2> {
-        let ms: vchain_acc::MultiSet<u64> = elems.iter().copied().collect();
-        // tests use u64 elements directly (AccElem impl), bypassing ElementId
-        let att = a.setup(&ms);
-        let ms_ids: MultiSet<crate::element::ElementId> =
-            ms.elements().map(|e| crate::element::ElementId::keyword(&format!("sk:{e}"))).collect();
-        let att_ids = a.setup(&ms_ids);
-        let _ = att;
-        BlockSummary { hash: hash_bytes(&seed.to_le_bytes()), ms: ms_ids, att: att_ids }
+    /// A history of `blocks.len()` blocks, block `i` over the elements
+    /// `blocks[i]`, every block's list built from the blocks before it — as
+    /// the miner builds it.
+    fn history<B: AsRef<[u64]>>(a: &Acc2, levels: u8, blocks: &[B]) -> Vec<BlockSummary<Acc2>> {
+        let mut history = Vec::new();
+        for (height, elems) in blocks.iter().enumerate() {
+            let ms: MultiSet<ElementId> =
+                elems.as_ref().iter().map(|e| ElementId::keyword(&format!("sk:{e}"))).collect();
+            let skiplist = Arc::new(SkipList::build(&history, levels, a));
+            let hash = hash_bytes(&(height as u64).to_le_bytes());
+            history.push(BlockSummary { hash, att: a.setup(&ms), ms, skiplist });
+        }
+        history
     }
 
     #[test]
     fn entries_appear_with_height() {
         let a = acc();
-        let mut history = Vec::new();
-        for h in 0..9u64 {
-            let list = SkipList::build(&history, 3, &a);
-            let expected_levels = [2u64, 4, 8].iter().filter(|&&d| d <= h).count();
-            assert_eq!(list.entries.len(), expected_levels, "height {h}");
-            history.push(summary(&a, h, &[h % 5 + 1, 6]));
+        let blocks: Vec<[u64; 2]> = (0..9).map(|h| [h % 5 + 1, 6]).collect();
+        let history = history(&a, 3, &blocks);
+        for (h, block) in history.iter().enumerate() {
+            let distances: Vec<u64> = block.skiplist.entries.iter().map(|e| e.distance).collect();
+            let expected: Vec<u64> = [2, 4, 8].into_iter().filter(|&d| d <= h as u64).collect();
+            assert_eq!(distances, expected, "height {h}");
         }
     }
 
     #[test]
     fn entry_is_sum_of_covered_blocks() {
         let a = acc();
-        let history: Vec<_> = (0..4u64).map(|h| summary(&a, h, &[h + 1])).collect();
+        let history = history(&a, 2, &[[1], [2], [3], [4]]);
         let list = SkipList::build(&history, 2, &a);
         let e2 = list.entry_at(2).unwrap();
         // distance 2 covers blocks 2 and 3
@@ -199,12 +235,16 @@ mod tests {
         // distance-4 entry covers everything
         let e4 = list.entry_at(4).unwrap();
         assert_eq!(e4.ms.total_count(), history.iter().map(|s| s.ms.total_count()).sum::<u64>());
+        assert_eq!(
+            e4.pre_skipped_hash,
+            pre_skipped_hash(&history.iter().map(|s| s.hash).collect::<Vec<_>>())
+        );
     }
 
     #[test]
     fn root_commits_all_levels() {
         let a = acc();
-        let history: Vec<_> = (0..4u64).map(|h| summary(&a, h, &[h + 1])).collect();
+        let history = history(&a, 2, &[[1], [2], [3], [4]]);
         let list = SkipList::build(&history, 2, &a);
         let root = list.root();
         assert_ne!(root, Digest::ZERO);

@@ -28,7 +28,7 @@ use crate::subindex::Cell;
 use crate::vo::{Att, BlockVo, ClauseRef, GroupProof, MismatchProof, VoNode};
 
 /// Node payload: a leaf holds one object, an internal node two children.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IntraNodeKind {
     /// A leaf over one object.
     Leaf {
@@ -158,32 +158,36 @@ pub fn internal_hash(child_pair: &Digest, att: &Att) -> Digest {
     hash_concat(&[b"vchain/internal", &child_pair.0, att.as_bytes()])
 }
 
-impl<A: Accumulator> IntraTree<A> {
-    /// Build leaves: one per object, with its `W′` multiset and AttDigest.
-    fn build_leaves(objects: &[Object], acc: &A, domain_bits: u8) -> Vec<IntraNode<A>> {
-        objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| {
-                let ms = object_multiset(o, domain_bits);
-                let att = acc.setup(&ms);
-                IntraNode {
-                    hash: leaf_hash(&o.digest(), &Att::of::<A>(&att)),
-                    ms,
-                    att: Some(att),
-                    kind: IntraNodeKind::Leaf { obj_idx: i },
-                }
-            })
-            .collect()
+/// A tree as Algorithm 2 plans it: the shape and every node's multiset — all
+/// the clustering reads — with no digest set up and nothing hashed. Arena
+/// order as in [`IntraTree::nodes`]: leaves first, children before parents.
+struct TreePlan {
+    multisets: Vec<MultiSet<ElementId>>,
+    kinds: Vec<IntraNodeKind>,
+}
+
+impl TreePlan {
+    /// One leaf per object, over its `W′` multiset.
+    fn leaves(objects: &[Object], domain_bits: u8) -> Self {
+        assert!(!objects.is_empty(), "a block must contain at least one object");
+        Self {
+            multisets: objects.iter().map(|o| object_multiset(o, domain_bits)).collect(),
+            kinds: (0..objects.len()).map(|obj_idx| IntraNodeKind::Leaf { obj_idx }).collect(),
+        }
     }
 
-    /// Algorithm 2: greedy Jaccard clustering, bottom-up. Internal nodes get
-    /// union multisets and AttDigests, enabling subtree pruning.
-    pub fn build_clustered(objects: &[Object], acc: &A, domain_bits: u8) -> Self {
-        assert!(!objects.is_empty(), "a block must contain at least one object");
-        let mut arena = Self::build_leaves(objects, acc, domain_bits);
-        let mut frontier: Vec<usize> = (0..arena.len()).collect();
+    /// Add the parent of `left` and `right`, over the union of their
+    /// multisets. Returns its arena index.
+    fn join(&mut self, left: usize, right: usize) -> usize {
+        self.multisets.push(self.multisets[left].union(&self.multisets[right]));
+        self.kinds.push(IntraNodeKind::Internal { left, right });
+        self.kinds.len() - 1
+    }
 
+    /// Algorithm 2: greedy Jaccard clustering, bottom-up.
+    fn clustered(objects: &[Object], domain_bits: u8) -> Self {
+        let mut plan = Self::leaves(objects, domain_bits);
+        let mut frontier: Vec<usize> = (0..objects.len()).collect();
         while frontier.len() > 1 {
             let mut next_level = Vec::with_capacity(frontier.len() / 2 + 1);
             while frontier.len() > 1 {
@@ -191,69 +195,93 @@ impl<A: Accumulator> IntraTree<A> {
                 let (li, _) = frontier
                     .iter()
                     .enumerate()
-                    .max_by_key(|(_, &n)| arena[n].ms.distinct_len())
+                    .max_by_key(|(_, &n)| plan.multisets[n].distinct_len())
                     .expect("non-empty frontier");
                 let nl = frontier.swap_remove(li);
                 // n_r: the frontier node most similar to n_l (Jaccard)
                 let (ri, _) = frontier
                     .iter()
                     .enumerate()
-                    .map(|(i, &n)| (i, arena[nl].ms.jaccard(&arena[n].ms)))
+                    .map(|(i, &n)| (i, plan.multisets[nl].jaccard(&plan.multisets[n])))
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("non-empty frontier");
                 let nr = frontier.swap_remove(ri);
-
-                let ms = arena[nl].ms.union(&arena[nr].ms);
-                let att = acc.setup(&ms);
-                let pair = hash_pair(&arena[nl].hash, &arena[nr].hash);
-                let hash = internal_hash(&pair, &Att::of::<A>(&att));
-                arena.push(IntraNode {
-                    hash,
-                    ms,
-                    att: Some(att),
-                    kind: IntraNodeKind::Internal { left: nl, right: nr },
-                });
-                next_level.push(arena.len() - 1);
+                next_level.push(plan.join(nl, nr));
             }
             // a leftover odd node is carried upward (Algorithm 2's
             // `nodes ← newnodes + nodes`)
             next_level.append(&mut frontier);
             frontier = next_level;
         }
+        plan
+    }
 
-        let root = frontier[0];
-        Self { nodes: arena, root }
+    /// The `nil` baseline's shape: balanced, in arrival order.
+    fn balanced(objects: &[Object], domain_bits: u8) -> Self {
+        let mut plan = Self::leaves(objects, domain_bits);
+        let mut frontier: Vec<usize> = (0..objects.len()).collect();
+        while frontier.len() > 1 {
+            frontier = frontier
+                .chunks(2)
+                .map(|pair| match *pair {
+                    [l, r] => plan.join(l, r),
+                    [odd] => odd,
+                    _ => unreachable!(),
+                })
+                .collect();
+        }
+        plan
+    }
+}
+
+impl<A: Accumulator> IntraTree<A> {
+    /// Algorithm 2: greedy Jaccard clustering, bottom-up. Internal nodes get
+    /// union multisets and AttDigests, enabling subtree pruning.
+    pub fn build_clustered(objects: &[Object], acc: &A, domain_bits: u8) -> Self {
+        Self::set_up(TreePlan::clustered(objects, domain_bits), objects, acc, true)
     }
 
     /// The `nil` baseline: a balanced Merkle tree in arrival order whose
     /// internal nodes carry no AttDigest, so queries must visit every leaf.
     pub fn build_nil(objects: &[Object], acc: &A, domain_bits: u8) -> Self {
-        assert!(!objects.is_empty(), "a block must contain at least one object");
-        let mut arena = Self::build_leaves(objects, acc, domain_bits);
-        let mut frontier: Vec<usize> = (0..arena.len()).collect();
-        while frontier.len() > 1 {
-            let mut next = Vec::with_capacity(frontier.len().div_ceil(2));
-            for pair in frontier.chunks(2) {
-                match *pair {
-                    [l, r] => {
-                        let ms = arena[l].ms.union(&arena[r].ms);
-                        let hash = hash_pair(&arena[l].hash, &arena[r].hash);
-                        arena.push(IntraNode {
-                            hash,
-                            ms,
-                            att: None,
-                            kind: IntraNodeKind::Internal { left: l, right: r },
-                        });
-                        next.push(arena.len() - 1);
-                    }
-                    [odd] => next.push(odd),
-                    _ => unreachable!(),
+        Self::set_up(TreePlan::balanced(objects, domain_bits), objects, acc, false)
+    }
+
+    /// Give a planned tree its digests — every digest-bearing node (all of
+    /// them, or the leaves alone) through one [`Accumulator::setup_batch`] —
+    /// and then its hashes, in arena order: a parent's children are hashed
+    /// before it.
+    fn set_up(plan: TreePlan, objects: &[Object], acc: &A, digest_internals: bool) -> Self {
+        let bears_digest =
+            |kind: &IntraNodeKind| digest_internals || matches!(kind, IntraNodeKind::Leaf { .. });
+        let jobs: Vec<&MultiSet<ElementId>> = plan
+            .multisets
+            .iter()
+            .zip(&plan.kinds)
+            .filter_map(|(ms, kind)| bears_digest(kind).then_some(ms))
+            .collect();
+        let mut atts = acc.setup_batch(&jobs).into_iter();
+        let mut nodes: Vec<IntraNode<A>> = Vec::with_capacity(plan.kinds.len());
+        for (ms, kind) in plan.multisets.into_iter().zip(plan.kinds) {
+            let att = bears_digest(&kind).then(|| {
+                let att = atts.next().expect("one result per job");
+                att.expect("a block's attributes lie within the accumulator key's bounds")
+            });
+            let hash = match kind {
+                IntraNodeKind::Leaf { obj_idx } => {
+                    let att = att.as_ref().expect("leaves always carry AttDigest");
+                    leaf_hash(&objects[obj_idx].digest(), &Att::of::<A>(att))
                 }
-            }
-            frontier = next;
+                IntraNodeKind::Internal { left, right } => {
+                    let pair = hash_pair(&nodes[left].hash, &nodes[right].hash);
+                    // a nil interior is a plain Merkle pair
+                    att.as_ref().map_or(pair, |att| internal_hash(&pair, &Att::of::<A>(att)))
+                }
+            };
+            nodes.push(IntraNode { hash, ms, att, kind });
         }
-        let root = frontier[0];
-        Self { nodes: arena, root }
+        // Both plans add the root last.
+        Self { root: nodes.len() - 1, nodes }
     }
 
     /// The root Merkle commitment (goes into the block header).

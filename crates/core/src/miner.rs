@@ -2,6 +2,8 @@
 //! ADS (intra-block index and optionally the inter-block skip list),
 //! computes the consensus proof, and appends to the chain.
 
+use std::sync::Arc;
+
 use vchain_acc::Accumulator;
 use vchain_chain::{mine_nonce, Block, BlockHeader, ChainStore, Difficulty, Object};
 use vchain_hash::Digest;
@@ -55,8 +57,9 @@ impl Default for MinerConfig {
 pub struct IndexedBlock<A: Accumulator> {
     /// The intra-block index (§6.1).
     pub tree: IntraTree<A>,
-    /// The inter-block skip list (§6.2; empty unless the `Both` scheme).
-    pub skiplist: SkipList<A>,
+    /// The inter-block skip list (§6.2; empty unless the `Both` scheme),
+    /// shared with the block's [`BlockSummary`].
+    pub skiplist: Arc<SkipList<A>>,
     /// Bloom filter over the block's distinct attribute elements: the
     /// subscription engine's candidate pre-filter ([`crate::bloom`]). SP-side
     /// acceleration only — it carries no authentication and a corrupted
@@ -103,11 +106,11 @@ impl<A: Accumulator> Miner<A> {
                 IntraTree::build_clustered(&objects, &self.acc, self.cfg.domain_bits)
             }
         };
-        let skiplist = if self.cfg.scheme == IndexScheme::Both {
+        let skiplist = Arc::new(if self.cfg.scheme == IndexScheme::Both {
             SkipList::build(&self.history, self.cfg.skip_levels, &self.acc)
         } else {
             SkipList { entries: Vec::new() }
-        };
+        });
 
         let ads_root = tree.root_hash();
         let skiplist_root = skiplist.root();
@@ -125,13 +128,13 @@ impl<A: Accumulator> Miner<A> {
         // aggregation: the block's attribute multiset is its intra-tree root
         // multiset, so per-block digests reuse the root AttDigest and
         // `ProofSum` of root proofs matches `Sum` of block digests.
-        let (block_ms, block_att) = match tree.root_att() {
-            Some(att) => (tree.root_multiset().clone(), att.clone()),
+        let block_ms = tree.root_multiset().clone();
+        let block_att = match tree.root_att() {
+            Some(att) => att.clone(),
+            // nil scheme: no root digest in the tree; derive one.
             None => {
-                // nil scheme: no root digest in the tree; derive one.
-                let ms = tree.root_multiset().clone();
-                let att = self.acc.setup(&ms);
-                (ms, att)
+                let att = self.acc.setup_batch(&[&block_ms]).swap_remove(0);
+                att.expect("a block's attributes lie within the accumulator key's bounds")
             }
         };
 
@@ -144,8 +147,13 @@ impl<A: Accumulator> Miner<A> {
         );
 
         self.store.append(block).expect("self-mined block must validate");
-        self.indexed.push(IndexedBlock { tree, skiplist, bloom });
-        self.history.push(BlockSummary { hash: block_hash, ms: block_ms, att: block_att });
+        self.indexed.push(IndexedBlock { tree, skiplist: skiplist.clone(), bloom });
+        self.history.push(BlockSummary {
+            hash: block_hash,
+            ms: block_ms,
+            att: block_att,
+            skiplist,
+        });
         height
     }
 
