@@ -3,30 +3,23 @@
 //! Construction 1 needs four operations: building a characteristic
 //! polynomial from its (negated) roots, multiplication, division with
 //! remainder, and an extended GCD producing the Bézout pair behind
-//! disjointness witnesses. The seed implemented all four naively — O(n²)
-//! incremental root folding, schoolbook multiplication, long division and
-//! the quadratic extended Euclid — which capped Acc1 at toy sizes.
-//!
-//! This module keeps those routines as the [`naive`] reference and layers
-//! the divide-and-conquer versions on top:
+//! disjointness witnesses. Each has one implementation, chosen for the
+//! shapes Acc1 actually reaches (`docs/POLYNOMIALS.md`, "Reached shapes"):
 //!
 //! * [`Poly::mul`] — Karatsuba above a schoolbook base case
 //!   ([`KARATSUBA_THRESHOLD`]), with a chunked path for very unbalanced
 //!   operands: `O(n^1.585)` instead of `O(n²)`.
 //! * [`Poly::char_poly`] — a subproduct tree: the linear leaves `(s + xᵢ)`
 //!   are merged pairwise, so every multiplication is balanced and the total
-//!   cost is `O(M(n) log n)` where `M` is the multiplication cost.
-//! * [`Poly::divrem`] — Newton inversion of the reversed divisor
-//!   (`O(M(n))`) when both quotient and divisor are large, long division
-//!   otherwise.
-//! * [`Poly::xgcd`] — a half-GCD (divide-and-conquer Euclid) that collapses
-//!   runs of quotient steps into 2×2 polynomial matrices when both degrees
-//!   are ≥ [`HALF_GCD_THRESHOLD`], and the classical loop below that.
+//!   cost is `O(M(n) log n)` where `M` is the multiplication cost. Block
+//!   roots and skip entries reach thousands of elements, where the tree is
+//!   several times faster than the incremental fold.
+//! * [`Poly::divrem`] — long division, `O(deg q · deg b)`.
+//! * [`Poly::xgcd`] — the classical extended Euclid, `O(deg a · deg b)`:
+//!   one side of every Acc1 Bézout pair is a clause of a few literals.
 //!
-//! Every fast path is property-tested against its [`naive`] twin; see the
-//! tests at the bottom of this file and `tests/poly_props.rs`. The
-//! algorithms and their complexity trade-offs are documented in
-//! `docs/POLYNOMIALS.md`.
+//! The two fast paths are property-tested against their [`naive`] twins;
+//! see the tests at the bottom of this file and `tests/poly_props.rs`.
 
 use vchain_pairing::{Field, Fr};
 
@@ -36,38 +29,11 @@ use vchain_pairing::{Field, Fr};
 /// multiplications only once both operands have ≳16 coefficients.
 pub const KARATSUBA_THRESHOLD: usize = 16;
 
-/// Below this degree (of the *smaller* operand) [`Poly::xgcd`] runs the
-/// classical extended Euclid; at or above it, the half-GCD. Acc1 clause
-/// polynomials are tiny (a few keywords), so the classical loop — which is
-/// `O(deg a · deg b)`, not `O(max²)` — already handles the production
-/// shape; the half-GCD takes over for large×large inputs.
-pub const HALF_GCD_THRESHOLD: usize = 64;
-
-/// Minimum quotient *and* divisor degree for Newton-inversion division;
-/// below it [`Poly::divrem`] long-divides. Long division costs
-/// `O(deg q · deg b)`, which is linear whenever either factor is small —
-/// exactly the Acc1 shape (huge quotient, tiny divisor).
-pub const FAST_DIVISION_THRESHOLD: usize = 32;
-
 /// A polynomial `Σ cᵢ·sⁱ`, coefficients little-endian, no trailing zeros.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Poly {
     coeffs: Vec<Fr>,
 }
-
-/// Error returned by [`Poly::char_poly_distinct`] when the input contains
-/// a repeated element: the *set* characteristic polynomial is squarefree by
-/// definition, so a duplicate is a caller bug, not a multiplicity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DuplicateElement;
-
-impl core::fmt::Display for DuplicateElement {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "duplicate element in a distinct-root characteristic polynomial")
-    }
-}
-
-impl std::error::Error for DuplicateElement {}
 
 impl Poly {
     /// The zero polynomial (empty coefficient vector).
@@ -121,34 +87,6 @@ impl Poly {
             }
         }
         Self::from_coeffs(subproduct(leaves))
-    }
-
-    /// The squarefree characteristic polynomial `∏ (s + xᵢ)` of a *set*,
-    /// rejecting duplicates with [`DuplicateElement`].
-    ///
-    /// Use this instead of [`Poly::char_poly`] when the caller's invariant
-    /// is distinctness (e.g. interned element ids): a repeated element
-    /// would silently become a multiplicity there, but is an error here.
-    ///
-    /// ```
-    /// use vchain_acc::poly::{DuplicateElement, Poly};
-    /// use vchain_pairing::Fr;
-    ///
-    /// let ok = Poly::char_poly_distinct([Fr::from_u64(1), Fr::from_u64(2)]).unwrap();
-    /// assert_eq!(ok.degree(), Some(2));
-    /// let dup = Poly::char_poly_distinct([Fr::from_u64(7), Fr::from_u64(7)]);
-    /// assert_eq!(dup.unwrap_err(), DuplicateElement);
-    /// ```
-    pub fn char_poly_distinct(
-        elems: impl IntoIterator<Item = Fr>,
-    ) -> Result<Self, DuplicateElement> {
-        let mut seen: Vec<Fr> = elems.into_iter().collect();
-        let leaves: Vec<Vec<Fr>> = seen.iter().map(|x| vec![*x, Fr::one()]).collect();
-        seen.sort_by_key(|f| f.to_uint());
-        if seen.windows(2).any(|w| w[0] == w[1]) {
-            return Err(DuplicateElement);
-        }
-        Ok(Self::from_coeffs(subproduct(leaves)))
     }
 
     fn normalize(&mut self) {
@@ -234,46 +172,34 @@ impl Poly {
         Self::from_coeffs(self.coeffs.iter().map(|c| Field::mul(c, k)).collect())
     }
 
-    /// Division with remainder; panics on a zero divisor.
-    ///
-    /// Long division when the quotient or divisor is small (that path is
-    /// linear in the large degree); otherwise the quotient is recovered
-    /// from a Newton-iteration power-series inverse of the reversed divisor
-    /// in `O(M(n))`.
+    /// Long division with remainder, `O(deg q · deg divisor)`; panics on a
+    /// zero divisor.
     pub fn divrem(&self, divisor: &Self) -> (Self, Self) {
         let dd = divisor.degree().expect("polynomial division by zero");
-        let Some(dn) = self.degree() else { return (Self::zero(), Self::zero()) };
-        if dn < dd {
-            return (Self::zero(), self.clone());
+        let lead_inv = divisor.coeffs[dd].inverse().expect("field leading coeff");
+        let mut rem = self.coeffs.clone();
+        let mut quot = vec![Fr::zero(); self.coeffs.len().saturating_sub(dd) + 1];
+        loop {
+            // effective degree of rem
+            let dr = match rem.iter().rposition(|c| !c.is_zero()) {
+                Some(d) if d >= dd => d,
+                _ => break,
+            };
+            let q = Field::mul(&rem[dr], &lead_inv);
+            quot[dr - dd] = q;
+            for i in 0..=dd {
+                rem[dr - dd + i] -= Field::mul(&q, &divisor.coeffs[i]);
+            }
         }
-        let dq = dn - dd; // quotient degree
-        if dq.min(dd) < FAST_DIVISION_THRESHOLD {
-            return naive::divrem(self, divisor);
-        }
-        // Newton path: rev(q) = rev(self) · rev(divisor)⁻¹ mod s^{dq+1},
-        // where rev(p) reverses coefficients w.r.t. its own degree.
-        let rev_n: Vec<Fr> = self.coeffs.iter().rev().copied().collect();
-        let rev_d: Vec<Fr> = divisor.coeffs.iter().rev().copied().collect();
-        let inv = inv_series(&rev_d, dq + 1);
-        let mut rev_q = mul_slices(&rev_n[..(dq + 1).min(rev_n.len())], &inv);
-        rev_q.truncate(dq + 1);
-        rev_q.resize(dq + 1, Fr::zero());
-        rev_q.reverse();
-        let q = Self::from_coeffs(rev_q);
-        let r = self.sub(&q.mul(divisor));
-        debug_assert!(r.degree().is_none_or(|d| d < dd));
-        (q, r)
+        (Self::from_coeffs(quot), Self::from_coeffs(rem))
     }
 
-    /// Extended Euclid: returns `(g, u, v)` with `u·self + v·rhs = g` and
-    /// `g = gcd(self, rhs)` (not normalized to monic).
-    ///
-    /// Runs the classical quadratic loop while the smaller degree is below
-    /// [`HALF_GCD_THRESHOLD`] — which keeps it byte-identical to
-    /// [`naive::xgcd`] on the Acc1 production shape — and the half-GCD
-    /// above it. The half-GCD result can differ from the classical one by
-    /// a nonzero scalar factor (both are valid Bézout triples; callers that
-    /// need canonicity normalize `g` to monic, as Acc1 does).
+    /// Classical extended Euclid: returns `(g, u, v)` with
+    /// `u·self + v·rhs = g` and `g = gcd(self, rhs)` (not normalized to
+    /// monic), in `O(deg self · deg rhs)`. The cofactors are the minimal
+    /// ones — `deg u < deg rhs` and `deg v < deg self` for coprime
+    /// non-constant inputs — so once Acc1 scales them by `g⁻¹` they are the
+    /// unique Bézout pair its proofs commit to.
     ///
     /// ```
     /// use vchain_acc::Poly;
@@ -282,20 +208,25 @@ impl Poly {
     ///
     /// let mut rng = StdRng::seed_from_u64(42);
     /// let a = Poly::char_poly((0..80).map(|_| (Fr::random(&mut rng), 1)));
-    /// let b = Poly::char_poly((0..80).map(|_| (Fr::random(&mut rng), 1)));
-    /// let (g, u, v) = a.xgcd(&b); // half-GCD: both degrees ≥ threshold
+    /// let b = Poly::char_poly((0..14).map(|_| (Fr::random(&mut rng), 1)));
+    /// let (g, u, v) = a.xgcd(&b);
     /// assert_eq!(g.degree(), Some(0), "random roots never collide");
     /// assert_eq!(u.mul(&a).add(&v.mul(&b)), g, "Bézout identity");
+    /// assert!(u.degree() < b.degree() && v.degree() < a.degree(), "minimal cofactors");
     /// ```
     pub fn xgcd(&self, rhs: &Self) -> (Self, Self, Self) {
-        let small = match (self.degree(), rhs.degree()) {
-            (Some(a), Some(b)) => a.min(b) < HALF_GCD_THRESHOLD,
-            _ => true,
-        };
-        if small {
-            return naive::xgcd(self, rhs);
+        let (mut r0, mut r1) = (self.clone(), rhs.clone());
+        let (mut u0, mut u1) = (Self::one(), Self::zero());
+        let (mut v0, mut v1) = (Self::zero(), Self::one());
+        while !r1.is_zero() {
+            let (q, r) = r0.divrem(&r1);
+            r0 = std::mem::replace(&mut r1, r);
+            let u = u0.sub(&q.mul(&u1));
+            u0 = std::mem::replace(&mut u1, u);
+            let v = v0.sub(&q.mul(&v1));
+            v0 = std::mem::replace(&mut v1, v);
         }
-        hgcd::xgcd(self, rhs)
+        (r0, u0, v0)
     }
 }
 
@@ -404,41 +335,13 @@ fn subproduct(mut level: Vec<Vec<Fr>>) -> Vec<Fr> {
     level.pop().expect("non-empty level")
 }
 
-/// Power-series inverse: the first `k` coefficients of `f⁻¹`, requiring
-/// `f[0] ≠ 0`. Newton iteration `g ← g·(2 − f·g)` doubles the correct
-/// prefix each round, so the total cost is `O(M(k))`.
-fn inv_series(f: &[Fr], k: usize) -> Vec<Fr> {
-    let f0_inv = f[0].inverse().expect("power-series inverse needs a unit constant term");
-    let mut g = vec![f0_inv];
-    let mut prec = 1;
-    while prec < k {
-        prec = (2 * prec).min(k);
-        // g ← g·(2 − f·g) mod s^prec
-        let fg = mul_slices(&f[..prec.min(f.len())], &g);
-        let mut t = vec![Fr::zero(); prec];
-        t[0] = Fr::from_u64(2);
-        for (i, c) in fg.iter().take(prec).enumerate() {
-            t[i] -= *c;
-        }
-        let mut g2 = mul_slices(&g, &t);
-        g2.truncate(prec);
-        g = g2;
-    }
-    g.truncate(k);
-    g.resize(k, Fr::zero());
-    g
-}
-
 pub mod naive {
-    //! The seed's quadratic reference algorithms, retained verbatim.
-    //!
-    //! The fast engine is property-tested against these (see
-    //! `tests/poly_props.rs`): [`char_poly`] must agree byte-for-byte with
-    //! [`Poly::char_poly`], [`divrem`]/[`mul`] must agree exactly, and
-    //! [`xgcd`] must agree with [`Poly::xgcd`] up to the scalar factor the
-    //! half-GCD is allowed to introduce. They are also the benchmark
-    //! baseline: `bench_smoke` times both engines in the same run so the
-    //! speed-up ratio in `BENCH_pairing.json` is noise-free.
+    //! The seed's quadratic references for the two operations that have a
+    //! faster production path: [`char_poly`] must agree byte-for-byte with
+    //! [`Poly::char_poly`] (the subproduct tree) and [`mul`] exactly with
+    //! [`Poly::mul`] (Karatsuba) — see `tests/poly_props.rs`. They are also
+    //! the benchmark baselines: `bench_smoke` times both engines in the same
+    //! run, so each speed-up ratio in `BENCH_pairing.json` is noise-free.
 
     use super::{schoolbook, Poly};
     use vchain_pairing::{Field, Fr};
@@ -467,164 +370,6 @@ pub mod naive {
             return Poly::zero();
         }
         Poly::from_coeffs(schoolbook(a.coeffs(), b.coeffs()))
-    }
-
-    /// Long division with remainder; panics on a zero divisor.
-    pub fn divrem(a: &Poly, divisor: &Poly) -> (Poly, Poly) {
-        let dd = divisor.degree().expect("polynomial division by zero");
-        let lead_inv = divisor.coeffs[dd].inverse().expect("field leading coeff");
-        let mut rem = a.coeffs.clone();
-        let mut quot = vec![Fr::zero(); a.coeffs.len().saturating_sub(dd) + 1];
-        loop {
-            // effective degree of rem
-            let dr = match rem.iter().rposition(|c| !c.is_zero()) {
-                Some(d) if d >= dd => d,
-                _ => break,
-            };
-            let q = Field::mul(&rem[dr], &lead_inv);
-            quot[dr - dd] = q;
-            for i in 0..=dd {
-                rem[dr - dd + i] -= Field::mul(&q, &divisor.coeffs[i]);
-            }
-        }
-        (Poly::from_coeffs(quot), Poly::from_coeffs(rem))
-    }
-
-    /// Classical extended Euclid: `(g, u, v)` with `u·a + v·b = g`, not
-    /// normalized to monic.
-    pub fn xgcd(a: &Poly, b: &Poly) -> (Poly, Poly, Poly) {
-        let (mut r0, mut r1) = (a.clone(), b.clone());
-        let (mut u0, mut u1) = (Poly::one(), Poly::zero());
-        let (mut v0, mut v1) = (Poly::zero(), Poly::one());
-        while !r1.is_zero() {
-            let (q, r) = divrem(&r0, &r1);
-            r0 = std::mem::replace(&mut r1, r);
-            let u = u0.sub(&q.mul(&u1));
-            u0 = std::mem::replace(&mut u1, u);
-            let v = v0.sub(&q.mul(&v1));
-            v0 = std::mem::replace(&mut v1, v);
-        }
-        (r0, u0, v0)
-    }
-}
-
-mod hgcd {
-    //! Half-GCD: divide-and-conquer extended Euclid.
-    //!
-    //! A run of Euclidean quotient steps is the linear map
-    //! `(r₀, r₁) ↦ Q·(r₀, r₁)` with `Q = ∏ [[0, 1], [1, −qᵢ]]`. The
-    //! half-GCD computes the matrix that halves the degree of `r₀` while
-    //! touching only the *top half* of the coefficients: the first
-    //! `2(deg r₀ − deg r₁) + 1` leading coefficients determine a quotient,
-    //! so the early quotients of the full-size problem equal those of the
-    //! high-part problem. Recursing twice (with a single connecting
-    //! division in the middle) yields `O(M(n) log n)` instead of `O(n²)`.
-
-    use super::Poly;
-
-    /// A 2×2 matrix over `Fr[s]`, acting on remainder pairs.
-    struct Mat([Poly; 4]); // row-major: [m00, m01, m10, m11]
-
-    impl Mat {
-        fn identity() -> Self {
-            Mat([Poly::one(), Poly::zero(), Poly::zero(), Poly::one()])
-        }
-
-        /// `self · rhs` (matrix product, four Karatsuba-backed muls each).
-        fn compose(&self, rhs: &Mat) -> Mat {
-            let m = |a: usize, b: usize, c: usize, d: usize| {
-                self.0[a].mul(&rhs.0[b]).add(&self.0[c].mul(&rhs.0[d]))
-            };
-            Mat([m(0, 0, 1, 2), m(0, 1, 1, 3), m(2, 0, 3, 2), m(2, 1, 3, 3)])
-        }
-
-        /// Prepend one quotient step: `[[0,1],[1,−q]] · self`.
-        fn push_quotient(self, q: &Poly) -> Mat {
-            let Mat([m00, m01, m10, m11]) = self;
-            let n10 = m00.sub(&q.mul(&m10));
-            let n11 = m01.sub(&q.mul(&m11));
-            Mat([m10, m11, n10, n11])
-        }
-
-        /// Apply to a remainder pair.
-        fn apply(&self, r0: &Poly, r1: &Poly) -> (Poly, Poly) {
-            (self.0[0].mul(r0).add(&self.0[1].mul(r1)), self.0[2].mul(r0).add(&self.0[3].mul(r1)))
-        }
-    }
-
-    /// Drop the low `k` coefficients (divide by `s^k`, discarding the rest).
-    fn shift_down(p: &Poly, k: usize) -> Poly {
-        Poly::from_coeffs(p.coeffs().get(k..).map_or(Vec::new(), <[_]>::to_vec))
-    }
-
-    /// Half-GCD of `(a, b)` with `deg a > deg b`: returns `M` such that for
-    /// `(c, d) = M·(a, b)` the degree of `d` has dropped below
-    /// `⌈deg a / 2⌉ = m` while `deg c ≥ m`. The two recursive calls each
-    /// work on polynomials of *half* the degree, truncated from the top.
-    fn hgcd(a: &Poly, b: &Poly) -> Mat {
-        let n = a.degree().expect("hgcd: nonzero a");
-        let m = n.div_ceil(2);
-        if b.degree().is_none_or(|d| d < m) {
-            return Mat::identity();
-        }
-        // First recursion: the top halves determine the first run of
-        // quotient steps.
-        let r = hgcd(&shift_down(a, m), &shift_down(b, m));
-        let (t0, t1) = r.apply(a, b);
-        if t1.degree().is_none_or(|d| d < m) {
-            return r;
-        }
-        // One connecting division in the middle…
-        let (q, rem) = t0.divrem(&t1);
-        let r = r.push_quotient(&q);
-        let (u0, u1) = (t1, rem);
-        if u1.degree().is_none_or(|d| d < m) {
-            return r;
-        }
-        // …then the second recursion on the (shorter) tail, again truncated.
-        // Here m ≤ deg u0 ≤ 2m − 1, so k = 2m − deg u0 lies in [1, m].
-        let l = u0.degree().expect("u0 outdegrees u1");
-        let k = (2 * m).saturating_sub(l).min(m);
-        let s = hgcd(&shift_down(&u0, k), &shift_down(&u1, k));
-        s.compose(&r)
-    }
-
-    /// Extended GCD via repeated half-GCD reduction. Returns `(g, u, v)`
-    /// with `u·a + v·b = g`; `g` may differ from the classical result by a
-    /// nonzero scalar.
-    pub(super) fn xgcd(a: &Poly, b: &Poly) -> (Poly, Poly, Poly) {
-        let (mut r0, mut r1) = (a.clone(), b.clone());
-        let mut m = Mat::identity();
-        // hgcd only makes progress when deg r1 ≥ ⌈deg r0 / 2⌉ (below that
-        // its entry guard returns the identity matrix — calling it anyway
-        // would loop forever); a classical quotient step both restores
-        // that precondition and strictly shrinks deg r1, so the loop
-        // always terminates.
-        while !r1.is_zero() {
-            let (d0, d1) = (r0.degree(), r1.degree());
-            let hgcd_reduces = match (d0, d1) {
-                (Some(n0), Some(n1)) => n0 > n1 && n1 >= n0.div_ceil(2),
-                _ => false,
-            };
-            if !hgcd_reduces || d1.is_none_or(|d| d < super::HALF_GCD_THRESHOLD) {
-                // classical quotient step
-                let (q, rem) = r0.divrem(&r1);
-                m = m.push_quotient(&q);
-                r0 = std::mem::replace(&mut r1, rem);
-            } else {
-                let h = hgcd(&r0, &r1);
-                let (n0, n1) = h.apply(&r0, &r1);
-                debug_assert!(
-                    n1.degree() < n0.degree(),
-                    "hgcd must keep the remainder sequence ordered"
-                );
-                m = h.compose(&m);
-                (r0, r1) = (n0, n1);
-            }
-        }
-        let Mat([u, v, _, _]) = m;
-        debug_assert_eq!(u.mul(a).add(&v.mul(b)), r0, "Bézout identity");
-        (r0, u, v)
     }
 }
 
@@ -667,15 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn char_poly_distinct_rejects_duplicates() {
-        let dup = Fr::from_u64(5);
-        assert_eq!(Poly::char_poly_distinct([Fr::from_u64(1), dup, dup]), Err(DuplicateElement));
-        let ok = Poly::char_poly_distinct([Fr::from_u64(1), Fr::from_u64(2)]).unwrap();
-        assert_eq!(ok, Poly::char_poly([(Fr::from_u64(1), 1), (Fr::from_u64(2), 1)].into_iter()));
-        assert_eq!(Poly::char_poly_distinct(std::iter::empty()), Ok(Poly::one()));
-    }
-
-    #[test]
     fn eval_horner() {
         let q = p(&[6, 5, 1]);
         assert_eq!(q.eval(&Fr::from_u64(1)), Fr::from_u64(12));
@@ -711,26 +447,16 @@ mod tests {
     }
 
     #[test]
-    fn newton_division_matches_long_division() {
+    fn divrem_euclidean_across_sizes() {
         let mut rng = StdRng::seed_from_u64(31);
-        for (ln, ld) in [(129, 65), (200, 40), (256, 128), (90, 89)] {
+        for (ln, ld) in [(129, 65), (200, 40), (256, 128), (90, 89), (301, 4), (9, 9)] {
             let a = rand_poly(&mut rng, ln);
             let b = rand_poly(&mut rng, ld);
-            let (qf, rf) = a.divrem(&b);
-            let (qn, rn) = naive::divrem(&a, &b);
-            assert_eq!(qf, qn, "{ln}/{ld} quotient");
-            assert_eq!(rf, rn, "{ln}/{ld} remainder");
+            let (q, r) = a.divrem(&b);
+            assert_eq!(q.mul(&b).add(&r), a, "{ln}/{ld}");
+            assert!(r.degree() < b.degree(), "{ln}/{ld} remainder degree");
+            assert_eq!(q.degree(), Some(ln - ld), "{ln}/{ld} quotient degree");
         }
-    }
-
-    #[test]
-    fn inv_series_is_a_series_inverse() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let f = rand_poly(&mut rng, 50);
-        let g = Poly::from_coeffs(inv_series(f.coeffs(), 77));
-        let mut prod = f.mul(&g).coeffs().to_vec();
-        prod.truncate(77);
-        assert_eq!(Poly::from_coeffs(prod), Poly::one());
     }
 
     #[test]
@@ -755,11 +481,11 @@ mod tests {
     }
 
     #[test]
-    fn half_gcd_large_coprime() {
+    fn xgcd_large_coprime() {
         let mut rng = StdRng::seed_from_u64(17);
         let a = Poly::char_poly((0..100).map(|_| (Fr::random(&mut rng), 1)));
         let b = Poly::char_poly((0..90).map(|_| (Fr::random(&mut rng), 1)));
-        let (g, u, v) = a.xgcd(&b); // takes the half-GCD path
+        let (g, u, v) = a.xgcd(&b);
         assert_eq!(g.degree(), Some(0));
         assert_eq!(u.mul(&a).add(&v.mul(&b)), g);
         // minimal Bézout degrees
@@ -768,20 +494,17 @@ mod tests {
     }
 
     #[test]
-    fn half_gcd_unbalanced_degrees_terminate() {
-        // Regression: deg b in [HALF_GCD_THRESHOLD, ⌈deg a / 2⌉) used to
-        // re-enter hgcd forever because its entry guard returned the
-        // identity matrix without reducing anything.
+    fn xgcd_unbalanced_degrees() {
         let mut rng = StdRng::seed_from_u64(23);
-        let a = rand_poly(&mut rng, 160); // deg 159, ⌈159/2⌉ = 80
-        let b = rand_poly(&mut rng, 71); // deg 70: ≥ threshold, < 80
+        let a = rand_poly(&mut rng, 160);
+        let b = rand_poly(&mut rng, 71);
         let (g, u, v) = a.xgcd(&b);
         assert_eq!(u.mul(&a).add(&v.mul(&b)), g);
         assert_eq!(g.degree(), Some(0), "random polys are coprime");
     }
 
     #[test]
-    fn half_gcd_with_large_common_factor() {
+    fn xgcd_with_large_common_factor() {
         let mut rng = StdRng::seed_from_u64(19);
         let shared = Poly::char_poly((0..70).map(|_| (Fr::random(&mut rng), 1)));
         let a = shared.mul(&Poly::char_poly((0..30).map(|_| (Fr::random(&mut rng), 1))));

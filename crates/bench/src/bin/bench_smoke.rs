@@ -231,15 +231,14 @@ fn main() {
     };
     timings.push(time("prove_disjoint_acc2_naive", 20, || naive(&node_ms, &clause4)));
     // One X₁ against the eight clauses of one query, as one batch (per-clause
-    // mean beside it). The rows keep the names they were first recorded
-    // under, when the multi-clause entry was `prove_disjoint_many`.
+    // mean beside it).
     let clauses8: Vec<MultiSet<u64>> =
         (0..8u64).map(|i| (1000 + 4 * i..1004 + 4 * i).collect()).collect();
-    let t = time("prove_disjoint_many_acc2_8", 10, || {
+    let t = time("prove_disjoint_batch_acc2_8", 10, || {
         acc2.prove_disjoint_batch(&[(&node_ms, &clauses8)])
     });
     timings.push(Timing {
-        name: "prove_disjoint_many_acc2_per_clause",
+        name: "prove_disjoint_batch_acc2_per_clause",
         iters: t.iters,
         us_per_iter: t.us_per_iter / clauses8.len() as f64,
     });
@@ -298,12 +297,11 @@ fn main() {
         ],
     );
     // --- Acc1: fast polynomial engine + comb commits ---------------------
-    // The PR-3 bench conflated the polynomial phases and the commitment
-    // phase under one entry; they are timed separately now so the
-    // trajectory attributes wins to the right layer. The naive entries run
-    // the seed's algorithms (incremental char-poly, classical xgcd,
-    // Pippenger commits) on identical inputs in the same process, so each
-    // fast/naive ratio is noise-free.
+    // The polynomial phases and the commitment phase are timed separately
+    // so the trajectory attributes wins to the right layer. The naive
+    // entries run the seed's algorithms (incremental char-poly, Pippenger
+    // commits; the classical xgcd is the production one) on identical
+    // inputs in the same process, so each fast/naive ratio is noise-free.
     let node16: MultiSet<u64> = (1..=16u64).collect();
     let p1_16 = node16.char_poly();
     let p2_4 = clause4.char_poly();
@@ -327,7 +325,7 @@ fn main() {
         // the full pre-PR-4 pipeline on identical inputs
         let p1 = naive::char_poly(node16.iter().map(|(e, c)| (AccElem::to_fr(e), c)));
         let p2 = naive::char_poly(clause4.iter().map(|(e, c)| (AccElem::to_fr(e), c)));
-        let (g, u, v) = naive::xgcd(&p1, &p2);
+        let (g, u, v) = p1.xgcd(&p2);
         let ginv = g.coeffs()[0].inverse().unwrap();
         let (q1, q2) = (u.scale(&ginv), v.scale(&ginv));
         let pk = acc1.public_key();
@@ -340,11 +338,11 @@ fn main() {
     }));
     // One characteristic polynomial across one query's clauses, as for Acc2
     // above.
-    let t = time("prove_disjoint_many_acc1_8", 5, || {
+    let t = time("prove_disjoint_batch_acc1_8", 5, || {
         acc1.prove_disjoint_batch(&[(&node16, &clauses8)])
     });
     timings.push(Timing {
-        name: "prove_disjoint_many_acc1_per_clause",
+        name: "prove_disjoint_batch_acc1_per_clause",
         iters: t.iters,
         us_per_iter: t.us_per_iter / clauses8.len() as f64,
     });
@@ -358,6 +356,23 @@ fn main() {
     timings.push(time("prove_disjoint_acc1_cold_256", 5, || {
         acc1.prove_disjoint(&node256, &clause4).unwrap()
     }));
+    // Why the subproduct tree stays: block roots and skip entries reach
+    // thousands of elements (`experiments`' WX skip entries: 18 995), where
+    // the tree beats the incremental fold several times over.
+    let node4096: MultiSet<u64> = (1..=4096u64).collect();
+    let t_tree = time("acc1_char_poly_4096", 3, || node4096.char_poly());
+    let t_fold = time("acc1_char_poly_4096_naive", 3, || {
+        naive::char_poly(node4096.iter().map(|(e, c)| (AccElem::to_fr(e), c)))
+    });
+    assert!(
+        t_tree.us_per_iter <= 0.5 * t_fold.us_per_iter,
+        "the subproduct tree must cost at most half the naive fold at 4 096 elements \
+         ({:.0} µs vs {:.0} µs)",
+        t_tree.us_per_iter,
+        t_fold.us_per_iter
+    );
+    timings.push(t_tree);
+    timings.push(t_fold);
     // --- shared fixed-base keygen layer ----------------------------------
     // Both accumulator keygens now produce their power vectors through the
     // generator combs; the naive per-scalar window walk is kept as the

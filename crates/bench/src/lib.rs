@@ -24,9 +24,11 @@ use vchain_core::vo::QueryResponse;
 use vchain_core::wire::encode_response_v2;
 use vchain_datagen::Workload;
 
-/// Capacity of the shared Construction-1 key (max characteristic-polynomial
-/// degree = the largest skip-entry multiset cardinality we ever build).
-pub const ACC1_CAPACITY: usize = 8192;
+/// Capacity of the shared Construction-1 key: the largest characteristic
+/// polynomial `experiments` commits is a skip entry's multiset sum — WX, 32
+/// block roots, 18 995 elements at `std` scale (9 366 at `quick`, 16 blocks);
+/// `tests::acc1_capacity_covers_every_skip_entry` recomputes it.
+pub const ACC1_CAPACITY: usize = 1 << 15;
 /// Universe bound of the shared Construction-2 key (max interned element
 /// dictionary index + margin).
 pub const ACC2_UNIVERSE: u64 = 8192;
@@ -222,6 +224,44 @@ impl Scale {
         match self {
             Scale::Quick => vec![4, 8, 16],
             Scale::Std => vec![10, 20, 40, 80],
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vchain_acc::MultiSet;
+    use vchain_core::query::object_multiset;
+    use vchain_datagen::{Dataset, WorkloadSpec};
+
+    /// The largest multiset `experiments` sets up under Acc1 fits the shared
+    /// key, recomputed without crypto: a block root is the union of its
+    /// objects' multisets, a top-level skip entry (5 levels, as every
+    /// sweep's deepest) the multiset sum of 2⁵ consecutive roots.
+    #[test]
+    fn acc1_capacity_covers_every_skip_entry() {
+        for ds in [Dataset::FourSquare, Dataset::Weather, Dataset::Ethereum] {
+            let w = WorkloadSpec::paper_defaults(ds, Scale::Std.chain_blocks()).generate();
+            let roots: Vec<MultiSet<_>> = w
+                .blocks
+                .iter()
+                .map(|(_, objs)| {
+                    objs.iter()
+                        .map(|o| object_multiset(o, w.spec.domain_bits))
+                        .fold(MultiSet::new(), |root, ms| root.union(&ms))
+                })
+                .collect();
+            let largest = roots
+                .windows(1 << 5)
+                .map(|run| run.iter().fold(MultiSet::new(), |sum, root| sum.sum(root)))
+                .map(|entry| entry.total_count())
+                .max()
+                .expect("a std chain is longer than one skip entry");
+            assert!(
+                largest as usize <= ACC1_CAPACITY,
+                "{ds:?}: a skip entry of {largest} elements exceeds ACC1_CAPACITY"
+            );
         }
     }
 }
