@@ -49,9 +49,18 @@
 //! dirty capture happens at *insert* and is independent of the LRU list,
 //! an entry later evicted from memory has still been persisted: eviction
 //! bounds RAM, the log bounds re-proving. A flush that fails hands its
-//! batch back (`requeue_dirty`), so the next flush writes it. On warm
-//! start, [`ProofCache::preload`] rehydrates entries without touching
-//! either the stats or the dirty queue. Proofs are all that is persisted:
+//! batch back (`requeue_dirty`), so the next flush writes it.
+//!
+//! On warm start, [`ProofCache::preload`] rehydrates entries as the
+//! canonical bytes their log records carried — no point is decoded at open,
+//! and neither the counters nor the dirty queue are touched (a preload that
+//! displaces an older preload is not an eviction). The first lookup that
+//! hits a bytes entry decodes it with the checked
+//! [`Accumulator::proof_from_bytes`], outside the lock, and writes the proof
+//! back in place; a hit that decodes is a hit. Bytes that fail the decode
+//! are dropped and counted ([`ProofCache::rejected`]), and the lookup is a
+//! miss: the request is proved, inserted and logged afresh, so a damaged
+//! record costs warmth, never an answer. Proofs are all that is persisted:
 //! the counters of a reopened cache start at zero.
 //!
 //! *Upgrading over a warm log.* Builds before PR 17 keyed a group proof by
@@ -170,9 +179,16 @@ struct Misses<'a, E: AccElem> {
     slots: Vec<(usize, CacheKey)>,
 }
 
+/// What a cache slot holds: a decoded proof, or — until its first hit —
+/// the canonical bytes of a preloaded log record.
+enum Entry<P> {
+    Proof(P),
+    Bytes(Vec<u8>),
+}
+
 struct Node<P> {
     key: Digest,
-    proof: P,
+    entry: Entry<P>,
     prev: usize,
     next: usize,
 }
@@ -184,10 +200,19 @@ struct Inner<P> {
     head: usize,
     tail: usize,
     stats: CacheStats,
+    rejected: u64,
     dirty: Vec<DirtyEntry>,
 }
 
 impl<P> Inner<P> {
+    /// Unlink node `i` and free its slot.
+    fn remove(&mut self, i: usize) {
+        self.detach(i);
+        let key = self.nodes[i].key;
+        self.map.remove(&key);
+        self.free.push(i);
+    }
+
     fn detach(&mut self, i: usize) {
         let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
         match prev {
@@ -256,6 +281,7 @@ impl<A: Accumulator> ProofCache<A> {
                 head: NIL,
                 tail: NIL,
                 stats: CacheStats::default(),
+                rejected: 0,
                 dirty: Vec::new(),
             }),
             capacity,
@@ -296,26 +322,54 @@ impl<A: Accumulator> ProofCache<A> {
         hash_concat_iter(core::iter::once(tag).chain(members.map(|v| A::value_bytes(v).into())))
     }
 
-    /// Look up a proof, refreshing its recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<A::Proof> {
-        self.get_digest(&key.digest())
+    /// Look up a proof, refreshing its recency on a hit. A preloaded entry
+    /// is decoded (checked) with `acc` on its first hit; see the module docs.
+    pub fn get(&self, acc: &A, key: &CacheKey) -> Option<A::Proof> {
+        self.get_digest(acc, &key.digest())
     }
 
     /// [`ProofCache::get`] under the combined map key.
-    fn get_digest(&self, digest: &Digest) -> Option<A::Proof> {
+    fn get_digest(&self, acc: &A, digest: &Digest) -> Option<A::Proof> {
+        let bytes = {
+            let mut g = self.inner.lock();
+            let Some(i) = g.map.get(digest).copied() else {
+                g.stats.misses += 1;
+                return None;
+            };
+            g.detach(i);
+            g.push_front(i);
+            match &g.nodes[i].entry {
+                Entry::Proof(p) => {
+                    let p = p.clone();
+                    g.stats.hits += 1;
+                    return Some(p);
+                }
+                Entry::Bytes(b) => b.clone(),
+            }
+        };
+        // First hit on a persisted record: the checked decode, unlocked.
+        let decoded = acc.proof_from_bytes(&bytes).ok();
         let mut g = self.inner.lock();
-        match g.map.get(digest).copied() {
-            Some(i) => {
-                g.detach(i);
-                g.push_front(i);
+        // Still the bytes we decoded? (Another thread may have written back
+        // or re-proved meanwhile, or the entry may have been evicted.)
+        let resident =
+            g.map.get(digest).copied().filter(|&i| matches!(g.nodes[i].entry, Entry::Bytes(_)));
+        match &decoded {
+            Some(p) => {
                 g.stats.hits += 1;
-                Some(g.nodes[i].proof.clone())
+                if let Some(i) = resident {
+                    g.nodes[i].entry = Entry::Proof(p.clone());
+                }
             }
             None => {
                 g.stats.misses += 1;
-                None
+                if let Some(i) = resident {
+                    g.remove(i);
+                    g.rejected += 1;
+                }
             }
         }
+        decoded
     }
 
     /// Insert (or refresh) a proof, evicting the least-recently-used entry
@@ -324,43 +378,50 @@ impl<A: Accumulator> ProofCache<A> {
     /// evicted later has still been captured durably. A refresh queues
     /// nothing: the key was queued, or preloaded, when it became resident.
     pub fn insert(&self, key: CacheKey, proof: A::Proof) {
-        self.insert_inner(key, proof, self.persist);
+        self.insert_inner(key, Entry::Proof(proof));
     }
 
-    /// Rehydrate an entry from the persistent store: identical placement to
-    /// [`ProofCache::insert`] but never re-queued as dirty (it came *from*
-    /// the log) and without touching the counters.
-    pub fn preload(&self, key: CacheKey, proof: A::Proof) {
-        self.insert_inner(key, proof, false);
+    /// Rehydrate an entry from the persistent store as the canonical proof
+    /// bytes its record carried, decoded on first hit: identical placement
+    /// to [`ProofCache::insert`], but never re-queued as dirty (it came
+    /// *from* the log) and without touching the counters — a preload that
+    /// displaces another counts no eviction. A later preload of the same key
+    /// replaces the earlier one: the last record wins.
+    pub fn preload(&self, key: CacheKey, proof: Vec<u8>) {
+        self.insert_inner(key, Entry::Bytes(proof));
     }
 
-    fn insert_inner(&self, key: CacheKey, proof: A::Proof, record_dirty: bool) {
+    /// [`ProofCache::insert`] of a proof, [`ProofCache::preload`] of bytes.
+    fn insert_inner(&self, key: CacheKey, entry: Entry<A::Proof>) {
         let digest = key.digest();
         let mut g = self.inner.lock();
         if let Some(&i) = g.map.get(&digest) {
-            g.nodes[i].proof = proof;
+            g.nodes[i].entry = entry;
             g.detach(i);
             g.push_front(i);
             return;
         }
-        if record_dirty {
-            g.dirty.push(DirtyEntry { key, proof: A::proof_bytes(&proof) });
+        let preload = matches!(entry, Entry::Bytes(_));
+        if let Entry::Proof(proof) = &entry {
+            if self.persist {
+                g.dirty.push(DirtyEntry { key, proof: A::proof_bytes(proof) });
+            }
         }
         if g.map.len() == self.capacity {
             let lru = g.tail;
-            g.detach(lru);
-            let old_key = g.nodes[lru].key;
-            g.map.remove(&old_key);
-            g.free.push(lru);
-            g.stats.evictions += 1;
+            g.remove(lru);
+            if !preload {
+                g.stats.evictions += 1;
+            }
         }
+        let node = Node { key: digest, entry, prev: NIL, next: NIL };
         let i = match g.free.pop() {
             Some(i) => {
-                g.nodes[i] = Node { key: digest, proof, prev: NIL, next: NIL };
+                g.nodes[i] = node;
                 i
             }
             None => {
-                g.nodes.push(Node { key: digest, proof, prev: NIL, next: NIL });
+                g.nodes.push(node);
                 g.nodes.len() - 1
             }
         };
@@ -415,7 +476,7 @@ impl<A: Accumulator> ProofCache<A> {
         for ProofRequest { key, x1, clause } in requests {
             let digest = key.digest();
             let slot = *slot_of.entry(digest).or_insert_with(|| {
-                let hit = self.get_digest(&digest);
+                let hit = self.get_digest(acc, &digest);
                 if hit.is_none() {
                     let group = *group_of.entry(key.att).or_insert_with(|| {
                         let x1 = match x1 {
@@ -475,7 +536,13 @@ impl<A: Accumulator> ProofCache<A> {
         self.inner.lock().stats
     }
 
-    /// Drop every entry and reset the counters.
+    /// Preloaded entries dropped because their bytes failed the checked
+    /// decode at first hit (each such lookup also counted a miss).
+    pub fn rejected(&self) -> u64 {
+        self.inner.lock().rejected
+    }
+
+    /// Drop every entry and reset the counters (the rejection count too).
     pub fn clear(&self) {
         let mut g = self.inner.lock();
         g.map.clear();
@@ -484,6 +551,7 @@ impl<A: Accumulator> ProofCache<A> {
         g.head = NIL;
         g.tail = NIL;
         g.stats = CacheStats::default();
+        g.rejected = 0;
         g.dirty.clear();
     }
 }
@@ -577,12 +645,12 @@ mod tests {
             prove_one(&cache, &a, &att, &x, c).unwrap();
         }
         // touch the first entry so the *second* is now least recent
-        assert!(cache.get(&keys[0]).is_some());
+        assert!(cache.get(&a, &keys[0]).is_some());
         prove_one(&cache, &a, &att, &x, &clauses[2]).unwrap();
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&keys[0]).is_some(), "refreshed entry survives");
-        assert!(cache.get(&keys[1]).is_none(), "LRU entry evicted");
-        assert!(cache.get(&keys[2]).is_some());
+        assert!(cache.get(&a, &keys[0]).is_some(), "refreshed entry survives");
+        assert!(cache.get(&a, &keys[1]).is_none(), "LRU entry evicted");
+        assert!(cache.get(&a, &keys[2]).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -729,6 +797,39 @@ mod tests {
         }
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 4, evictions: 3 });
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A preloaded record stays bytes until a lookup asks for it; a good
+    /// one decodes into a hit, a bad one is dropped, counted and re-proved
+    /// as a miss — and the re-proved proof is queued for the log again.
+    #[test]
+    fn preloaded_bytes_decode_on_first_hit_and_bad_bytes_cost_a_miss() {
+        let a = acc();
+        let cache: ProofCache<Acc2> = ProofCache::new(2).with_persistence();
+        let x = ms(&[1]);
+        let att = a.setup(&x);
+        let (good, bad) = (ms(&[10]), ms(&[11]));
+        let proof = a.prove_disjoint(&x, &good).unwrap();
+        let n = a.proof_size();
+        // the first of three preloads into two slots is displaced
+        cache.preload(ProofCache::<Acc2>::key(&att, &ms(&[12])), vec![0; n]);
+        cache.preload(ProofCache::<Acc2>::key(&att, &good), Acc2::proof_bytes(&proof));
+        cache.preload(ProofCache::<Acc2>::key(&att, &bad), vec![0xff; n]);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats(), CacheStats::default(), "a preload counts nothing");
+        assert_eq!(cache.dirty_len(), 0);
+
+        assert_eq!(prove_one(&cache, &a, &att, &x, &good), Ok(proof));
+        assert_eq!(prove_one(&cache, &a, &att, &x, &good), Ok(proof));
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 0, evictions: 0 });
+        assert_eq!(cache.dirty_len(), 0, "a decoded write-back is not re-logged");
+
+        assert_eq!(prove_one(&cache, &a, &att, &x, &bad), a.prove_disjoint(&x, &bad));
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1, evictions: 0 });
+        assert_eq!(cache.rejected(), 1);
+        assert_eq!(cache.dirty_len(), 1, "the re-proved proof is logged afresh");
+        assert_eq!(prove_one(&cache, &a, &att, &x, &bad), a.prove_disjoint(&x, &bad));
+        assert_eq!((cache.stats().hits, cache.rejected()), (3, 1));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! Parallel batches are the sharded layer's job
 //! ([`ShardedServiceProvider::query_batch`]), and so is persistence: a
 //! [`ShardedServiceProvider`] opened over a directory logs **proof records
-//! only**. The SP is a full node, so everything else it serves from is
-//! derived from the chain, and the cache counters start at zero.
+//! only**, and reopens them as bytes that decode on first hit. The SP is a
+//! full node, so everything else it serves from is derived from the chain,
+//! and the cache counters start at zero.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -239,17 +240,20 @@ pub struct ShardStats {
     pub cache: CacheStats,
 }
 
-/// What [`ShardedServiceProvider::open`] found and repaired.
+/// What [`ShardedServiceProvider::open`] found and repaired. Whether a
+/// loaded proof's bytes pass the checked decode is not known at open: they
+/// are decoded at first hit, and the records that fail are counted by
+/// [`ShardedServiceProvider::rejected_proofs`].
 #[derive(Clone, Debug, Default)]
 pub struct ServingRecovery {
     /// Per-shard store recovery reports (`shards[i]` ↔ `shard-i.log`).
     pub shard_reports: Vec<RecoveryReport>,
-    /// Proof entries rehydrated into shard caches.
+    /// Proof records preloaded into shard caches, as bytes: every intact
+    /// record counts, including a key's earlier records (the last one
+    /// wins) and records a later preload displaced from a full cache — so
+    /// this can exceed the entries left resident
+    /// ([`ShardedServiceProvider::total_entries`]).
     pub proofs_loaded: usize,
-    /// Persisted proof records whose bytes failed the checked accumulator
-    /// decode (skipped — the entry becomes a cache miss, never a wrong
-    /// proof).
-    pub proofs_rejected: usize,
 }
 
 struct Shard<A: Accumulator> {
@@ -302,9 +306,11 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
     }
 
     /// Open (or create) the persistent serving state under `dir`: one
-    /// proof log per shard (`shard-i.log`), whose surviving entries are
-    /// preloaded into that shard's cache. Nothing else is read, and the
-    /// cache counters start at zero.
+    /// proof log per shard (`shard-i.log`), whose surviving records are
+    /// preloaded into that shard's cache as checksummed bytes. No point is
+    /// decoded here: a proof pays its checked decode on its first hit
+    /// ([`ProofCache::preload`]). Nothing else is read, and the cache
+    /// counters start at zero.
     pub fn open(
         sp: ServiceProvider<A>,
         cfg: ShardedConfig,
@@ -318,14 +324,9 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
             let (log, records, report) = LogStore::open(dir.join(format!("shard-{i}.log")))?;
             recovery.shard_reports.push(report);
             let cache = ProofCache::new(cfg.cache_capacity).with_persistence();
+            recovery.proofs_loaded += records.len();
             for StoreRecord { key, proof } in records {
-                match sp.acc.proof_from_bytes(&proof) {
-                    Ok(p) => {
-                        cache.preload(CacheKey { att: key.att, clause: key.clause }, p);
-                        recovery.proofs_loaded += 1;
-                    }
-                    Err(_) => recovery.proofs_rejected += 1,
-                }
+                cache.preload(CacheKey { att: key.att, clause: key.clause }, proof);
             }
             shards.push(Shard { cache, log: Some(Mutex::new(log)), served: AtomicU64::new(0) });
         }
@@ -525,6 +526,13 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
             total.evictions += c.evictions;
         }
         total
+    }
+
+    /// Persisted proof records dropped at first hit because their bytes
+    /// failed the checked decode (each re-proved as a miss), summed across
+    /// shards.
+    pub fn rejected_proofs(&self) -> u64 {
+        self.shards.iter().map(|s| s.cache.rejected()).sum()
     }
 
     /// Queries served, summed across shards.

@@ -57,6 +57,14 @@
 //! Recovery never panics and never yields a record whose bytes were not
 //! exactly the bytes appended: a wrong proof cannot be served from a
 //! damaged store, only a cache miss (which re-proves).
+//!
+//! The store hands records on as bytes, and the serving layer keeps them
+//! that way: [`crate::cache::ProofCache::preload`] holds a record's proof
+//! bytes until a query first hits them, then runs the checked accumulator
+//! decode. Opening a store therefore decodes no curve point; a proof whose
+//! bytes pass the checksum but fail that decode is dropped at its first hit
+//! and re-proved as a miss (`docs/SECURITY.md`, "One check per source of
+//! points").
 
 #![deny(
     clippy::unwrap_used,

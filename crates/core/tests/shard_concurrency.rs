@@ -11,6 +11,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -167,8 +168,79 @@ fn concurrent_clients_lose_and_duplicate_nothing() {
     drop(ssp);
     let (reopened, rec) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
     assert_eq!(rec.proofs_loaded, union.len());
-    assert_eq!(rec.proofs_rejected, 0);
     assert_eq!(reopened.total_entries(), union.len());
+    for q in &pool {
+        reopened.query(q);
+    }
+    assert_eq!(reopened.merged_stats().misses, 0, "every entry serves from the log");
+    assert_eq!(reopened.rejected_proofs(), 0);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Eight threads race first hits on a freshly reopened provider: the
+/// persisted proofs are still bytes, many threads ask for the same ones at
+/// once, and each decodes outside the shard lock and writes back. Answers
+/// stay the twin's, nothing is rejected, and a decoded write-back is never
+/// queued or logged again.
+#[test]
+fn first_hit_decodes_race_and_relog_nothing() {
+    const SHARDS: usize = 4;
+    const THREADS: usize = 8;
+    let dir = temp_dir("first-hit-race");
+    let cfg = ShardedConfig { shards: SHARDS, cache_capacity: 4096, flush_threshold: 1 };
+    // Overlapping windows over shared keywords: queries share skip entries
+    // and node keys.
+    let pool: Vec<CompiledQuery> = (0..12u64)
+        .map(|i| {
+            let lo = 10 + (i % 6) * 10;
+            let kw = ["Sedan", "Van", "Truck", "shard-suite-absent"][(i % 4) as usize];
+            Query {
+                time_window: Some((lo, (lo + 60).min(120))),
+                ranges: vec![],
+                keywords: vec![vec![kw.to_string()]],
+            }
+            .compile(DOMAIN_BITS)
+        })
+        .collect();
+    let twin = ShardedServiceProvider::new(build_sp(), cfg);
+    let expected: Vec<Vec<u8>> = pool.iter().map(|q| encode_response_v2(&twin.query(q))).collect();
+
+    let (ssp, _) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
+    for q in &pool {
+        ssp.query(q);
+    }
+    ssp.shutdown().unwrap();
+    let log_len = |i: usize| std::fs::metadata(dir.join(format!("shard-{i}.log"))).unwrap().len();
+    let sizes: Vec<u64> = (0..SHARDS).map(log_len).collect();
+
+    let (ssp, _) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
+    // Runs of THREADS copies of one query: behind the barrier, every thread
+    // takes its first query from the same run, so all of them ask for the
+    // same bytes entries at once.
+    let stream: Vec<usize> = (0..THREADS * pool.len()).map(|i| i / THREADS).collect();
+    let cursor = AtomicUsize::new(0);
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                start.wait();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&qi) = stream.get(i) else { break };
+                    assert_eq!(encode_response_v2(&ssp.query(&pool[qi])), expected[qi]);
+                }
+            });
+        }
+    });
+    assert_eq!(ssp.rejected_proofs(), 0);
+    assert_eq!(ssp.merged_stats().misses, 0, "every proof came from the log");
+    for i in 0..SHARDS {
+        assert_eq!(ssp.shard_cache(i).dirty_len(), 0, "shard {i}: a write-back is not dirty");
+    }
+    assert_eq!(ssp.flush().unwrap(), 0);
+    assert!(ssp.take_flush_error().is_none());
+    assert_eq!((0..SHARDS).map(log_len).collect::<Vec<_>>(), sizes, "the logs did not grow");
 
     std::fs::remove_dir_all(&dir).ok();
 }

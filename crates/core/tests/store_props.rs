@@ -183,10 +183,7 @@ fn cache_save_load_save_is_byte_identical() {
     let (_, loaded, _) = LogStore::open(&path1).unwrap();
     let cache2: ProofCache<Acc2> = ProofCache::new(64).with_persistence();
     for StoreRecord { key, proof } in &loaded {
-        cache2.preload(
-            CacheKey { att: key.att, clause: key.clause },
-            a.proof_from_bytes(proof).unwrap(),
-        );
+        cache2.preload(CacheKey { att: key.att, clause: key.clause }, proof.clone());
     }
     assert_eq!(cache2.len(), 8);
     assert_eq!(cache2.dirty_len(), 0, "rehydration must not re-queue write-behind");
@@ -204,8 +201,8 @@ fn cache_save_load_save_is_byte_identical() {
     // And the loaded proofs answer lookups byte-identically to the originals.
     for e in 10u64..18 {
         let key = ProofCache::<Acc2>::key(&att, &ms(&[e]));
-        let p1 = cache.get(&key).unwrap();
-        let p2 = cache2.get(&key).unwrap();
+        let p1 = cache.get(&a, &key).unwrap();
+        let p2 = cache2.get(&a, &key).unwrap();
         assert_eq!(Acc2::proof_bytes(&p1), Acc2::proof_bytes(&p2));
     }
 
@@ -250,13 +247,11 @@ fn evicted_entries_are_still_persisted_and_reloadable() {
     assert_eq!(report.loaded, 6);
     let big: ProofCache<Acc2> = ProofCache::new(16);
     for StoreRecord { key, proof } in &loaded {
-        big.preload(
-            CacheKey { att: key.att, clause: key.clause },
-            a.proof_from_bytes(proof).unwrap(),
-        );
+        big.preload(CacheKey { att: key.att, clause: key.clause }, proof.clone());
     }
     for (c, orig) in clauses.iter().zip(&originals) {
-        let got = big.get(&ProofCache::<Acc2>::key(&att, c)).expect("persisted entry reloadable");
+        let got =
+            big.get(&a, &ProofCache::<Acc2>::key(&att, c)).expect("persisted entry reloadable");
         assert_eq!(&Acc2::proof_bytes(&got), orig);
     }
 

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vchain_acc::Acc2;
 use vchain_chain::{Difficulty, Object};
-use vchain_core::cache::CacheStats;
+use vchain_core::cache::{CacheStats, ProofCache};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query, RangeSpec};
 use vchain_core::store::{
@@ -28,6 +28,7 @@ use vchain_core::{
     Adversary, RecordKey, ServiceProvider, ShardedConfig, ShardedServiceProvider, StoreRecord,
 };
 use vchain_hash::Digest;
+use vchain_pairing::{stats, G1Spec};
 
 const DOMAIN_BITS: u8 = 6;
 
@@ -178,7 +179,6 @@ fn warm_start_replay_is_byte_identical_with_high_hit_rate() {
     // Run B: restart over the same directory.
     let (run_b, rec_b) = ShardedServiceProvider::open(build_sp(), sharded_cfg(), &dir).unwrap();
     assert_eq!(rec_b.proofs_loaded, entries_a, "every cache entry survives the restart");
-    assert_eq!(rec_b.proofs_rejected, 0);
     for r in &rec_b.shard_reports {
         assert_eq!(r.skipped_corrupt, 0);
         assert_eq!(r.truncated_bytes, 0);
@@ -199,6 +199,7 @@ fn warm_start_replay_is_byte_identical_with_high_hit_rate() {
          ({hits}/{lookups})"
     );
     assert!(run_b.take_flush_error().is_none());
+    assert_eq!(run_b.rejected_proofs(), 0, "every persisted proof decodes at its first hit");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -387,14 +388,16 @@ fn corrupted_shard_logs_never_serve_wrong_proofs() {
     assert!(corrupted >= 2, "expected several shard logs to hold records");
 
     let (run_b, rec_b) = ShardedServiceProvider::open(build_sp(), sharded_cfg(), &dir).unwrap();
-    let damage = rec_b.shard_reports.iter().map(|r| r.skipped_corrupt).sum::<usize>()
-        + rec_b.proofs_rejected;
-    assert!(damage >= 1, "the flips must have been detected, not silently accepted");
 
     // Detected damage costs warmth only: responses stay byte-identical.
     let replay = serve_stream(&run_b, &pool, STREAM);
     assert_eq!(replay, expected, "a damaged store must never change an answer");
     assert!(run_b.take_flush_error().is_none());
+    // Counted after serving: a record that passes its checksum but not the
+    // checked decode is rejected at its first hit, not at open.
+    let damage = rec_b.shard_reports.iter().map(|r| r.skipped_corrupt).sum::<usize>()
+        + run_b.rejected_proofs() as usize;
+    assert!(damage >= 1, "the flips must have been detected, not silently accepted");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -475,7 +478,6 @@ fn directory_written_by_the_parent_format_opens_as_the_proof_cache_it_is() {
 
     let (run_b, rec_b) = ShardedServiceProvider::open(build_sp(), sharded_cfg(), &dir).unwrap();
     assert_eq!(rec_b.proofs_loaded, proofs_written, "every proof record loads");
-    assert_eq!(rec_b.proofs_rejected, 0);
     for (report, retired) in rec_b.shard_reports.iter().zip(&retired_written) {
         assert_eq!(report.skipped_corrupt, *retired, "retired records are skipped, one by one");
         assert_eq!(report.truncated_bytes, 0, "and the framing walks past them");
@@ -485,7 +487,122 @@ fn directory_written_by_the_parent_format_opens_as_the_proof_cache_it_is() {
     let warm = serve_stream(&run_b, &pool, STREAM);
     assert_eq!(warm, expected, "the old directory serves byte-identically to the twin");
     assert_eq!(run_b.merged_stats().misses, 0, "and from its proofs alone");
+    assert_eq!(run_b.rejected_proofs(), 0);
     assert!(run_b.take_flush_error().is_none());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// --- 6. persisted proofs stay bytes until a query asks for them ----------
+
+/// Serve `run`'s whole pool once and shut down: every key the pool asks for
+/// is then in the shard logs under `dir`.
+fn persist_pool(dir: &std::path::Path, cfg: ShardedConfig, pool: &[CompiledQuery]) {
+    let (run, _) = ShardedServiceProvider::open(build_sp(), cfg, dir).unwrap();
+    for q in pool {
+        run.query(q);
+    }
+    run.shutdown().unwrap();
+}
+
+/// A reopen counts only what the reopened cache does: preloading more
+/// records than the caches hold displaces the oldest, and that is not an
+/// eviction anything served.
+#[test]
+fn preloading_past_capacity_counts_no_evictions() {
+    let pool = query_pool();
+    let dir = temp_dir("preload-evictions");
+    let shards = 3;
+    persist_pool(&dir, ShardedConfig { shards, cache_capacity: 4096, flush_threshold: 8 }, &pool);
+
+    let cache_capacity = 4;
+    for shard in 0..shards {
+        let (_, records, _) = LogStore::open(dir.join(format!("shard-{shard}.log"))).unwrap();
+        assert!(records.len() > cache_capacity, "shard {shard} must overflow its reopened cache");
+    }
+    let cfg = ShardedConfig { shards, cache_capacity, flush_threshold: 8 };
+    let (ssp, rec) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
+    assert_eq!(ssp.merged_stats(), CacheStats::default(), "a preload counts nothing");
+    assert_eq!(ssp.total_entries(), shards * cache_capacity);
+    assert!(rec.proofs_loaded > ssp.total_entries(), "displaced records were loaded too");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Open decodes no point; a query's first hit on a persisted key decodes it
+/// once, and a repeat decodes nothing. A record whose bytes pass the
+/// checksum but not the checked decode costs one miss at its first hit,
+/// never an answer, and the re-proved proof is logged after it, so the next
+/// open serves the key warm.
+#[test]
+fn persisted_proofs_decode_once_at_first_hit_and_a_bad_one_costs_a_miss() {
+    let pool = query_pool();
+    let dir = temp_dir("first-hit");
+    let cfg = sharded_cfg();
+    let twin = ShardedServiceProvider::new(build_sp(), cfg);
+    let expected: Vec<Vec<u8>> = pool.iter().map(|q| encode_response_v2(&twin.query(q))).collect();
+    persist_pool(&dir, cfg, &pool);
+
+    let checks = stats::g1_subgroup_checks;
+    let sp = build_sp();
+    let before = checks();
+    let (ssp, rec) = ShardedServiceProvider::open(sp, cfg, &dir).unwrap();
+    assert_eq!(checks() - before, 0, "open decodes nothing");
+    assert!(rec.proofs_loaded > 0);
+
+    // Each shard's distinct keys so far, mirrored in a cache that proves.
+    let seen: Vec<ProofCache<Acc2>> = (0..cfg.shards).map(|_| ProofCache::new(4096)).collect();
+    let mut decoded = 0;
+    for (q, bytes) in pool.iter().zip(&expected) {
+        let mirror = &seen[ssp.route(q)];
+        let misses = mirror.stats().misses;
+        ssp.inner().time_window_query_with(q, mirror, None);
+        let fresh_keys = mirror.stats().misses - misses;
+
+        let before = checks();
+        assert_eq!(&encode_response_v2(&ssp.query(q)), bytes);
+        assert_eq!(checks() - before, fresh_keys, "one check per distinct persisted key hit");
+        decoded += fresh_keys;
+        let before = checks();
+        assert_eq!(&encode_response_v2(&ssp.query(q)), bytes);
+        assert_eq!(checks() - before, 0, "a decoded proof is not decoded again");
+    }
+    assert!(decoded > 0);
+    assert_eq!(ssp.merged_stats().misses, 0, "every key was persisted");
+    assert_eq!(ssp.rejected_proofs(), 0);
+    drop(ssp);
+
+    // A wrong-subgroup point under a key the pool asks for, framed with a
+    // valid payload check behind the honest record of that key: it wins.
+    let (path, records) = (0..cfg.shards)
+        .map(|i| dir.join(format!("shard-{i}.log")))
+        .map(|path| (path.clone(), LogStore::open(&path).unwrap().1))
+        .find(|(_, records)| !records.is_empty())
+        .expect("a shard log holds records");
+    let victim = records.last().unwrap().clone();
+    let bad = Adversary::new(28).mutate_point::<G1Spec>(&victim.proof, 3, &[]);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend(frame_record(&StoreRecord { key: victim.key, proof: bad }));
+    std::fs::write(&path, bytes).unwrap();
+
+    let (ssp, rec) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
+    assert!(rec.shard_reports.iter().all(|r| r.skipped_corrupt == 0), "the frame is intact");
+    for (q, bytes) in pool.iter().zip(&expected) {
+        assert_eq!(&encode_response_v2(&ssp.query(q)), bytes, "a bad record costs no answer");
+    }
+    assert_eq!(ssp.rejected_proofs(), 1);
+    assert_eq!(ssp.merged_stats().misses, 1, "the bad record cost one re-prove");
+    assert_eq!(ssp.flush().unwrap(), 1, "the re-proved proof is logged again");
+    let (_, records, _) = LogStore::open(&path).unwrap();
+    assert_eq!(records.last(), Some(&victim), "behind the bad record, the honest bytes");
+    drop(ssp);
+
+    let (ssp, _) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
+    for (q, bytes) in pool.iter().zip(&expected) {
+        assert_eq!(&encode_response_v2(&ssp.query(q)), bytes);
+    }
+    assert_eq!(ssp.rejected_proofs(), 0, "the later record wins");
+    assert_eq!(ssp.merged_stats().misses, 0);
 
     std::fs::remove_dir_all(&dir).ok();
 }
