@@ -297,10 +297,8 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// proves the distinct cache misses afterwards. Returns one `Result`
     /// per clause, flat, in job order. A clause that intersects its `X₁` (or
     /// overflows the key) fails alone, with the error
-    /// [`Accumulator::prove_disjoint`] would report for it, which is what
-    /// callers whose clause list comes from an *approximate* source (a
-    /// Bloom-filtered candidate classification) need — one stale clause
-    /// costs one `Err`, not the batch.
+    /// [`Accumulator::prove_disjoint`] would report for it — one bad
+    /// clause costs one `Err`, not the batch.
     ///
     /// This is the one multi-proof override point. The default
     /// implementation loops over [`Accumulator::prove_disjoint`];

@@ -555,12 +555,12 @@ fn main() {
     });
 
     // --- subscription engine at 10⁵ standing queries ----------------------
-    // The inverted match path (attribute index + Bloom pre-filter + shared
-    // refutation proofs) against the retained naive per-query walk, same
-    // engine state, same block. Registration is timed once (it is a bulk
-    // index build); match is timed on an idempotent steady-state block with
-    // a warm proof cache; publish is timed over successive blocks because
-    // it advances the engine height.
+    // The inverted match path (attribute index + shared refutation proofs)
+    // against the retained naive per-query walk, same engine state, same
+    // block. Registration is timed once (it is a bulk index build); match
+    // is timed on an idempotent steady-state block with a warm proof cache;
+    // publish is timed over successive blocks because it advances the
+    // engine height.
     let mut sub_workload = WorkloadSpec::paper_defaults(Dataset::FourSquare, 10);
     sub_workload.objects_per_block = 4;
     let sub_cfg = MinerConfig {

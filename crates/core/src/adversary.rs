@@ -456,45 +456,6 @@ impl Adversary {
             update.from_height = update.from_height.wrapping_sub(self.rng.gen_range(1..1_000u64));
         }
     }
-
-    /// Corrupt a per-block attribute Bloom filter in place: flip random
-    /// bits (mixed false positives/negatives), zero whole words (pure false
-    /// negatives — the dangerous direction, since an honest filter can
-    /// never produce one), or saturate it (every probe answers "present").
-    /// Returns the label of the class applied.
-    ///
-    /// The filter is SP-side acceleration only, so the fault-injection
-    /// suite asserts a lying filter changes *nothing observable*: the
-    /// subscription engine's published updates stay byte-identical (a
-    /// failed refutation proof demotes the affected queries back to the
-    /// exact walk) and user-side verification is untouched.
-    pub fn corrupt_bloom(&mut self, bloom: &mut crate::bloom::AttributeBloom) -> &'static str {
-        let words = bloom.words_mut();
-        match self.rng.gen_range(0..3u32) {
-            0 => {
-                let flips = self.rng.gen_range(1..=64usize);
-                for _ in 0..flips {
-                    let w = self.rng.gen_range(0..words.len());
-                    words[w] ^= 1u64 << self.rng.gen_range(0..64u32);
-                }
-                "bit-flip"
-            }
-            1 => {
-                let start = self.rng.gen_range(0..words.len());
-                let run = self.rng.gen_range(1..=words.len() - start);
-                for w in &mut words[start..start + run] {
-                    *w = 0;
-                }
-                "zeroed-words"
-            }
-            _ => {
-                for w in words.iter_mut() {
-                    *w = u64::MAX;
-                }
-                "saturated"
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -45,10 +45,8 @@ impl Element {
     }
 
     /// Canonical bytes: the injective encoding from which the scalar-field
-    /// representative is derived. Also the hashing pre-image for the
-    /// per-block attribute Bloom filters ([`crate::bloom`]), which must be
-    /// stable across processes — unlike [`ElementId`]s, whose numbering
-    /// depends on interning order.
+    /// representative is derived. Stable across processes — unlike
+    /// [`ElementId`]s, whose numbering depends on interning order.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         match self {
             Element::Keyword(s) => {

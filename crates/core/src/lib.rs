@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod bloom;
 pub mod cache;
 pub mod client;
 pub mod element;
@@ -51,7 +50,6 @@ pub mod vo;
 pub mod wire;
 
 pub use adversary::Adversary;
-pub use bloom::{AttributeBloom, BloomKey};
 pub use cache::{CacheKey, CacheStats, DirtyEntry, ProofCache, ProofRequest};
 pub use client::{PipelineMode, StreamStats, StreamVerifier, WindowScan};
 pub use element::{Element, ElementId};
@@ -74,7 +72,6 @@ pub use verify::{
 };
 pub use vo::{BlockCoverage, ClauseRef, QueryResponse, VoNode};
 pub use wire::{
-    decode_bloom, decode_response_v2, decode_update, encode_bloom, encode_response_v2,
-    encode_scan_stream, encode_update, StreamDecoder, StreamEvent, WireError, MAX_FRAME_BYTES,
-    MAX_VO_DEPTH,
+    decode_response_v2, decode_update, encode_response_v2, encode_scan_stream, encode_update,
+    StreamDecoder, StreamEvent, WireError, MAX_FRAME_BYTES, MAX_VO_DEPTH,
 };

@@ -8,7 +8,6 @@ use vchain_acc::Accumulator;
 use vchain_chain::{mine_nonce, Block, BlockHeader, ChainStore, Difficulty, Object};
 use vchain_hash::Digest;
 
-use crate::bloom::{AttributeBloom, BLOOM_SEED};
 use crate::inter::{BlockSummary, SkipList};
 use crate::intra::IntraTree;
 
@@ -35,8 +34,11 @@ pub struct MinerConfig {
     pub domain_bits: u8,
     /// Simulated proof-of-work difficulty.
     pub difficulty: Difficulty,
-    /// Density of the per-block attribute Bloom filter, in bits per distinct
-    /// attribute element (see [`crate::bloom`] for the FPR budget math).
+    /// Read by nothing. Blocks once carried an attribute Bloom filter of this
+    /// many bits per element; it did not pay for its mining time and ADS
+    /// bytes, and went (`docs/BENCHMARKS.md`). The field remains only
+    /// because the frozen benchmark sources name it (`vbench/workloads.rs`),
+    /// like [`crate::client::PipelineMode`]; ROADMAP item 1 removes it.
     pub bloom_bits_per_key: u8,
 }
 
@@ -47,7 +49,7 @@ impl Default for MinerConfig {
             skip_levels: 5,
             domain_bits: 8,
             difficulty: Difficulty(4),
-            bloom_bits_per_key: crate::bloom::DEFAULT_BITS_PER_KEY,
+            bloom_bits_per_key: 10,
         }
     }
 }
@@ -60,17 +62,12 @@ pub struct IndexedBlock<A: Accumulator> {
     /// The inter-block skip list (§6.2; empty unless the `Both` scheme),
     /// shared with the block's [`BlockSummary`].
     pub skiplist: Arc<SkipList<A>>,
-    /// Bloom filter over the block's distinct attribute elements: the
-    /// subscription engine's candidate pre-filter ([`crate::bloom`]). SP-side
-    /// acceleration only — it carries no authentication and a corrupted
-    /// filter can only cost the SP work.
-    pub bloom: AttributeBloom,
 }
 
 impl<A: Accumulator> IndexedBlock<A> {
     /// Total ADS bytes added to the block (Table 1 "S").
     pub fn ads_size_bytes(&self, acc: &A) -> usize {
-        self.tree.ads_size_bytes(acc) + self.skiplist.ads_size_bytes(acc) + self.bloom.size_bytes()
+        self.tree.ads_size_bytes(acc) + self.skiplist.ads_size_bytes(acc)
     }
 }
 
@@ -138,16 +135,8 @@ impl<A: Accumulator> Miner<A> {
             }
         };
 
-        // Pre-filter for the subscription engine: one key per *distinct*
-        // attribute element the block carries.
-        let bloom = AttributeBloom::from_elements(
-            BLOOM_SEED,
-            self.cfg.bloom_bits_per_key,
-            block_ms.elements().map(|e| e.resolve()),
-        );
-
         self.store.append(block).expect("self-mined block must validate");
-        self.indexed.push(IndexedBlock { tree, skiplist: skiplist.clone(), bloom });
+        self.indexed.push(IndexedBlock { tree, skiplist: skiplist.clone() });
         self.history.push(BlockSummary {
             hash: block_hash,
             ms: block_ms,

@@ -7,8 +7,8 @@
 //!
 //! * **posting lists** keyed by normalized clause literal
 //!   (`BTreeMap<ElementId, Vec<(QueryId, clause)>>`): every literal of every
-//!   registered clause, so one pass over the block's *present* subscribed
-//!   literals marks exactly the clauses each query has satisfied;
+//!   registered clause, so one pass over the block's root multiset marks
+//!   exactly the clauses each query has satisfied;
 //! * a **clause-content registry**: distinct clause element-sets interned to
 //!   small ids at registration, so the per-block proof work is deduplicated
 //!   by content (the paper's BCIF effect) with zero per-query allocation at
@@ -23,13 +23,6 @@
 //! deepest cell containing this box", which [`Cell::enclosing`] computes
 //! from the box alone.
 //!
-//! The probe set (distinct subscribed literals, with their precomputed
-//! [`BloomKey`] lanes) is what the per-block [`AttributeBloom`] filters:
-//! literals the filter rejects are skipped outright; literals it accepts are
-//! confirmed against the block's exact root multiset before they influence
-//! classification, so filter false positives cost one map lookup and nothing
-//! else.
-//!
 //! Classification is *exact* for queries of ≤ 64 clauses (one `u64` hit-mask
 //! each, epoch-stamped scratch so per-block work is proportional to touched
 //! queries, not Q): a query is a **candidate** iff every clause has a present
@@ -43,7 +36,6 @@ use std::collections::{BTreeMap, HashMap};
 
 use vchain_acc::MultiSet;
 
-use crate::bloom::{AttributeBloom, BloomKey};
 use crate::element::{Element, ElementId};
 use crate::query::CompiledQuery;
 use crate::vo::ClauseRef;
@@ -123,11 +115,6 @@ impl Cell {
 /// back to the per-query walk (correct, just not shared).
 pub const MAX_EXACT_CLAUSES: usize = 64;
 
-struct ProbeEntry {
-    key: BloomKey,
-    refs: u32,
-}
-
 struct QueryEntry {
     /// Content-registry id of each clause, in CNF order.
     clause_contents: Vec<u32>,
@@ -147,7 +134,7 @@ pub struct Classification {
 }
 
 /// Epoch-stamped dense scratch: per-block work touches only the queries the
-/// present literals reach, with no clearing pass over Q.
+/// block's literals reach, with no clearing pass over Q.
 #[derive(Default)]
 struct Scratch {
     masks: Vec<u64>,
@@ -185,9 +172,9 @@ impl Scratch {
 }
 
 /// The attribute-keyed subscription index (see module docs).
+#[derive(Default)]
 pub struct SubscriptionIndex {
     postings: BTreeMap<ElementId, Vec<(QueryId, u16)>>,
-    probes: BTreeMap<ElementId, ProbeEntry>,
     /// Dense by query id (engine ids are sequential); `None` = deregistered.
     /// Classification scans this linearly, so it must stay flat — a map here
     /// costs milliseconds per block at 10⁵ queries.
@@ -199,27 +186,10 @@ pub struct SubscriptionIndex {
     contents: Vec<(MultiSet<ElementId>, u32)>,
     content_ids: HashMap<Vec<u32>, u32>,
     cells: BTreeMap<Cell, Vec<QueryId>>,
-    bloom_seed: u64,
     scratch: Scratch,
 }
 
 impl SubscriptionIndex {
-    /// An empty index whose probe lanes are derived under `bloom_seed` (must
-    /// match the seed the miner builds per-block filters with).
-    pub fn new(bloom_seed: u64) -> Self {
-        Self {
-            postings: BTreeMap::new(),
-            probes: BTreeMap::new(),
-            meta: Vec::new(),
-            live: 0,
-            contents: Vec::new(),
-            content_ids: HashMap::new(),
-            cells: BTreeMap::new(),
-            bloom_seed,
-            scratch: Scratch::default(),
-        }
-    }
-
     /// Number of indexed queries.
     pub fn len(&self) -> usize {
         self.live
@@ -230,9 +200,9 @@ impl SubscriptionIndex {
         self.live == 0
     }
 
-    /// Number of distinct subscribed literals (the per-block probe count).
+    /// Number of distinct subscribed literals.
     pub fn distinct_literals(&self) -> usize {
-        self.probes.len()
+        self.postings.len()
     }
 
     /// Number of distinct clause contents ever registered.
@@ -263,13 +233,6 @@ impl SubscriptionIndex {
             let ci = ci.min(u16::MAX as usize) as u16;
             for &e in &clause.0 {
                 self.postings.entry(e).or_default().push((qid, ci));
-                match self.probes.get_mut(&e) {
-                    Some(p) => p.refs += 1,
-                    None => {
-                        let key = BloomKey::from_element(self.bloom_seed, &e.resolve());
-                        self.probes.insert(e, ProbeEntry { key, refs: 1 });
-                    }
-                }
             }
             clause_contents.push(self.intern_content(clause.to_multiset()));
         }
@@ -295,12 +258,6 @@ impl SubscriptionIndex {
                     }
                     if list.is_empty() {
                         self.postings.remove(e);
-                    }
-                }
-                if let Some(p) = self.probes.get_mut(e) {
-                    p.refs -= 1;
-                    if p.refs == 0 {
-                        self.probes.remove(e);
                     }
                 }
             }
@@ -335,34 +292,11 @@ impl SubscriptionIndex {
         &self.cells
     }
 
-    /// The subscribed literals present in `ms`, pre-filtered by the block's
-    /// Bloom filter. Positives are confirmed against `ms`, so the result is
-    /// exact whenever the filter has no false negatives (always, for an
-    /// honest filter); a corrupted filter can only *omit* literals here.
-    pub fn present_literals(
-        &self,
-        bloom: Option<&AttributeBloom>,
-        ms: &MultiSet<ElementId>,
-    ) -> Vec<ElementId> {
-        let mut out = Vec::new();
-        for (&e, probe) in &self.probes {
-            if let Some(f) = bloom {
-                if !f.contains_key(&probe.key) {
-                    continue;
-                }
-            }
-            if ms.contains(&e) {
-                out.push(e);
-            }
-        }
-        out
-    }
-
-    /// Classify every indexed query given the block's present subscribed
-    /// literals (ascending query id in both output lists).
-    pub fn classify(&mut self, present: &[ElementId]) -> Classification {
+    /// Classify every indexed query against the block's root multiset `ms`
+    /// (ascending query id in both output lists).
+    pub fn classify(&mut self, ms: &MultiSet<ElementId>) -> Classification {
         self.scratch.epoch = self.scratch.epoch.wrapping_add(1);
-        for e in present {
+        for e in ms.elements() {
             if let Some(list) = self.postings.get(e) {
                 for &(qid, ci) in list {
                     self.scratch.mark(qid, ci);
@@ -396,7 +330,6 @@ impl SubscriptionIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bloom::BLOOM_SEED;
     use crate::query::{Query, RangeSpec};
     use crate::trans::prefix_interval;
     use proptest::prelude::*;
@@ -527,36 +460,124 @@ mod tests {
         assert!(root.absent_slab_clause(&obj_ms(&[3, 3], &[])).is_none(), "excludes nothing");
     }
 
+    /// The match path trusts classification to decide which queries skip the
+    /// walk, so it must agree with the walk's own root step everywhere:
+    /// shared clause contents, empty and over-wide CNFs, literals no block
+    /// carries, and deregistered queries.
     #[test]
     fn classification_matches_find_disjoint_clause() {
-        let mut idx = SubscriptionIndex::new(BLOOM_SEED);
-        let queries = [
-            sub(vec![RangeSpec { dim: 0, lo: 0, hi: 3 }], vec![vec!["subidx-a"]]),
-            sub(Vec::new(), vec![vec!["subidx-a", "subidx-b"], vec!["subidx-c"]]),
-            sub(vec![RangeSpec { dim: 0, lo: 12, hi: 15 }], vec![vec!["subidx-z"]]),
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const KEYWORDS: [&str; 6] = [
+            "subidx-sw-a",
+            "subidx-sw-b",
+            "subidx-sw-c",
+            "subidx-sw-d",
+            "subidx-sw-e",
+            "subidx-sw-f",
         ];
-        for (i, q) in queries.iter().enumerate() {
-            idx.insert(i as QueryId, q);
-        }
-        let ms = obj_ms(&[2], &["subidx-a", "subidx-c"]);
-        let present = idx.present_literals(None, &ms);
-        let cls = idx.classify(&present);
-        for (i, q) in queries.iter().enumerate() {
-            let expected = q.cnf.find_disjoint_clause(&ms);
-            let qid = i as QueryId;
-            match expected {
-                None => assert!(cls.candidates.contains(&qid), "query {i} must be candidate"),
-                Some(ci) => assert!(
-                    cls.refuted.contains(&(qid, ci as u16, idx.content_of(qid, ci as u16))),
-                    "query {i} must be refuted at clause {ci}"
-                ),
+        const GHOSTS: [&str; 2] = ["subidx-sw-ghost-0", "subidx-sw-ghost-1"];
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A small pool of keyword clauses, some carrying ghost literals,
+            // so queries share clause contents.
+            let clause_pool: Vec<Vec<&str>> = (0..6)
+                .map(|_| {
+                    let mut clause: Vec<&str> = (0..rng.gen_range(1..4))
+                        .map(|_| KEYWORDS[rng.gen_range(0..KEYWORDS.len())])
+                        .collect();
+                    if rng.gen_range(0..3) == 0 {
+                        clause.push(GHOSTS[rng.gen_range(0..GHOSTS.len())]);
+                    }
+                    clause
+                })
+                .chain(GHOSTS.iter().map(|&g| vec![g]))
+                .collect();
+            let range_pool: Vec<RangeSpec> = (0..4)
+                .map(|_| {
+                    let lo = rng.gen_range(0..16);
+                    RangeSpec { dim: rng.gen_range(0..2), lo, hi: rng.gen_range(lo..16) }
+                })
+                .collect();
+            let mut queries: Vec<CompiledQuery> = (0..24)
+                .map(|_| {
+                    let ranges = (0..rng.gen_range(0..2))
+                        .map(|_| range_pool[rng.gen_range(0..4)].clone())
+                        .collect();
+                    let keywords = (0..rng.gen_range(0..4))
+                        .map(|_| clause_pool[rng.gen_range(0..clause_pool.len())].clone())
+                        .collect();
+                    sub(ranges, keywords)
+                })
+                .collect();
+            queries.push(sub(Vec::new(), Vec::new()));
+            for width in [MAX_EXACT_CLAUSES, MAX_EXACT_CLAUSES + 1] {
+                let keywords = (0..width).map(|_| {
+                    clause_pool[rng.gen_range(0..clause_pool.len() - GHOSTS.len())].clone()
+                });
+                queries.push(sub(Vec::new(), keywords.collect()));
+            }
+
+            let mut idx = SubscriptionIndex::default();
+            for (i, q) in queries.iter().enumerate() {
+                idx.insert(i as QueryId, q);
+            }
+            let mut live = vec![true; queries.len()];
+            for _ in 0..4 {
+                let i = rng.gen_range(0..queries.len());
+                if std::mem::replace(&mut live[i], false) {
+                    idx.remove(i as QueryId, &queries[i]);
+                }
+            }
+            assert_eq!(idx.len(), live.iter().filter(|&&l| l).count());
+
+            for _ in 0..8 {
+                let mut ms = MultiSet::new();
+                for _ in 0..rng.gen_range(1..4) {
+                    let kws: Vec<&str> = (0..rng.gen_range(0..4))
+                        .map(|_| KEYWORDS[rng.gen_range(0..KEYWORDS.len())])
+                        .collect();
+                    ms = ms.sum(&obj_ms(&[rng.gen_range(0..16), rng.gen_range(0..16)], &kws));
+                }
+                let cls = idx.classify(&ms);
+                let classified: Vec<QueryId> = {
+                    let mut all: Vec<QueryId> = cls.candidates.clone();
+                    all.extend(cls.refuted.iter().map(|&(qid, _, _)| qid));
+                    all.sort_unstable();
+                    all
+                };
+                let expected: Vec<QueryId> =
+                    (0..queries.len() as QueryId).filter(|&i| live[i as usize]).collect();
+                assert_eq!(classified, expected, "seed {seed}: each live query exactly once");
+                for (i, q) in queries.iter().enumerate() {
+                    let qid = i as QueryId;
+                    if !live[i] {
+                        continue;
+                    }
+                    let expected = match q.cnf.find_disjoint_clause(&ms) {
+                        // over-wide queries are conservatively walked
+                        _ if q.cnf.0.len() > MAX_EXACT_CLAUSES => None,
+                        found => found,
+                    };
+                    match expected {
+                        None => assert!(
+                            cls.candidates.contains(&qid),
+                            "seed {seed}: query {i} must be a candidate"
+                        ),
+                        Some(ci) => assert!(
+                            cls.refuted.contains(&(qid, ci as u16, idx.content_of(qid, ci as u16))),
+                            "seed {seed}: query {i} must be refuted at clause {ci}"
+                        ),
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn remove_unindexes_everything() {
-        let mut idx = SubscriptionIndex::new(BLOOM_SEED);
+        let mut idx = SubscriptionIndex::default();
         let q = sub(Vec::new(), vec![vec!["subidx-rm-a"], vec!["subidx-rm-b"]]);
         idx.insert(7, &q);
         assert_eq!(idx.len(), 1);
@@ -564,35 +585,18 @@ mod tests {
         idx.remove(7, &q);
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.distinct_literals(), 0);
-        let present = idx.present_literals(None, &obj_ms(&[1], &["subidx-rm-a"]));
-        assert!(present.is_empty());
+        let cls = idx.classify(&obj_ms(&[1], &["subidx-rm-a"]));
+        assert!(cls.candidates.is_empty() && cls.refuted.is_empty());
     }
 
     #[test]
     fn shared_contents_intern_once() {
-        let mut idx = SubscriptionIndex::new(BLOOM_SEED);
+        let mut idx = SubscriptionIndex::default();
         let q1 = sub(Vec::new(), vec![vec!["subidx-shared-x", "subidx-shared-y"]]);
         let q2 = sub(Vec::new(), vec![vec!["subidx-shared-x", "subidx-shared-y"]]);
         idx.insert(0, &q1);
         idx.insert(1, &q2);
         assert_eq!(idx.distinct_contents(), 1);
         assert_eq!(idx.content_of(0, 0), idx.content_of(1, 0));
-    }
-
-    #[test]
-    fn bloom_prefilter_never_drops_present_literals() {
-        let mut idx = SubscriptionIndex::new(BLOOM_SEED);
-        for i in 0..50u32 {
-            let kw = format!("subidx-bloom-{i}");
-            idx.insert(i, &sub(Vec::new(), vec![vec![&kw]]));
-        }
-        let ms = obj_ms(&[1], &["subidx-bloom-13", "subidx-bloom-31"]);
-        let keys: Vec<BloomKey> =
-            ms.elements().map(|e| BloomKey::from_element(BLOOM_SEED, &e.resolve())).collect();
-        let bloom = AttributeBloom::build(BLOOM_SEED, 10, &keys);
-        let filtered = idx.present_literals(Some(&bloom), &ms);
-        let unfiltered = idx.present_literals(None, &ms);
-        assert_eq!(filtered, unfiltered, "an honest filter must be transparent");
-        assert_eq!(filtered.len(), 2);
     }
 }

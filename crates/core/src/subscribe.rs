@@ -20,10 +20,9 @@
 //! # The inverted match path
 //!
 //! At 10⁵–10⁶ standing queries, walking every query per block is the wall.
-//! The default [`WalkStrategy::Indexed`] inverts it: the block's attributes
-//! resolve the *candidate* queries through the [`crate::subindex`] posting
-//! lists (pre-filtered by the per-block [`crate::bloom`] filter, confirmed
-//! against the exact root multiset), every non-candidate gets the same
+//! The default [`WalkStrategy::Indexed`] inverts it: the elements of the
+//! block's root multiset resolve the *candidate* queries through the
+//! [`crate::subindex`] posting lists, every non-candidate gets the same
 //! root-level refutation the reference walk would emit (first disjoint
 //! clause, or shared grid cell), and only the candidates walk the tree.
 //! Nothing is proved along the way: the distinct root-level refutations and
@@ -44,7 +43,6 @@ use vchain_acc::{AccError, Accumulator};
 use vchain_chain::{Block, LightClient, Object};
 use vchain_hash::Digest;
 
-use crate::bloom::BLOOM_SEED;
 use crate::cache::{ProofCache, ProofRequest};
 use crate::element::ElementId;
 use crate::intra::{IntraNodeKind, PlannedVo};
@@ -122,8 +120,8 @@ pub fn verify_encoded_subscription_update<A: Accumulator>(
 /// Which matcher [`SubscriptionEngine::match_block`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalkStrategy {
-    /// Attribute-indexed candidate resolution (subscription index + Bloom
-    /// pre-filter + batched shared refutations). The default.
+    /// Attribute-indexed candidate resolution (subscription index + batched
+    /// shared refutations). The default.
     Indexed,
     /// The original per-query walk, retained as the reference twin the
     /// differential suite compares against (same pattern as the eager tower
@@ -235,7 +233,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             mode,
             use_iptree,
             queries: BTreeMap::new(),
-            index: SubscriptionIndex::new(BLOOM_SEED),
+            index: SubscriptionIndex::default(),
             strategy: WalkStrategy::Indexed,
             cells_dirty: false,
             enclosing: BTreeMap::new(),
@@ -441,18 +439,17 @@ impl<A: Accumulator> SubscriptionEngine<A> {
 
     /// The inverted path. Per block:
     ///
-    /// 1. probe the subscribed literals through the block's Bloom filter,
-    ///    confirming positives against the exact root multiset;
-    /// 2. classify every query off the posting lists (candidate, or first
-    ///    disjoint clause — identical to the reference walk's root step);
-    /// 3. replicate the walk's root-level cell priority for queries whose
+    /// 1. classify every query off the posting lists of the root multiset's
+    ///    elements (candidate, or first disjoint clause — identical to the
+    ///    reference walk's root step);
+    /// 2. replicate the walk's root-level cell priority for queries whose
     ///    enclosing cell has absent slabs;
-    /// 4. plan the candidates' walks — only they touch the tree;
-    /// 5. resolve the block's requests, root-level and walked, in one
-    ///    [`ProofCache::resolve`]. A root-level clause that fails to prove
-    ///    (possible only when the filter lied — see `corrupt_bloom` fault
-    ///    injection) demotes its queries to the walk, in a second round of
-    ///    4.–5., so corruption costs work, never correctness.
+    /// 3. plan the candidates' walks — only they touch the tree;
+    /// 4. resolve the block's requests, root-level and walked, in one
+    ///    [`ProofCache::resolve`]. A root-level request is exactly the first
+    ///    request its query's own walk would make, so it fails only where
+    ///    the walk would, and is handled the way [`PlannedVo::fill`]
+    ///    handles a failed answer.
     ///
     /// Every emitted VO is byte-identical to the reference twin's: the same
     /// first-disjoint clause (or cell) refutes at the same root node, and
@@ -467,9 +464,8 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         };
         let root_ms = tree.root_multiset();
 
-        // 1.–2. Bloom-gated probe, then posting-list classification.
-        let present = self.index.present_literals(Some(&indexed.bloom), root_ms);
-        let cls = self.index.classify(&present);
+        // 1. Posting-list classification.
+        let cls = self.index.classify(root_ms);
 
         // Root-level refutations deduplicated by clause content: the block's
         // first requests, so a content's request index is its rank here.
@@ -480,7 +476,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         let mut cid_pending: Vec<u32> = vec![u32::MAX; self.index.distinct_contents()];
         let mut by_cell_key: HashMap<Vec<u32>, usize> = HashMap::new();
 
-        // 3. Root-level cell priority, exactly as the reference walk assigns
+        // 2. Root-level cell priority, exactly as the reference walk assigns
         //    it, once per cell instead of once per query (the interval index
         //    is empty without `use_iptree`).
         let mut cell_assigned: BTreeMap<QueryId, (usize, ClauseRef)> = BTreeMap::new();
@@ -511,7 +507,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         }
         let root_requests = requests.len();
 
-        // 4. Only the candidates touch the tree. Classification may pass a
+        // 3. Only the candidates touch the tree. Classification may pass a
         //    query as candidate (e.g. one with more clauses than the
         //    exact-mask width) that the cell step already refuted; cell
         //    priority wins, exactly as in the reference walk.
@@ -523,47 +519,14 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         candidates.sort_unstable();
         let planned = self.plan_walks(&candidates, block, indexed, &mut requests);
 
-        // 5. The block's one proving pass.
+        // 4. The block's one proving pass.
         let answers = self.cache.resolve(&self.acc, requests);
-        let mut walked = fill_walks(planned, &answers);
-
-        // Compact the shared proof table. A root-level clause that is not
-        // actually disjoint (a lying Bloom filter skipped a present literal)
-        // fails alone, and the good proofs are kept.
-        let mut proofs: Vec<A::Proof> = Vec::with_capacity(root_requests);
-        let proof_slot: Vec<Option<usize>> = answers
+        let walked = fill_walks(planned, &answers);
+        let proofs: Vec<A::Proof> = answers
             .into_iter()
             .take(root_requests)
-            .map(|answer| {
-                answer.ok().map(|proof| {
-                    proofs.push(proof);
-                    proofs.len() - 1
-                })
-            })
+            .map(|answer| answer.expect("the walk's root step found the clause disjoint"))
             .collect();
-
-        // Queries whose refutation failed to prove take the exact walk
-        // instead (self-healing), in a second round.
-        if proof_slot.contains(&None) {
-            let mut demoted: Vec<QueryId> = Vec::new();
-            for (&qid, (idx, _)) in &cell_assigned {
-                if proof_slot[*idx].is_none() {
-                    demoted.push(qid);
-                }
-            }
-            for &(qid, _, cid) in &cls.refuted {
-                if !cell_assigned.is_empty() && cell_assigned.contains_key(&qid) {
-                    continue;
-                }
-                if proof_slot[cid_pending[cid as usize] as usize].is_none() {
-                    demoted.push(qid);
-                }
-            }
-            let mut requests = Vec::new();
-            let planned = self.plan_walks(&demoted, block, indexed, &mut requests);
-            walked.extend(fill_walks(planned, &self.cache.resolve(&self.acc, requests)));
-            walked.sort_unstable_by_key(|&(qid, _)| qid);
-        }
         let candidates = walked.len();
 
         // Emit the publish-ordered outcome vector in one linear merge of the
@@ -598,11 +561,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             while walked_iter.peek().is_some_and(|(wq, _)| *wq < qid) {
                 outcomes.push(walked_iter.next().expect("peeked"));
             }
-            // A failed slot means the query was demoted to the walk; its
-            // outcome arrives through `walked_iter` instead.
-            if let Some(slot) = proof_slot[pidx] {
-                outcomes.push((qid, MatchOutcome::Shared { proof: slot, clause }));
-            }
+            outcomes.push((qid, MatchOutcome::Shared { proof: pidx, clause }));
         }
         outcomes.extend(walked_iter);
 

@@ -33,7 +33,6 @@
 //! | window response, one-shot | [`encode_response_v2`] | [`decode_response_v2`] |
 //! | window scan, framed | [`encode_scan_stream`] | [`StreamDecoder`] |
 //! | subscription update | [`encode_update`] | [`decode_update`] |
-//! | per-block Bloom filter | [`encode_bloom`] | [`decode_bloom`] |
 //!
 //! The encoders are infallible: they serialize honestly-constructed values
 //! (the SP side). The decoders are the adversarial surface.
@@ -57,9 +56,9 @@ use crate::vo::{
     Att, BlockCoverage, BlockVo, ClauseRef, GroupProof, MismatchProof, QueryResponse, VoNode,
 };
 
-/// Version byte of the raw-slot messages: the first byte of every encoded
-/// subscription update ([`encode_update`]) and Bloom filter
-/// ([`encode_bloom`]). Not a response version — see [`WIRE_VERSION_V2`].
+/// Version byte of the raw-slot message: the first byte of every encoded
+/// subscription update ([`encode_update`]). Not a response version — see
+/// [`WIRE_VERSION_V2`].
 pub const WIRE_VERSION: u8 = 1;
 
 /// Version byte of the one response body encoding ([`encode_response_v2`],
@@ -96,8 +95,8 @@ pub enum WireError {
         remaining: usize,
     },
     /// The leading version byte is not the message's one version
-    /// ([`WIRE_VERSION_V2`] for responses, [`WIRE_VERSION`] for updates and
-    /// Bloom filters, [`STREAM_VERSION`] for the stream envelope).
+    /// ([`WIRE_VERSION_V2`] for responses, [`WIRE_VERSION`] for updates,
+    /// [`STREAM_VERSION`] for the stream envelope).
     UnsupportedVersion(u8),
     /// An enum tag byte has no corresponding variant.
     BadTag {
@@ -1367,44 +1366,4 @@ pub fn decode_update<A: Accumulator>(
     }
     r.finish()?;
     Ok(SubscriptionUpdate { query_id, from_height, to_height, results, coverage })
-}
-
-/// Serialize a per-block attribute Bloom filter (miner/SP side, infallible).
-///
-/// The filter is SP-side acceleration state, not part of any VO — but full
-/// nodes gossip it alongside the block's ADS, so it gets the same versioned,
-/// total codec treatment as everything else on the wire.
-pub fn encode_bloom(bloom: &crate::bloom::AttributeBloom) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.u8(WIRE_VERSION);
-    w.u64(bloom.seed());
-    w.u8(bloom.probes());
-    w.u32(bloom.key_count());
-    w.count(bloom.words().len());
-    for word in bloom.words() {
-        w.u64(*word);
-    }
-    w.buf
-}
-
-/// Decode a per-block attribute Bloom filter from untrusted bytes. Total:
-/// every input either yields a structurally valid filter or a [`WireError`].
-/// A decoded-but-lying filter is still harmless — see [`crate::bloom`].
-pub fn decode_bloom(bytes: &[u8]) -> Result<crate::bloom::AttributeBloom, WireError> {
-    let mut r = Reader::new(bytes);
-    match r.u8()? {
-        WIRE_VERSION => {}
-        v => return Err(WireError::UnsupportedVersion(v)),
-    }
-    let seed = r.u64()?;
-    let k = r.u8()?;
-    let keys = r.u32()?;
-    let n_words = r.count("bloom words", 8)?;
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(r.u64()?);
-    }
-    r.finish()?;
-    crate::bloom::AttributeBloom::from_parts(seed, k, keys, words)
-        .ok_or(WireError::BadTag { what: "bloom filter shape", tag: k })
 }

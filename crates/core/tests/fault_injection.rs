@@ -37,13 +37,11 @@ use vchain_core::query::CompiledQuery;
 use vchain_core::query::{Query, RangeSpec};
 use vchain_core::subscribe::{
     verify_subscription_update, SubscriptionEngine, SubscriptionMode, SubscriptionUpdate,
-    WalkStrategy,
 };
 use vchain_core::verify::{verify_encoded_response, verify_response, VerifyError};
 use vchain_core::vo::{ClauseRef, QueryResponse};
 use vchain_core::wire::{
-    decode_bloom, decode_response_v2, encode_bloom, encode_response_v2, encode_scan_stream,
-    encode_update,
+    decode_response_v2, encode_response_v2, encode_scan_stream, encode_update,
 };
 use vchain_pairing::{stats, G1Spec, G2Spec};
 
@@ -904,103 +902,4 @@ fn inflated_interval_rejected_without_allocation() {
     };
     let e = verify_subscription_update(&cq, &update, &light, &c, &acc).unwrap_err();
     assert_eq!(e, VerifyError::InvalidUpdateInterval { from: 0, to: u64::MAX });
-}
-
-/// Satellite: the per-block attribute Bloom filter is SP-side acceleration
-/// state, never part of the verified boundary. An adversary that forges or
-/// corrupts it can only change how much work the indexed engine does, not
-/// what it publishes:
-///
-/// * false positives make pre-filtering useless (everything stays a
-///   candidate and takes the exact walk — naive behavior);
-/// * false negatives steer the classifier at a clause that is not actually
-///   disjoint; the proof attempt fails and the query is demoted to the
-///   exact walk, which reproduces the reference output byte for byte.
-///
-/// Asserted per corruption class, per block: byte-identical updates against
-/// a naive twin that never reads the filter, every published update still
-/// verifies against the light client, and mutated filter *encodings* decode
-/// totally (typed errors, no panics).
-#[test]
-fn corrupted_bloom_is_harmless_to_correctness() {
-    let c = cfg(IndexScheme::Both);
-    let acc = Acc2::keygen(4096, &mut StdRng::seed_from_u64(26));
-    let mut miner = Miner::new(c, acc.clone());
-    let mut light = LightClient::new(c.difficulty);
-    for (i, objs) in workload(13, 8, 3).into_iter().enumerate() {
-        miner.mine_block((i as u64 + 1) * 10, objs);
-    }
-    for h in miner.headers() {
-        light.sync_header(h).expect("headers validate");
-    }
-
-    let queries = [
-        Query { time_window: None, ranges: vec![], keywords: vec![vec!["Sedan".into()]] },
-        Query {
-            time_window: None,
-            ranges: vec![],
-            keywords: vec![vec!["Truck".into(), "Van".into()], vec!["Benz".into()]],
-        },
-        Query {
-            time_window: None,
-            ranges: vec![RangeSpec { dim: 0, lo: 0, hi: 7 }],
-            keywords: vec![],
-        },
-        Query {
-            time_window: None,
-            ranges: vec![RangeSpec { dim: 1, lo: 8, hi: 15 }],
-            keywords: vec![vec!["Audi".into()]],
-        },
-        // refuted every block; an honest filter answers "absent" here
-        Query { time_window: None, ranges: vec![], keywords: vec![vec!["Ghost".into()]] },
-    ];
-
-    let mut adv = Adversary::new(0xB100_0000_0000_0004);
-    for use_iptree in [true, false] {
-        let mut fast =
-            SubscriptionEngine::new(c, acc.clone(), SubscriptionMode::Realtime, use_iptree);
-        let mut twin =
-            SubscriptionEngine::new(c, acc.clone(), SubscriptionMode::Realtime, use_iptree)
-                .with_strategy(WalkStrategy::Naive);
-        let compiled: Vec<_> = queries
-            .iter()
-            .map(|q| {
-                let id = fast.register(q);
-                twin.register(q);
-                fast.compiled(id).expect("registered").clone()
-            })
-            .collect();
-
-        for h in 0..miner.store().blocks().len() {
-            let block = miner.store().blocks()[h].clone();
-            let honest = &miner.indexed()[h];
-            let mut corrupted = honest.clone();
-            let label = adv.corrupt_bloom(&mut corrupted.bloom);
-
-            let a = fast.process_block(&block, &corrupted);
-            let b = twin.process_block(&block, honest);
-            assert_eq!(a.len(), b.len(), "schedule diverged under {label} at height {h}");
-            for (ua, ub) in a.iter().zip(&b) {
-                assert_eq!(
-                    encode_update(ua),
-                    encode_update(ub),
-                    "update bytes diverged under {label} at height {h} (iptree={use_iptree})"
-                );
-            }
-            for u in &a {
-                let cq = &compiled[u.query_id as usize];
-                verify_subscription_update(cq, u, &light, &c, &acc)
-                    .expect("update produced under a corrupted filter still verifies");
-            }
-
-            // Totality of the filter codec over the adversary's byte classes.
-            let honest_bytes = encode_bloom(&honest.bloom);
-            for _ in 0..8 {
-                let (mutant, _) = adv.mutate_bytes(&honest_bytes);
-                let _ = decode_bloom(&mutant);
-            }
-            let roundtrip = decode_bloom(&honest_bytes).expect("honest filter decodes");
-            assert_eq!(&roundtrip, &honest.bloom, "codec is the identity on honest filters");
-        }
-    }
 }

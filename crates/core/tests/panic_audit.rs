@@ -16,13 +16,16 @@ const TOKENS: &[&str] =
     &[".unwrap()", ".expect(", "panic!", "unreachable!", "todo!", "unimplemented!"];
 
 /// Modules reachable from untrusted bytes: the wire codec, the compressed
-/// point decoder, accumulator decode/verify, and the VO verification walk.
+/// point decoder, accumulator decode/verify, the VO verification walk, the
+/// streaming client over decoded stream bytes, and the on-disk record store.
 const BOUNDARY_FILES: &[&str] = &[
     "../pairing/src/decode.rs",
     "../accumulator/src/lib.rs",
     "src/wire.rs",
     "src/vo.rs",
     "src/verify.rs",
+    "src/client.rs",
+    "src/store.rs",
 ];
 
 /// `(file suffix, line substring)` pairs that are deliberately exempt.
@@ -43,12 +46,14 @@ fn untrusted_boundary_is_panic_free() {
         let src = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("boundary file {} unreadable: {e}", path.display()));
         for (idx, line) in src.lines().enumerate() {
-            let trimmed = line.trim_start();
             // Audit stops where the module's own tests begin: test code is
-            // trusted and uses unwrap/expect freely.
-            if trimmed == "#[cfg(test)]" {
+            // trusted and uses unwrap/expect freely. Only a column-0
+            // attribute opens the tests module (as in `scripts/loc.sh`); an
+            // indented one gates a single item and the scan goes on past it.
+            if line.trim_end() == "#[cfg(test)]" {
                 break;
             }
+            let trimmed = line.trim_start();
             // Comment lines (`//`, `///`, `//!`) often *mention* unwrap in
             // doc examples; those never compile into the boundary.
             if trimmed.starts_with("//") {

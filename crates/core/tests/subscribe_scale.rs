@@ -7,8 +7,8 @@
 //!
 //! 1. **Pre-filtering works** — the per-block candidate count (queries
 //!    that take the exact walk) stays far below Q; everything else is
-//!    refuted through the attribute index + Bloom filter and settled with
-//!    shared, deduplicated disjointness proofs.
+//!    refuted through the attribute index and settled with shared,
+//!    deduplicated disjointness proofs.
 //! 2. **Publishing stays correct** — for a deterministic sample of the
 //!    population, the published results equal a naive `object_matches`
 //!    ground truth on every block, and the updates verify end-to-end

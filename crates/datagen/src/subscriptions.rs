@@ -118,7 +118,7 @@ impl SubscriptionSpec {
                     },
                     // Ghost clauses: keywords with ranks past the
                     // vocabulary, so no block stream ever carries them and
-                    // every Bloom probe for them must answer "absent".
+                    // no block's multiset reaches their posting lists.
                     1 => {
                         let ghost = (0..self.clause_size)
                             .map(|_| {
