@@ -496,26 +496,32 @@ fn main() {
         .collect();
 
     // --- checked VO wire decode ------------------------------------------
-    // A full window response through the untrusted byte boundary: structural
+    // A full window response through the untrusted byte boundary: its
+    // one-window frame stream fed whole to the stream decoder — structural
     // parse plus a checked deserialization of every proof in the VO (the
     // price a light client pays before verification proper begins).
     let scan_responses: Vec<_> = windows.iter().map(|q| sp.time_window_query(q)).collect();
-    let one_shot: Vec<Vec<u8>> =
+    let framed: Vec<Vec<u8>> =
         scan_responses.iter().map(vchain_core::wire::encode_response_v2).collect();
-    let encoded = &one_shot[0];
+    let encoded = &framed[0];
     let sp_acc = sp.acc.clone();
     eprintln!("[bench-smoke] vo_decode_checked input: {} bytes", encoded.len());
     timings.push(time("vo_decode_checked", 5, || {
-        vchain_core::wire::decode_response_v2(&sp_acc, encoded).expect("honest VO decodes")
+        let mut dec = vchain_core::wire::StreamDecoder::new();
+        let events = dec.feed(&sp_acc, encoded).expect("honest VO decodes");
+        dec.finish().expect("honest VO is complete");
+        events
     }));
 
     // --- light-client pipeline: streaming and batching ---------------------
     // The 8-window scan, now on the client side: `client_verify_window_us`
     // is the per-window mean of streamed verification with one cross-window
-    // pairing batch, with the per-block path (decode each window's one-shot
-    // bytes, then one RLC flush per window) as its twin — both twins start
+    // pairing batch, with the per-block path (verify each window's own
+    // framed bytes, one RLC flush per window) as its twin — both twins start
     // from wire bytes, the position a real client is in.
     let scan_stream = vchain_core::wire::encode_scan_stream(&scan_responses);
+    let one_by_one: usize = framed.iter().map(Vec::len).sum();
+    eprintln!("[bench-smoke] scan: {} bytes streamed, {one_by_one} one by one", scan_stream.len());
     let n_windows = windows.len() as f64;
     let stream_scan = || {
         let mut sv = vchain_core::client::StreamVerifier::new(
@@ -531,7 +537,7 @@ fn main() {
     };
     let t_batched = time("client_verify_window_scan", 3, stream_scan);
     let t_per_block = time("client_verify_window_scan_per_block", 3, || {
-        for (q, bytes) in windows.iter().zip(&one_shot) {
+        for (q, bytes) in windows.iter().zip(&framed) {
             vchain_core::verify::verify_encoded_response(q, bytes, &scan_light, &scan_cfg, &sp_acc)
                 .expect("honest window verifies");
         }

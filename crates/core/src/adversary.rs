@@ -192,68 +192,31 @@ impl Adversary {
         out
     }
 
-    // -- v2 / stream mutations --------------------------------------------
+    // -- stream mutations ---------------------------------------------------
     //
-    // These operate on the byte layouts of `wire::encode_response_v2` and
-    // `wire::encode_scan_stream`: an intern table
-    // (`u32 N ‖ N × (u32 len ‖ bytes)`) either directly after the version
-    // byte (one-shot) or inside the stream's header frame, and a frame
-    // envelope of `u32 len ‖ u32 seq ‖ u8 tag ‖ body`.
+    // These operate on the byte layout of `wire::encode_scan_stream` (and so
+    // of `wire::encode_response_v2`, its one-window form): a frame envelope
+    // of `u32 len ‖ u32 seq ‖ u8 tag ‖ body`, and an intern table
+    // (`u32 N ‖ N × (u32 len ‖ bytes)`) inside the header frame.
 
-    /// Byte ranges of the intern-table entries of a table starting at
-    /// `offset` (the position of the entry-count `u32`). Returns the count
-    /// position and each entry's `(payload_start, payload_len)`.
-    fn table_entries_at(bytes: &[u8], offset: usize) -> Option<(usize, Vec<(usize, usize)>)> {
-        let n = u32::from_le_bytes(bytes.get(offset..offset + 4)?.try_into().ok()?) as usize;
+    /// Byte ranges of the intern-table entries in a stream's header frame:
+    /// `u32 len ‖ u32 seq ‖ u8 tag ‖ sv ‖ cv ‖ u32 n_windows ‖
+    /// n_windows × u32 ‖ table`. Returns the position of the table's
+    /// entry-count `u32` and each entry's `(payload_start, payload_len)`.
+    fn table_entries(stream: &[u8]) -> Option<(usize, Vec<(usize, usize)>)> {
+        let n_windows = u32::from_le_bytes(stream.get(11..15)?.try_into().ok()?) as usize;
+        let offset = 15 + 4 * n_windows;
+        let n = u32::from_le_bytes(stream.get(offset..offset + 4)?.try_into().ok()?) as usize;
         let mut entries = Vec::with_capacity(n);
         let mut pos = offset + 4;
         for _ in 0..n {
-            let len = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
+            let len = u32::from_le_bytes(stream.get(pos..pos + 4)?.try_into().ok()?) as usize;
             pos += 4;
-            bytes.get(pos..pos + len)?;
+            stream.get(pos..pos + len)?;
             entries.push((pos, len));
             pos += len;
         }
         Some((offset, entries))
-    }
-
-    /// Drop the last intern-table entry of a one-shot v2 encoding and
-    /// decrement the count, so every back-reference to the removed index
-    /// dangles (`WireError::BackRefOutOfRange`). `None` when the table is
-    /// empty (nothing to shrink).
-    pub fn v2_shrink_table(bytes: &[u8]) -> Option<Vec<u8>> {
-        Self::shrink_table_at(bytes, 1)
-    }
-
-    /// Flip one byte inside a randomly chosen intern-table entry of a
-    /// one-shot v2 encoding — a shared point every back-reference now
-    /// resolves to corrupted. `None` when the table is empty.
-    pub fn v2_splice_table(&mut self, bytes: &[u8]) -> Option<Vec<u8>> {
-        let (_, entries) = Self::table_entries_at(bytes, 1)?;
-        self.splice_one_entry(bytes, &entries)
-    }
-
-    fn shrink_table_at(bytes: &[u8], offset: usize) -> Option<Vec<u8>> {
-        let (count_pos, entries) = Self::table_entries_at(bytes, offset)?;
-        let &(last_start, last_len) = entries.last()?;
-        let mut out = bytes.to_vec();
-        out.drain(last_start - 4..last_start + last_len);
-        let n = (entries.len() as u32) - 1;
-        out[count_pos..count_pos + 4].copy_from_slice(&n.to_le_bytes());
-        Some(out)
-    }
-
-    fn splice_one_entry(&mut self, bytes: &[u8], entries: &[(usize, usize)]) -> Option<Vec<u8>> {
-        let nonempty: Vec<_> = entries.iter().filter(|(_, len)| *len > 0).collect();
-        if nonempty.is_empty() {
-            return None;
-        }
-        let &&(start, len) = nonempty.get(self.rng.gen_range(0..nonempty.len()))?;
-        let mut out = bytes.to_vec();
-        // Flip a low-order bit of one payload byte: the point stays the
-        // right length but decodes to a different (or invalid) element.
-        out[start + self.rng.gen_range(0..len)] ^= 1;
-        Some(out)
     }
 
     /// Split a frame stream into its frames (honest input; panics on
@@ -296,32 +259,38 @@ impl Adversary {
         stream[..cut].to_vec()
     }
 
-    /// Byte offset of the intern-table count inside a scan stream's header
-    /// frame: `u32 len ‖ u32 seq ‖ u8 tag ‖ sv ‖ cv ‖ u32 n_windows ‖
-    /// n_windows × u32 ‖ table`.
-    fn stream_table_offset(stream: &[u8]) -> Option<usize> {
-        let n_windows = u32::from_le_bytes(stream.get(11..15)?.try_into().ok()?) as usize;
-        Some(15 + 4 * n_windows)
-    }
-
-    /// [`Adversary::v2_shrink_table`] applied inside a scan stream's header
-    /// frame (the frame's length prefix is fixed up to match).
+    /// Drop the last intern-table entry of a stream's header frame and
+    /// decrement the count (the frame's length prefix is fixed up to
+    /// match), so every back-reference to the removed index dangles
+    /// (`WireError::BackRefOutOfRange`). `None` when the table is empty
+    /// (nothing to shrink).
     pub fn stream_shrink_table(stream: &[u8]) -> Option<Vec<u8>> {
-        let offset = Self::stream_table_offset(stream)?;
-        let mut out = Self::shrink_table_at(stream, offset)?;
-        let removed = stream.len() - out.len();
+        let (count_pos, entries) = Self::table_entries(stream)?;
+        let &(last_start, last_len) = entries.last()?;
+        let mut out = stream.to_vec();
+        out.drain(last_start - 4..last_start + last_len);
+        out[count_pos..count_pos + 4].copy_from_slice(&(entries.len() as u32 - 1).to_le_bytes());
         let old_len = u32::from_le_bytes(out.get(0..4)?.try_into().ok()?) as usize;
-        let new_len = (old_len.checked_sub(removed)? as u32).to_le_bytes();
-        out[0..4].copy_from_slice(&new_len);
+        let new_len = old_len.checked_sub(4 + last_len)? as u32;
+        out[0..4].copy_from_slice(&new_len.to_le_bytes());
         Some(out)
     }
 
-    /// [`Adversary::v2_splice_table`] applied inside a scan stream's header
-    /// frame.
+    /// Flip one byte inside a randomly chosen intern-table entry of a
+    /// stream's header frame — a shared point every back-reference now
+    /// resolves to corrupted. `None` when the table has no non-empty entry.
     pub fn stream_splice_table(&mut self, stream: &[u8]) -> Option<Vec<u8>> {
-        let offset = Self::stream_table_offset(stream)?;
-        let (_, entries) = Self::table_entries_at(stream, offset)?;
-        self.splice_one_entry(stream, &entries)
+        let (_, entries) = Self::table_entries(stream)?;
+        let nonempty: Vec<_> = entries.iter().filter(|(_, len)| *len > 0).collect();
+        if nonempty.is_empty() {
+            return None;
+        }
+        let &&(start, len) = nonempty.get(self.rng.gen_range(0..nonempty.len()))?;
+        let mut out = stream.to_vec();
+        // Flip a low-order bit of one payload byte: the point stays the
+        // right length but decodes to a different (or invalid) element.
+        out[start + self.rng.gen_range(0..len)] ^= 1;
+        Some(out)
     }
 
     // -- structure-level mutations ----------------------------------------

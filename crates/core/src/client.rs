@@ -19,10 +19,10 @@
 //! shared [`DisjointBatch`] ([`WindowScan`]), so an 8-window scan pays a
 //! single aggregated pairing flush instead of eight.
 //!
-//! A response has one body encoding with two deliveries — one-shot
-//! ([`crate::wire::encode_response_v2`]) and framed
-//! ([`crate::wire::encode_scan_stream`]) — and both verify to the same
-//! results:
+//! A response has one wire layout, the frame stream. A single window's
+//! stream ([`crate::wire::encode_response_v2`]) verifies to the same
+//! results whether it is fed whole ([`crate::verify::verify_encoded_response`])
+//! or chunk by chunk as it arrives:
 //!
 //! ```
 //! # use rand::rngs::StdRng;
@@ -42,16 +42,18 @@
 //! # let sp = miner.into_service_provider();
 //! # let q = Query { time_window: Some((0, 40)), ranges: vec![], keywords: vec![vec!["Sedan".into()]] }
 //! #     .compile(cfg.domain_bits);
-//! use vchain_core::client::{PipelineMode, StreamVerifier};
+//! use vchain_core::client::StreamVerifier;
 //! use vchain_core::verify::verify_encoded_response;
-//! use vchain_core::wire::{encode_response_v2, encode_scan_stream};
+//! use vchain_core::wire::encode_response_v2;
 //!
-//! let resp = sp.time_window_query(&q);
-//! let one_shot = verify_encoded_response(&q, &encode_response_v2(&resp), &light, &cfg, &acc);
-//! let mut v = StreamVerifier::for_query(q, light.clone(), cfg, acc.clone(), PipelineMode::Inline);
-//! v.feed(&encode_scan_stream(&[resp])).unwrap();
+//! let bytes = encode_response_v2(&sp.time_window_query(&q));
+//! let whole = verify_encoded_response(&q, &bytes, &light, &cfg, &acc).unwrap();
+//! let mut v = StreamVerifier::new(vec![q], light.clone(), cfg, acc.clone());
+//! for chunk in bytes.chunks(16) {
+//!     v.feed(chunk).unwrap();
+//! }
 //! let (windows, _stats) = v.finish().unwrap();
-//! assert_eq!(windows[0], one_shot.unwrap());
+//! assert_eq!(windows, [whole]);
 //! assert_eq!(windows[0].len(), 1);
 //! ```
 

@@ -150,11 +150,6 @@ impl<A: Accumulator> SkipList<A> {
         skiplist_root_from_hashes(&level_hashes)
     }
 
-    /// Entry at an exact distance, if present.
-    pub fn entry_at(&self, distance: u64) -> Option<&SkipEntry<A>> {
-        self.entries.iter().find(|e| e.distance == distance)
-    }
-
     /// `(distance, hash_Lk)` of every level but the one at `distance` — what
     /// a VO that uses that entry ships so the verifier can rebuild
     /// `SkipListRoot`.
@@ -226,14 +221,14 @@ mod tests {
         let a = acc();
         let history = history(&a, 2, &[[1], [2], [3], [4]]);
         let list = SkipList::build(&history, 2, &a);
-        let e2 = list.entry_at(2).unwrap();
+        let e2 = list.entries.iter().find(|e| e.distance == 2).unwrap();
         // distance 2 covers blocks 2 and 3
         let expect = history[2].ms.sum(&history[3].ms);
         assert_eq!(e2.ms, expect);
         // aggregated digest equals direct setup of the summed multiset
         assert_eq!(e2.att, a.setup(&expect));
         // distance-4 entry covers everything
-        let e4 = list.entry_at(4).unwrap();
+        let e4 = list.entries.iter().find(|e| e.distance == 4).unwrap();
         assert_eq!(e4.ms.total_count(), history.iter().map(|s| s.ms.total_count()).sum::<u64>());
         assert_eq!(
             e4.pre_skipped_hash,

@@ -72,6 +72,6 @@ pub use verify::{
 };
 pub use vo::{BlockCoverage, ClauseRef, QueryResponse, VoNode};
 pub use wire::{
-    decode_response_v2, decode_update, encode_response_v2, encode_scan_stream, encode_update,
-    StreamDecoder, StreamEvent, WireError, MAX_FRAME_BYTES, MAX_VO_DEPTH,
+    decode_update, encode_response_v2, encode_scan_stream, encode_update, StreamDecoder,
+    StreamEvent, WireError, MAX_FRAME_BYTES, MAX_VO_DEPTH,
 };

@@ -200,11 +200,6 @@ impl SubscriptionIndex {
         self.live == 0
     }
 
-    /// Number of distinct subscribed literals.
-    pub fn distinct_literals(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Number of distinct clause contents ever registered.
     pub fn distinct_contents(&self) -> usize {
         self.contents.len()
@@ -266,11 +261,6 @@ impl SubscriptionIndex {
             let slot = &mut self.contents[cid as usize];
             slot.1 = slot.1.saturating_sub(1);
         }
-    }
-
-    /// The content-registry id of clause `ci` of query `qid`.
-    pub fn content_of(&self, qid: QueryId, ci: u16) -> u32 {
-        self.meta[qid as usize].as_ref().expect("registered").clause_contents[ci as usize]
     }
 
     /// The element set of a registered clause content.
@@ -354,6 +344,11 @@ mod tests {
             kws.iter().map(|s| s.to_string()).collect(),
         );
         crate::query::object_multiset(&o, 4)
+    }
+
+    /// The content-registry id of clause `ci` of query `qid`.
+    fn content_of(idx: &SubscriptionIndex, qid: QueryId, ci: usize) -> u32 {
+        idx.meta[qid as usize].as_ref().expect("registered").clause_contents[ci]
     }
 
     /// `[lo, hi]` of a cell in its `i`-th grid dimension.
@@ -566,7 +561,7 @@ mod tests {
                             "seed {seed}: query {i} must be a candidate"
                         ),
                         Some(ci) => assert!(
-                            cls.refuted.contains(&(qid, ci as u16, idx.content_of(qid, ci as u16))),
+                            cls.refuted.contains(&(qid, ci as u16, content_of(&idx, qid, ci))),
                             "seed {seed}: query {i} must be refuted at clause {ci}"
                         ),
                     }
@@ -581,10 +576,10 @@ mod tests {
         let q = sub(Vec::new(), vec![vec!["subidx-rm-a"], vec!["subidx-rm-b"]]);
         idx.insert(7, &q);
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.distinct_literals(), 2);
+        assert_eq!(idx.postings.len(), 2);
         idx.remove(7, &q);
         assert_eq!(idx.len(), 0);
-        assert_eq!(idx.distinct_literals(), 0);
+        assert_eq!(idx.postings.len(), 0);
         let cls = idx.classify(&obj_ms(&[1], &["subidx-rm-a"]));
         assert!(cls.candidates.is_empty() && cls.refuted.is_empty());
     }
@@ -597,6 +592,6 @@ mod tests {
         idx.insert(0, &q1);
         idx.insert(1, &q2);
         assert_eq!(idx.distinct_contents(), 1);
-        assert_eq!(idx.content_of(0, 0), idx.content_of(1, 0));
+        assert_eq!(content_of(&idx, 0, 0), content_of(&idx, 1, 0));
     }
 }

@@ -23,6 +23,7 @@ use vchain_acc::{Accumulator, BatchItem};
 use vchain_chain::{LightClient, Object};
 use vchain_hash::{hash_pair, Digest};
 
+use crate::client::StreamVerifier;
 use crate::inter::{level_hash_from_parts, pre_skipped_hash, skiplist_root_from_hashes};
 use crate::intra::{internal_hash, leaf_hash};
 use crate::miner::{IndexScheme, MinerConfig};
@@ -118,11 +119,13 @@ impl core::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verify a time-window query response straight from untrusted wire bytes:
-/// structural decode ([`crate::wire`]) then full verification. This is the
-/// light client's network-facing entry point — no input can panic it.
-/// There is one response encoding ([`crate::wire::encode_response_v2`]);
-/// any other leading version byte is rejected before anything is parsed.
+/// Verify a time-window query response straight from untrusted wire bytes
+/// ([`crate::wire::encode_response_v2`], a one-window frame stream): the
+/// streamed pipeline ([`StreamVerifier`]) fed the whole input at once. This
+/// is the light client's network-facing entry point for a single window —
+/// no input can panic it. Bytes that are not a one-window stream (another
+/// declared window count, another body version, an empty or cut input) are
+/// [`VerifyError::Malformed`].
 pub fn verify_encoded_response<A: Accumulator>(
     q: &CompiledQuery,
     bytes: &[u8],
@@ -130,8 +133,11 @@ pub fn verify_encoded_response<A: Accumulator>(
     cfg: &MinerConfig,
     acc: &A,
 ) -> Result<Vec<Object>, VerifyError> {
-    let response = crate::wire::decode_response_v2(acc, bytes).map_err(VerifyError::Malformed)?;
-    verify_response(q, &response, light, cfg, acc)
+    let mut v = StreamVerifier::new(vec![q.clone()], light.clone(), *cfg, acc.clone());
+    v.feed(bytes)?;
+    let (windows, _) = v.finish()?;
+    // one result list per query, and there is one query
+    Ok(windows.into_iter().flatten().collect())
 }
 
 /// Verify a time-window query response against the light client's headers.

@@ -30,9 +30,11 @@
 //!
 //! | message | encoder | decoder |
 //! |---|---|---|
-//! | window response, one-shot | [`encode_response_v2`] | [`decode_response_v2`] |
-//! | window scan, framed | [`encode_scan_stream`] | [`StreamDecoder`] |
+//! | window response or scan, framed | [`encode_scan_stream`] | [`StreamDecoder`] |
 //! | subscription update | [`encode_update`] | [`decode_update`] |
+//!
+//! A single window's response is the one-window stream
+//! ([`encode_response_v2`]); there is no second response layout.
 //!
 //! The encoders are infallible: they serialize honestly-constructed values
 //! (the SP side). The decoders are the adversarial surface.
@@ -61,11 +63,12 @@ use crate::vo::{
 /// [`WIRE_VERSION_V2`].
 pub const WIRE_VERSION: u8 = 1;
 
-/// Version byte of the one response body encoding ([`encode_response_v2`],
-/// and the body version a stream header announces): shared accumulator
-/// values and repeated proof points are interned once into a per-response
-/// table and back-referenced by index everywhere else. Any other leading
-/// byte is [`WireError::UnsupportedVersion`] before anything is parsed.
+/// Version of the one response body encoding, announced in every stream
+/// header ([`encode_scan_stream`]): shared accumulator values and repeated
+/// proof points are interned once into a per-stream table and
+/// back-referenced by index everywhere else. A header announcing any other
+/// body version is [`WireError::UnsupportedVersion`] before any entry frame
+/// is parsed.
 pub const WIRE_VERSION_V2: u8 = 2;
 
 /// Version byte of the frame-stream envelope ([`encode_scan_stream`]),
@@ -94,9 +97,9 @@ pub enum WireError {
         /// Bytes actually left.
         remaining: usize,
     },
-    /// The leading version byte is not the message's one version
-    /// ([`WIRE_VERSION_V2`] for responses, [`WIRE_VERSION`] for updates,
-    /// [`STREAM_VERSION`] for the stream envelope).
+    /// A version byte is not the message's one version
+    /// ([`STREAM_VERSION`] and [`WIRE_VERSION_V2`] in a stream header,
+    /// [`WIRE_VERSION`] leading an update).
     UnsupportedVersion(u8),
     /// An enum tag byte has no corresponding variant.
     BadTag {
@@ -520,7 +523,7 @@ enum SlotBytes<'a> {
 
 impl<A: Accumulator> TableSlots<A> {
     /// Parse the intern table (`u32 count`, then `u32 len ‖ bytes` per
-    /// entry) from the front of a v2 body or a stream header frame.
+    /// entry) from a stream header frame.
     fn parse(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.count("intern table", 5)?;
         let mut raw = Vec::new();
@@ -973,66 +976,29 @@ fn put_table(w: &mut Writer, table: &[Vec<u8>]) {
     }
 }
 
-/// Serialize a response in the deduplicating v2 format: shared accumulator
-/// values and repeated proof points are interned once into a per-response
-/// table and back-referenced by a 5-byte tag everywhere else.
-/// [`decode_response_v2`] accepts precisely the byte strings this function
-/// produces, one per response.
-///
-/// Repetition is the norm, not the exception: objects sharing an attribute
-/// set produce identical leaf AttDigests, mismatch proofs against the same
-/// clause repeat across blocks of a window, and §6.3 group proofs repeat
-/// across the response. See `docs/LIGHT_CLIENT.md` for the byte layout.
-pub fn encode_response_v2<A: Accumulator>(response: &QueryResponse<A>) -> Vec<u8> {
-    let table = intern_table(&[response.coverage.as_slice()]);
-    let mut w = Writer::default();
-    w.u8(WIRE_VERSION_V2);
-    put_table(&mut w, &table);
-    put_results(&mut w, &response.results);
-    w.count(response.coverage.len());
-    let mut slots = InternSlots::new(&table);
-    for cov in &response.coverage {
-        put_coverage(&mut w, cov, &mut slots);
-    }
-    w.buf
-}
-
-/// Decode a v2 ([`encode_response_v2`]) response from untrusted bytes.
-/// Total, and *strictly* canonical: beyond structural validity,
-/// the intern table must be exactly the one the encoder would build
-/// (every entry used at least twice, first uses in table order, no inline
-/// repetition), so decode∘encode remains the identity on accepted inputs.
-pub fn decode_response_v2<A: Accumulator>(
-    acc: &A,
-    bytes: &[u8],
-) -> Result<QueryResponse<A>, WireError> {
-    let mut r = Reader::new(bytes);
-    match r.u8()? {
-        WIRE_VERSION_V2 => {}
-        v => return Err(WireError::UnsupportedVersion(v)),
-    }
-    let mut slots = TableSlots::<A>::parse(&mut r)?;
-    let results = get_results(&mut r)?;
-    let n_cov = r.count("coverage entries", 9)?;
-    let mut coverage = Vec::new();
-    for _ in 0..n_cov {
-        coverage.push(get_coverage(&mut r, acc, &mut slots)?);
-    }
-    slots.finish()?;
-    r.finish()?;
-    Ok(QueryResponse { results, coverage })
-}
-
 // ---------------------------------------------------------------------------
 // Frame streaming
 // ---------------------------------------------------------------------------
 
-/// Append one frame: the payload behind its length prefix.
-fn put_frame(out: &mut Writer, seq: u32, tag: u8, body: &[u8]) {
-    out.count(body.len().saturating_add(5));
+/// Open a frame in `out` (`u32 len ‖ u32 seq ‖ u8 tag`, the length a
+/// placeholder) and return where it starts; the caller writes the body
+/// straight into `out` and [`close_frame`] back-patches the length.
+fn open_frame(out: &mut Writer, seq: u32, tag: u8) -> usize {
+    let at = out.buf.len();
+    out.u32(0);
     out.u32(seq);
     out.u8(tag);
-    out.bytes(body);
+    at
+}
+
+/// Back-patch the length prefix of the frame opened at `at`: everything
+/// written since, sequence number and tag included.
+fn close_frame(out: &mut Writer, at: usize) {
+    let len = out.buf.len().saturating_sub(at.saturating_add(4));
+    let len = u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes();
+    if let Some(prefix) = out.buf.get_mut(at..at.saturating_add(4)) {
+        prefix.copy_from_slice(&len);
+    }
 }
 
 /// Serialize a scan (one or more window responses) as a sequence of
@@ -1040,54 +1006,59 @@ fn put_frame(out: &mut Writer, seq: u32, tag: u8, body: &[u8]) {
 /// intern table and each window's entry count, then one frame per coverage
 /// entry with that block's result objects inlined. Each frame is
 /// `u32 len ‖ u32 seq ‖ u8 tag ‖ body`; the concatenation returned here is
-/// what crosses the network.
+/// what crosses the network. [`StreamDecoder`] accepts precisely the byte
+/// strings this function produces, one per scan.
 ///
 /// The framing exists so a light client can verify block *i* while block
 /// *i + 1* is still in flight, holding only one frame plus the table in
-/// memory — see [`StreamDecoder`] and `core::client`. The table is shared
-/// across every window of the scan, which is where deduplication earns its
-/// keep: overlapping windows re-cover the same blocks, so the same
-/// accumulator values and proofs recur across responses even when each
-/// response alone has few internal repeats.
+/// memory — see [`StreamDecoder`] and `core::client`. Repetition is the
+/// norm, not the exception: objects sharing an attribute set produce
+/// identical leaf AttDigests, mismatch proofs against the same clause
+/// repeat across blocks, and overlapping windows of a scan re-cover the
+/// same blocks — so the table is shared across every window of the scan.
+/// See `docs/LIGHT_CLIENT.md` for the byte layout.
 pub fn encode_scan_stream<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<u8> {
     let covs: Vec<&[BlockCoverage<A>]> = responses.iter().map(|r| r.coverage.as_slice()).collect();
     let table = intern_table::<A>(&covs);
     let mut slots = InternSlots::new(&table);
 
     let mut out = Writer::default();
-    let mut header = Writer::default();
-    header.u8(STREAM_VERSION);
-    header.u8(WIRE_VERSION_V2);
-    header.count(responses.len());
+    let header = open_frame(&mut out, 0, 0);
+    out.u8(STREAM_VERSION);
+    out.u8(WIRE_VERSION_V2);
+    out.count(responses.len());
     for resp in responses {
-        header.count(resp.coverage.len());
+        out.count(resp.coverage.len());
     }
-    put_table(&mut header, &table);
-    put_frame(&mut out, 0, 0, &header.buf);
+    put_table(&mut out, &table);
+    close_frame(&mut out, header);
 
     let mut seq = 0u32;
     for resp in responses {
         let results: HashMap<u64, &Vec<Object>> =
             resp.results.iter().map(|(h, v)| (*h, v)).collect();
         for cov in &resp.coverage {
-            let mut body = Writer::default();
-            put_coverage(&mut body, cov, &mut slots);
+            seq = seq.saturating_add(1);
+            let frame = open_frame(&mut out, seq, 1);
+            put_coverage(&mut out, cov, &mut slots);
             if let BlockCoverage::Block { height, .. } = cov {
-                match results.get(height) {
-                    Some(objs) => {
-                        body.count(objs.len());
-                        for o in objs.iter() {
-                            put_object(&mut body, o);
-                        }
-                    }
-                    None => body.count(0),
+                let objs = results.get(height).map_or(&[][..], |v| v.as_slice());
+                out.count(objs.len());
+                for o in objs {
+                    put_object(&mut out, o);
                 }
             }
-            seq = seq.saturating_add(1);
-            put_frame(&mut out, seq, 1, &body.buf);
+            close_frame(&mut out, frame);
         }
     }
     out.buf
+}
+
+/// Serialize one window's response: the one-window frame stream
+/// ([`encode_scan_stream`] of `[response]`), which the light client
+/// verifies with [`crate::verify::verify_encoded_response`].
+pub fn encode_response_v2<A: Accumulator>(response: &QueryResponse<A>) -> Vec<u8> {
+    encode_scan_stream(std::slice::from_ref(response))
 }
 
 /// A decoded item surfaced by [`StreamDecoder::feed`].
@@ -1123,7 +1094,7 @@ pub enum StreamEvent<A: Accumulator> {
 /// resolution. Nothing is ever allocated from a claimed length before the
 /// bytes backing it have arrived.
 ///
-/// Every defense of the one-shot decoders applies per frame — checked
+/// Every defense of the body codec applies per frame — checked
 /// point decodes, depth caps, count pre-checks, canonical slot rules — and
 /// the envelope adds its own: frames arrive in declared sequence order
 /// ([`WireError::FrameSequence`]), a stream that ends early is

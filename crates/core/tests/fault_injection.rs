@@ -39,9 +39,9 @@ use vchain_core::subscribe::{
     verify_subscription_update, SubscriptionEngine, SubscriptionMode, SubscriptionUpdate,
 };
 use vchain_core::verify::{verify_encoded_response, verify_response, VerifyError};
-use vchain_core::vo::{ClauseRef, QueryResponse};
+use vchain_core::vo::{BlockCoverage, ClauseRef, QueryResponse};
 use vchain_core::wire::{
-    decode_response_v2, encode_response_v2, encode_scan_stream, encode_update,
+    encode_response_v2, encode_scan_stream, encode_update, StreamDecoder, StreamEvent,
 };
 use vchain_pairing::{stats, G1Spec, G2Spec};
 
@@ -189,26 +189,43 @@ impl Tally {
     }
 }
 
-fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, iters: usize) {
-    let (miner, light) = build_chain(scheme, acc);
-    let q = sample_query().compile(DOMAIN_BITS);
+/// Corrupt the honest frame stream of `queries`' windows — one window
+/// (`encode_response_v2`, verified through `verify_encoded_response`) or a
+/// multi-window scan (verified through [`StreamVerifier`]) — and drive
+/// every mutant through verification: byte classes, structure-level
+/// mutations of one window re-encoded, intern-table shrink and entry
+/// splice, a wrong-subgroup point, frame reorder and mid-stream truncation.
+fn run_fault_injection<A: Accumulator>(
+    acc: A,
+    queries: Vec<CompiledQuery>,
+    seed: u64,
+    iters: usize,
+) {
+    let (miner, light) = build_chain(IndexScheme::Both, acc);
     let sp = miner.into_service_provider();
-    let honest = sp.time_window_query(&q);
+    let responses: Vec<_> = queries.iter().map(|q| sp.time_window_query(q)).collect();
     let cfg = sp.cfg;
     let acc = &sp.acc;
+    let verify = |bytes: &[u8]| match &queries[..] {
+        [q] => verify_encoded_response(q, bytes, &light, &cfg, acc).map(|r| vec![r]),
+        _ => drive_stream(&queries, &light, cfg, acc, bytes),
+    };
 
-    // Honest baseline: verifies, and the encoding round-trips byte-identically.
-    verify_response(&q, &honest, &light, &cfg, acc).expect("honest response verifies");
-    let encoded = encode_response_v2(&honest);
-    let decoded = decode_response_v2(acc, &encoded).expect("honest encoding decodes");
-    assert_eq!(encode_response_v2(&decoded), encoded, "decode∘encode must be the identity");
-    verify_encoded_response(&q, &encoded, &light, &cfg, acc)
-        .expect("honest encoding verifies end-to-end");
+    // Honest baseline: the encoding round-trips byte-identically, and it
+    // verifies to the same per-window results as typed verification.
+    let encoded = encode_scan_stream(&responses);
+    assert_eq!(encode_scan_stream(&decode_scan(acc, &encoded)), encoded, "decode∘encode");
+    let reference: Vec<Vec<Object>> = queries
+        .iter()
+        .zip(&responses)
+        .map(|(q, r)| verify_response(q, r, &light, &cfg, acc).expect("honest window verifies"))
+        .collect();
+    assert_eq!(verify(&encoded).expect("honest encoding verifies"), reference);
 
     // Wrong-subgroup substitution target: the first AttDigest slot's G1
     // component, located in the encoding by its honest bytes.
     let mut first_value = None;
-    let mut cov = honest.coverage.clone();
+    let mut cov = responses[0].coverage.clone();
     for_each_att::<A>(&mut cov, &mut |_, v| {
         if first_value.is_none() {
             first_value = Some(v.clone());
@@ -222,7 +239,7 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
 
     let mut tally = Tally { rejected: BTreeMap::new(), noops: 0, driven: 0 };
 
-    // Structure-level classes: mutate the typed response, then re-encode
+    // Structure-level classes: mutate one typed window, then re-encode
     // (the encoder is canonical by construction, so the mutant decodes).
     type Semantic<A> = (fn(&mut Adversary, &mut QueryResponse<A>) -> bool, &'static str);
     let semantic: [Semantic<A>; 6] = [
@@ -235,36 +252,38 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
     ];
 
     for iter in 0..iters {
-        let class = adv.rng().gen_range(0..14u32);
-        let (mutant, label): (Vec<u8>, &'static str) = match class {
-            0..=4 => adv.mutate_bytes(&encoded),
+        let class = adv.rng().gen_range(0..16u32);
+        // A lone window's intern table can be empty (dedup is mostly a
+        // cross-window effect): a table class with nothing to mutate, or a
+        // reorder of fewer than two entry frames, falls back to bytes.
+        let (mutant, label): (Option<Vec<u8>>, &'static str) = match class {
+            0..=4 => (None, ""),
             5..=10 => {
                 let (mutate, label) = semantic[class as usize - 5];
-                let mut m = honest.clone();
-                if !mutate(&mut adv, &mut m) {
+                let mut m = responses.clone();
+                let w = adv.rng().gen_range(0..m.len());
+                if !mutate(&mut adv, &mut m[w]) {
                     tally.noops += 1;
                     continue;
                 }
-                (encode_response_v2(&m), label)
+                (Some(encode_scan_stream(&m)), label)
             }
-            // A lone window's intern table can be empty (dedup is mostly a
-            // cross-window effect); the stream suite covers the shared one.
-            11 | 12 => {
-                let (table_mutant, label) = if class == 11 {
-                    (Adversary::v2_shrink_table(&encoded), "table-shrink")
-                } else {
-                    (adv.v2_splice_table(&encoded), "table-splice")
-                };
-                table_mutant.map_or_else(|| adv.mutate_bytes(&encoded), |m| (m, label))
-            }
-            _ => {
+            11 => (Adversary::stream_shrink_table(&encoded), "table-shrink"),
+            12 => (adv.stream_splice_table(&encoded), "table-splice"),
+            13 => {
                 let mut m = encoded.clone();
                 assert!(
                     Adversary::substitute_slot(&mut m, &victim_bytes, &replacement),
                     "value slot must be locatable in the encoding"
                 );
-                (m, "wrong-subgroup-point")
+                (Some(m), "wrong-subgroup-point")
             }
+            14 => (adv.stream_reorder(&encoded), "frame-reorder"),
+            _ => (Some(adv.stream_truncate(&encoded)), "mid-stream-truncation"),
+        };
+        let (mutant, label) = match mutant {
+            Some(m) => (m, label),
+            None => adv.mutate_bytes(&encoded),
         };
 
         // A mutation that reproduces the original bytes proves nothing —
@@ -274,9 +293,7 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
             continue;
         }
 
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            verify_encoded_response(&q, &mutant, &light, &cfg, acc)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| verify(&mutant)));
         tally.driven += 1;
         match outcome {
             Err(_) => panic!(
@@ -286,7 +303,7 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
             Ok(Ok(accepted)) => panic!(
                 "ACCEPTED a mutated VO (class={label}, seed={seed:#x}, iter={iter}): \
                  {} results passed",
-                accepted.len()
+                accepted.concat().len()
             ),
             Ok(Err(e)) => {
                 *tally.rejected.entry(classify(&e)).or_insert(0) += 1;
@@ -299,8 +316,8 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
 #[test]
 fn fault_injection_acc1() {
     run_fault_injection(
-        IndexScheme::Both,
         Acc1::keygen(4000, &mut StdRng::seed_from_u64(21)),
+        vec![sample_query().compile(DOMAIN_BITS)],
         0xACC1_0000_0000_0001,
         fuzz_iters(),
     );
@@ -309,8 +326,8 @@ fn fault_injection_acc1() {
 #[test]
 fn fault_injection_acc2() {
     run_fault_injection(
-        IndexScheme::Both,
         Acc2::keygen(4096, &mut StdRng::seed_from_u64(22)),
+        vec![sample_query().compile(DOMAIN_BITS)],
         0xACC2_0000_0000_0002,
         fuzz_iters(),
     );
@@ -346,27 +363,28 @@ fn splice(bytes: &[u8], off: usize, component: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The typed rejections of one mutant through both client entry points:
-/// the one-shot decoder and the frame stream. Neither may panic.
-fn reject_both_ways<A: Accumulator>(
+/// The typed rejection of one mutant stream through the single-window
+/// entry point (fed whole) and through the pipeline fed in chunks; both
+/// must reject it the same way, and neither may panic.
+fn reject<A: Accumulator>(
     q: &CompiledQuery,
     light: &LightClient,
     cfg: MinerConfig,
     acc: &A,
-    one_shot: &[u8],
     stream: &[u8],
     what: &str,
-) -> [VerifyError; 2] {
-    let one_shot =
-        catch_unwind(AssertUnwindSafe(|| verify_encoded_response(q, one_shot, light, &cfg, acc)))
-            .unwrap_or_else(|_| panic!("PANIC in one-shot verification: {what}"))
+) -> VerifyError {
+    let whole =
+        catch_unwind(AssertUnwindSafe(|| verify_encoded_response(q, stream, light, &cfg, acc)))
+            .unwrap_or_else(|_| panic!("PANIC in single-window verification: {what}"))
             .expect_err(what);
-    let streamed = catch_unwind(AssertUnwindSafe(|| {
+    let chunked = catch_unwind(AssertUnwindSafe(|| {
         drive_stream(std::slice::from_ref(q), light, cfg, acc, stream)
     }))
     .unwrap_or_else(|_| panic!("PANIC in streamed verification: {what}"))
     .expect_err(what);
-    [one_shot, streamed]
+    assert_eq!(classify(&whole), classify(&chunked), "{what}");
+    whole
 }
 
 /// Satellite of the operand-only decode: every point-mutation class
@@ -375,7 +393,7 @@ fn reject_both_ways<A: Accumulator>(
 /// operand of a tree node, pairing operand of a skip entry, the component
 /// of an operand AttDigest no equation consumes, and proof — one input per
 /// path of the data-dependent code. Every mutant is rejected with the typed
-/// error its path predicts, through both decoders, with no panic.
+/// error its path predicts, fed whole and in chunks, with no panic.
 ///
 /// `value` / `proof` list each encoding's components as `(offset, group)`;
 /// `consumed` is how many leading value components the pairing operand
@@ -441,16 +459,7 @@ fn run_slot_role_matrix<A: Accumulator>(
                     k += 1;
                 });
                 let what = format!("{role:?} component {comp} {label}");
-                let [e, streamed] = reject_both_ways(
-                    &q,
-                    &light,
-                    cfg,
-                    acc,
-                    &encode_response_v2(&m),
-                    &encode_scan_stream(std::slice::from_ref(&m)),
-                    &what,
-                );
-                assert_eq!(classify(&e), classify(&streamed), "{what}");
+                let e = reject(&q, &light, cfg, acc, &encode_response_v2(&m), &what);
                 driven += 1;
                 let undecodable_operand =
                     role == AttRole::NodeOperand && comp < consumed && *label != "point-swap";
@@ -478,8 +487,7 @@ fn run_slot_role_matrix<A: Accumulator>(
     for_each_proof::<A>(&mut honest.coverage.clone(), &mut |p| proofs.push(A::proof_bytes(p)));
     let victim = &proofs[0];
     let other = proofs.iter().find(|p| *p != victim).expect("two distinct proofs");
-    let one_shot = encode_response_v2(&honest);
-    let stream = encode_scan_stream(std::slice::from_ref(&honest));
+    let encoded = encode_response_v2(&honest);
     for (comp, &(off, curve)) in proof.iter().enumerate() {
         for (class, label) in POINT_MUTATIONS.iter().enumerate() {
             let point = &victim[off..off + curve.len()];
@@ -488,24 +496,20 @@ fn run_slot_role_matrix<A: Accumulator>(
                 continue;
             }
             let replacement = splice(victim, off, &mutated);
-            let (mut m1, mut ms) = (one_shot.clone(), stream.clone());
-            assert!(Adversary::substitute_slot(&mut m1, victim, &replacement));
-            assert!(Adversary::substitute_slot(&mut ms, victim, &replacement));
+            let mut m = encoded.clone();
+            assert!(Adversary::substitute_slot(&mut m, victim, &replacement));
             let what = format!("proof component {comp} {label}");
             driven += 1;
-            for e in &reject_both_ways(&q, &light, cfg, acc, &m1, &ms, &what) {
-                match e {
-                    // a valid proof for a different (node, clause) pair
-                    VerifyError::BadProof { .. } if *label == "point-swap" => {}
-                    // a byte-level swap can also repeat bytes the table had
-                    // to intern
-                    VerifyError::Malformed(vchain_core::wire::WireError::NonCanonical {
-                        ..
-                    }) if *label == "point-swap" => {}
-                    VerifyError::Malformed(vchain_core::wire::WireError::Accumulator(_))
-                        if *label != "point-swap" => {}
-                    _ => panic!("{what}: unexpected rejection {e:?}"),
-                }
+            match reject(&q, &light, cfg, acc, &m, &what) {
+                // a valid proof for a different (node, clause) pair
+                VerifyError::BadProof { .. } if *label == "point-swap" => {}
+                // a byte-level swap can also repeat bytes the table had to
+                // intern
+                VerifyError::Malformed(vchain_core::wire::WireError::NonCanonical { .. })
+                    if *label == "point-swap" => {}
+                VerifyError::Malformed(vchain_core::wire::WireError::Accumulator(_))
+                    if *label != "point-swap" => {}
+                e => panic!("{what}: unexpected rejection {e:?}"),
             }
         }
     }
@@ -595,8 +599,31 @@ fn drive_stream<A: Accumulator>(
     sv.finish().map(|(results, _)| results)
 }
 
+/// Reassemble a stream into its window responses (honest input: panics
+/// on a decode failure, which is fine on the trusted side).
+fn decode_scan<A: Accumulator>(acc: &A, bytes: &[u8]) -> Vec<QueryResponse<A>> {
+    let mut dec = StreamDecoder::<A>::new();
+    let mut out: Vec<QueryResponse<A>> = Vec::new();
+    for ev in dec.feed(acc, bytes).expect("honest encoding decodes") {
+        match ev {
+            StreamEvent::Header { windows, .. } => out
+                .resize_with(windows.len(), || QueryResponse { results: vec![], coverage: vec![] }),
+            StreamEvent::Entry { window, coverage, results } => {
+                if let BlockCoverage::Block { height, .. } = &coverage {
+                    if !results.is_empty() {
+                        out[window].results.push((*height, results));
+                    }
+                }
+                out[window].coverage.push(coverage);
+            }
+        }
+    }
+    dec.finish().expect("honest encoding is complete");
+    out
+}
+
 /// An overlapping `n`-window scan over the 8-block chain (`shift` time
-/// units between window starts), used by the streaming fault suite.
+/// units between window starts), used by the multi-window fault suites.
 fn scan_queries(n: u64, shift: u64) -> Vec<CompiledQuery> {
     (0..n)
         .map(|i| {
@@ -607,81 +634,11 @@ fn scan_queries(n: u64, shift: u64) -> Vec<CompiledQuery> {
         .collect()
 }
 
-/// Streaming counterpart of [`run_fault_injection`]: corrupts a scan's
-/// frame stream (byte classes plus frame reorder, mid-stream truncation,
-/// intern-table shrink and table-entry splice) and drives every mutant
-/// through [`StreamVerifier`]. Same invariants: zero panics, 100%
-/// rejection, every rejection classified.
-fn run_stream_fault_injection<A: Accumulator>(
-    scheme: IndexScheme,
-    acc: A,
-    seed: u64,
-    iters: usize,
-) {
-    let (miner, light) = build_chain(scheme, acc);
-    let queries = scan_queries(4, 10);
-    let sp = miner.into_service_provider();
-    let responses: Vec<_> = queries.iter().map(|q| sp.time_window_query(q)).collect();
-    let cfg = sp.cfg;
-    let acc = &sp.acc;
-    let stream = encode_scan_stream(&responses);
-
-    // Honest baseline: the stream verifies to the same per-window results
-    // as one-shot verification.
-    let reference: Vec<Vec<Object>> = queries
-        .iter()
-        .zip(&responses)
-        .map(|(q, r)| verify_response(q, r, &light, &cfg, acc).expect("honest window verifies"))
-        .collect();
-    let streamed =
-        drive_stream(&queries, &light, cfg, acc, &stream).expect("honest stream verifies");
-    assert_eq!(streamed, reference, "streamed results must match one-shot verification");
-
-    let mut adv = Adversary::new(seed);
-    let mut tally = Tally { rejected: BTreeMap::new(), noops: 0, driven: 0 };
-
-    for iter in 0..iters {
-        let (mutant, label): (Option<Vec<u8>>, &'static str) = match adv.rng().gen_range(0..9u32) {
-            0..=4 => {
-                let (m, label) = adv.mutate_bytes(&stream);
-                (Some(m), label)
-            }
-            5 => (adv.stream_reorder(&stream), "frame-reorder"),
-            6 => (Some(adv.stream_truncate(&stream)), "mid-stream-truncation"),
-            7 => (Adversary::stream_shrink_table(&stream), "table-shrink-backref"),
-            _ => (adv.stream_splice_table(&stream), "table-entry-splice"),
-        };
-        let Some(mutant) = mutant.filter(|m| *m != stream) else {
-            tally.noops += 1;
-            continue;
-        };
-
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| drive_stream(&queries, &light, cfg, acc, &mutant)));
-        tally.driven += 1;
-        match outcome {
-            Err(_) => panic!(
-                "PANIC on stream mutation (class={label}, seed={seed:#x}, iter={iter}) — \
-                 verification must be total"
-            ),
-            Ok(Ok(accepted)) => panic!(
-                "ACCEPTED a mutated stream (class={label}, seed={seed:#x}, iter={iter}): \
-                 {} results passed",
-                accepted.concat().len()
-            ),
-            Ok(Err(e)) => {
-                *tally.rejected.entry(classify(&e)).or_insert(0) += 1;
-            }
-        }
-    }
-    tally.check(iters);
-}
-
 #[test]
 fn stream_fault_injection_acc1() {
-    run_stream_fault_injection(
-        IndexScheme::Both,
+    run_fault_injection(
         Acc1::keygen(4000, &mut StdRng::seed_from_u64(27)),
+        scan_queries(4, 10),
         0x57E1_0000_0000_0005,
         fuzz_iters() / 2,
     );
@@ -689,9 +646,9 @@ fn stream_fault_injection_acc1() {
 
 #[test]
 fn stream_fault_injection_acc2() {
-    run_stream_fault_injection(
-        IndexScheme::Both,
+    run_fault_injection(
         Acc2::keygen(4096, &mut StdRng::seed_from_u64(28)),
+        scan_queries(4, 10),
         0x57E2_0000_0000_0006,
         fuzz_iters() / 2,
     );

@@ -1,6 +1,7 @@
-//! Wire-codec properties (the decode boundary's contract), for both
-//! deliveries of the one response encoding — one-shot
-//! (`encode_response_v2`) and the frame stream (`encode_scan_stream`):
+//! Wire-codec properties (the decode boundary's contract), for the one
+//! response layout — the frame stream (`encode_scan_stream`), whose
+//! one-window form is `encode_response_v2` — over a single-window fixture
+//! and a multi-window scan:
 //!
 //! 1. **Round-trip** — encoding any response and decoding it back is the
 //!    identity, byte-for-byte (`encode ∘ decode ∘ encode = encode`).
@@ -17,17 +18,17 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vchain_acc::Acc1;
+use vchain_acc::{Acc1, Accumulator};
 use vchain_chain::{Difficulty, LightClient, Object};
 use vchain_core::adversary::{for_each_att, Adversary, AttRole};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query, RangeSpec};
 use vchain_core::verify::verify_encoded_response;
 use vchain_core::verify::{verify_response, VerifyError};
-use vchain_core::vo::{BlockCoverage, QueryResponse};
+use vchain_core::vo::{Att, BlockCoverage, BlockVo, QueryResponse, VoNode};
 use vchain_core::wire::{
-    decode_response_v2, decode_update, encode_response_v2, encode_scan_stream, encode_update,
-    StreamDecoder, StreamEvent, WireError,
+    decode_update, encode_response_v2, encode_scan_stream, encode_update, StreamDecoder,
+    StreamEvent, WireError,
 };
 
 const DOMAIN_BITS: u8 = 6;
@@ -37,6 +38,7 @@ struct Fixture {
     light: LightClient,
     cfg: MinerConfig,
     acc: Acc1,
+    resp: QueryResponse<Acc1>,
     encoded: Vec<u8>,
 }
 
@@ -95,7 +97,7 @@ fn fixture() -> &'static Fixture {
         let resp = sp.time_window_query(&q);
         verify_response(&q, &resp, &light, &sp.cfg, &sp.acc).expect("honest response verifies");
         let encoded = encode_response_v2(&resp);
-        Fixture { q, light, cfg: sp.cfg, acc: sp.acc, encoded }
+        Fixture { q, light, cfg: sp.cfg, acc: sp.acc, resp, encoded }
     })
 }
 
@@ -129,7 +131,7 @@ fn scan_fixture() -> &'static ScanFixture {
 }
 
 /// Reassemble a frame stream into its window responses through
-/// [`StreamDecoder`], fed `chunk` bytes at a time.
+/// [`StreamDecoder`], fed `chunk` bytes at a time (`usize::MAX`: whole).
 fn decode_stream(
     acc: &Acc1,
     bytes: &[u8],
@@ -175,15 +177,59 @@ fn repeats_a_height(scan: &[QueryResponse<Acc1>]) -> bool {
     })
 }
 
-/// Results-only responses (no crypto needed) with randomized shapes:
-/// empty keyword lists, empty numeric vectors, unicode keywords, many
-/// blocks — all round-trip byte-identically.
-fn random_results_response(seed: u64) -> QueryResponse<Acc1> {
+/// Whenever the decoder accepts `mutant`, the mutant *is* the canonical
+/// encoding of what it decoded to — corrupt bytes can never alias an
+/// honest value's encoding under a different byte string.
+fn accepted_reencodes_canonically(acc: &Acc1, mutant: &[u8]) -> bool {
+    decode_stream(acc, mutant, 64)
+        .map_or(true, |d| repeats_a_height(&d) || encode_scan_stream(&d) == mutant)
+}
+
+/// Exhaustive single-bit sweep over an honest stream of `queries`' windows:
+/// every flip is either a typed decode failure or a decoded scan that does
+/// not fully verify, any accepted decode re-encodes to exactly the
+/// corrupted bytes, and both rejection layers take part.
+fn every_bit_fails_decode_or_verify(
+    acc: &Acc1,
+    light: &LightClient,
+    cfg: &MinerConfig,
+    queries: &[CompiledQuery],
+    encoded: &[u8],
+) {
+    let (mut decode_failures, mut verify_rejections) = (0usize, 0usize);
+    for bit in 0..encoded.len() * 8 {
+        let mutant = Adversary::flip_bit(encoded, bit);
+        match decode_stream(acc, &mutant, usize::MAX) {
+            Err(_) => decode_failures += 1,
+            Ok(decoded) => {
+                if !repeats_a_height(&decoded) {
+                    assert_eq!(encode_scan_stream(&decoded), mutant, "bit {bit}: not canonical");
+                }
+                let all_ok = decoded.len() == queries.len()
+                    && queries
+                        .iter()
+                        .zip(&decoded)
+                        .all(|(q, r)| verify_response(q, r, light, cfg, acc).is_ok());
+                assert!(!all_ok, "bit {bit}: corrupted VO must not verify");
+                verify_rejections += 1;
+            }
+        }
+    }
+    assert_eq!(decode_failures + verify_rejections, encoded.len() * 8);
+    assert!(decode_failures > 0, "no structural rejections in the sweep");
+    assert!(verify_rejections > 0, "no cryptographic rejections in the sweep");
+}
+
+/// Responses with randomized result shapes and no crypto: empty keyword
+/// lists, empty numeric vectors, unicode keywords, many blocks. A stream
+/// carries a block's objects in that block's coverage frame, so each result
+/// block gets a one-leaf block entry (its AttDigest is opaque bytes to the
+/// decoder) — the codec round-trips them byte-identically.
+fn random_results_response(acc: &Acc1, seed: u64) -> QueryResponse<Acc1> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let blocks = rng.gen_range(0..5usize);
-    let results = (0..blocks)
-        .map(|_| {
-            let h: u64 = rng.gen();
+    let blocks = rng.gen_range(0..5u64);
+    let results: Vec<(u64, Vec<Object>)> = (0..blocks)
+        .map(|b| {
             let objs = (0..rng.gen_range(0..4usize))
                 .map(|_| {
                     let numeric = (0..rng.gen_range(0..3usize)).map(|_| rng.gen()).collect();
@@ -197,10 +243,19 @@ fn random_results_response(seed: u64) -> QueryResponse<Acc1> {
                     Object::new(rng.gen(), rng.gen(), numeric, keywords)
                 })
                 .collect();
-            (h, objs)
+            // distinct heights, in no particular order
+            ((rng.gen::<u64>() << 3) | b, objs)
         })
         .collect();
-    QueryResponse { results, coverage: vec![] }
+    let coverage = results
+        .iter()
+        .map(|(height, _)| {
+            let att: Vec<u8> = (0..acc.value_size()).map(|_| rng.gen()).collect();
+            let root = VoNode::LeafMatch { att: Att::from_bytes(&att), result_idx: 0 };
+            BlockCoverage::Block { height: *height, vo: BlockVo { root, groups: vec![] } }
+        })
+        .collect();
+    QueryResponse { results, coverage }
 }
 
 proptest! {
@@ -209,26 +264,23 @@ proptest! {
     #[test]
     fn results_round_trip_byte_identically(seed in 0u64..u64::MAX) {
         let fix = fixture();
-        let resp = random_results_response(seed);
+        let resp = random_results_response(&fix.acc, seed);
         let bytes = encode_response_v2(&resp);
-        let decoded = decode_response_v2(&fix.acc, &bytes);
+        let decoded = decode_stream(&fix.acc, &bytes, usize::MAX);
         prop_assert!(decoded.is_ok(), "honest encoding must decode: {:?}", decoded.err());
-        let reencoded = encode_response_v2(&decoded.expect("checked"));
-        prop_assert_eq!(reencoded, bytes);
+        let decoded = decoded.expect("checked").remove(0);
+        prop_assert_eq!(encode_response_v2(&decoded), bytes);
+        // an empty object list travels as a zero count, not as a result entry
+        let sent: Vec<_> = resp.results.into_iter().filter(|(_, o)| !o.is_empty()).collect();
+        prop_assert_eq!(decoded.results, sent);
     }
 
+    /// Arbitrary multi-byte corruption of the one-window stream.
     #[test]
     fn accepted_corruptions_reencode_canonically(seed in 0u64..u64::MAX) {
-        // Arbitrary multi-byte corruption: whenever the decoder accepts the
-        // mutant, the mutant *is* the canonical encoding of what it decoded
-        // to — corrupt bytes can never alias an honest value's encoding
-        // under a different byte string.
         let fix = fixture();
-        let mut adv = Adversary::new(seed);
-        let (mutant, _label) = adv.mutate_bytes(&fix.encoded);
-        if let Ok(decoded) = decode_response_v2(&fix.acc, &mutant) {
-            prop_assert_eq!(encode_response_v2(&decoded), mutant);
-        }
+        let (mutant, _label) = Adversary::new(seed).mutate_bytes(&fix.encoded);
+        prop_assert!(accepted_reencodes_canonically(&fix.acc, &mutant));
     }
 }
 
@@ -237,45 +289,57 @@ proptest! {
 #[test]
 fn honest_response_round_trips_byte_identically() {
     let fix = fixture();
-    let decoded = decode_response_v2(&fix.acc, &fix.encoded).expect("honest encoding decodes");
+    let decoded = decode_stream(&fix.acc, &fix.encoded, usize::MAX).expect("honest").remove(0);
     assert_eq!(encode_response_v2(&decoded), fix.encoded);
     verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc)
         .expect("decoded copy verifies");
 }
 
-/// There is one response version. Bytes tagged `1` — what the retired
-/// raw-slot response encoding led with — are refused on the version byte
-/// alone, whatever follows; a stream header announcing body version 1
-/// likewise. Subscription updates keep *their* version byte 1: the two
-/// version spaces are separate, and an update is not a response.
+/// There is one response layout, and the single-window entry point takes
+/// exactly its one-window form: a header declaring 0 or 2 windows, a
+/// header announcing body version 1, the empty input and the retired
+/// one-shot layout (a leading `0x02` body version, then the table, the
+/// results and the coverage) are each a typed [`VerifyError::Malformed`],
+/// never a panic. Subscription updates keep *their* version byte 1: the
+/// two version spaces are separate, and an update is not a response.
 #[test]
 fn v1_tagged_bytes_are_rejected_unparsed() {
     let fix = fixture();
-    let mut retagged = fix.encoded.clone();
-    retagged[0] = 0x01;
-    let mut rng = StdRng::seed_from_u64(0x0001);
-    let random_tail: Vec<u8> =
-        std::iter::once(0x01).chain((0..200).map(|_| rng.gen::<u8>())).collect();
-    for bytes in [&retagged, &random_tail] {
-        assert_eq!(
-            decode_response_v2(&fix.acc, bytes).err(),
-            Some(WireError::UnsupportedVersion(1))
-        );
-        assert_eq!(
-            verify_encoded_response(&fix.q, bytes, &fix.light, &fix.cfg, &fix.acc),
-            Err(VerifyError::Malformed(WireError::UnsupportedVersion(1)))
-        );
-    }
+    let resp = &fix.resp;
+    let verify = |bytes: &[u8]| {
+        verify_encoded_response(&fix.q, bytes, &fix.light, &fix.cfg, &fix.acc)
+            .expect_err("not a one-window stream")
+    };
+
+    let window_count = VerifyError::Malformed(WireError::NonCanonical {
+        what: "stream window count differs from the scan's queries",
+    });
+    assert_eq!(verify(&encode_scan_stream::<Acc1>(&[])), window_count);
+    assert_eq!(verify(&encode_scan_stream(&[resp.clone(), resp.clone()])), window_count);
 
     // frame = u32 len ‖ u32 seq ‖ u8 tag ‖ body; the header body leads with
     // the stream version, then the body codec version
-    let mut stream = scan_fixture().stream.clone();
-    assert_eq!(stream[9..11], [1, 2], "stream version 1 carrying body version 2");
-    stream[10] = 0x01;
-    assert_eq!(
-        StreamDecoder::<Acc1>::new().feed(&fix.acc, &stream).err(),
-        Some(WireError::UnsupportedVersion(1))
-    );
+    let mut v1 = fix.encoded.clone();
+    assert_eq!(v1[9..11], [1, 2], "stream version 1 carrying body version 2");
+    v1[10] = 0x01;
+    assert_eq!(verify(&v1), VerifyError::Malformed(WireError::UnsupportedVersion(1)));
+
+    assert!(matches!(
+        verify(&[]),
+        VerifyError::Malformed(WireError::StreamTruncated { entries_declared: 0, .. })
+    ));
+
+    // The retired one-shot layouts, by hand: a body version byte (`0x02`;
+    // `0x01` led the raw-slot one before it), then `table ‖ results ‖
+    // coverage` of an empty response, or a random tail.
+    let mut rng = StdRng::seed_from_u64(0x0002);
+    for lead in [0x01, 0x02] {
+        let empty: Vec<u8> = std::iter::once(lead).chain([0; 12]).collect();
+        let tail: Vec<u8> = std::iter::once(lead).chain((0..200).map(|_| rng.gen())).collect();
+        for bytes in [&empty, &tail] {
+            assert!(matches!(verify(bytes), VerifyError::Malformed(_)));
+        }
+    }
 
     let update = vchain_core::SubscriptionUpdate::<Acc1> {
         query_id: 7,
@@ -287,37 +351,15 @@ fn v1_tagged_bytes_are_rejected_unparsed() {
     let bytes = encode_update(&update);
     assert_eq!(bytes[0], 0x01);
     assert_eq!(decode_update(&fix.acc, &bytes).expect("version-1 update decodes").query_id, 7);
-    assert_eq!(decode_response_v2(&fix.acc, &bytes).err(), Some(WireError::UnsupportedVersion(1)));
+    assert!(matches!(verify(&bytes), VerifyError::Malformed(_)));
 }
 
-/// Exhaustive single-bit sweep over the whole honest encoding: every flip
-/// is either a typed decode failure or a decoded-but-rejected VO, and any
-/// accepted decode re-encodes to exactly the corrupted bytes.
+/// Exhaustive single-bit sweep over the whole honest one-window encoding.
 #[test]
 fn every_single_bit_corruption_fails_cleanly_or_is_rejected() {
     let fix = fixture();
-    let mut decode_failures = 0usize;
-    let mut verify_rejections = 0usize;
-    for bit in 0..fix.encoded.len() * 8 {
-        let mutant = Adversary::flip_bit(&fix.encoded, bit);
-        match decode_response_v2(&fix.acc, &mutant) {
-            Err(_) => decode_failures += 1,
-            Ok(decoded) => {
-                assert_eq!(
-                    encode_response_v2(&decoded),
-                    mutant,
-                    "bit {bit}: accepted decode must re-encode canonically"
-                );
-                let v = verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc);
-                assert!(v.is_err(), "bit {bit}: corrupted VO must not verify");
-                verify_rejections += 1;
-            }
-        }
-    }
-    assert_eq!(decode_failures + verify_rejections, fix.encoded.len() * 8);
-    // Both rejection layers must actually participate in the sweep.
-    assert!(decode_failures > 0, "no structural rejections in the sweep");
-    assert!(verify_rejections > 0, "no cryptographic rejections in the sweep");
+    let queries = std::slice::from_ref(&fix.q);
+    every_bit_fails_decode_or_verify(&fix.acc, &fix.light, &fix.cfg, queries, &fix.encoded);
 }
 
 /// AttDigest slots are opaque to the decoder: every single-bit flip inside
@@ -331,7 +373,7 @@ fn every_single_bit_corruption_fails_cleanly_or_is_rejected() {
 #[test]
 fn every_bit_of_every_att_slot_is_pinned_by_verification_not_by_decode() {
     let fix = fixture();
-    let mut honest = decode_response_v2(&fix.acc, &fix.encoded).expect("honest encoding decodes");
+    let mut honest = fix.resp.clone();
     // bytes -> whether any slot holding them is a pairing operand
     let mut slots: std::collections::BTreeMap<Vec<u8>, bool> = Default::default();
     for_each_att::<Acc1>(&mut honest.coverage, &mut |role, att| {
@@ -347,9 +389,11 @@ fn every_bit_of_every_att_slot_is_pinned_by_verification_not_by_decode() {
             .expect("slot bytes appear verbatim, inline or in the intern table");
         for bit in 0..bytes.len() * 8 {
             let mutant = Adversary::flip_bit(&fix.encoded, at * 8 + bit);
-            let decoded = decode_response_v2(&fix.acc, &mutant).unwrap_or_else(|e| {
-                panic!("operand={operand} bit {bit}: a value slot cannot fail decode: {e}")
-            });
+            let decoded = decode_stream(&fix.acc, &mutant, usize::MAX)
+                .unwrap_or_else(|e| {
+                    panic!("operand={operand} bit {bit}: a value slot cannot fail decode: {e}")
+                })
+                .remove(0);
             assert_eq!(encode_response_v2(&decoded), mutant);
             match verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc) {
                 Err(VerifyError::RootMismatch { .. }) => {}
@@ -372,7 +416,7 @@ fn every_bit_of_every_att_slot_is_pinned_by_verification_not_by_decode() {
 /// the whole stream at once), every reassembled window still verifies, and
 /// the one shared intern table makes the 8-window stream smaller than the
 /// eight windows encoded one by one with `encode_response_v2` — measured on
-/// this fixture: 3 669 bytes against 7 596, 51.7 % fewer.
+/// this fixture: 3 669 bytes against 7 900, 53.6 % fewer.
 #[test]
 fn scan_stream_round_trips_at_any_chunking_and_dedupes_across_windows() {
     let fix = scan_fixture();
@@ -394,73 +438,39 @@ fn scan_stream_round_trips_at_any_chunking_and_dedupes_across_windows() {
     );
 }
 
-/// Exhaustive single-bit sweep over a full frame stream (a 2-window
+/// Exhaustive single-bit sweep over a multi-window stream (a 2-window
 /// sub-scan keeps the sweep affordable while still exercising the intern
-/// table and back-references): every flip is a typed decode failure or a
-/// decoded-but-rejected scan, and accepted decodes re-encode canonically.
+/// table and back-references).
 #[test]
 fn every_single_bit_corruption_of_a_stream_fails_cleanly_or_is_rejected() {
     let fix = scan_fixture();
-    let sub = &fix.responses[..2];
-    let encoded = encode_scan_stream(sub);
-    let mut decode_failures = 0usize;
-    let mut verify_rejections = 0usize;
-    for bit in 0..encoded.len() * 8 {
-        let mutant = Adversary::flip_bit(&encoded, bit);
-        match decode_stream(&fix.acc, &mutant, mutant.len()) {
-            Err(_) => decode_failures += 1,
-            Ok(decoded) => {
-                if !repeats_a_height(&decoded) {
-                    assert_eq!(
-                        encode_scan_stream(&decoded),
-                        mutant,
-                        "bit {bit}: accepted decode must re-encode canonically"
-                    );
-                }
-                let all_ok = decoded.len() == sub.len()
-                    && fix.queries.iter().zip(&decoded).all(|(q, r)| {
-                        verify_response(q, r, &fix.light, &fix.cfg, &fix.acc).is_ok()
-                    });
-                assert!(!all_ok, "bit {bit}: corrupted scan must not fully verify");
-                verify_rejections += 1;
-            }
-        }
-    }
-    assert_eq!(decode_failures + verify_rejections, encoded.len() * 8);
-    assert!(decode_failures > 0, "no structural rejections in the stream sweep");
-    assert!(verify_rejections > 0, "no cryptographic rejections in the stream sweep");
+    let encoded = encode_scan_stream(&fix.responses[..2]);
+    every_bit_fails_decode_or_verify(&fix.acc, &fix.light, &fix.cfg, &fix.queries[..2], &encoded);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Decode totality: the one-shot and stream decoders return `Ok` or a
-    /// typed `WireError` on arbitrary bytes — never a panic. (proptest
-    /// reports a panic as a failure, so simply driving the decoders is the
-    /// assert.)
+    /// Decode totality: the stream decoder, at any chunking, returns `Ok`
+    /// or a typed `WireError` on arbitrary bytes, and the single-window
+    /// entry point an `Err` — never a panic. (proptest reports a panic as a
+    /// failure, so simply driving them is the assert.)
     #[test]
     fn decoders_are_total_on_arbitrary_bytes(
         bytes in proptest::collection::vec(0u8..=255, 0..512),
     ) {
         let fix = fixture();
-        let _ = decode_response_v2(&fix.acc, &bytes);
+        let _ = verify_encoded_response(&fix.q, &bytes, &fix.light, &fix.cfg, &fix.acc);
         for chunk in [1, 64, 512] {
             let _ = decode_stream(&fix.acc, &bytes, chunk);
         }
     }
 
-    /// Adversarial multi-byte corruption of the stream: whenever the
-    /// decoder accepts the mutant, the mutant is the canonical encoding of
-    /// what it decoded to.
+    /// Arbitrary multi-byte corruption of the multi-window stream.
     #[test]
     fn accepted_stream_corruptions_reencode_canonically(seed in 0u64..u64::MAX) {
         let fix = scan_fixture();
-        let mut adv = Adversary::new(seed);
-        let (mutant, _label) = adv.mutate_bytes(&fix.stream);
-        if let Ok(decoded) = decode_stream(&fix.acc, &mutant, 64) {
-            if !repeats_a_height(&decoded) {
-                prop_assert_eq!(encode_scan_stream(&decoded), mutant);
-            }
-        }
+        let (mutant, _label) = Adversary::new(seed).mutate_bytes(&fix.stream);
+        prop_assert!(accepted_reencodes_canonically(&fix.acc, &mutant));
     }
 }
