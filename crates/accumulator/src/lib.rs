@@ -8,8 +8,8 @@
 //!   polynomials.
 //! * [`Acc2`] — the q-DHE construction of Zhang et al. (EuroS&P'17, paper's
 //!   "Construction 2"): `acc(X) = (g₁^{Σ s^{xᵢ}}, g₂^{Σ s^{q−xᵢ}})` with the
-//!   extra [`Accumulator::sum`] / [`Accumulator::proof_sum`] aggregation
-//!   primitives that enable vChain's online batch verification (§6.3).
+//!   extra [`Accumulator::sum`] aggregation primitive that enables vChain's
+//!   online batch verification (§6.3).
 //!
 //! The paper uses a symmetric pairing; BLS12-381 is asymmetric, so values
 //! live in `G1` and proof components in `G2` (or vice versa) as noted on
@@ -72,8 +72,6 @@ pub enum AccError {
     },
     /// Aggregation was requested from a construction that does not support it.
     AggregationUnsupported,
-    /// `ProofSum` inputs were not proofs against the same query set.
-    MismatchedAggregation,
 }
 
 impl fmt::Display for AccError {
@@ -85,9 +83,6 @@ impl fmt::Display for AccError {
             }
             AccError::AggregationUnsupported => {
                 write!(f, "this accumulator construction does not support aggregation")
-            }
-            AccError::MismatchedAggregation => {
-                write!(f, "proofs aggregate only when made against the same set")
             }
         }
     }
@@ -447,18 +442,13 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// paths. Accepted bytes re-encode identically.
     fn proof_from_bytes(&self, bytes: &[u8]) -> Result<Self::Proof, DecodeError>;
 
-    /// Whether `Sum`/`ProofSum` are available (Construction 2 only).
+    /// Whether `Sum` is available (Construction 2 only).
     fn supports_aggregation(&self) -> bool {
         false
     }
 
     /// `Sum(acc(X₁), …, acc(Xₙ)) → acc(ΣXᵢ)`.
     fn sum(&self, _values: &[Self::Value]) -> Result<Self::Value, AccError> {
-        Err(AccError::AggregationUnsupported)
-    }
-
-    /// `ProofSum(π₁, …, πₙ) → π'` for proofs against a common query set.
-    fn proof_sum(&self, _proofs: &[Self::Proof]) -> Result<Self::Proof, AccError> {
         Err(AccError::AggregationUnsupported)
     }
 }

@@ -498,8 +498,9 @@ fn main() {
     // --- checked VO wire decode ------------------------------------------
     // A full window response through the untrusted byte boundary: its
     // one-window frame stream fed whole to the stream decoder — structural
-    // parse plus a checked deserialization of every proof in the VO (the
-    // price a light client pays before verification proper begins).
+    // parse and slot length checks, no point decoded (proofs and pairing
+    // operands are decoded inside verification, `client_verify_*`). The
+    // name is kept from when this decode checked every proof.
     let scan_responses: Vec<_> = windows.iter().map(|q| sp.time_window_query(q)).collect();
     let framed: Vec<Vec<u8>> =
         scan_responses.iter().map(vchain_core::wire::encode_response_v2).collect();

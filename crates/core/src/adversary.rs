@@ -23,7 +23,7 @@ use vchain_chain::Object;
 use vchain_pairing::{Affine, CurveSpec, PointDecodeError};
 
 use crate::subscribe::SubscriptionUpdate;
-use crate::vo::{Att, BlockCoverage, BlockVo, MismatchProof, VoNode};
+use crate::vo::{Att, BlockCoverage, BlockVo, MismatchProof, ProofBytes, VoNode};
 
 /// Labels for the byte-level mutation classes (index-aligned with
 /// [`Adversary::mutate_bytes`]'s internal choice).
@@ -324,7 +324,7 @@ impl Adversary {
     /// proof from another slot (across nodes, groups, skips — hence across
     /// blocks and windows). Returns `false` when fewer than two slots exist.
     pub fn replay_proof<A: Accumulator>(&mut self, coverage: &mut [BlockCoverage<A>]) -> bool {
-        let mut proofs: Vec<A::Proof> = Vec::new();
+        let mut proofs: Vec<ProofBytes<A>> = Vec::new();
         for_each_proof(coverage, &mut |p| proofs.push(p.clone()));
         if proofs.len() < 2 {
             return false;
@@ -461,7 +461,7 @@ pub fn for_each_att<A: Accumulator>(
     }
 }
 
-fn walk_node_proofs<A: Accumulator>(node: &mut VoNode<A>, f: &mut dyn FnMut(&mut A::Proof)) {
+fn walk_node_proofs<A: Accumulator>(node: &mut VoNode<A>, f: &mut dyn FnMut(&mut ProofBytes<A>)) {
     match node {
         VoNode::Internal { left, right, .. } => {
             walk_node_proofs(left, f);
@@ -476,7 +476,7 @@ fn walk_node_proofs<A: Accumulator>(node: &mut VoNode<A>, f: &mut dyn FnMut(&mut
     }
 }
 
-fn walk_vo_proofs<A: Accumulator>(vo: &mut BlockVo<A>, f: &mut dyn FnMut(&mut A::Proof)) {
+fn walk_vo_proofs<A: Accumulator>(vo: &mut BlockVo<A>, f: &mut dyn FnMut(&mut ProofBytes<A>)) {
     walk_node_proofs(&mut vo.root, f);
     for g in &mut vo.groups {
         f(&mut g.proof);
@@ -487,7 +487,7 @@ fn walk_vo_proofs<A: Accumulator>(vo: &mut BlockVo<A>, f: &mut dyn FnMut(&mut A:
 /// order (inline node proofs, §6.3 group proofs, skip proofs).
 pub fn for_each_proof<A: Accumulator>(
     coverage: &mut [BlockCoverage<A>],
-    f: &mut dyn FnMut(&mut A::Proof),
+    f: &mut dyn FnMut(&mut ProofBytes<A>),
 ) {
     for cov in coverage {
         match cov {

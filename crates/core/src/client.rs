@@ -10,8 +10,9 @@
 //!
 //! ```text
 //!   transport chunks ──▶ StreamDecoder ──(one entry at a time)──▶ WindowScan
-//!                        frame reassembly                         hash + operand decode
-//!                        + proof decode                           + one batch flush
+//!                        frame parsing, in place                  hash + operand decode
+//!                        + slot length checks                     + proof decode
+//!                                                                 + one batch flush
 //! ```
 //!
 //! The second pillar is *cross-block batching across windows*: every

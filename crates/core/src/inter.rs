@@ -146,7 +146,7 @@ impl<A: Accumulator> SkipList<A> {
         if self.entries.is_empty() {
             return Digest::ZERO;
         }
-        let level_hashes: Vec<Digest> = self.entries.iter().map(SkipEntry::level_hash).collect();
+        let level_hashes: Vec<Digest> = self.entries.iter().map(|e| e.level_hash()).collect();
         skiplist_root_from_hashes(&level_hashes)
     }
 

@@ -25,7 +25,7 @@ use crate::cache::{ProofCache, ProofRequest};
 use crate::element::ElementId;
 use crate::query::{object_multiset, CompiledQuery};
 use crate::subindex::Cell;
-use crate::vo::{Att, BlockVo, ClauseRef, GroupProof, MismatchProof, VoNode};
+use crate::vo::{Att, BlockVo, ClauseRef, GroupProof, MismatchProof, ProofBytes, VoNode};
 
 /// Node payload: a leaf holds one object, an internal node two children.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,8 +90,11 @@ enum PlannedProof {
 impl PlannedVo {
     /// The VO, given the answers to the requests it was planned against
     /// ([`ProofCache::resolve`]'s, indexed as the requests were).
-    pub(crate) fn fill<A: Accumulator>(self, proofs: &[Result<A::Proof, AccError>]) -> BlockVo<A> {
-        let proof = |request: usize| -> A::Proof {
+    pub(crate) fn fill<A: Accumulator>(
+        self,
+        proofs: &[Result<ProofBytes<A>, AccError>],
+    ) -> BlockVo<A> {
+        let proof = |request: usize| -> ProofBytes<A> {
             proofs[request].clone().expect("the walk found the clause disjoint from the node")
         };
         let fill_proof = |planned| match planned {

@@ -17,7 +17,7 @@
 //! * [`miner`] / [`sp`] / [`verify`] — the three roles of Fig. 3: the miner
 //!   embeds ADS commitments into block headers, the service provider answers
 //!   queries with verification objects (online batch verification via
-//!   `Sum`/`ProofSum`, §6.3, included), and the light-client user checks
+//!   `Sum`, §6.3, included), and the light-client user checks
 //!   soundness and completeness against block headers alone.
 //! * [`client`] / [`wire`] — the light client's streamed verification
 //!   pipeline: frame-by-frame VO delivery with bounded buffering, the

@@ -123,8 +123,8 @@ impl<A: Accumulator> Miner<A> {
 
         // Block-level summary for future skip lists and lazy subscription
         // aggregation: the block's attribute multiset is its intra-tree root
-        // multiset, so per-block digests reuse the root AttDigest and
-        // `ProofSum` of root proofs matches `Sum` of block digests.
+        // multiset, so per-block digests reuse the root AttDigest and a skip
+        // entry's `Sum` of block digests commits to the sum of root multisets.
         let block_ms = tree.root_multiset().clone();
         let block_att = match tree.root_att() {
             Some(att) => att.clone(),

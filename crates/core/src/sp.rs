@@ -240,10 +240,10 @@ pub struct ShardStats {
     pub cache: CacheStats,
 }
 
-/// What [`ShardedServiceProvider::open`] found and repaired. Whether a
-/// loaded proof's bytes pass the checked decode is not known at open: they
-/// are decoded at first hit, and the records that fail are counted by
-/// [`ShardedServiceProvider::rejected_proofs`].
+/// What [`ShardedServiceProvider::open`] found and repaired. A loaded
+/// proof stays the bytes its record carried: the SP never decodes one, and
+/// a record that passes its checksum but does not decode is refused by the
+/// client that receives it (`docs/SECURITY.md`).
 #[derive(Clone, Debug, Default)]
 pub struct ServingRecovery {
     /// Per-shard store recovery reports (`shards[i]` ↔ `shard-i.log`).
@@ -307,10 +307,9 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
 
     /// Open (or create) the persistent serving state under `dir`: one
     /// proof log per shard (`shard-i.log`), whose surviving records are
-    /// preloaded into that shard's cache as checksummed bytes. No point is
-    /// decoded here: a proof pays its checked decode on its first hit
-    /// ([`ProofCache::preload`]). Nothing else is read, and the cache
-    /// counters start at zero.
+    /// preloaded into that shard's cache as checksummed bytes
+    /// ([`ProofCache::preload`]). No point is decoded, here or at a hit.
+    /// Nothing else is read, and the cache counters start at zero.
     pub fn open(
         sp: ServiceProvider<A>,
         cfg: ShardedConfig,
@@ -528,13 +527,6 @@ impl<A: Accumulator> ShardedServiceProvider<A> {
         total
     }
 
-    /// Persisted proof records dropped at first hit because their bytes
-    /// failed the checked decode (each re-proved as a miss), summed across
-    /// shards.
-    pub fn rejected_proofs(&self) -> u64 {
-        self.shards.iter().map(|s| s.cache.rejected()).sum()
-    }
-
     /// Queries served, summed across shards.
     pub fn total_served(&self) -> u64 {
         self.shards.iter().map(|s| s.served.load(Ordering::Relaxed)).sum()
@@ -582,6 +574,7 @@ mod tests {
     use super::*;
     use crate::miner::Miner;
     use crate::query::Query;
+    use crate::vo::ProofBytes;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vchain_acc::{Acc2, MultiSet};
@@ -684,16 +677,17 @@ mod tests {
         let proof = {
             let (x1, x2): (MultiSet<u64>, MultiSet<u64>) =
                 ([1u64].into_iter().collect(), [2u64].into_iter().collect());
-            ssp.inner().acc.prove_disjoint(&x1, &x2).unwrap()
+            ProofBytes::of(&ssp.inner().acc.prove_disjoint(&x1, &x2).unwrap())
         };
         let insert = |ids: core::ops::Range<u8>| {
             for i in ids {
-                cache.insert(CacheKey { att: Digest([i; 32]), clause: Digest([7; 32]) }, proof);
+                let key = CacheKey { att: Digest([i; 32]), clause: Digest([7; 32]) };
+                cache.insert(key, proof.clone());
             }
         };
         let frame = crate::store::frame_record(&StoreRecord {
             key: RecordKey { block_height: 0, att: Digest([0; 32]), clause: Digest([7; 32]) },
-            proof: Acc2::proof_bytes(&proof),
+            proof: proof.as_bytes().to_vec(),
         });
         for n in 0..3 * frame.len() {
             let path = dir.join(format!("tear-{n}.log"));

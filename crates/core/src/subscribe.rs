@@ -7,8 +7,9 @@
 //!   every block (match or mismatch).
 //! * **Lazy mode** (§7.2, Algorithm 5; requires the aggregating
 //!   Construction 2 and the inter-block index) buffers whole-block
-//!   mismatches on a stack and compresses runs with skip-list entries and
-//!   `ProofSum`, publishing only when a block's root multiset matches.
+//!   mismatches on a stack and compresses runs with skip-list entries, each
+//!   proved from the entry's own multiset through the [`ProofCache`],
+//!   publishing only when a block's root multiset matches.
 //! * **Shared refutations** (§7.1). Queries with identical clause content
 //!   always share one proof (the IP-Tree's BCIF effect — it falls out of
 //!   the `(AttDigest, clause)` key of the [`ProofCache`] and of the
@@ -50,7 +51,7 @@ use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::{CompiledQuery, Query};
 use crate::subindex::{Cell, QueryId, SubscriptionIndex};
 use crate::verify::{verify_with_expected, VerifyError};
-use crate::vo::{Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, VoNode};
+use crate::vo::{Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, ProofBytes, VoNode};
 
 /// Publication policy (paper §7.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +59,7 @@ pub enum SubscriptionMode {
     /// Publish an update to every registered query on every block.
     Realtime,
     /// §7.2, Algorithm 5: buffer whole-block mismatches, compress runs with
-    /// skip entries and `ProofSum`, publish on the next match.
+    /// skip entries, publish on the next match.
     Lazy,
 }
 
@@ -158,7 +159,7 @@ enum MatchOutcome<A: Accumulator> {
 pub struct BlockMatch<A: Accumulator> {
     height: u64,
     root: RootShape,
-    proofs: Vec<A::Proof>,
+    proofs: Vec<ProofBytes<A>>,
     /// Ascending by query id — the publish order.
     outcomes: Vec<(QueryId, MatchOutcome<A>)>,
     /// How many queries had to walk the intra-block tree. The scale suite
@@ -522,7 +523,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
         // 4. The block's one proving pass.
         let answers = self.cache.resolve(&self.acc, requests);
         let walked = fill_walks(planned, &answers);
-        let proofs: Vec<A::Proof> = answers
+        let proofs: Vec<ProofBytes<A>> = answers
             .into_iter()
             .take(root_requests)
             .map(|answer| answer.expect("the walk's root step found the clause disjoint"))
@@ -653,7 +654,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
 
     /// Compress the top of the stack with the *current* block's skip list:
     /// if the preceding `d` blocks are exactly the top pending entries, one
-    /// skip entry plus `ProofSum` replaces them (paper Algorithm 5).
+    /// skip entry and its proof replace them (paper Algorithm 5).
     fn compress(&mut self, qid: QueryId, height: u64, indexed: &IndexedBlock<A>) {
         let state = self.lazy.get_mut(&qid).expect("registered");
         let q = &self.queries[&qid];
@@ -692,21 +693,15 @@ impl<A: Accumulator> SubscriptionEngine<A> {
             // the clause, so this always holds — asserted here).
             let clause_ms = q.cnf.0[clause_idx].to_multiset();
             debug_assert!(entry.ms.is_disjoint(&clause_ms));
-            // Aggregate the member proofs with ProofSum.
-            let members: Vec<A::Proof> = state.pending
-                [state.pending.len() - 1 - take..state.pending.len() - 1]
-                .iter()
-                .map(extract_proof::<A>)
-                .collect();
-            let agg = match self.acc.proof_sum(&members) {
-                Ok(p) => p,
-                Err(_) => return,
+            let request = ProofRequest::node::<A>(&entry.att, &entry.ms, clause_ms);
+            let Ok(proof) = self.cache.resolve(&self.acc, vec![request]).remove(0) else {
+                return;
             };
             let skip_cov = BlockCoverage::Skip {
                 height,
                 distance: d,
                 att: Att::of::<A>(&entry.att),
-                proof: agg,
+                proof,
                 clause: ClauseRef::Index(clause_idx as u16),
                 siblings: indexed.skiplist.siblings_of(d),
             };
@@ -743,7 +738,7 @@ impl<A: Accumulator> SubscriptionEngine<A> {
 /// The outcomes of planned walks, given the answers to their requests.
 fn fill_walks<A: Accumulator>(
     planned: Vec<(QueryId, Vec<Object>, PlannedVo)>,
-    answers: &[Result<A::Proof, AccError>],
+    answers: &[Result<ProofBytes<A>, AccError>],
 ) -> Vec<(QueryId, MatchOutcome<A>)> {
     planned
         .into_iter()
@@ -757,19 +752,6 @@ fn coverage_span<A: Accumulator>(cov: &BlockCoverage<A>) -> (u64, u64) {
     match cov {
         BlockCoverage::Block { height, .. } => (*height, *height),
         BlockCoverage::Skip { height, distance, .. } => (*height - *distance, *height - 1),
-    }
-}
-
-fn extract_proof<A: Accumulator>(cov: &BlockCoverage<A>) -> A::Proof {
-    match cov {
-        BlockCoverage::Block { vo, .. } => match &vo.root {
-            VoNode::InternalMismatch { proof: MismatchProof::Inline { proof, .. }, .. }
-            | VoNode::LeafMismatch { proof: MismatchProof::Inline { proof, .. }, .. } => {
-                proof.clone()
-            }
-            _ => unreachable!("lazy pending entries are whole-block mismatches"),
-        },
-        BlockCoverage::Skip { proof, .. } => proof.clone(),
     }
 }
 

@@ -18,8 +18,9 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 
-use vchain_acc::{Accumulator, BatchItem};
+use vchain_acc::{Accumulator, BatchItem, DecodeError};
 use vchain_chain::{LightClient, Object};
 use vchain_hash::{hash_pair, Digest};
 
@@ -28,7 +29,10 @@ use crate::inter::{level_hash_from_parts, pre_skipped_hash, skiplist_root_from_h
 use crate::intra::{internal_hash, leaf_hash};
 use crate::miner::{IndexScheme, MinerConfig};
 use crate::query::CompiledQuery;
-use crate::vo::{Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, QueryResponse, VoNode};
+use crate::vo::{
+    Att, BlockCoverage, BlockVo, ClauseRef, MismatchProof, ProofBytes, QueryResponse, VoNode,
+};
+use crate::wire::WireError;
 
 /// Why verification rejected a response.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -160,11 +164,14 @@ pub fn verify_response<A: Accumulator>(
 /// an entire query response (or an 8-window scan) costs O(1) final
 /// exponentiations instead of O(clauses).
 ///
-/// This is also where an AttDigest stops being bytes: a VO carries
-/// AttDigests as [`Att`]s, and the ones a check consumes become group
-/// elements through [`DisjointBatch::operand`] — only the component the
-/// pairing equation reads ([`Accumulator::Operand`]), each distinct byte
-/// string once per batch.
+/// This is also where a VO stops being bytes. A VO carries AttDigests as
+/// [`Att`]s and proofs as [`ProofBytes`]. The AttDigests a check consumes
+/// become group elements through [`DisjointBatch::operand`] — only the
+/// component the pairing equation reads ([`Accumulator::Operand`]) — and
+/// every proof pushed becomes one through the checked
+/// [`Accumulator::proof_from_bytes`]; each distinct byte string is decoded
+/// once per batch. A failed decode of either is the SP's malformed bytes,
+/// [`VerifyError::Malformed`] with [`WireError::Accumulator`].
 ///
 /// The Fiat–Shamir transcript for the batch coefficients is bound to the
 /// covered block heights in push order
@@ -175,6 +182,7 @@ pub struct DisjointBatch<A: Accumulator> {
     items: Vec<BatchItem<A>>,
     heights: Vec<u64>,
     operands: HashMap<Att, A::Operand>,
+    proofs: HashMap<ProofBytes<A>, A::Proof>,
 }
 
 impl<A: Accumulator> Default for DisjointBatch<A> {
@@ -186,7 +194,12 @@ impl<A: Accumulator> Default for DisjointBatch<A> {
 impl<A: Accumulator> DisjointBatch<A> {
     /// An empty batch.
     pub fn new() -> Self {
-        Self { items: Vec::new(), heights: Vec::new(), operands: HashMap::new() }
+        Self {
+            items: Vec::new(),
+            heights: Vec::new(),
+            operands: HashMap::new(),
+            proofs: HashMap::new(),
+        }
     }
 
     /// The pairing operand of an AttDigest, through the checked decode
@@ -194,21 +207,28 @@ impl<A: Accumulator> DisjointBatch<A> {
     /// seen and from the batch's cache afterwards. A failed decode is the
     /// SP's malformed bytes, reported as such.
     pub fn operand(&mut self, acc: &A, att: &Att) -> Result<A::Operand, VerifyError> {
-        if let Some(op) = self.operands.get(att) {
-            return Ok(op.clone());
-        }
-        let op = acc
-            .operand_from_bytes(att.as_bytes())
-            .map_err(|e| VerifyError::Malformed(crate::wire::WireError::Accumulator(e)))?;
-        self.operands.insert(att.clone(), op.clone());
-        Ok(op)
+        decode_once(&mut self.operands, att, || acc.operand_from_bytes(att.as_bytes()))
     }
 
-    /// Defer one disjointness check of `a1` against the clause value `a2`,
-    /// attributed to `height` for error reporting and transcript binding.
-    pub fn push(&mut self, a1: A::Operand, a2: A::Value, proof: A::Proof, height: u64) {
+    /// Defer one disjointness check of `a1` against the clause value `a2`
+    /// by `proof`, attributed to `height` for error reporting and
+    /// transcript binding. The proof passes the checked decode
+    /// ([`Accumulator::proof_from_bytes`]) the first time these bytes are
+    /// seen and comes from the batch's cache afterwards; bytes that fail it
+    /// are [`VerifyError::Malformed`], and nothing is deferred.
+    pub fn push(
+        &mut self,
+        acc: &A,
+        a1: A::Operand,
+        a2: A::Value,
+        proof: &ProofBytes<A>,
+        height: u64,
+    ) -> Result<(), VerifyError> {
+        let proof =
+            decode_once(&mut self.proofs, proof, || acc.proof_from_bytes(proof.as_bytes()))?;
         self.items.push((a1, a2, proof));
         self.heights.push(height);
+        Ok(())
     }
 
     /// Deferred checks currently held.
@@ -419,8 +439,7 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
                 let clause_val = resolve_clause(acc, &self.q, clause, &mut self.clause_cache)
                     .ok_or(VerifyError::BadClause { height: *height })?;
                 let operand = self.batch.operand(acc, att)?;
-                self.batch.push(operand, clause_val, proof.clone(), *height);
-                Ok(())
+                self.batch.push(acc, operand, clause_val, proof, *height)
             }
         }
     }
@@ -567,6 +586,22 @@ pub fn resolve_clause<A: Accumulator>(
     Some(v)
 }
 
+/// `cache[key]`, or else `decode()`'s value, remembered under `key`: a
+/// batch decodes each distinct byte string once. A failed decode is the
+/// SP's malformed bytes.
+fn decode_once<K: Clone + Eq + Hash, V: Clone>(
+    cache: &mut HashMap<K, V>,
+    key: &K,
+    decode: impl FnOnce() -> Result<V, DecodeError>,
+) -> Result<V, VerifyError> {
+    if let Some(v) = cache.get(key) {
+        return Ok(v.clone());
+    }
+    let v = decode().map_err(|e| VerifyError::Malformed(WireError::Accumulator(e)))?;
+    cache.insert(key.clone(), v.clone());
+    Ok(v)
+}
+
 /// Verify one block VO and return the reconstructed ADS root, with the
 /// pairing checks deferred into `batch`.
 #[allow(clippy::too_many_arguments)]
@@ -599,7 +634,11 @@ fn verify_block_vo_into<A: Accumulator>(
         return Err(VerifyError::ResultIndexing { height });
     }
     // §6.3: each batch group costs one Sum; its disjointness check joins
-    // the deferred batch like every other proof.
+    // the deferred batch like every other proof. A group no node names
+    // would reach no check, and an honest VO has none.
+    if group_members.len() != vo.groups.len() {
+        return Err(VerifyError::BadGroup { height });
+    }
     for (gid, members) in group_members {
         let g = vo.groups.get(gid as usize).ok_or(VerifyError::BadGroup { height })?;
         if !acc.supports_aggregation() {
@@ -608,7 +647,7 @@ fn verify_block_vo_into<A: Accumulator>(
         let summed = acc.sum_operands(&members).map_err(|_| VerifyError::AggregationUnsupported)?;
         let clause_val = resolve_clause(acc, q, &g.clause, clause_cache)
             .ok_or(VerifyError::BadClause { height })?;
-        batch.push(summed, clause_val, g.proof.clone(), height);
+        batch.push(acc, summed, clause_val, &g.proof, height)?;
     }
     Ok(root)
 }
@@ -701,8 +740,7 @@ fn check_mismatch_proof<A: Accumulator>(
             let clause_val = resolve_clause(acc, q, clause, clause_cache)
                 .ok_or(VerifyError::BadClause { height })?;
             let operand = batch.operand(acc, att)?;
-            batch.push(operand, clause_val, proof.clone(), height);
-            Ok(())
+            batch.push(acc, operand, clause_val, proof, height)
         }
         MismatchProof::Group(gid) => {
             group_members.entry(*gid).or_default().push(batch.operand(acc, att)?);

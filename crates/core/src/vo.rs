@@ -15,6 +15,9 @@
 // Decoded VOs are attacker-shaped; resolution paths must not panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use core::marker::PhantomData;
+use std::sync::Arc;
+
 use vchain_acc::{Accumulator, MultiSet};
 use vchain_chain::Object;
 use vchain_hash::Digest;
@@ -57,6 +60,68 @@ impl Att {
     /// The canonical bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
+    }
+}
+
+/// A disjointness proof as a VO carries it: the canonical bytes of
+/// [`Accumulator::proof_bytes`], not the group elements.
+///
+/// A proof has one consumer, the verifier's pairing check, so it stays
+/// bytes from the prover to that check. The SP encodes it once, where
+/// [`crate::cache::ProofCache::resolve`] takes a fresh proof from the
+/// prover, and the cache, the log and the codec copy those bytes. The
+/// verifier decodes it once, with the checked
+/// [`Accumulator::proof_from_bytes`], where it joins the pairing batch
+/// ([`crate::verify::DisjointBatch`]). The type parameter keeps the bytes of
+/// one construction apart from the other's; it asks nothing of `A`. A clone
+/// shares the bytes: a block hands one proof to every standing query it
+/// refutes with it (a copy each cost `sub_publish_100k` ≈ 1.25×).
+pub struct ProofBytes<A>(Arc<[u8]>, PhantomData<fn() -> A>);
+
+impl<A: Accumulator> ProofBytes<A> {
+    /// The bytes of a proof this side computed itself (SP side).
+    pub fn of(proof: &A::Proof) -> Self {
+        Self::from_bytes(&A::proof_bytes(proof))
+    }
+}
+
+impl<A> ProofBytes<A> {
+    /// Wrap bytes as they arrived. Nothing is checked here: the verifier
+    /// decodes them, checked, before they reach a pairing.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        Self(bytes.into(), PhantomData)
+    }
+
+    /// The canonical bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+// By hand, so that `A` needs no bounds: only the bytes are compared.
+impl<A> Clone for ProofBytes<A> {
+    fn clone(&self) -> Self {
+        Self(self.0.clone(), PhantomData)
+    }
+}
+
+impl<A> core::fmt::Debug for ProofBytes<A> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_tuple("ProofBytes").field(&self.0).finish()
+    }
+}
+
+impl<A> PartialEq for ProofBytes<A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl<A> Eq for ProofBytes<A> {}
+
+impl<A> core::hash::Hash for ProofBytes<A> {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
     }
 }
 
@@ -156,7 +221,7 @@ pub enum MismatchProof<A: Accumulator> {
     /// A proof carried directly in the VO node.
     Inline {
         /// The disjointness proof.
-        proof: A::Proof,
+        proof: ProofBytes<A>,
         /// The clause it refutes.
         clause: ClauseRef,
     },
@@ -212,7 +277,7 @@ pub struct GroupProof<A: Accumulator> {
     /// The clause every group member mismatches.
     pub clause: ClauseRef,
     /// One proof for the `Sum` of the members' digests.
-    pub proof: A::Proof,
+    pub proof: ProofBytes<A>,
 }
 
 /// The VO for one block.
@@ -244,7 +309,7 @@ pub enum BlockCoverage<A: Accumulator> {
         /// The skip entry's AttDigest.
         att: Att,
         /// Disjointness of the entry's multiset from `clause`.
-        proof: A::Proof,
+        proof: ProofBytes<A>,
         /// The refuted clause.
         clause: ClauseRef,
         /// `(distance, hash_Lk)` of the *other* levels, to rebuild

@@ -14,14 +14,14 @@
 //!   buffers are never pre-reserved from a claimed length.
 //! * **Bounded recursion** — a [`VoNode`] tree deeper than
 //!   [`MAX_VO_DEPTH`] is rejected, so a crafted VO cannot blow the stack.
-//! * **Checked points, only where points are needed** — proofs decode
-//!   through [`Accumulator::proof_from_bytes`], which runs the full curve
-//!   ladder (canonical coordinate, on-curve, subgroup membership) on every
-//!   compressed point. AttDigests stay length-checked canonical bytes
-//!   ([`Att`]): the verifier hashes them into the commitment the block
-//!   header pins, and group-decodes only the pairing operand of the ones a
-//!   disjointness check consumes, at the point of use
-//!   ([`Accumulator::operand_from_bytes`] in [`crate::verify`]).
+//! * **No point decoded here** — AttDigests ([`Att`]) and proofs
+//!   ([`ProofBytes`]) are fixed-size slots of canonical bytes, length-checked
+//!   and copied. The verifier hashes AttDigests into the commitment the
+//!   block header pins, and runs the full curve ladder (canonical
+//!   coordinate, on-curve, subgroup membership) only where a pairing
+//!   equation consumes a point, at the point of use
+//!   ([`Accumulator::operand_from_bytes`] and
+//!   [`Accumulator::proof_from_bytes`] in [`crate::verify`]).
 //! * **Canonical form** — trailing bytes are rejected, and every accepted
 //!   input re-encodes byte-identically (there is exactly one encoding per
 //!   value), so byte strings can be hashed or compared in place of values.
@@ -48,6 +48,7 @@
 )]
 
 use std::collections::{HashMap, HashSet};
+use std::marker::PhantomData;
 
 use vchain_acc::Accumulator;
 use vchain_chain::Object;
@@ -55,7 +56,8 @@ use vchain_hash::Digest;
 
 use crate::subscribe::SubscriptionUpdate;
 use crate::vo::{
-    Att, BlockCoverage, BlockVo, ClauseRef, GroupProof, MismatchProof, QueryResponse, VoNode,
+    Att, BlockCoverage, BlockVo, ClauseRef, GroupProof, MismatchProof, ProofBytes, QueryResponse,
+    VoNode,
 };
 
 /// Version byte of the raw-slot message: the first byte of every encoded
@@ -65,7 +67,7 @@ pub const WIRE_VERSION: u8 = 1;
 
 /// Version of the one response body encoding, announced in every stream
 /// header ([`encode_scan_stream`]): shared accumulator values and repeated
-/// proof points are interned once into a per-stream table and
+/// proofs are interned once into a per-stream table and
 /// back-referenced by index everywhere else. A header announcing any other
 /// body version is [`WireError::UnsupportedVersion`] before any entry frame
 /// is parsed.
@@ -125,8 +127,9 @@ pub enum WireError {
     },
     /// A keyword string is not valid UTF-8.
     BadUtf8,
-    /// An AttDigest has the wrong length, or a proof (here) or a pairing
-    /// operand (in [`crate::verify`]) failed the checked point decode.
+    /// An interned AttDigest or proof has the wrong length (here), or a
+    /// pairing operand or proof failed the checked point decode (in
+    /// [`crate::verify`]).
     Accumulator(vchain_acc::DecodeError),
     /// Bytes remained after the top-level value was fully decoded.
     TrailingBytes {
@@ -354,54 +357,41 @@ fn le_bytes(s: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Leaf codecs
-// ---------------------------------------------------------------------------
-
-fn proof_from_slot<A: Accumulator>(acc: &A, bytes: &[u8]) -> Result<A::Proof, WireError> {
-    acc.proof_from_bytes(bytes).map_err(WireError::Accumulator)
-}
-
-// ---------------------------------------------------------------------------
 // Slot codecs: how AttDigests / proofs embed into the body
 // ---------------------------------------------------------------------------
 //
 // Every structural codec below (nodes, mismatches, coverage) is generic
 // over a *slot codec* — the one place an AttDigest or proof slot becomes
-// bytes. A subscription update writes every slot raw in place; a response
-// tags each slot and back-references repeated byte strings into an intern
-// table. One set of body functions serves both messages.
+// bytes. Both kinds of slot are fixed-size canonical bytes the VO already
+// holds ([`Att`], [`ProofBytes`]), and differ only in that size. A
+// subscription update writes every slot raw in place; a response tags each
+// slot and back-references repeated byte strings into an intern table. One
+// set of body functions serves both messages.
 
-/// Encode-side slot strategy.
-trait SlotWrite<A: Accumulator> {
-    fn value(&mut self, w: &mut Writer, v: &Att);
-    fn proof(&mut self, w: &mut Writer, p: &A::Proof);
+/// Encode-side slot strategy: `bytes` borrow from the coverage being
+/// encoded, for as long as `'a`.
+trait SlotWrite<'a> {
+    fn slot(&mut self, w: &mut Writer, bytes: &'a [u8]);
 }
 
-/// Decode-side slot strategy.
-trait SlotRead<A: Accumulator> {
-    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<Att, WireError>;
-    fn proof(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError>;
+/// Decode-side slot strategy: the bytes of one slot of exactly `size`
+/// bytes, for [`Att::from_bytes`] or [`ProofBytes::from_bytes`] to copy.
+trait SlotRead {
+    fn slot<'x>(&'x mut self, r: &'x mut Reader<'_>, size: usize) -> Result<&'x [u8], WireError>;
 }
 
 /// Subscription updates: every slot is its raw fixed-size bytes, in place.
 struct RawSlots;
 
-impl<A: Accumulator> SlotWrite<A> for RawSlots {
-    fn value(&mut self, w: &mut Writer, v: &Att) {
-        w.bytes(v.as_bytes());
-    }
-    fn proof(&mut self, w: &mut Writer, p: &A::Proof) {
-        w.bytes(&A::proof_bytes(p));
+impl SlotWrite<'_> for RawSlots {
+    fn slot(&mut self, w: &mut Writer, bytes: &[u8]) {
+        w.bytes(bytes);
     }
 }
 
-impl<A: Accumulator> SlotRead<A> for RawSlots {
-    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<Att, WireError> {
-        // the whole decode of a value slot: exactly `value_size()` bytes
-        Ok(Att::from_bytes(r.take(acc.value_size())?))
-    }
-    fn proof(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError> {
-        proof_from_slot(acc, r.take(acc.proof_size())?)
+impl SlotRead for RawSlots {
+    fn slot<'x>(&'x mut self, r: &'x mut Reader<'_>, size: usize) -> Result<&'x [u8], WireError> {
+        r.take(size)
     }
 }
 
@@ -411,61 +401,55 @@ const SLOT_INLINE: u8 = 0;
 const SLOT_BACKREF: u8 = 1;
 
 /// v2 encode pass 1: count every slot byte-string in encode order and
-/// remember first-occurrence order. Writes nothing — the driver runs the
-/// body encoder into a scratch buffer that is discarded.
+/// remember first-occurrence order, borrowing the strings from the
+/// coverage. Writes nothing — [`intern_table`] runs the body encoder into a
+/// scratch buffer that is discarded.
 #[derive(Default)]
-struct CountSlots {
-    counts: HashMap<Vec<u8>, u32>,
-    order: Vec<Vec<u8>>,
+struct CountSlots<'a> {
+    counts: HashMap<&'a [u8], u32>,
+    order: Vec<&'a [u8]>,
 }
 
-impl CountSlots {
-    fn record(&mut self, bytes: &[u8]) {
-        match self.counts.get_mut(bytes) {
-            Some(n) => *n += 1,
-            None => {
-                self.counts.insert(bytes.to_vec(), 1);
-                self.order.push(bytes.to_vec());
-            }
-        }
-    }
-
+impl<'a> CountSlots<'a> {
     /// The intern table: every byte-string that occurs at least twice, in
     /// first-occurrence order (which is exactly the order the decode pass
     /// will first dereference them in — the canonical-form invariant).
-    fn into_table(self) -> Vec<Vec<u8>> {
+    fn into_table(self) -> Vec<&'a [u8]> {
         let counts = self.counts;
         self.order.into_iter().filter(|b| counts.get(b).copied().unwrap_or(0) >= 2).collect()
     }
 }
 
-impl<A: Accumulator> SlotWrite<A> for CountSlots {
-    fn value(&mut self, _w: &mut Writer, v: &Att) {
-        self.record(v.as_bytes());
-    }
-    fn proof(&mut self, _w: &mut Writer, p: &A::Proof) {
-        self.record(&A::proof_bytes(p));
+impl<'a> SlotWrite<'a> for CountSlots<'a> {
+    fn slot(&mut self, _w: &mut Writer, bytes: &'a [u8]) {
+        let n = self.counts.entry(bytes).or_insert(0);
+        if *n == 0 {
+            self.order.push(bytes);
+        }
+        *n += 1;
     }
 }
 
 /// v2 encode pass 2: emit `SLOT_BACKREF ‖ u32 index` for interned strings,
 /// `SLOT_INLINE ‖ raw bytes` otherwise.
-struct InternSlots {
-    index: HashMap<Vec<u8>, u32>,
+struct InternSlots<'t> {
+    index: HashMap<&'t [u8], u32>,
 }
 
-impl InternSlots {
-    fn new(table: &[Vec<u8>]) -> Self {
+impl<'t> InternSlots<'t> {
+    fn new(table: &[&'t [u8]]) -> Self {
         Self {
             index: table
                 .iter()
                 .enumerate()
-                .map(|(i, e)| (e.clone(), u32::try_from(i).unwrap_or(u32::MAX)))
+                .map(|(i, e)| (*e, u32::try_from(i).unwrap_or(u32::MAX)))
                 .collect(),
         }
     }
+}
 
-    fn emit(&mut self, w: &mut Writer, bytes: &[u8]) {
+impl SlotWrite<'_> for InternSlots<'_> {
+    fn slot(&mut self, w: &mut Writer, bytes: &[u8]) {
         match self.index.get(bytes) {
             Some(&i) => {
                 w.u8(SLOT_BACKREF);
@@ -479,15 +463,6 @@ impl InternSlots {
     }
 }
 
-impl<A: Accumulator> SlotWrite<A> for InternSlots {
-    fn value(&mut self, w: &mut Writer, v: &Att) {
-        self.emit(w, v.as_bytes());
-    }
-    fn proof(&mut self, w: &mut Writer, p: &A::Proof) {
-        self.emit(w, &A::proof_bytes(p));
-    }
-}
-
 /// v2 decode: resolve tagged slots against the intern table while
 /// enforcing the canonical form (exactly one encoding per response):
 ///
@@ -496,32 +471,26 @@ impl<A: Accumulator> SlotWrite<A> for InternSlots {
 ///   produce by construction;
 /// * inline bytes must not duplicate a table entry or an earlier inline
 ///   slot (the encoder would have interned them);
+/// * a table entry carries its own length, and is held to the slot's fixed
+///   size like an inline slot;
 /// * at [`TableSlots::finish`], every table entry must have been referenced
 ///   at least twice (interning a once-used string would *grow* the
 ///   encoding, so the encoder never does).
 ///
-/// A table entry referenced as a proof passes the checked point decode
-/// exactly once and is served from a cache afterwards — deduplication
-/// saves decode work, not just bytes. (An entry referenced as an AttDigest
-/// is only ever copied; the verifier's operand cache plays the same role
-/// for the ones it decodes.)
-struct TableSlots<A: Accumulator> {
+/// No slot is group-decoded here: a table entry is copied into each slot
+/// that references it, and the verifier's per-batch caches decode each
+/// distinct byte string once ([`crate::verify::DisjointBatch`]).
+struct TableSlots {
     raw: Vec<Vec<u8>>,
-    proofs: Vec<Option<A::Proof>>,
     refs: Vec<u32>,
     first_unused: usize,
+    /// Total byte length of the entries (the streaming client's buffer).
     table_bytes: usize,
     inline_seen: HashSet<Vec<u8>>,
     table_set: HashSet<Vec<u8>>,
 }
 
-/// Where a resolved v2 slot's bytes live.
-enum SlotBytes<'a> {
-    Inline(&'a [u8]),
-    Table(usize),
-}
-
-impl<A: Accumulator> TableSlots<A> {
+impl TableSlots {
     /// Parse the intern table (`u32 count`, then `u32 len ‖ bytes` per
     /// entry) from a stream header frame.
     fn parse(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -539,7 +508,6 @@ impl<A: Accumulator> TableSlots<A> {
             raw.push(bytes);
         }
         Ok(Self {
-            proofs: vec![None; raw.len()],
             refs: vec![0; raw.len()],
             first_unused: 0,
             table_bytes,
@@ -547,61 +515,6 @@ impl<A: Accumulator> TableSlots<A> {
             table_set,
             raw,
         })
-    }
-
-    fn len(&self) -> usize {
-        self.raw.len()
-    }
-
-    /// Total byte length of the retained table entries (buffer accounting
-    /// for the streaming client).
-    fn table_bytes(&self) -> usize {
-        self.table_bytes
-    }
-
-    /// Resolve one tagged slot of `size` inline bytes to where its bytes
-    /// live, enforcing the canonical-form rules on the way.
-    fn resolve<'a>(&mut self, r: &mut Reader<'a>, size: usize) -> Result<SlotBytes<'a>, WireError> {
-        match r.u8()? {
-            SLOT_INLINE => {
-                let bytes = r.take(size)?;
-                if self.table_set.contains(bytes) {
-                    return Err(WireError::NonCanonical {
-                        what: "inline slot duplicates an intern-table entry",
-                    });
-                }
-                if !self.inline_seen.insert(bytes.to_vec()) {
-                    return Err(WireError::NonCanonical {
-                        what: "repeated slot bytes not interned",
-                    });
-                }
-                Ok(SlotBytes::Inline(bytes))
-            }
-            SLOT_BACKREF => {
-                let index = r.u32()?;
-                let i = index as usize;
-                if i >= self.raw.len() {
-                    return Err(WireError::BackRefOutOfRange { index, table: self.raw.len() });
-                }
-                if i > self.first_unused {
-                    return Err(WireError::NonCanonical {
-                        what: "intern-table first use out of order",
-                    });
-                }
-                if i == self.first_unused {
-                    self.first_unused += 1;
-                }
-                if let Some(c) = self.refs.get_mut(i) {
-                    *c = c.saturating_add(1);
-                }
-                Ok(SlotBytes::Table(i))
-            }
-            tag => Err(WireError::BadTag { what: "v2 slot", tag }),
-        }
-    }
-
-    fn entry(&self, i: usize) -> &[u8] {
-        self.raw.get(i).map(Vec::as_slice).unwrap_or_default()
     }
 
     /// End-of-response canonicality: every table entry was first-used in
@@ -617,38 +530,49 @@ impl<A: Accumulator> TableSlots<A> {
     }
 }
 
-impl<A: Accumulator> SlotRead<A> for TableSlots<A> {
-    fn value(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<Att, WireError> {
-        match self.resolve(r, acc.value_size())? {
-            SlotBytes::Inline(bytes) => Ok(Att::from_bytes(bytes)),
-            SlotBytes::Table(i) => {
-                // a table entry carries its own length: hold it to the
-                // fixed value size like an inline slot
-                let bytes = self.entry(i);
-                if bytes.len() != acc.value_size() {
+impl SlotRead for TableSlots {
+    fn slot<'x>(&'x mut self, r: &'x mut Reader<'_>, size: usize) -> Result<&'x [u8], WireError> {
+        match r.u8()? {
+            SLOT_INLINE => {
+                let bytes = r.take(size)?;
+                if self.table_set.contains(bytes) {
+                    return Err(WireError::NonCanonical {
+                        what: "inline slot duplicates an intern-table entry",
+                    });
+                }
+                if !self.inline_seen.insert(bytes.to_vec()) {
+                    return Err(WireError::NonCanonical {
+                        what: "repeated slot bytes not interned",
+                    });
+                }
+                Ok(bytes)
+            }
+            SLOT_BACKREF => {
+                let index = r.u32()?;
+                let i = index as usize;
+                let Some(bytes) = self.raw.get(i) else {
+                    return Err(WireError::BackRefOutOfRange { index, table: self.raw.len() });
+                };
+                if i > self.first_unused {
+                    return Err(WireError::NonCanonical {
+                        what: "intern-table first use out of order",
+                    });
+                }
+                if bytes.len() != size {
                     return Err(WireError::Accumulator(vchain_acc::DecodeError::Length {
-                        expected: acc.value_size(),
+                        expected: size,
                         got: bytes.len(),
                     }));
                 }
-                Ok(Att::from_bytes(bytes))
-            }
-        }
-    }
-
-    fn proof(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError> {
-        match self.resolve(r, acc.proof_size())? {
-            SlotBytes::Inline(bytes) => proof_from_slot(acc, bytes),
-            SlotBytes::Table(i) => {
-                if let Some(hit) = self.proofs.get(i).and_then(Clone::clone) {
-                    return Ok(hit);
+                if i == self.first_unused {
+                    self.first_unused += 1;
                 }
-                let p = proof_from_slot(acc, self.entry(i))?;
-                if let Some(c) = self.proofs.get_mut(i) {
-                    *c = Some(p.clone());
+                if let Some(c) = self.refs.get_mut(i) {
+                    *c = c.saturating_add(1);
                 }
-                Ok(p)
+                Ok(bytes)
             }
+            tag => Err(WireError::BadTag { what: "v2 slot", tag }),
         }
     }
 }
@@ -729,11 +653,15 @@ fn get_clause(r: &mut Reader<'_>) -> Result<ClauseRef, WireError> {
     }
 }
 
-fn put_mismatch<A: Accumulator, S: SlotWrite<A>>(w: &mut Writer, m: &MismatchProof<A>, s: &mut S) {
+fn put_mismatch<'a, A: Accumulator, S: SlotWrite<'a>>(
+    w: &mut Writer,
+    m: &'a MismatchProof<A>,
+    s: &mut S,
+) {
     match m {
         MismatchProof::Inline { proof, clause } => {
             w.u8(0);
-            s.proof(w, proof);
+            s.slot(w, proof.as_bytes());
             put_clause(w, clause);
         }
         MismatchProof::Group(gid) => {
@@ -743,14 +671,14 @@ fn put_mismatch<A: Accumulator, S: SlotWrite<A>>(w: &mut Writer, m: &MismatchPro
     }
 }
 
-fn get_mismatch<A: Accumulator, S: SlotRead<A>>(
+fn get_mismatch<A: Accumulator, S: SlotRead>(
     r: &mut Reader<'_>,
     acc: &A,
     s: &mut S,
 ) -> Result<MismatchProof<A>, WireError> {
     match r.u8()? {
         0 => {
-            let proof = s.proof(r, acc)?;
+            let proof = ProofBytes::from_bytes(s.slot(r, acc.proof_size())?);
             let clause = get_clause(r)?;
             Ok(MismatchProof::Inline { proof, clause })
         }
@@ -763,14 +691,14 @@ fn get_mismatch<A: Accumulator, S: SlotRead<A>>(
 // VO tree
 // ---------------------------------------------------------------------------
 
-fn put_node<A: Accumulator, S: SlotWrite<A>>(w: &mut Writer, node: &VoNode<A>, s: &mut S) {
+fn put_node<'a, A: Accumulator, S: SlotWrite<'a>>(w: &mut Writer, node: &'a VoNode<A>, s: &mut S) {
     match node {
         VoNode::Internal { att, left, right } => {
             w.u8(0);
             match att {
                 Some(a) => {
                     w.u8(1);
-                    s.value(w, a);
+                    s.slot(w, a.as_bytes());
                 }
                 None => w.u8(0),
             }
@@ -780,24 +708,24 @@ fn put_node<A: Accumulator, S: SlotWrite<A>>(w: &mut Writer, node: &VoNode<A>, s
         VoNode::InternalMismatch { child_hash, att, proof } => {
             w.u8(1);
             w.bytes(child_hash.as_bytes());
-            s.value(w, att);
+            s.slot(w, att.as_bytes());
             put_mismatch(w, proof, s);
         }
         VoNode::LeafMatch { att, result_idx } => {
             w.u8(2);
-            s.value(w, att);
+            s.slot(w, att.as_bytes());
             w.u32(*result_idx);
         }
         VoNode::LeafMismatch { obj_hash, att, proof } => {
             w.u8(3);
             w.bytes(obj_hash.as_bytes());
-            s.value(w, att);
+            s.slot(w, att.as_bytes());
             put_mismatch(w, proof, s);
         }
     }
 }
 
-fn get_node<A: Accumulator, S: SlotRead<A>>(
+fn get_node<A: Accumulator, S: SlotRead>(
     r: &mut Reader<'_>,
     acc: &A,
     s: &mut S,
@@ -810,7 +738,7 @@ fn get_node<A: Accumulator, S: SlotRead<A>>(
         0 => {
             let att = match r.u8()? {
                 0 => None,
-                1 => Some(s.value(r, acc)?),
+                1 => Some(Att::from_bytes(s.slot(r, acc.value_size())?)),
                 tag => return Err(WireError::BadTag { what: "optional AttDigest", tag }),
             };
             let left = Box::new(get_node(r, acc, s, depth + 1)?);
@@ -819,18 +747,18 @@ fn get_node<A: Accumulator, S: SlotRead<A>>(
         }
         1 => {
             let child_hash = r.digest()?;
-            let att = s.value(r, acc)?;
+            let att = Att::from_bytes(s.slot(r, acc.value_size())?);
             let proof = get_mismatch(r, acc, s)?;
             Ok(VoNode::InternalMismatch { child_hash, att, proof })
         }
         2 => {
-            let att = s.value(r, acc)?;
+            let att = Att::from_bytes(s.slot(r, acc.value_size())?);
             let result_idx = r.u32()?;
             Ok(VoNode::LeafMatch { att, result_idx })
         }
         3 => {
             let obj_hash = r.digest()?;
-            let att = s.value(r, acc)?;
+            let att = Att::from_bytes(s.slot(r, acc.value_size())?);
             let proof = get_mismatch(r, acc, s)?;
             Ok(VoNode::LeafMismatch { obj_hash, att, proof })
         }
@@ -838,16 +766,20 @@ fn get_node<A: Accumulator, S: SlotRead<A>>(
     }
 }
 
-fn put_block_vo<A: Accumulator, S: SlotWrite<A>>(w: &mut Writer, vo: &BlockVo<A>, s: &mut S) {
+fn put_block_vo<'a, A: Accumulator, S: SlotWrite<'a>>(
+    w: &mut Writer,
+    vo: &'a BlockVo<A>,
+    s: &mut S,
+) {
     put_node(w, &vo.root, s);
     w.count(vo.groups.len());
     for g in &vo.groups {
         put_clause(w, &g.clause);
-        s.proof(w, &g.proof);
+        s.slot(w, g.proof.as_bytes());
     }
 }
 
-fn get_block_vo<A: Accumulator, S: SlotRead<A>>(
+fn get_block_vo<A: Accumulator, S: SlotRead>(
     r: &mut Reader<'_>,
     acc: &A,
     s: &mut S,
@@ -860,15 +792,15 @@ fn get_block_vo<A: Accumulator, S: SlotRead<A>>(
     let mut groups = Vec::new();
     for _ in 0..n {
         let clause = get_clause(r)?;
-        let proof = s.proof(r, acc)?;
+        let proof = ProofBytes::from_bytes(s.slot(r, acc.proof_size())?);
         groups.push(GroupProof { clause, proof });
     }
     Ok(BlockVo { root, groups })
 }
 
-fn put_coverage<A: Accumulator, S: SlotWrite<A>>(
+fn put_coverage<'a, A: Accumulator, S: SlotWrite<'a>>(
     w: &mut Writer,
-    cov: &BlockCoverage<A>,
+    cov: &'a BlockCoverage<A>,
     s: &mut S,
 ) {
     match cov {
@@ -881,8 +813,8 @@ fn put_coverage<A: Accumulator, S: SlotWrite<A>>(
             w.u8(1);
             w.u64(*height);
             w.u64(*distance);
-            s.value(w, att);
-            s.proof(w, proof);
+            s.slot(w, att.as_bytes());
+            s.slot(w, proof.as_bytes());
             put_clause(w, clause);
             w.count(siblings.len());
             for (d, h) in siblings {
@@ -893,7 +825,7 @@ fn put_coverage<A: Accumulator, S: SlotWrite<A>>(
     }
 }
 
-fn get_coverage<A: Accumulator, S: SlotRead<A>>(
+fn get_coverage<A: Accumulator, S: SlotRead>(
     r: &mut Reader<'_>,
     acc: &A,
     s: &mut S,
@@ -907,8 +839,8 @@ fn get_coverage<A: Accumulator, S: SlotRead<A>>(
         1 => {
             let height = r.u64()?;
             let distance = r.u64()?;
-            let att = s.value(r, acc)?;
-            let proof = s.proof(r, acc)?;
+            let att = Att::from_bytes(s.slot(r, acc.value_size())?);
+            let proof = ProofBytes::from_bytes(s.slot(r, acc.proof_size())?);
             let clause = get_clause(r)?;
             let n = r.count("skip siblings", 8 + Digest::LEN)?;
             let mut siblings = Vec::new();
@@ -956,8 +888,8 @@ fn get_results(r: &mut Reader<'_>) -> Result<Vec<(u64, Vec<Object>)>, WireError>
 /// Collect the v2 intern table over one or more responses' coverage: run
 /// the body encoder once with a counting slot sink (output discarded) and
 /// keep every slot byte-string that occurs at least twice, in
-/// first-occurrence order.
-fn intern_table<A: Accumulator>(covs: &[&[BlockCoverage<A>]]) -> Vec<Vec<u8>> {
+/// first-occurrence order. The table borrows its entries from the coverage.
+fn intern_table<'a, A: Accumulator>(covs: &[&'a [BlockCoverage<A>]]) -> Vec<&'a [u8]> {
     let mut count = CountSlots::default();
     let mut scratch = Writer::default();
     for coverage in covs {
@@ -968,7 +900,7 @@ fn intern_table<A: Accumulator>(covs: &[&[BlockCoverage<A>]]) -> Vec<Vec<u8>> {
     count.into_table()
 }
 
-fn put_table(w: &mut Writer, table: &[Vec<u8>]) {
+fn put_table(w: &mut Writer, table: &[&[u8]]) {
     w.count(table.len());
     for entry in table {
         w.count(entry.len());
@@ -1019,7 +951,7 @@ fn close_frame(out: &mut Writer, at: usize) {
 /// See `docs/LIGHT_CLIENT.md` for the byte layout.
 pub fn encode_scan_stream<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<u8> {
     let covs: Vec<&[BlockCoverage<A>]> = responses.iter().map(|r| r.coverage.as_slice()).collect();
-    let table = intern_table::<A>(&covs);
+    let table = intern_table(&covs);
     let mut slots = InternSlots::new(&table);
 
     let mut out = Writer::default();
@@ -1094,15 +1026,16 @@ pub enum StreamEvent<A: Accumulator> {
 /// resolution. Nothing is ever allocated from a claimed length before the
 /// bytes backing it have arrived.
 ///
-/// Every defense of the body codec applies per frame — checked
-/// point decodes, depth caps, count pre-checks, canonical slot rules — and
+/// Every defense of the body codec applies per frame — slot length
+/// checks, depth caps, count pre-checks, canonical slot rules — and
 /// the envelope adds its own: frames arrive in declared sequence order
 /// ([`WireError::FrameSequence`]), a stream that ends early is
 /// [`WireError::StreamTruncated`] at [`StreamDecoder::finish`], and bytes
 /// after the declared last frame are [`WireError::TrailingBytes`].
 pub struct StreamDecoder<A: Accumulator> {
     pending: Vec<u8>,
-    slots: Option<TableSlots<A>>,
+    slots: Option<TableSlots>,
+    acc: PhantomData<fn() -> A>,
     windows: Vec<u32>,
     declared: u32,
     entries_done: u32,
@@ -1135,6 +1068,7 @@ impl<A: Accumulator> StreamDecoder<A> {
             peak_buffered: 0,
             fed: 0,
             error: None,
+            acc: PhantomData,
         }
     }
 
@@ -1154,7 +1088,7 @@ impl<A: Accumulator> StreamDecoder<A> {
 
     /// Intern-table entry count (0 before the header frame arrives).
     pub fn table_entries(&self) -> usize {
-        self.slots.as_ref().map(TableSlots::len).unwrap_or(0)
+        self.slots.as_ref().map_or(0, |s| s.raw.len())
     }
 
     /// Entry frames fully decoded so far.
@@ -1169,30 +1103,67 @@ impl<A: Accumulator> StreamDecoder<A> {
 
     /// Feed the next chunk of stream bytes; returns every item that chunk
     /// completed. A decoder that has reported an error keeps returning it.
+    ///
+    /// Frames are parsed where they lie in `chunk`. Only a frame the chunk
+    /// leaves incomplete is copied, to be completed by the next chunks
+    /// before anything after it is parsed.
     pub fn feed(&mut self, acc: &A, chunk: &[u8]) -> Result<Vec<StreamEvent<A>>, WireError> {
         if let Some(e) = self.error.clone() {
             return Err(e);
         }
         self.fed = self.fed.saturating_add(chunk.len());
-        self.pending.extend_from_slice(chunk);
-        // (the table counts from the moment the header frame is released)
-        let table_bytes = self.slots.as_ref().map_or(0, TableSlots::table_bytes);
-        self.peak_buffered = self.peak_buffered.max(self.pending.len().saturating_add(table_bytes));
         let mut events = Vec::new();
-        while let Some(len_bytes) = self.pending.get(..4) {
-            let len = le_bytes(len_bytes) as usize;
-            if len > MAX_FRAME_BYTES {
-                return self.fail(WireError::FrameOversized { len: len as u64 });
-            }
-            if self.pending.len() < 4 + len {
+        let fed = self.feed_frames(acc, chunk, &mut events);
+        fed.map(|()| events).or_else(|e| self.fail(e))
+    }
+
+    fn feed_frames(
+        &mut self,
+        acc: &A,
+        mut chunk: &[u8],
+        events: &mut Vec<StreamEvent<A>>,
+    ) -> Result<(), WireError> {
+        // First complete the frame a previous chunk left pending: its length
+        // prefix, then its payload.
+        while !self.pending.is_empty() {
+            let want = match self.pending.get(..4) {
+                Some(prefix) => frame_len(prefix)?.saturating_add(4),
+                None => 4,
+            };
+            if self.pending.len() == want {
+                let frame = core::mem::take(&mut self.pending);
+                self.frame(acc, frame.get(4..).unwrap_or_default(), events)?;
                 break;
             }
-            let payload: Vec<u8> = self.pending.drain(..4 + len).skip(4).collect();
-            if let Err(e) = self.frame(acc, &payload, &mut events) {
-                return self.fail(e);
-            }
+            let Some((head, rest)) =
+                chunk.split_at_checked(want.saturating_sub(self.pending.len()))
+            else {
+                self.buffer(chunk);
+                return Ok(());
+            };
+            self.buffer(head);
+            chunk = rest;
         }
-        Ok(events)
+        // Then every frame the chunk holds whole, in place.
+        while let Some(prefix) = chunk.get(..4) {
+            let end = frame_len(prefix)?.saturating_add(4);
+            let Some((frame, rest)) = chunk.split_at_checked(end) else {
+                break;
+            };
+            self.frame(acc, frame.get(4..).unwrap_or_default(), events)?;
+            chunk = rest;
+        }
+        // And keep the incomplete tail.
+        self.buffer(chunk);
+        Ok(())
+    }
+
+    /// Append `bytes` to the partial frame and sample the retained memory.
+    fn buffer(&mut self, bytes: &[u8]) {
+        self.pending.extend_from_slice(bytes);
+        // (the table counts from the moment the header frame is released)
+        let table_bytes = self.slots.as_ref().map_or(0, |s| s.table_bytes);
+        self.peak_buffered = self.peak_buffered.max(self.pending.len().saturating_add(table_bytes));
     }
 
     fn frame(
@@ -1228,11 +1199,11 @@ impl<A: Accumulator> StreamDecoder<A> {
                     declared = declared.saturating_add(n);
                     windows.push(n);
                 }
-                let slots = TableSlots::<A>::parse(&mut r)?;
+                let slots = TableSlots::parse(&mut r)?;
                 r.finish()?;
                 events.push(StreamEvent::Header {
                     windows: windows.clone(),
-                    table_entries: slots.len(),
+                    table_entries: slots.raw.len(),
                 });
                 self.windows = windows;
                 self.declared = declared;
@@ -1297,6 +1268,16 @@ impl<A: Accumulator> StreamDecoder<A> {
             }),
         }
     }
+}
+
+/// The payload length a frame's 4-byte prefix claims, refused above
+/// [`MAX_FRAME_BYTES`] before any of it is buffered.
+fn frame_len(prefix: &[u8]) -> Result<usize, WireError> {
+    let len = le_bytes(prefix);
+    if len > MAX_FRAME_BYTES as u64 {
+        return Err(WireError::FrameOversized { len });
+    }
+    Ok(len as usize)
 }
 
 /// Serialize a subscription update (SP side, infallible).

@@ -201,9 +201,7 @@ fn cache_save_load_save_is_byte_identical() {
     // And the loaded proofs answer lookups byte-identically to the originals.
     for e in 10u64..18 {
         let key = ProofCache::<Acc2>::key(&att, &ms(&[e]));
-        let p1 = cache.get(&a, &key).unwrap();
-        let p2 = cache2.get(&a, &key).unwrap();
-        assert_eq!(Acc2::proof_bytes(&p1), Acc2::proof_bytes(&p2));
+        assert_eq!(cache.get(&key).unwrap(), cache2.get(&key).unwrap());
     }
 
     std::fs::remove_file(&path1).ok();
@@ -227,7 +225,7 @@ fn evicted_entries_are_still_persisted_and_reloadable() {
     let originals: Vec<Vec<u8>> = tiny
         .resolve(&a, requests.collect())
         .iter()
-        .map(|proof| Acc2::proof_bytes(proof.as_ref().unwrap()))
+        .map(|proof| proof.as_ref().unwrap().as_bytes().to_vec())
         .collect();
     assert_eq!(tiny.len(), 2, "capacity bound holds");
     assert_eq!(tiny.stats().evictions, 4, "four entries were displaced");
@@ -250,9 +248,8 @@ fn evicted_entries_are_still_persisted_and_reloadable() {
         big.preload(CacheKey { att: key.att, clause: key.clause }, proof.clone());
     }
     for (c, orig) in clauses.iter().zip(&originals) {
-        let got =
-            big.get(&a, &ProofCache::<Acc2>::key(&att, c)).expect("persisted entry reloadable");
-        assert_eq!(&Acc2::proof_bytes(&got), orig);
+        let got = big.get(&ProofCache::<Acc2>::key(&att, c)).expect("persisted entry reloadable");
+        assert_eq!(got.as_bytes(), orig);
     }
 
     std::fs::remove_file(&path).ok();

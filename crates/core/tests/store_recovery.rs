@@ -4,7 +4,9 @@
 //! The invariant under test: a service provider that crashes, tears a
 //! write, or suffers bit-rot in its logs must — after recovery — answer
 //! every query **byte-identically** to a twin that never crashed. Damage
-//! may only ever cost cache warmth (a re-prove), never correctness.
+//! the payload checksum detects may only ever cost cache warmth (a
+//! re-prove), never correctness. A record planted with a valid checksum is
+//! served as it is, and the light client's checked decode refuses it.
 //!
 //! Set `VCHAIN_RECOVERY_ITERS` (CI's `store-recovery` job does) to widen
 //! the torn-write and bit-flip sweeps beyond the default sample.
@@ -15,15 +17,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vchain_acc::Acc2;
-use vchain_chain::{Difficulty, Object};
-use vchain_core::cache::{CacheStats, ProofCache};
+use vchain_chain::{Difficulty, LightClient, Object};
+use vchain_core::cache::CacheStats;
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query, RangeSpec};
 use vchain_core::store::{
     frame_record, payload_check, LogStore, LEN_CHECK_XOR, RECORD_VERSION, STORE_HEADER_LEN,
     STORE_MAGIC, STORE_VERSION,
 };
-use vchain_core::wire::encode_response_v2;
+use vchain_core::verify::{verify_encoded_response, VerifyError};
+use vchain_core::wire::{encode_response_v2, WireError};
 use vchain_core::{
     Adversary, RecordKey, ServiceProvider, ShardedConfig, ShardedServiceProvider, StoreRecord,
 };
@@ -199,7 +202,6 @@ fn warm_start_replay_is_byte_identical_with_high_hit_rate() {
          ({hits}/{lookups})"
     );
     assert!(run_b.take_flush_error().is_none());
-    assert_eq!(run_b.rejected_proofs(), 0, "every persisted proof decodes at its first hit");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -393,10 +395,7 @@ fn corrupted_shard_logs_never_serve_wrong_proofs() {
     let replay = serve_stream(&run_b, &pool, STREAM);
     assert_eq!(replay, expected, "a damaged store must never change an answer");
     assert!(run_b.take_flush_error().is_none());
-    // Counted after serving: a record that passes its checksum but not the
-    // checked decode is rejected at its first hit, not at open.
-    let damage = rec_b.shard_reports.iter().map(|r| r.skipped_corrupt).sum::<usize>()
-        + run_b.rejected_proofs() as usize;
+    let damage = rec_b.shard_reports.iter().map(|r| r.skipped_corrupt).sum::<usize>();
     assert!(damage >= 1, "the flips must have been detected, not silently accepted");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -487,7 +486,6 @@ fn directory_written_by_the_parent_format_opens_as_the_proof_cache_it_is() {
     let warm = serve_stream(&run_b, &pool, STREAM);
     assert_eq!(warm, expected, "the old directory serves byte-identically to the twin");
     assert_eq!(run_b.merged_stats().misses, 0, "and from its proofs alone");
-    assert_eq!(run_b.rejected_proofs(), 0);
     assert!(run_b.take_flush_error().is_none());
 
     std::fs::remove_dir_all(&dir).ok();
@@ -529,47 +527,34 @@ fn preloading_past_capacity_counts_no_evictions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Open decodes no point; a query's first hit on a persisted key decodes it
-/// once, and a repeat decodes nothing. A record whose bytes pass the
-/// checksum but not the checked decode costs one miss at its first hit,
-/// never an answer, and the re-proved proof is logged after it, so the next
-/// open serves the key warm.
+/// The SP decodes no persisted proof, at open or at a hit: the bytes go to
+/// the client as the record carried them. A record whose bytes pass the
+/// checksum but not the checked decode is therefore served verbatim, and
+/// the light client refuses the response that carries it with a typed
+/// `Malformed(Accumulator(..))` — no panic, no accept, and no re-prove.
 #[test]
-fn persisted_proofs_decode_once_at_first_hit_and_a_bad_one_costs_a_miss() {
+fn a_checksum_valid_undecodable_record_is_served_verbatim_and_refused_by_the_client() {
     let pool = query_pool();
-    let dir = temp_dir("first-hit");
+    let dir = temp_dir("planted-record");
+    let miner_cfg = cfg();
     let cfg = sharded_cfg();
     let twin = ShardedServiceProvider::new(build_sp(), cfg);
     let expected: Vec<Vec<u8>> = pool.iter().map(|q| encode_response_v2(&twin.query(q))).collect();
+    let mut light = LightClient::new(miner_cfg.difficulty);
+    for block in twin.inner().store().blocks() {
+        light.sync_header(block.header.clone()).unwrap();
+    }
     persist_pool(&dir, cfg, &pool);
 
     let checks = stats::g1_subgroup_checks;
-    let sp = build_sp();
     let before = checks();
-    let (ssp, rec) = ShardedServiceProvider::open(sp, cfg, &dir).unwrap();
-    assert_eq!(checks() - before, 0, "open decodes nothing");
+    let (ssp, rec) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
     assert!(rec.proofs_loaded > 0);
-
-    // Each shard's distinct keys so far, mirrored in a cache that proves.
-    let seen: Vec<ProofCache<Acc2>> = (0..cfg.shards).map(|_| ProofCache::new(4096)).collect();
-    let mut decoded = 0;
     for (q, bytes) in pool.iter().zip(&expected) {
-        let mirror = &seen[ssp.route(q)];
-        let misses = mirror.stats().misses;
-        ssp.inner().time_window_query_with(q, mirror, None);
-        let fresh_keys = mirror.stats().misses - misses;
-
-        let before = checks();
         assert_eq!(&encode_response_v2(&ssp.query(q)), bytes);
-        assert_eq!(checks() - before, fresh_keys, "one check per distinct persisted key hit");
-        decoded += fresh_keys;
-        let before = checks();
-        assert_eq!(&encode_response_v2(&ssp.query(q)), bytes);
-        assert_eq!(checks() - before, 0, "a decoded proof is not decoded again");
     }
-    assert!(decoded > 0);
+    assert_eq!(checks() - before, 0, "the SP decodes no proof");
     assert_eq!(ssp.merged_stats().misses, 0, "every key was persisted");
-    assert_eq!(ssp.rejected_proofs(), 0);
     drop(ssp);
 
     // A wrong-subgroup point under a key the pool asks for, framed with a
@@ -582,27 +567,28 @@ fn persisted_proofs_decode_once_at_first_hit_and_a_bad_one_costs_a_miss() {
     let victim = records.last().unwrap().clone();
     let bad = Adversary::new(28).mutate_point::<G1Spec>(&victim.proof, 3, &[]);
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes.extend(frame_record(&StoreRecord { key: victim.key, proof: bad }));
+    bytes.extend(frame_record(&StoreRecord { key: victim.key, proof: bad.clone() }));
     std::fs::write(&path, bytes).unwrap();
 
     let (ssp, rec) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
     assert!(rec.shard_reports.iter().all(|r| r.skipped_corrupt == 0), "the frame is intact");
-    for (q, bytes) in pool.iter().zip(&expected) {
-        assert_eq!(&encode_response_v2(&ssp.query(q)), bytes, "a bad record costs no answer");
+    let mut refused = 0;
+    for (q, honest) in pool.iter().zip(&expected) {
+        let served = encode_response_v2(&ssp.query(q));
+        let verdict = verify_encoded_response(q, &served, &light, &miner_cfg, &ssp.inner().acc);
+        if &served == honest {
+            assert!(verdict.is_ok(), "an untouched response still verifies");
+            continue;
+        }
+        assert!(served.windows(bad.len()).any(|w| w == bad), "the record is served verbatim");
+        match verdict {
+            Err(VerifyError::Malformed(WireError::Accumulator(_))) => refused += 1,
+            other => panic!("a planted record must be refused as malformed, got {other:?}"),
+        }
     }
-    assert_eq!(ssp.rejected_proofs(), 1);
-    assert_eq!(ssp.merged_stats().misses, 1, "the bad record cost one re-prove");
-    assert_eq!(ssp.flush().unwrap(), 1, "the re-proved proof is logged again");
-    let (_, records, _) = LogStore::open(&path).unwrap();
-    assert_eq!(records.last(), Some(&victim), "behind the bad record, the honest bytes");
-    drop(ssp);
-
-    let (ssp, _) = ShardedServiceProvider::open(build_sp(), cfg, &dir).unwrap();
-    for (q, bytes) in pool.iter().zip(&expected) {
-        assert_eq!(&encode_response_v2(&ssp.query(q)), bytes);
-    }
-    assert_eq!(ssp.rejected_proofs(), 0, "the later record wins");
-    assert_eq!(ssp.merged_stats().misses, 0);
+    assert!(refused > 0, "the planted key is asked for");
+    assert_eq!(ssp.merged_stats().misses, 0, "the SP re-proves nothing");
+    assert_eq!(ssp.flush().unwrap(), 0, "and logs nothing");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vchain_acc::{Acc1, Accumulator};
 use vchain_chain::{Difficulty, LightClient, Object};
-use vchain_core::adversary::{for_each_att, Adversary, AttRole};
+use vchain_core::adversary::{for_each_att, for_each_proof, Adversary, AttRole};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query, RangeSpec};
 use vchain_core::verify::verify_encoded_response;
@@ -362,26 +362,41 @@ fn every_single_bit_corruption_fails_cleanly_or_is_rejected() {
     every_bit_fails_decode_or_verify(&fix.acc, &fix.light, &fix.cfg, queries, &fix.encoded);
 }
 
-/// AttDigest slots are opaque to the decoder: every single-bit flip inside
-/// one still *decodes* (no group arithmetic runs on a value slot, so there
-/// is nothing to fail) and re-encodes to the flipped bytes, and it is
+/// AttDigest and proof slots are opaque to the decoder: every single-bit
+/// flip inside one still *decodes* (no group arithmetic runs on a slot, so
+/// there is nothing to fail) and re-encodes to the flipped bytes, and it is
 /// verification that rejects it — through the rebuilt root for a hash-only
-/// slot, and through the root or the operand's checked decode for a slot a
-/// pairing equation consumes. Exhaustive over every bit of every slot; an
-/// interned AttDigest is flipped in the table, which changes every slot
-/// that references it.
+/// AttDigest, through the root or the operand's checked decode for one a
+/// pairing equation consumes, and through the proof's checked decode or the
+/// pairing check for a proof. Exhaustive over every bit of every slot; an
+/// interned slot is flipped in the table, which changes every slot that
+/// references it.
 #[test]
 fn every_bit_of_every_att_slot_is_pinned_by_verification_not_by_decode() {
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Slot {
+        HashOnly,
+        Operand,
+        Proof,
+    }
     let fix = fixture();
     let mut honest = fix.resp.clone();
-    // bytes -> whether any slot holding them is a pairing operand
-    let mut slots: std::collections::BTreeMap<Vec<u8>, bool> = Default::default();
+    // bytes -> what the verifier does with them (an operand wherever any
+    // slot holding them is one)
+    let mut slots: std::collections::BTreeMap<Vec<u8>, Slot> = Default::default();
     for_each_att::<Acc1>(&mut honest.coverage, &mut |role, att| {
-        *slots.entry(att.as_bytes().to_vec()).or_default() |= role == AttRole::NodeOperand;
+        let slot = slots.entry(att.as_bytes().to_vec()).or_insert(Slot::HashOnly);
+        if role == AttRole::NodeOperand {
+            *slot = Slot::Operand;
+        }
     });
-    assert!(slots.values().any(|operand| *operand));
-    assert!(slots.values().any(|operand| !*operand));
-    for (bytes, operand) in slots {
+    for_each_proof::<Acc1>(&mut honest.coverage, &mut |proof| {
+        slots.insert(proof.as_bytes().to_vec(), Slot::Proof);
+    });
+    for kind in [Slot::HashOnly, Slot::Operand, Slot::Proof] {
+        assert!(slots.values().any(|s| *s == kind), "the fixture has a {kind:?} slot");
+    }
+    for (bytes, slot) in slots {
         let at = fix
             .encoded
             .windows(bytes.len())
@@ -390,18 +405,17 @@ fn every_bit_of_every_att_slot_is_pinned_by_verification_not_by_decode() {
         for bit in 0..bytes.len() * 8 {
             let mutant = Adversary::flip_bit(&fix.encoded, at * 8 + bit);
             let decoded = decode_stream(&fix.acc, &mutant, usize::MAX)
-                .unwrap_or_else(|e| {
-                    panic!("operand={operand} bit {bit}: a value slot cannot fail decode: {e}")
-                })
+                .unwrap_or_else(|e| panic!("{slot:?} bit {bit}: a slot cannot fail decode: {e}"))
                 .remove(0);
             assert_eq!(encode_response_v2(&decoded), mutant);
-            match verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc) {
-                Err(VerifyError::RootMismatch { .. }) => {}
-                Err(VerifyError::Malformed(WireError::Accumulator(_))) if operand => {}
-                other => panic!(
-                    "operand={operand} bit {bit}: expected a root or operand rejection, \
-                     got {other:?}"
-                ),
+            match (slot, verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc)) {
+                (Slot::HashOnly | Slot::Operand, Err(VerifyError::RootMismatch { .. })) => {}
+                (
+                    Slot::Operand | Slot::Proof,
+                    Err(VerifyError::Malformed(WireError::Accumulator(_))),
+                ) => {}
+                (Slot::Proof, Err(VerifyError::BadProof { .. })) => {}
+                (slot, other) => panic!("{slot:?} bit {bit}: unexpected verdict {other:?}"),
             }
         }
     }

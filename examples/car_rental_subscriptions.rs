@@ -2,8 +2,8 @@
 //! marketplace with *subscription* queries. Users register standing
 //! interests like ⟨price ∈ [200, 250], "Sedan" ∧ ("Benz" ∨ "BMW")⟩ and the
 //! SP pushes verifiable updates on every confirmed block — here in lazy
-//! mode (§7.2), so mismatching blocks are aggregated with the skip list
-//! and ProofSum until a match appears.
+//! mode (§7.2), so runs of mismatching blocks are covered by skip-list
+//! entries, one proof each, until a match appears.
 //!
 //! ```sh
 //! cargo run --release --example car_rental_subscriptions
